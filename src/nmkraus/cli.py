@@ -169,9 +169,13 @@ def _initial_two_level(cfg, path="initial"):
 
 
 def _initial_matrix(cfg, dim):
-    re = np.asarray(_list(cfg, "initial.rho_re"), dtype=float)
+    re = _list(cfg, "initial.rho_re")
     im = _fetch(cfg, "initial.rho_im", None)
-    im = np.zeros_like(re) if im is None else np.asarray(im, dtype=float)
+    try:
+        re = np.asarray(re, dtype=float)
+        im = np.zeros_like(re) if im is None else np.asarray(im, dtype=float)
+    except (TypeError, ValueError):
+        raise ConfigError("initial.rho_re and initial.rho_im must hold numbers") from None
     if re.shape != (dim, dim) or im.shape != (dim, dim):
         raise ConfigError(f"initial.rho_re must be a {dim}x{dim} matrix")
     try:
@@ -654,6 +658,8 @@ def _cmd_run(args):
         artifacts, checks = runner(cfg, path.parent, outdir)
     except ConfigError:
         raise
+    except dy.FieldSizeError as e:
+        raise ConfigError(f"numerics: {e}") from e
     except (ValueError, ArithmeticError, RuntimeError) as e:
         print(f"solver error in {kind} ({type(e).__name__}): {e}", file=sys.stderr)
         return 3

@@ -7,15 +7,18 @@ resulting trajectory, and supplies the textbook decay laws the solver
 must reproduce in its limiting regimes.
 """
 
+import os
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import fft as sfft
+from scipy import linalg as sla
 
 from . import laplace as lp
 from . import reservoir as rv
 from .kraus import (
-    ConvergenceError,
     KrausZero,
+    SingularOperatorError,
     SystemSpec,
     _chat_line,
     _fold_modes,
@@ -26,6 +29,7 @@ __all__ = [
     "BitemporalState",
     "ConservationReport",
     "DensityTrajectory",
+    "FieldSizeError",
     "GridMismatchError",
     "StateValidationError",
     "audit_conservation",
@@ -44,6 +48,14 @@ class GridMismatchError(ValueError):
 
 class StateValidationError(ValueError):
     """Initial state fails the Hermiticity, trace or positivity checks."""
+
+
+class FieldSizeError(MemoryError):
+    """The two-time field would not fit in memory; carries its byte size."""
+
+    def __init__(self, message, nbytes):
+        super().__init__(message)
+        self.nbytes = nbytes
 
 
 def _validate_density(rho0, dim):
@@ -65,9 +77,11 @@ class BitemporalState:
     """Two-time matrix field on a square grid, with solver diagnostics.
 
     ``values[i, j]`` holds the matrix at ``(t_i, t_j)``; the field is
-    Hermitian under exchange of its two times, ``values[0, 0]`` is the
-    initial state, and ``max_residual`` is the worst per-node
-    fixed-point defect left by the sweep.
+    Hermitian under exchange of its two times and ``values[0, 0]`` is the
+    initial state.  ``max_residual`` is the worst residual of the
+    triangular block solves that settle each column's same-column
+    couplings, ``max |A x - b| / max(1, max |b|)`` over all blocks; it
+    sits at rounding level unless a block is close to singular.
     """
 
     grid: np.ndarray
@@ -115,17 +129,156 @@ class DensityTrajectory:
                 fh.write(",".join(row) + "\n")
 
 
-def solve_bitemporal(sys: SystemSpec, W: KrausZero, rho0, T, dt, *,
-                     node_tol=1e-12, max_iters=8) -> BitemporalState:
-    """Integrate the two-time equation by causal forward substitution.
+def _check_field_size(n, dim, n_stored):
+    """Refuse a two-time solve whose arrays exceed physical memory.
 
-    The explicit free phases are absorbed into the propagator columns,
-    which turns the memory term into causal convolutions: per grid
-    column the cross-time part collapses to one matrix product plus an
-    FFT, and only the same-column couplings walk node by node.  Each
-    node's weak self-coupling (it enters its own trapezoid cell) is
-    resolved by fixed-point iteration; the worst defect is reported as
-    ``max_residual``.
+    The field takes ``(n+1)^2 dim^2`` complex numbers and the store of
+    kernel-weighted read entries another ``(n+1)^2 n_stored``.
+    """
+    nbytes = (n + 1) ** 2 * (dim * dim + n_stored) * np.dtype(complex).itemsize
+    try:
+        phys = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, OSError, ValueError):
+        return
+    if phys > 0 and nbytes > phys:
+        raise FieldSizeError(
+            f"two-time solve on {n + 1} x {n + 1} nodes of {dim}x{dim} matrices "
+            f"needs {nbytes / 2**30:.1f} GiB, more than the "
+            f"{phys / 2**30:.1f} GiB of physical memory",
+            nbytes,
+        )
+
+
+def _slot_pairs(sys: SystemSpec):
+    """Entries the slots read, and the weights they write with.
+
+    Returns ``(pd, pa, Wsl)``: the distinct read entries ``(pd[q],
+    pa[q])`` in sorted order, and ``Wsl[q, c, b]``, the summed weight of
+    the slots that read entry ``q`` and write entry ``(c, b)``.
+    """
+    items = sys.slot_items()
+    pairs = sorted({(id_, ia) for (ia, _, _, id_), _ in items})
+    index = {pr: q for q, pr in enumerate(pairs)}
+    Wsl = np.zeros((len(pairs), sys.dim, sys.dim), dtype=complex)
+    for (ia, ib, ic, id_), wgt in items:
+        Wsl[index[id_, ia], ic, ib] += wgt
+    pd = np.array([d for d, _ in pairs], dtype=int)
+    pa = np.array([a for _, a in pairs], dtype=int)
+    return pd, pa, Wsl
+
+
+class _CausalSolver:
+    """Exact blocked solve of the same-column couplings of a column.
+
+    Solves ``(I - h_e K[0]/2) p_e - sum_{r<e} K[e-r] h_r p_r = g_e`` for
+    the read entries ``p_e`` of a column's unknown rows ``e = 0..m-1``
+    (counted from the diagonal node).  The weights ``h`` depend only on
+    ``e``, so every column shares one matrix, truncated to its ``m``
+    rows.  In the basis of the complex Schur form of ``K[0]``, with its
+    entries in reverse order, the self-couplings are lower triangular,
+    and so is the matrix of a leaf of ``leaf`` rows: it is inverted once,
+    and a leaf solve is one product with that inverse.  When a leaf ends
+    the left half of a node in the implicit binary split of the rows,
+    that half is pushed into the right half at once by one FFT
+    convolution (Hairer, Lubich & Schlichte, SIAM J. Sci. Stat. Comput. 6
+    (1985) 532), so every pair of rows is coupled exactly once.
+
+    Raises
+    ------
+    SingularOperatorError
+        If a self-coupling block ``I - h_e K[0]/2`` is singular.
+    """
+
+    def __init__(self, K, h, leaf=None):
+        T, U = sla.schur(K[0], output="complex")
+        self.U = U[:, ::-1]
+        self.K = self.U.conj().T @ K @ self.U
+        self.K[0] = T[::-1, ::-1]
+        P = K.shape[1]
+        self.leaf = L = leaf or max(4, 128 // P)
+        hu = np.repeat(h, P)
+        diag = 1.0 - 0.5 * hu * np.tile(np.diagonal(self.K[0]), h.size)
+        bad = np.flatnonzero(np.abs(diag) <= 1e-12)
+        if bad.size:
+            e = bad[0] // P
+            raise SingularOperatorError(
+                f"same-column self-coupling is singular at rows j+{e}, "
+                f"j = 1..{K.shape[0] - 1 - e}"
+            )
+        # C[(l, q'), (l', q)] = K[l - l'] below the diagonal blocks and
+        # K[0]/2 on them; a leaf's matrix is I - C scaled by h per column
+        lag = np.subtract.outer(np.arange(L), np.arange(L))
+        C = np.where((lag >= 0)[:, :, None, None],
+                     self.K[np.clip(lag, 0, K.shape[0] - 1)], 0.0)
+        C[np.arange(L), np.arange(L)] *= 0.5
+        C = C.transpose(0, 2, 1, 3).reshape(L * P, L * P)
+        self.hu = [hu[e0 * P : (e0 + L) * P] for e0 in range(0, h.size, L)]
+        self.blocks = [np.eye(w.size) - C[: w.size, : w.size] * w for w in self.hu]
+        # the inverse of a lower triangular matrix is lower triangular, so
+        # its leading block inverts the leading block of a ragged leaf
+        self.inverses = [
+            sla.solve_triangular(A, np.eye(A.shape[0]), lower=True, check_finite=False)
+            for A in self.blocks
+        ]
+        self._spectra = {}
+
+    def _push(self, src):
+        """Couplings of the rows ``src`` into the same number of next rows."""
+        span = src.shape[0]
+        if span not in self._spectra:
+            self._spectra[span] = sfft.fft(self.K[: 2 * span], 2 * span, axis=0)
+        fu = sfft.fft(src, 2 * span, axis=0)
+        return sfft.ifft(np.einsum("kpq,kq->kp", self._spectra[span], fu), axis=0)[span:]
+
+    def solve(self, g):
+        """Return ``u_e = h_e p_e`` and the worst scaled leaf residual."""
+        m, P = g.shape
+        L = self.leaf
+        acc = g @ self.U.conj()
+        u = np.empty_like(acc)
+        worst = 0.0
+        for b, e0 in enumerate(range(0, m, L)):
+            e1 = min(e0 + L, m)
+            k = (e1 - e0) * P
+            A = self.blocks[b][:k, :k]
+            rhs = acc[e0:e1].reshape(-1)
+            x = self.inverses[b][:k, :k] @ rhs
+            resid = np.max(np.abs(A @ x - rhs)) / max(1.0, np.max(np.abs(rhs)))
+            worst = max(worst, float(resid))
+            u[e0:e1] = (self.hu[b][:k] * x).reshape(-1, P)
+            if e1 < m:
+                span = ((b + 1) & -(b + 1)) * L
+                t1 = min(e1 + span, m)
+                acc[e1:t1] += self._push(u[e1 - span : e1])[: t1 - e1]
+        return u @ self.U.T, worst
+
+
+def solve_bitemporal(sys: SystemSpec, W: KrausZero, rho0, T, dt) -> BitemporalState:
+    """Integrate the two-time equation column by column.
+
+    The explicit free phases are absorbed into the propagator columns
+    ``B(t) = e^{-iHt} W(t)``, which turns the memory term into causal
+    convolutions.  The slots act only through the P distinct entries
+    they read and their summed weights, so each grid column ``j`` costs
+    a fixed number of vectorized calls instead of a walk over slots and
+    nodes:
+
+    - the cross-time part (inner times ``t_r``, ``r < j``) is one
+      ``(n+1) x (j P_e)`` by ``(j P_e) x dim`` product for each written
+      row ``e``, fed by ``P_e`` of the read entries, and one batched FFT
+      convolution with ``B``;
+    - the same-column part is linear in the read entries of the column's
+      unknown rows ``i >= j``; the known rows ``r < j`` ride along in the
+      same FFT, :class:`_CausalSolver` solves the unknown ones exactly,
+      including each node's coupling to itself, and their contribution
+      joins the spectrum before one inverse FFT fills the column and its
+      conjugate row.
+
+    With ``G = sum_e P_e`` the work is O(n^3 G dim) for the products
+    plus O(n^2 log^2 n P^2) for the column solves.  Besides the field,
+    ``(n+1)^2 dim^2`` complex numbers, the solve stores the kernel-weighted
+    read entries, ``(n+1)^2 G`` more.  ``W.values[0]`` must be the
+    identity, as :func:`kraus.solve_time_domain` returns it.
 
     Raises
     ------
@@ -133,8 +286,11 @@ def solve_bitemporal(sys: SystemSpec, W: KrausZero, rho0, T, dt, *,
         If ``W`` is not sampled with step ``dt`` on at least ``[0, T]``.
     StateValidationError
         If ``rho0`` is not a density matrix.
-    ConvergenceError
-        If a node's fixed point stalls, with ``step`` set to its row.
+    FieldSizeError
+        If those arrays would exceed physical memory.
+    SingularOperatorError
+        If a block of a column's same-column system is singular; the
+        message names its rows.
     """
     dim = sys.dim
     rho0 = _validate_density(rho0, dim)
@@ -148,69 +304,83 @@ def solve_bitemporal(sys: SystemSpec, W: KrausZero, rho0, T, dt, *,
     tg = W.grid[: n + 1]
     if np.max(np.abs(tg - np.arange(n + 1) * dt)) > 1e-9 * (T + dt):
         raise GridMismatchError("propagator grid step differs from dt")
+    pd, pa, Wsl = _slot_pairs(sys)
+    P = pd.size
+    # the read entries that feed each written row e
+    feeds = [(e, np.flatnonzero(np.any(Wsl[:, e] != 0, axis=1))) for e in range(dim)]
+    feeds = [(e, qs) for e, qs in feeds if qs.size]
+    _check_field_size(n, dim, sum(qs.size for _, qs in feeds))
 
     en = np.asarray(sys.energies, dtype=float)
     B = np.exp(-1j * np.outer(tg, en))[:, :, None] * W.values[: n + 1]
     line = _kernel_on_grid(sys, np.arange(-n, n + 1) * dt)
     # KD[s, sp] = kernel((sp - s) dt); a reversed sliding view, no copy
     KD = np.lib.stride_tricks.sliding_window_view(line, n + 1)[::-1]
-    slots = sys.slot_items()
-    eye = np.eye(dim)
+    Wflat = Wsl.reshape(P, dim * dim)
 
     xi = np.zeros((n + 1, n + 1, dim, dim), dtype=complex)
     base0 = B @ rho0
     xi[:, 0] = base0
     xi[0, :] = np.conj(np.swapaxes(base0, 1, 2))
+    # the cross-time sum by written row e: Y[i, r, k] = KD[i, r] tw_r
+    # xi[i, r, read entry qs[k]] is stored as each column r is finished
+    # (tw: trapezoid weight, halved at r = 0), and Zrev[n - m, k, c] =
+    # sum_b Wsl[qs[k], e, b] conj(B[m, c, b]), so that a column's lags
+    # m = j..1 are the contiguous block Zrev[n - j : n]
+    cross = [
+        (e, pd[qs], pa[qs], np.empty((n + 1, n + 1, qs.size), dtype=complex),
+         np.einsum("kb,mcb->mkc", Wsl[qs, e], np.conj(B[::-1])))
+        for e, qs in feeds
+    ]
 
-    nfft = 1
-    while nfft < 2 * (n + 1):
-        nfft *= 2
-    fb_cols = np.fft.fft(B, nfft, axis=0)
-    scale = max(1.0, float(np.max(np.abs(rho0))))
+    def store(r, weight):
+        for _, d, a, Y, _ in cross:
+            Y[:, r] = weight[:, None] * xi[:, r, d, a]
+
+    store(0, 0.5 * dt * KD[:, 0])
+    # K[m, q', q]: weight of read entry q at lag m in read entry q';
+    # h[e]: trapezoid weight of same-column row j + e, for every column j
+    Bp = B[:, pd, :]
+    K = np.einsum("mpc,qcp->mpq", Bp, Wsl[:, :, pa])
+    column = _CausalSolver(K, 0.5 * dt * dt * line[n:0:-1]) if P else None
+
+    nfft = sfft.next_fast_len(2 * n + 1)
+    fB = sfft.fft(B, nfft, axis=0)
+    fBp = fB[:, pd, :]
     max_resid = 0.0
-
     for j in range(1, n + 1):
-        tw_in = np.full(j, dt)
-        tw_in[0] = 0.5 * dt
-        Gj = np.conj(B[j:0:-1])
-        kap_j = KD[:, j]
-        c1 = []
-        for (ia, ib, ic, id_), _ in slots:
-            M = KD[:, :j] * xi[:, :j, id_, ia] * tw_in
-            Rm = M @ Gj[:, :, ib]
-            fr = np.fft.fft(Rm, nfft, axis=0)
-            conv = np.fft.ifft(fb_cols[:, :, ic, None] * fr[:, None, :], axis=0)[: n + 1]
-            part = dt * conv
-            part -= 0.5 * dt * B[:, :, ic][:, :, None] * Rm[0][None, None, :]
-            part -= 0.5 * dt * eye[:, ic][None, :, None] * Rm[:, None, :]
-            c1.append(part)
-        RB = rho0 @ B[j].conj().T
-        for i in range(j, n + 1):
-            fixed = B[i] @ RB
-            for s_idx, ((ia, ib, ic, id_), wgt) in enumerate(slots):
-                fixed = fixed + wgt * c1[s_idx][i]
-                vec = 0.5 * dt * kap_j[:i] * xi[:i, j, id_, ia]
-                vec[0] *= 0.5
-                vec *= dt
-                fixed[:, ib] += wgt * (B[i:0:-1, :, ic].T @ vec)
-            x = fixed
-            resid = np.inf
-            for _ in range(max_iters):
-                xn = fixed.copy()
-                for (ia, ib, ic, id_), wgt in slots:
-                    xn[ic, ib] += wgt * 0.25 * dt * dt * kap_j[i] * x[id_, ia]
-                resid = float(np.max(np.abs(xn - x)))
-                x = xn
-                if resid <= node_tol * scale:
-                    break
-            else:
-                raise ConvergenceError(
-                    f"node ({i},{j}) fixed point stalled at {resid:.3e}", step=i
-                )
+        M0 = rho0 @ B[j].conj().T
+        if not P:
+            xj = B[j:] @ M0
+        else:
+            # trapezoid weights of the known rows r < j of this column
+            hk = 0.5 * dt * dt * KD[:j, j]
+            hk[0] *= 0.5
+            R = np.zeros((n + 1, dim, dim), dtype=complex)
+            for e, _, _, Y, Zrev in cross:
+                R[:, e] = Y[:, :j].reshape(n + 1, -1) @ Zrev[n - j : n].reshape(-1, dim)
+            M0 -= 0.5 * dt * R[0]
+            # Q: the cross-time rows plus the known rows r < j of the
+            # same-column sum; the solve needs only read entries of B * Q
+            Q = dt * R
+            Q[:j] += ((hk[:, None] * xi[:j, j, pd, pa]) @ Wflat).reshape(j, dim, dim)
+            fQ = sfft.fft(Q, nfft, axis=0)
+            BQ = sfft.ifft(np.einsum("kpc,kcp->kp", fBp, fQ[:, :, pa]), axis=0)
+            g = BQ[j : n + 1] + np.einsum("ipc,cp->ip", Bp[j:], M0[:, pa])
+            g -= 0.5 * dt * R[j:, pd, pa]
+            u = np.zeros((n + 1, P), dtype=complex)
+            u[j:], resid = column.solve(g)
             max_resid = max(max_resid, resid)
-            xi[i, j] = x
-            if i > j:
-                xi[j, i] = x.conj().T
+            # the unknown rows' V[r] = sum_q Wsl[q] h_r p_r[q] join the
+            # spectrum; B[0] = I, so the convolution counts V[i] once in
+            # full where the trapezoid wants it halved
+            fQ += (sfft.fft(u, nfft, axis=0) @ Wflat).reshape(nfft, dim, dim)
+            xj = sfft.ifft(fB @ fQ, axis=0)[j : n + 1]
+            xj += B[j:] @ M0 - 0.5 * dt * R[j:]
+            xj -= 0.5 * (u[j:] @ Wflat).reshape(-1, dim, dim)
+        xi[j:, j] = xj
+        xi[j, j + 1 :] = np.conj(np.swapaxes(xj[1:], 1, 2))
+        store(j, dt * KD[:, j])
 
     ph = np.exp(1j * np.outer(tg, en))
     xi *= ph[:, None, :, None]

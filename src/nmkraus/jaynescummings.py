@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.signal import fftconvolve
+from scipy import fft as sfft
 from scipy.special import gammaln
 
 from . import dynamics as dy
@@ -274,6 +274,13 @@ def _comb(sd, h):
     return q0, q1, wq.astype(complex)
 
 
+def _convolve(a, b):
+    """Full linear convolution of two complex sequences by FFT."""
+    size = a.size + b.size - 1
+    nfft = sfft.next_fast_len(size)
+    return sfft.ifft(sfft.fft(a, nfft) * sfft.fft(b, nfft))[:size]
+
+
 def _line_blocks(basis, sd, x0, h, n_vis, eta, top_level):
     """Damping-amplitude image blocks on the line ``x0 + j*h + i*eta``.
 
@@ -293,7 +300,7 @@ def _line_blocks(basis, sd, x0, h, n_vis, eta, top_level):
     ssum = cur
     start = 0
     for lev in range(top_level + 1):
-        conv = fftconvolve(ssum, wq, mode="full")[q1 - q0 : ssum.size - q0]
+        conv = _convolve(ssum, wq)[q1 - q0 : ssum.size - q0]
         start += q1
         seg = x[start : start + conv.size]
         a = 0.5 * basis.nu(lev - 1) ** 2

@@ -28,6 +28,7 @@ they exist; everything else falls back to adaptive quadrature.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Mapping
@@ -440,6 +441,19 @@ def kernel_samples(sd: SpectralDensity, tau, beta_inv=0.0):
 # discrete mode expansions
 
 
+@functools.lru_cache(maxsize=8)
+def _gauss_legendre(n):
+    """Read-only Gauss-Legendre nodes and weights on [-1, 1].
+
+    ``leggauss`` takes seconds at thousands of nodes, and the thermal
+    kernel evaluators ask for the same rule on every call.
+    """
+    x, w = np.polynomial.legendre.leggauss(n)
+    x.flags.writeable = False
+    w.flags.writeable = False
+    return x, w
+
+
 def discrete_modes(sd: SpectralDensity, n_modes, beta_inv=0.0):
     """Discretize the reservoir into weighted oscillator modes.
 
@@ -474,7 +488,7 @@ def discrete_modes(sd: SpectralDensity, n_modes, beta_inv=0.0):
         wq = np.full(n_modes, g0 / math.pi * du)
     elif sd.family == "FlatWindow":
         h, lo, hi = sd.params
-        x, gw = np.polynomial.legendre.leggauss(n_modes)
+        x, gw = _gauss_legendre(n_modes)
         omega = 0.5 * (lo + hi) + 0.5 * (hi - lo) * x
         wq = h * 0.5 * (hi - lo) * gw
     else:

@@ -231,6 +231,29 @@ class TestGenericRuns:
         assert s["audits"]["trace_max_error"]["passed"] is False
         assert s["audits"]["min_eigenvalue"]["passed"] is True
 
+    def test_non_numeric_initial_state(self, tmp_path, capsys):
+        text = GENERIC_BODY.format(row=2, extra="").replace(
+            "[[0.2, 0.1], [0.1, 0.8]]", "[[0.2, one], [0.1, 0.8]]")
+        rc, _ = _run(tmp_path, "gen.yaml", text, "out")
+        assert rc == 2
+        assert "initial.rho_re" in capsys.readouterr().err
+
+    def test_oversized_field_is_a_config_error(self, tmp_path, capsys, monkeypatch):
+        # a stand-in identity propagator lets the run reach the two-time
+        # solve at 10^5 steps without the Volterra solve, and the memory
+        # guard stops it before anything large is allocated
+        def identity_propagator(sys_, T, dt):
+            n = int(round(T / dt))
+            eye = np.broadcast_to(np.eye(sys_.dim, dtype=complex), (n + 1, sys_.dim, sys_.dim))
+            return cli.kr.KrausZero(np.arange(n + 1) * dt, eye, 0.0, 0.0, 0)
+
+        monkeypatch.setattr(cli.kr, "solve_time_domain", identity_propagator)
+        text = GENERIC_BODY.format(row=2, extra="").replace(
+            "t_final_time: 10.0", "t_final_time: 5000.0")
+        rc, _ = _run(tmp_path, "gen.yaml", text, "out")
+        assert rc == 2
+        assert "GiB" in capsys.readouterr().err
+
     def test_bad_slot_label(self, tmp_path, capsys):
         rc, _ = _run(
             tmp_path, "gen.yaml", GENERIC_BODY.format(row=3, extra=""), "out"

@@ -1,11 +1,17 @@
 """Two-time solver, trajectory extraction, audits, reference channels."""
 
 import functools
+import math
+import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import bitemporal_reference
 from nmkraus import dynamics as dy
+from nmkraus import jaynescummings as jc
 from nmkraus import kraus as kr
 from nmkraus import reservoir as rv
 
@@ -52,6 +58,34 @@ class TestValidation:
         neg = np.array([[1.5, 0.0], [0.0, -0.5]])
         with pytest.raises(dy.StateValidationError):
             dy.solve_bitemporal(sys, W, neg, 1.0, 0.01)
+
+    def test_field_size_guard(self):
+        # a stand-in identity propagator on 10^5 steps asks for a field
+        # far beyond physical memory; the guard fires before any of it
+        # is allocated
+        phys = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+        n, dt = max(10**5, math.isqrt(phys)), 0.01
+        W = kr.KrausZero(np.arange(n + 1) * dt,
+                         np.broadcast_to(np.eye(2, dtype=complex), (n + 1, 2, 2)),
+                         0.0, 0.0, 0)
+        with pytest.raises(dy.FieldSizeError) as err:
+            dy.solve_bitemporal(far_system(), W, RHO, n * dt, dt)
+        assert err.value.nbytes > phys
+        assert "GiB" in str(err.value)
+
+    def test_singular_block_names_its_rows(self):
+        # a slot that writes the entry it reads, weighted so that node
+        # (1, 1) cancels its own coupling exactly
+        sd = rv.SpectralDensity.flat_window(0.05, 1.0, 2.0)
+        dt = 0.5
+        kappa0 = rv.kernel_samples(sd, np.zeros(1))[0].real
+        sys = kr.SystemSpec((0.0, 1.0), rv.kernel_table(
+            sd, {(1, 1, 1, 1): 4.0 / (dt * dt * kappa0)}))
+        W = kr.KrausZero(np.arange(3) * dt,
+                         np.broadcast_to(np.eye(2, dtype=complex), (3, 2, 2)),
+                         0.0, 0.0, 0)
+        with pytest.raises(kr.SingularOperatorError, match=r"rows j\+0, j = 1\.\.2"):
+            dy.solve_bitemporal(sys, W, RHO, 2 * dt, dt)
 
     def test_grid_checks(self):
         sys, W = far_system(), far_propagator()
@@ -115,6 +149,115 @@ class TestBitemporal:
         traj = dy.extract_density(dy.solve_bitemporal(sys, W, EXCITED, 2.0, 0.01))
         assert np.max(traj.trace_errors()) < 1e-4
         assert np.min(traj.min_eigenvalues()) > -1e-10
+
+
+def _assert_matches_reference(sys, rho0, T, n, *, physical=True):
+    """Column solver vs reference, and the field's two-time symmetry.
+
+    The solver fills ``values[j, i]`` as the adjoint of ``values[i, j]``
+    off the equal-time diagonal; the diagonal itself is Hermitian only
+    for a physical slot table, so ``physical=False`` leaves it out.
+    """
+    dt = T / n
+    W = kr.solve_time_domain(sys, T, dt)
+    new = dy.solve_bitemporal(sys, W, rho0, T, dt)
+    ref = bitemporal_reference.solve_bitemporal(sys, W, rho0, T, dt)
+    assert np.max(np.abs(new.values - ref.values)) <= 1e-12
+    swapped = np.conj(np.swapaxes(np.swapaxes(new.values, 0, 1), 2, 3))
+    defect = np.abs(new.values - swapped)
+    if not physical:
+        defect[np.arange(n + 1), np.arange(n + 1)] = 0.0
+    assert np.max(defect) <= 1e-12
+    assert new.max_residual <= 1e-12
+
+
+def _decay_system(energies, weights):
+    sd = rv.SpectralDensity.flat_window(0.05, 2.0, 4.0)
+    rule = {(k, 1, 1, k): w for k, w in weights}
+    return kr.SystemSpec(tuple(energies), rv.kernel_table(sd, rule))
+
+
+class TestColumnSolverAgreement:
+    """The column solver against the node-by-node reference solver."""
+
+    def test_dressed_jaynes_cummings(self):
+        basis = jc.DressedBasis(0.0, 20.0, 0.3, 1)
+        sys = jc.build_dressed_system(
+            basis, rv.SpectralDensity.flat_window(0.0318, 18.0, 22.0))
+        assert len(sys.slot_items()) == 36
+        rho0 = jc.dressed_initial_state(
+            basis, jc.JCInitialState(np.diag([0.0, 1.0]), 1))
+        _assert_matches_reference(sys, rho0, 12.0, 64)
+
+    def test_generic_three_level(self):
+        sys = _decay_system((0.0, 3.0, 7.5), [(2, 1.0), (3, 0.5)])
+        rho0 = np.array([[0.1, 0.0, 0.0], [0.0, 0.4, 0.1], [0.0, 0.1, 0.5]])
+        _assert_matches_reference(sys, rho0, 4.0, 200)
+
+    def test_generic_four_level(self):
+        sys = _decay_system((0.0, 3.0, 5.5, 7.5), [(2, 1.0), (3, 0.5), (4, 0.5)])
+        rho0 = np.array([[0.1, 0.0, 0.0, 0.0], [0.0, 0.3, 0.1, 0.0],
+                         [0.0, 0.1, 0.3, 0.05], [0.0, 0.0, 0.05, 0.3]])
+        _assert_matches_reference(sys, rho0, 4.0, 200)
+
+    def test_thermal_two_level(self):
+        sd = rv.SpectralDensity.flat_window(0.04, 4.0, 8.0)
+        _assert_matches_reference(radiative(sd, 6.0, beta_inv=2.0), EXCITED, 2.0, 200)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        dim=st.integers(2, 4),
+        gaps=st.lists(st.floats(0.0, 4.0), min_size=3, max_size=3),
+        slots=st.lists(
+            st.tuples(
+                st.tuples(*[st.integers(1, 4)] * 4),
+                st.floats(0.05, 1.0),
+                st.floats(-math.pi, math.pi),
+            ),
+            min_size=1, max_size=6,
+        ),
+        height=st.floats(0.001, 0.05),
+        lo=st.floats(0.5, 5.0),
+        width=st.floats(0.2, 3.0),
+        n=st.integers(2, 16),
+        dt=st.floats(0.02, 0.2),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_generated_systems(self, dim, gaps, slots, height, lo, width, n, dt,
+                               seed):
+        # arbitrary slot indices, including m != n and writes into
+        # columns other than the first, with complex weights |w| <= 1
+        energies = np.concatenate([[0.0], np.cumsum(gaps[: dim - 1])])
+        rule = {}
+        for idx, mag, phase in slots:
+            rule[tuple(1 + (i - 1) % dim for i in idx)] = mag * np.exp(1j * phase)
+        sd = rv.SpectralDensity.flat_window(height, lo, lo + width)
+        sys = kr.SystemSpec(tuple(energies), rv.kernel_table(sd, rule))
+        rng = np.random.default_rng(seed)
+        g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+        rho0 = g @ g.conj().T
+        rho0 = 0.5 * (rho0 + rho0.conj().T) / np.trace(rho0).real
+        _assert_matches_reference(sys, rho0, n * dt, n, physical=False)
+
+
+@settings(max_examples=60, deadline=None)
+@given(P=st.integers(1, 4), m=st.integers(1, 60), leaf=st.integers(1, 7),
+       seed=st.integers(0, 2**32 - 1))
+def test_causal_solver_matches_dense_solve(P, m, leaf, seed):
+    # small leaves make every push size and a ragged last leaf appear
+    rng = np.random.default_rng(seed)
+    K = 0.3 * (rng.normal(size=(m + 1, P, P)) + 1j * rng.normal(size=(m + 1, P, P)))
+    h = rng.uniform(0.0, 0.1, size=m)
+    g = rng.normal(size=(m, P)) + 1j * rng.normal(size=(m, P))
+    u, resid = dy._CausalSolver(K, h, leaf).solve(g)
+    A = np.zeros((m, P, m, P), dtype=complex)
+    for i in range(m):
+        A[i, :, i, :] = np.eye(P) - 0.5 * h[i] * K[0]
+        for r in range(i):
+            A[i, :, r, :] = -K[i - r] * h[r]
+    p = np.linalg.solve(A.reshape(m * P, m * P), g.reshape(-1)).reshape(m, P)
+    assert np.max(np.abs(u - h[:, None] * p)) <= 1e-12 * max(1.0, np.max(np.abs(p)))
+    assert resid <= 1e-13
 
 
 class TestRefill:

@@ -2,6 +2,8 @@
 
 import functools
 import math
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -134,6 +136,24 @@ class TestDressedSystem:
 
 
 class TestRecursion:
+    def test_import_leaves_scipy_signal_out(self):
+        code = "import sys, nmkraus; print('scipy.signal' in sys.modules)"
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                             text=True, check=True)
+        assert out.stdout.strip() == "False"
+
+    @pytest.mark.parametrize("sizes", [(16501, 1501), (193601, 1501), (7, 3)])
+    def test_convolution_matches_fftconvolve(self, sizes):
+        from scipy.signal import fftconvolve
+
+        rng = np.random.default_rng(sizes[0])
+        a = rng.normal(size=sizes[0]) + 1j * rng.normal(size=sizes[0])
+        b = rng.uniform(size=sizes[1]).astype(complex)
+        ref = fftconvolve(a, b, mode="full")
+        got = jc._convolve(a, b)
+        assert got.shape == ref.shape
+        assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
+
     def test_free_limit_is_diagonal_exact(self):
         sys = jc.build_dressed_system(small_basis(), silent_sd())
         z = 1.5 + 2.0j

@@ -220,6 +220,16 @@ class TestDiscreteModes:
         assert errs[0] < 3e-3
         assert errs[1] < 0.7 * errs[0]
 
+    def test_gauss_rule_is_cached_read_only(self):
+        x, w = rv._gauss_legendre(64)
+        x2, w2 = rv._gauss_legendre(64)
+        ref_x, ref_w = np.polynomial.legendre.leggauss(64)
+        assert np.array_equal(x2, ref_x) and np.array_equal(w2, ref_w)
+        assert x2 is x and w2 is w
+        assert not x.flags.writeable and not w.flags.writeable
+        with pytest.raises(ValueError):
+            x[0] = 0.0
+
     def test_weights_sum_to_strength(self):
         for sd in (LOR, FLAT):
             _, wq = rv.discrete_modes(sd, 3000)
