@@ -364,6 +364,7 @@ def _run_generic_system(cfg, base, outdir):
     if T <= dt:
         raise ConfigError("numerics.t_final_time must exceed numerics.dt_time")
 
+    dy.check_field_size(sys_, T, dt)
     W = kr.solve_time_domain(sys_, T, dt)
     xi = dy.solve_bitemporal(sys_, W, rho0, T, dt)
     traj = dy.extract_density(xi)
@@ -418,6 +419,7 @@ def _run_jaynes_cummings(cfg, base, outdir):
     else:
         dt = T / (n_times - 1)
         sysj = jc.build_dressed_system(basis, sd)
+        dy.check_field_size(sysj, T, dt)
         W = kr.solve_time_domain(sysj, T, dt)
         rho0 = jc.dressed_initial_state(basis, init)
         xi = dy.solve_bitemporal(sysj, W, rho0, T, dt)

@@ -34,6 +34,7 @@ __all__ = [
     "StateValidationError",
     "audit_conservation",
     "channel_pair",
+    "check_field_size",
     "extract_density",
     "markovian_channel",
     "solve_bitemporal",
@@ -129,21 +130,31 @@ class DensityTrajectory:
                 fh.write(",".join(row) + "\n")
 
 
-def _check_field_size(n, dim, n_stored):
+def check_field_size(sys: SystemSpec, T, dt):
     """Refuse a two-time solve whose arrays exceed physical memory.
 
-    The field takes ``(n+1)^2 dim^2`` complex numbers and the store of
-    kernel-weighted read entries another ``(n+1)^2 n_stored``.
+    :func:`solve_bitemporal` on ``n = T/dt`` steps stores the field,
+    ``(n+1)^2 dim^2`` complex numbers, and the kernel-weighted read
+    entries of its written rows, another ``(n+1)^2 G`` (``G`` as in
+    :func:`solve_bitemporal`).  Call it before the propagator solve to
+    fail early; the two-time solve calls it too.
+
+    Raises
+    ------
+    FieldSizeError
+        If those arrays exceed physical memory; carries their byte size.
     """
-    nbytes = (n + 1) ** 2 * (dim * dim + n_stored) * np.dtype(complex).itemsize
+    n = int(round(T / dt))
+    n_stored = sum(qs.size for _, qs in _feeds(_slot_pairs(sys)[2]))
+    nbytes = (n + 1) ** 2 * (sys.dim ** 2 + n_stored) * np.dtype(complex).itemsize
     try:
         phys = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     except (AttributeError, OSError, ValueError):
         return
     if phys > 0 and nbytes > phys:
         raise FieldSizeError(
-            f"two-time solve on {n + 1} x {n + 1} nodes of {dim}x{dim} matrices "
-            f"needs {nbytes / 2**30:.1f} GiB, more than the "
+            f"two-time solve on {n + 1} x {n + 1} nodes of {sys.dim}x{sys.dim} "
+            f"matrices needs {nbytes / 2**30:.1f} GiB, more than the "
             f"{phys / 2**30:.1f} GiB of physical memory",
             nbytes,
         )
@@ -165,6 +176,12 @@ def _slot_pairs(sys: SystemSpec):
     pd = np.array([d for d, _ in pairs], dtype=int)
     pa = np.array([a for _, a in pairs], dtype=int)
     return pd, pa, Wsl
+
+
+def _feeds(Wsl):
+    """Written rows ``e`` with the read entries ``qs`` that feed them."""
+    feeds = [(e, np.flatnonzero(np.any(Wsl[:, e] != 0, axis=1))) for e in range(Wsl.shape[1])]
+    return [(e, qs) for e, qs in feeds if qs.size]
 
 
 class _CausalSolver:
@@ -304,12 +321,10 @@ def solve_bitemporal(sys: SystemSpec, W: KrausZero, rho0, T, dt) -> BitemporalSt
     tg = W.grid[: n + 1]
     if np.max(np.abs(tg - np.arange(n + 1) * dt)) > 1e-9 * (T + dt):
         raise GridMismatchError("propagator grid step differs from dt")
+    check_field_size(sys, T, dt)
     pd, pa, Wsl = _slot_pairs(sys)
     P = pd.size
-    # the read entries that feed each written row e
-    feeds = [(e, np.flatnonzero(np.any(Wsl[:, e] != 0, axis=1))) for e in range(dim)]
-    feeds = [(e, qs) for e, qs in feeds if qs.size]
-    _check_field_size(n, dim, sum(qs.size for _, qs in feeds))
+    feeds = _feeds(Wsl)
 
     en = np.asarray(sys.energies, dtype=float)
     B = np.exp(-1j * np.outer(tg, en))[:, :, None] * W.values[: n + 1]
@@ -430,11 +445,17 @@ def two_level_trajectory(sys: SystemSpec, W: KrausZero, rho0, *,
     dt = tg[1] - tg[0]
     w22 = W.values[:, 1, 1]
     w21 = sys.energies[1] - sys.energies[0]
-    refill = np.zeros(tg.shape[0])
+    npts = tg.shape[0]
+    refill = np.zeros(npts)
     for lo in range(0, nu.shape[0], 256):
-        f = np.exp(1j * np.outer(tg, nu[lo:lo + 256] - w21)) * w22[:, None]
+        dnu = nu[lo:lo + 256] - w21
+        # e^{i t nu} on the uniform grid as a block phase times an
+        # in-block phase, t_{64b + r} = t_{64b} + t_r: one complex
+        # product per point instead of one complex exponential
+        f = np.exp(1j * np.outer(tg[::64], dnu))[:, None, :] * np.exp(1j * np.outer(tg[:64], dnu))
+        f = f.reshape(-1, dnu.size)[:npts] * w22[:, None]
         pre = dt * (np.cumsum(f, axis=0) - 0.5 * (f + f[0][None, :]))
-        refill += np.abs(pre) ** 2 @ mw[lo:lo + 256]
+        refill += (pre.real ** 2 + pre.imag ** 2) @ mw[lo:lo + 256]
 
     mats = np.empty((tg.shape[0], 2, 2), dtype=complex)
     p2 = rho0[1, 1].real

@@ -10,7 +10,15 @@ with it to rounding.
 import numpy as np
 
 from nmkraus.dynamics import BitemporalState, GridMismatchError, _validate_density
-from nmkraus.kraus import ConvergenceError, SystemSpec, KrausZero, _kernel_on_grid
+from nmkraus.kraus import SystemSpec, KrausZero, _kernel_on_grid
+
+
+class ConvergenceError(ArithmeticError):
+    """Raised when an iterative solve stalls; carries the step index."""
+
+    def __init__(self, message, step=None):
+        super().__init__(message)
+        self.step = step
 
 
 def solve_bitemporal(sys: SystemSpec, W: KrausZero, rho0, T, dt, *,

@@ -2,6 +2,7 @@
 
 import json
 import textwrap
+import time
 
 import numpy as np
 import pytest
@@ -113,6 +114,19 @@ def _run(tmp_path, name, text, out):
     outdir = tmp_path / out
     rc = cli.main(["run", str(path), "--out", str(outdir)])
     return rc, outdir
+
+
+def _assert_refused_at_once(tmp_path, capsys, text):
+    """A two-time run on 10^5 steps exits 2 on the memory guard.
+
+    The guard runs before the O(n^2) Volterra solve, so the run stops
+    at once, before anything large is allocated.
+    """
+    start = time.perf_counter()
+    rc, _ = _run(tmp_path, "big.yaml", text, "out")
+    assert time.perf_counter() - start < 1.0
+    assert rc == 2
+    assert "GiB" in capsys.readouterr().err
 
 
 def _table(outdir, fname="trajectory.csv"):
@@ -238,21 +252,10 @@ class TestGenericRuns:
         assert rc == 2
         assert "initial.rho_re" in capsys.readouterr().err
 
-    def test_oversized_field_is_a_config_error(self, tmp_path, capsys, monkeypatch):
-        # a stand-in identity propagator lets the run reach the two-time
-        # solve at 10^5 steps without the Volterra solve, and the memory
-        # guard stops it before anything large is allocated
-        def identity_propagator(sys_, T, dt):
-            n = int(round(T / dt))
-            eye = np.broadcast_to(np.eye(sys_.dim, dtype=complex), (n + 1, sys_.dim, sys_.dim))
-            return cli.kr.KrausZero(np.arange(n + 1) * dt, eye, 0.0, 0.0, 0)
-
-        monkeypatch.setattr(cli.kr, "solve_time_domain", identity_propagator)
+    def test_oversized_field_is_a_config_error(self, tmp_path, capsys):
         text = GENERIC_BODY.format(row=2, extra="").replace(
             "t_final_time: 10.0", "t_final_time: 5000.0")
-        rc, _ = _run(tmp_path, "gen.yaml", text, "out")
-        assert rc == 2
-        assert "GiB" in capsys.readouterr().err
+        _assert_refused_at_once(tmp_path, capsys, text)
 
     def test_bad_slot_label(self, tmp_path, capsys):
         rc, _ = _run(
@@ -263,6 +266,11 @@ class TestGenericRuns:
 
 
 class TestJaynesCummingsRuns:
+    def test_oversized_field_is_a_config_error(self, tmp_path, capsys):
+        text = JC_BODY.format(p=1, solver="bitemporal", extra="").replace(
+            "n_times: 65", "n_times: 100001")
+        _assert_refused_at_once(tmp_path, capsys, text)
+
     def test_series_run(self, tmp_path):
         text = JC_BODY.format(p=1, solver="series", extra="  r_max: 2\n")
         rc, outdir = _run(tmp_path, "jcs.yaml", text, "out")

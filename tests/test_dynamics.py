@@ -280,6 +280,22 @@ class TestRefill:
         full = dy.extract_density(far_bitemporal())
         assert np.max(np.abs(fast.matrices - full.matrices)) < 1e-5
 
+    @pytest.mark.parametrize("sd, w21, beta_inv", [
+        (rv.SpectralDensity.flat_window(0.05, 3.0, 7.0), 5.0, 0.0),
+        (rv.SpectralDensity.flat_window(0.04, 4.0, 8.0), 6.0, 2.0),
+        (rv.SpectralDensity.lorentzian(0.5, 200.0, 1.0), 200.0, 0.0),
+    ], ids=["flat", "thermal_flat", "lorentzian"])
+    def test_phase_recurrence_matches_direct_exponentials(self, sd, w21, beta_inv):
+        # 1001 grid points: a ragged last block of the 64-row recurrence
+        sys = radiative(sd, w21, beta_inv)
+        W = kr.solve_time_domain(sys, 5.0, 0.005)
+        nu, mw = kr._fold_modes(sd, 4096, beta_inv)
+        f = np.exp(1j * np.outer(W.grid, nu - w21)) * W.values[:, 1, 1, None]
+        pre = 0.005 * (np.cumsum(f, axis=0) - 0.5 * (f + f[0]))
+        ref = np.abs(pre) ** 2 @ mw
+        traj = dy.two_level_trajectory(sys, W, EXCITED)
+        assert np.max(np.abs(traj.matrices[:, 0, 0] - ref)) <= 1e-13
+
     def test_exactly_positive(self):
         fast = dy.two_level_trajectory(far_system(), far_propagator(), RHO)
         assert np.min(fast.min_eigenvalues()) > -1e-13
