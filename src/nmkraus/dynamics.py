@@ -7,6 +7,7 @@ resulting trajectory, and supplies the textbook decay laws the solver
 must reproduce in its limiting regimes.
 """
 
+import math
 import os
 from dataclasses import dataclass
 
@@ -557,7 +558,20 @@ def wigner_weisskopf(sd: rv.SpectralDensity, omega1, omega2, t, *,
     gamma_est = max(-rv.correlation_boundary(sd, w21).imag, 1e-6 * sd.frequency_scale())
     span = 1500.0 * gamma_est + 20.0 * sd.frequency_scale()
     npts = max(n_points, int(16.0 * span / gamma_est) | 1)
-    grid = lp.ContourGrid(omega2 - span, omega2 + span, npts,
+    # the weight jumps at its support edges, which puts log branch
+    # points of the image just below the contour; a node near one
+    # spoils the trapezoid sum, so the step is shortened until it
+    # divides the support and the grid is shifted to put both edges
+    # midway between nodes
+    if sd.family == "FlatWindow":
+        lo, hi = sd.params[1:]
+    else:
+        lo, hi = sd.table[0][[0, -1]]
+    lo = omega1 + max(lo, 0.0)
+    hi = omega1 + hi
+    step = (hi - lo) / math.ceil((hi - lo) * (npts - 1) / (2.0 * span))
+    start = lo - step * (round((lo - omega2 + span) / step - 0.5) + 0.5)
+    grid = lp.ContourGrid(start, start + (npts - 1) * step, npts,
                           "Trapezoid", im_offset)
     omega, _ = grid.nodes()
     zline = omega + 1j * im_offset

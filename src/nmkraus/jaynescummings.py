@@ -274,11 +274,23 @@ def _comb(sd, h):
     return q0, q1, wq.astype(complex)
 
 
-def _convolve(a, b):
-    """Full linear convolution of two complex sequences by FFT."""
-    size = a.size + b.size - 1
-    nfft = sfft.next_fast_len(size)
-    return sfft.ifft(sfft.fft(a, nfft) * sfft.fft(b, nfft))[:size]
+def _overlap_save(s, wf, nw):
+    """Valid part of the linear convolution of ``s`` with an ``nw``-tap filter.
+
+    ``wf`` is the filter's FFT at the block length ``L = wf.size``.
+    Blocks of ``L`` samples overlapping by ``nw - 1`` are transformed in
+    one batched FFT; each keeps its ``L - nw + 1`` alias-free outputs
+    (Stockham's overlap-save), so the cost grows as ``s.size * log L``.
+    """
+    L = wf.size
+    step = L - nw + 1
+    n_out = s.size - nw + 1
+    nb = -(-n_out // step)
+    buf = np.zeros((nb - 1) * step + L, dtype=complex)
+    buf[: s.size] = s
+    blocks = sliding_window_view(buf, L)[::step]
+    res = sfft.ifft(sfft.fft(blocks, axis=-1) * wf, axis=-1)[:, nw - 1 :]
+    return res.reshape(-1)[:n_out]
 
 
 def _line_blocks(basis, sd, x0, h, n_vis, eta, top_level):
@@ -287,36 +299,39 @@ def _line_blocks(basis, sd, x0, h, n_vis, eta, top_level):
     Returns ``{level: array}``, each covering exactly the visible range
     ``j = 0..n_vis-1``; level -1 entries are scalars, higher levels 2x2
     blocks.  The recursion extends the line to the left internally so
-    every visible value is fully converged, and trims the right edge so
-    no level reads past its own coverage.
+    every visible value is fully converged: level ``l`` is carried on
+    the points from ``(l + 2) * q1`` on, which is all the levels above
+    it read, and only its level sum ``(dp + dm - 2 a conv) / det``
+    passes upward, so 2x2 blocks are built on the visible range alone.
     """
     q0, q1, wq = _comb(sd, h)
+    nw = wq.size
+    wf = sfft.fft(wq, sfft.next_fast_len(max(16384, 4 * nw)))
     ext = (top_level + 2) * q1
     n_int = n_vis + ext
     x = x0 - ext * h + h * np.arange(n_int) + 1j * eta
     gnd = basis.energy(1, -1)
-    cur = 1.0 / (x - gnd)
-    out = {-1: cur[ext:]}
-    ssum = cur
-    start = 0
+    ssum = 1.0 / (x[q1:] - gnd)
+    out = {-1: ssum[-n_vis:]}
     for lev in range(top_level + 1):
-        conv = _convolve(ssum, wq)[q1 - q0 : ssum.size - q0]
-        start += q1
-        seg = x[start : start + conv.size]
+        # comb sum at x_i over ssum(x_i - q h), q0 <= q <= q1
+        conv = _overlap_save(ssum[: ssum.size - q0], wf, nw)
+        seg = x[n_int - conv.size :]
         a = 0.5 * basis.nu(lev - 1) ** 2
-        dm = seg - basis.energy(-1, lev) - a * conv
-        dp = seg - basis.energy(1, lev) - a * conv
-        det = dm * dp - (a * conv) ** 2
+        ac = a * conv
+        dm = seg - basis.energy(-1, lev) - ac
+        dp = seg - basis.energy(1, lev) - ac
+        det = dm * dp - ac**2
         if np.any(det == 0) or not np.all(np.isfinite(det)):
             bad = seg[(det == 0) | ~np.isfinite(det)][0]
             raise SingularBlockError(lev, bad)
-        blk = np.empty(seg.shape + (2, 2), dtype=complex)
-        blk[..., 0, 0] = dp / det
-        blk[..., 1, 1] = dm / det
-        blk[..., 0, 1] = -a * conv / det
-        blk[..., 1, 0] = -a * conv / det
-        out[lev] = blk[ext - start :]
-        ssum = blk.sum(axis=(-2, -1))
+        vis = slice(conv.size - n_vis, None)
+        blk = np.empty((n_vis, 2, 2), dtype=complex)
+        blk[:, 0, 0] = dp[vis] / det[vis]
+        blk[:, 1, 1] = dm[vis] / det[vis]
+        blk[:, 0, 1] = blk[:, 1, 0] = -ac[vis] / det[vis]
+        out[lev] = blk
+        ssum = (dp + dm - 2.0 * ac) / det
     return out
 
 

@@ -43,6 +43,7 @@ __all__ = [
     "LaplaceKraus",
     "SingularOperatorError",
     "ContourOrderingError",
+    "LineResolutionError",
     "solve_time_domain",
     "laplace_inverse_identity",
     "solve_continued_fraction",
@@ -56,6 +57,17 @@ class SingularOperatorError(ArithmeticError):
 
 class ContourOrderingError(ValueError):
     """Raised when Im z does not clear the internal contour height."""
+
+
+class LineResolutionError(ValueError):
+    """A contour line would need more points than the solver allows.
+
+    Carries the requested point count as ``npts``.
+    """
+
+    def __init__(self, message, npts):
+        super().__init__(message)
+        self.npts = npts
 
 
 @dataclass(frozen=True)
@@ -349,7 +361,7 @@ def _chat_line(sd, beta_inv, y):
     else:
         grid = sd.table[0]
         lo, hi = grid[0], grid[-1]
-    xq, vq = np.polynomial.legendre.leggauss(600)
+    xq, vq = rv.gauss_legendre(600)
     om = 0.5 * (lo + hi) + 0.5 * (hi - lo) * xq
     wq = 0.5 * (hi - lo) * vq * sd.weight(om)
     nb = rv.thermal_occupation(om, 1.0 / beta_inv)
@@ -363,6 +375,9 @@ def _chat_line(sd, beta_inv, y):
     return out
 
 
+_MAX_LINE_POINTS = 400_000
+
+
 class LaplaceKraus:
     """Laplace-domain propagator with cached contour-line solves.
 
@@ -370,7 +385,8 @@ class LaplaceKraus:
     cached; point evaluations interpolate along the line.  The iterate
     is stored through its deviation from the free resolvent, so the
     free part of the collapsed integral uses the closed reservoir image
-    and rows without feedback are exact at any depth.
+    and rows without feedback are exact at any depth.  A line that
+    would need more than 400,000 points raises LineResolutionError.
     """
 
     def __init__(self, sys: SystemSpec, depth, *, n_modes=4096, window=None, spacing=None):
@@ -408,8 +424,13 @@ class LaplaceKraus:
         else:
             dx = self._spacing
         npts = int(np.ceil((hi - lo) / dx)) + 1
-        npts = min(max(npts, 16), 400_000)
-        return np.linspace(lo, hi, npts)
+        if npts > _MAX_LINE_POINTS:
+            raise LineResolutionError(
+                f"line Im z = {imz:g} needs {npts} points at spacing {dx:.3g} "
+                f"(limit {_MAX_LINE_POINTS}); narrow the window or coarsen the spacing",
+                npts,
+            )
+        return np.linspace(lo, hi, max(npts, 16))
 
     def _binned_weights(self, h, npts, nfft):
         """Mode weights split linearly onto integer grid offsets.

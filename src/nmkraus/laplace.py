@@ -17,6 +17,7 @@ keeps large t from aliasing on coarse grids.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -237,14 +238,27 @@ def invert(F, grid: ContourGrid, t, *, boundary_tol=1e-3):
             phase = np.exp(-1j * np.outer(blk, omega))
             out[i0 : i0 + 256] = phase @ (ccw * fv)
     else:
-        h = omega[1] - omega[0]
-        dfv = np.diff(fv)
+        # node k = J*nb + b sits at omega_min + (J*nb + b)*step, so its
+        # phase is a coarse factor per J times a fine factor per b: a
+        # time block needs nj + nb exponentials instead of m, and the
+        # node sum is one product over b, then one over J
+        m = omega.size - 1
+        step = (grid.omega_max - grid.omega_min) / m
+        h = omega[1] - omega[0]  # Filon spacing, read off the nodes
+        nb = math.isqrt(m - 1) + 1
+        nj = -(-m // nb)
+        coef = np.zeros((2, nj * nb), dtype=complex)
+        coef[0, :m] = fv[:-1]
+        coef[1, :m] = np.diff(fv)
+        coef = coef.reshape(2 * nj, nb).T
+        coarse = grid.omega_min + (nb * step) * np.arange(nj)
+        fine = step * np.arange(nb)
         for i0 in range(0, tarr.size, 256):
             blk = tarr[i0 : i0 + 256]
             w0, w1 = _filon_weights(blk * h)
-            phase = np.exp(-1j * np.outer(blk, omega[:-1]))
-            acc = phase @ fv[:-1] * w0 + phase @ dfv * w1
-            out[i0 : i0 + 256] = h * acc
+            part = (np.exp(-1j * np.outer(blk, fine)) @ coef).reshape(-1, 2, nj)
+            acc = np.einsum("tsj,tj->ts", part, np.exp(-1j * np.outer(blk, coarse)))
+            out[i0 : i0 + 256] = h * (acc[:, 0] * w0 + acc[:, 1] * w1)
     out *= (1j / (2 * np.pi)) * np.exp(eps * tarr)
     return out[0] if np.isscalar(t) or np.ndim(t) == 0 else out
 

@@ -49,6 +49,7 @@ __all__ = [
     "kernel_table",
     "kernel_samples",
     "discrete_modes",
+    "gauss_legendre",
     "thermal_occupation",
 ]
 
@@ -442,7 +443,7 @@ def kernel_samples(sd: SpectralDensity, tau, beta_inv=0.0):
 
 
 @functools.lru_cache(maxsize=8)
-def _gauss_legendre(n):
+def gauss_legendre(n):
     """Read-only Gauss-Legendre nodes and weights on [-1, 1].
 
     ``leggauss`` takes seconds at thousands of nodes, and the thermal
@@ -488,7 +489,7 @@ def discrete_modes(sd: SpectralDensity, n_modes, beta_inv=0.0):
         wq = np.full(n_modes, g0 / math.pi * du)
     elif sd.family == "FlatWindow":
         h, lo, hi = sd.params
-        x, gw = _gauss_legendre(n_modes)
+        x, gw = gauss_legendre(n_modes)
         omega = 0.5 * (lo + hi) + 0.5 * (hi - lo) * x
         wq = h * 0.5 * (hi - lo) * gw
     else:

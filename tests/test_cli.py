@@ -8,6 +8,8 @@ import numpy as np
 import pytest
 
 import nmkraus.cli as cli
+import nmkraus.kraus as kr
+import nmkraus.reservoir as rv
 
 WW_BODY = """\
 kind: TwoLevelWW
@@ -198,6 +200,18 @@ class TestTwoLevelRuns:
         rc, _ = _run(tmp_path, "broken.yaml", "kind: [unclosed\n", "out")
         assert rc == 2
         assert "parse" in capsys.readouterr().err
+
+    def test_line_resolution_is_a_solver_error(self, tmp_path, capsys, monkeypatch):
+        def runner(cfg, base, outdir):
+            sd = rv.SpectralDensity.lorentzian(1.0, 5.0, 1.0)
+            sys_ = kr.SystemSpec((0.0, 5.0), rv.kernel_table(sd, {(2, 1, 1, 2): 1.0}))
+            kr.LaplaceKraus(sys_, 8, spacing=1e-4).evaluate(5.0 + 0.5j)
+
+        monkeypatch.setitem(cli._SCENARIOS, "TwoLevelWW", runner)
+        text = WW_BODY.format(height=0.0318, dt=0.01, T=5.0)
+        rc, _ = _run(tmp_path, "fine.yaml", text, "out")
+        assert rc == 3
+        assert "LineResolutionError" in capsys.readouterr().err
 
     def test_missing_config_file(self, tmp_path, capsys):
         rc = cli.main(["run", str(tmp_path / "nope.yaml"), "--out", str(tmp_path)])

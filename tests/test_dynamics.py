@@ -413,6 +413,18 @@ class TestWignerWeisskopf:
         ref = np.abs(W.values[::6, 1, 1]) ** 2
         assert np.max(np.abs(pop - ref)) < 1e-3
 
+    def test_flat_profile_edges_between_nodes(self):
+        # with the support edges near contour nodes this point missed
+        # the converged Volterra reference by 1.6e-3
+        h, w21 = 0.0504227, 5.01837
+        sd = rv.SpectralDensity.flat_window(h, w21 - 2.0, w21 + 2.0)
+        sys = radiative(sd, w21)
+        T = 3.0 / (np.pi * h)
+        W = kr.solve_time_domain(sys, T, T / 6000)
+        pop = dy.wigner_weisskopf(sd, 0.0, w21, W.grid[::12])
+        ref = np.abs(W.values[::12, 1, 1]) ** 2
+        assert np.max(np.abs(pop - ref)) < 1e-3
+
 
 class TestChannel:
     def test_initial_time_is_identity_map(self):

@@ -9,6 +9,7 @@ import warnings
 import numpy as np
 import pytest
 
+import recursion_reference
 import nmkraus.dynamics as dy
 import nmkraus.jaynescummings as jc
 import nmkraus.kraus as kr
@@ -143,14 +144,17 @@ class TestRecursion:
         assert out.stdout.strip() == "False"
 
     @pytest.mark.parametrize("sizes", [(16501, 1501), (193601, 1501), (7, 3)])
-    def test_convolution_matches_fftconvolve(self, sizes):
+    def test_overlap_save_matches_fftconvolve(self, sizes):
+        from scipy import fft as sfft
         from scipy.signal import fftconvolve
 
         rng = np.random.default_rng(sizes[0])
         a = rng.normal(size=sizes[0]) + 1j * rng.normal(size=sizes[0])
         b = rng.uniform(size=sizes[1]).astype(complex)
         ref = fftconvolve(a, b, mode="full")
-        got = jc._convolve(a, b)
+        # the full convolution is the valid part of the zero-padded input
+        wf = sfft.fft(b, sfft.next_fast_len(max(16384, 4 * b.size)))
+        got = jc._overlap_save(np.pad(a, b.size - 1), wf, b.size)
         assert got.shape == ref.shape
         assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
 
@@ -209,6 +213,61 @@ class TestRecursion:
         assert err.level == 3
         assert err.z == 20.0 + 0.1j
         assert isinstance(err, ArithmeticError)
+
+
+def _sweep_points():
+    # the six criterion-09 evaluation points
+    basis = jc.DressedBasis(0.0, W_F, COUPLING, 20)
+    for lam, p in ((0.4, 5), (0.2, 10), (0.1, 20)):
+        sys = jc.build_dressed_system(
+            basis, rv.SpectralDensity.flat_window(lam**2 * HEIGHT, 18.0, 22.0)
+        )
+        for eps in (-1, 1):
+            yield sys, basis.energy(eps, p) + lam**2 * (2.0 + 1.0j), {}
+
+
+def _small_points():
+    zs = [21.0 + 1.0j, 19.5 + 1.5j, 40.0 + 1.0j, 5.0 + 2.0j, 20.0 + 1.5j]
+    for z in zs:
+        yield small_system(), z, {}
+    yield small_system(), 20.5 + 0.3j, {"n_modes": 400}
+
+
+def _rel_dev(got, ref):
+    return np.max(np.abs(got - ref)) / np.max(np.abs(ref))
+
+
+class TestOverlapSaveAgreement:
+    """The overlap-save recursion against the full-line reference."""
+
+    def test_kraus_recursion(self, monkeypatch):
+        points = list(_small_points()) + list(_sweep_points())
+        got = [jc.kraus_recursion(sys, z, **kw) for sys, z, kw in points]
+        monkeypatch.setattr(jc, "_line_blocks", recursion_reference._line_blocks)
+        for (sys, z, kw), g in zip(points, got):
+            ref = jc.kraus_recursion(sys, z, **kw)
+            assert np.array_equal(g == 0.0, ref == 0.0)
+            assert _rel_dev(g, ref) <= 1e-12
+
+    @pytest.mark.parametrize("n_vis", [2, 777, 40001])
+    def test_visible_blocks(self, n_vis):
+        args = (small_basis(), window_sd(), 15.0, 0.01, n_vis, 0.4, 3)
+        got = jc._line_blocks(*args)
+        ref = recursion_reference._line_blocks(*args)
+        assert sorted(got) == sorted(ref)
+        for lev in ref:
+            assert got[lev].shape == ref[lev].shape
+            assert _rel_dev(got[lev], ref[lev]) <= 1e-12
+
+    def test_population_series(self, monkeypatch):
+        basis = jc.DressedBasis(0.0, W_F, COUPLING, 2)
+        init = jc.JCInitialState(RHO_A, 2)
+        t = np.linspace(0.0, 0.25 / GAMMA, 41)
+        got = jc.atomic_population_series(basis, window_sd(), init, t, 2)
+        monkeypatch.setattr(jc, "_line_blocks", recursion_reference._line_blocks)
+        ref = jc.atomic_population_series(basis, window_sd(), init, t, 2)
+        assert _rel_dev(got.excited, ref.excited) <= 1e-12
+        assert np.allclose(got.term_peaks, ref.term_peaks, rtol=1e-12, atol=0.0)
 
 
 class TestWeakCoupling:

@@ -281,6 +281,14 @@ class TestLaplaceDomain:
         with pytest.raises(kr.ContourOrderingError):
             kr.solve_continued_fraction(sys, 8, [5.0 + 0.0j])
 
+    def test_line_resolution_error(self):
+        # 220 wide at spacing 1e-4 asks for 2.2M line points
+        lk = kr.LaplaceKraus(near_resonant(), 8, spacing=1e-4)
+        with pytest.raises(kr.LineResolutionError, match="2200001 points") as info:
+            lk.evaluate(5.0 + 0.5j)
+        assert isinstance(info.value, ValueError)
+        assert info.value.npts == 2_200_001
+
     def test_singular_near_real_axis(self):
         sys = near_resonant()
         lk = kr.LaplaceKraus(sys, 8)

@@ -1,9 +1,14 @@
 """Shifted transforms and contour inversion against closed forms."""
 
+import math
+
 import numpy as np
 import pytest
 
+import contour_reference
+from nmkraus import dynamics as dy
 from nmkraus import laplace as lp
+from nmkraus import reservoir as rv
 from nmkraus.reservoir import LaplaceDomainError
 
 W0 = 3.0
@@ -152,6 +157,62 @@ class TestInvert:
         assert np.max(np.abs(a - b)) < 1e-12
         assert np.max(np.abs(a.imag)) < 2e-3
         assert np.max(np.abs(a - ref)) < 5e-3
+
+
+def _assert_matches_dense(fv, grid, t):
+    om, _ = grid.nodes()
+    got = lp.invert(fv, grid, t, boundary_tol=np.inf)
+    ref = contour_reference.invert_trapezoid(fv, om, grid.im_offset, t)
+    assert np.shape(got) == np.shape(ref)
+    assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+class TestFactoredPhases:
+    """The factored uniform-node inversion against the dense reference."""
+
+    @pytest.mark.parametrize(
+        "window, n",
+        [
+            ((W0 - 50, W0 + 50), 20000),
+            ((-60, 60), 24000),
+            ((W0 - 40, W0 + 40), 4000),
+            ((W0 - 160, W0 + 160), 20000),
+            ((W0 - 1, W0 + 1), 16),
+            ((W0 - 1, W0 + 1), 17),
+        ],
+    )
+    def test_uniform_grids(self, window, n):
+        grid = lp.ContourGrid(*window, n, "Trapezoid", 1e-4)
+        om, _ = grid.nodes()
+        fv = 1.0 / (om + 1e-4j - W0 + 1j * GAM) + 0.5 / (om + 1e-4j + W0 + 0.7j)
+        _assert_matches_dense(fv, grid, 0.3)
+        _assert_matches_dense(fv, grid, np.linspace(0.0, 10.0, 41))
+        # 501 times leave a ragged last block of 245
+        _assert_matches_dense(fv, grid, np.linspace(0.0, 40.0, 501))
+
+    def test_two_million_nodes(self):
+        grid = lp.ContourGrid(W0 - 50, W0 + 50, 2_000_001, "Trapezoid", 1e-4)
+        om, _ = grid.nodes()
+        fv = 1.0 / (om + 1e-4j - W0)
+        for t in (0.0, 5.0, 7.0, 10.0):
+            _assert_matches_dense(fv, grid, t)
+
+    def test_flat_window_contour_grid(self, monkeypatch):
+        calls = []
+        real = lp.invert
+
+        def spy(F, grid, t, **kw):
+            calls.append((F, grid, t))
+            return real(F, grid, t, **kw)
+
+        monkeypatch.setattr(lp, "invert", spy)
+        h, w21 = 0.05, 5.0
+        sd = rv.SpectralDensity.flat_window(h, w21 - 2.0, w21 + 2.0)
+        T = 3.0 / (math.pi * h)
+        dy.wigner_weisskopf(sd, 0.0, w21, np.arange(0, 3001, 6) * (T / 3000))
+        ((fv, grid, t),) = calls
+        assert grid.n_points > 30001
+        _assert_matches_dense(fv, grid, t)
 
 
 class TestRoundTrip:

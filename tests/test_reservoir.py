@@ -221,8 +221,8 @@ class TestDiscreteModes:
         assert errs[1] < 0.7 * errs[0]
 
     def test_gauss_rule_is_cached_read_only(self):
-        x, w = rv._gauss_legendre(64)
-        x2, w2 = rv._gauss_legendre(64)
+        x, w = rv.gauss_legendre(64)
+        x2, w2 = rv.gauss_legendre(64)
         ref_x, ref_w = np.polynomial.legendre.leggauss(64)
         assert np.array_equal(x2, ref_x) and np.array_equal(w2, ref_w)
         assert x2 is x and w2 is w
