@@ -16,15 +16,14 @@ grids may differ by an integer subsampling factor, anything else is a
 shape mismatch.  Identical configs reproduce byte-identical artifacts:
 every summation order is fixed and nothing depends on wall-clock state.
 
-Thread demand is forwarded through the standard BLAS/OpenMP environment
-variables; NMKRAUS_THREADS overrides ``--threads``.  Pools spun up
-before the override applies keep their size.
+BLAS and OpenMP size their thread pools when numpy loads, so set
+``OPENBLAS_NUM_THREADS``/``OMP_NUM_THREADS`` before launching to cap
+them.
 """
 
 import argparse
 import json
 import math
-import os
 import sys
 import warnings
 from pathlib import Path
@@ -616,24 +615,7 @@ def _cmd_compare(args):
 # entry points
 
 
-def _apply_threads(args):
-    raw = os.environ.get("NMKRAUS_THREADS")
-    if raw is None and args.threads is not None:
-        raw = str(args.threads)
-    if raw is None:
-        return
-    try:
-        n = int(raw)
-    except ValueError:
-        n = 0
-    if n < 1:
-        raise ConfigError("threads must be a positive integer")
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-        os.environ[var] = str(n)
-
-
 def _cmd_run(args):
-    _apply_threads(args)
     path = Path(args.config)
     if not path.is_file():
         raise ConfigError(f"config file missing: {path}")
@@ -677,7 +659,6 @@ def main(argv=None):
     prun = sub.add_parser("run", help="execute one scenario config")
     prun.add_argument("config", help="YAML scenario file")
     prun.add_argument("--out", default=None, help="output directory override")
-    prun.add_argument("--threads", type=int, default=None, help="thread cap")
     pcmp = sub.add_parser("compare", help="diff the artifacts of two runs")
     pcmp.add_argument("summary_a", help="summary.json (or run dir) of the first run")
     pcmp.add_argument("summary_b", help="summary.json (or run dir) of the second run")

@@ -23,7 +23,6 @@ from .kraus import (
     SystemSpec,
     _chat_line,
     _fold_modes,
-    _kernel_on_grid,
 )
 
 __all__ = [
@@ -109,27 +108,6 @@ class DensityTrajectory:
     def min_eigenvalues(self):
         return np.linalg.eigvalsh(self.matrices)[:, 0]
 
-    def dump_csv(self, path):
-        """Write t, re/im of each entry row-major, trace error, min eig."""
-        dim = self.matrices.shape[1]
-        cols = ["t"]
-        for k in range(1, dim + 1):
-            for l in range(1, dim + 1):
-                cols += [f"re_{k}_{l}", f"im_{k}_{l}"]
-        cols += ["trace_err", "min_eig"]
-        terr = self.trace_errors()
-        mineig = self.min_eigenvalues()
-        with open(path, "w") as fh:
-            fh.write(",".join(cols) + "\n")
-            for i, t in enumerate(self.times):
-                row = [f"{t:.17g}"]
-                for k in range(dim):
-                    for l in range(dim):
-                        v = self.matrices[i, k, l]
-                        row += [f"{v.real:.17g}", f"{v.imag:.17g}"]
-                row += [f"{terr[i]:.17g}", f"{mineig[i]:.17g}"]
-                fh.write(",".join(row) + "\n")
-
 
 def check_field_size(sys: SystemSpec, T, dt):
     """Refuse a two-time solve whose arrays exceed physical memory.
@@ -168,15 +146,11 @@ def _slot_pairs(sys: SystemSpec):
     pa[q])`` in sorted order, and ``Wsl[q, c, b]``, the summed weight of
     the slots that read entry ``q`` and write entry ``(c, b)``.
     """
-    items = sys.slot_items()
-    pairs = sorted({(id_, ia) for (ia, _, _, id_), _ in items})
-    index = {pr: q for q, pr in enumerate(pairs)}
+    ia, ib, ic, id_ = sys.kernel.slots.T
+    pairs, q = np.unique(np.stack([id_, ia], axis=1), axis=0, return_inverse=True)
     Wsl = np.zeros((len(pairs), sys.dim, sys.dim), dtype=complex)
-    for (ia, ib, ic, id_), wgt in items:
-        Wsl[index[id_, ia], ic, ib] += wgt
-    pd = np.array([d for d, _ in pairs], dtype=int)
-    pa = np.array([a for _, a in pairs], dtype=int)
-    return pd, pa, Wsl
+    np.add.at(Wsl, (q.reshape(-1), ic, ib), sys.kernel.weights)
+    return pairs[:, 0], pairs[:, 1], Wsl
 
 
 def _feeds(Wsl):
@@ -329,7 +303,7 @@ def solve_bitemporal(sys: SystemSpec, W: KrausZero, rho0, T, dt) -> BitemporalSt
 
     en = np.asarray(sys.energies, dtype=float)
     B = np.exp(-1j * np.outer(tg, en))[:, :, None] * W.values[: n + 1]
-    line = _kernel_on_grid(sys, np.arange(-n, n + 1) * dt)
+    line = sys.kernel.on_grid(np.arange(-n, n + 1) * dt)
     # KD[s, sp] = kernel((sp - s) dt); a reversed sliding view, no copy
     KD = np.lib.stride_tricks.sliding_window_view(line, n + 1)[::-1]
     Wflat = Wsl.reshape(P, dim * dim)
@@ -432,16 +406,15 @@ def two_level_trajectory(sys: SystemSpec, W: KrausZero, rho0, *,
     """
     if sys.dim != 2:
         raise ValueError("refill form needs a two-level system")
-    items = sys.slot_items()
-    if [key for key, _ in items] != [(1, 0, 0, 1)]:
+    kern = sys.kernel
+    if kern.slots.tolist() != [[1, 0, 0, 1]]:
         raise ValueError("refill form needs exactly the raising-lowering slot")
-    wgt = items[0][1]
+    wgt = kern.weights[0]
     if abs(wgt.imag) > 1e-12 * abs(wgt) or wgt.real < 0:
         raise ValueError("slot weight must be real and nonnegative")
     rho0 = _validate_density(rho0, 2)
 
-    sd, binv = sys.base_density()
-    nu, mw = _fold_modes(sd, n_modes, binv)
+    nu, mw = _fold_modes(kern.sd, n_modes, kern.beta_inv)
     tg = W.grid
     dt = tg[1] - tg[0]
     w22 = W.values[:, 1, 1]
@@ -487,43 +460,20 @@ def audit_conservation(traj: DensityTrajectory, *, trace_tol=1e-6,
                        eig_tol=1e-10) -> ConservationReport:
     """Check unit trace and positive spectrum against tolerances.
 
-    Small systems get a full spectrum at every step.  Past dimension 64
-    a Cholesky probe (with the tolerance folded in as a diagonal shift)
-    guards every step and full spectra are sampled every tenth step.
+    Every step gets its full spectrum, in one batched call.
     """
-    mats = traj.matrices
     terr = traj.trace_errors()
     it = int(np.argmax(terr))
-    dim = mats.shape[1]
-    if dim <= 64:
-        mins = np.linalg.eigvalsh(mats)[:, 0]
-        ie = int(np.argmin(mins))
-        min_eig = float(mins[ie])
-        probes_ok = True
-    else:
-        shift = 2.0 * eig_tol * np.eye(dim)
-        probes_ok = True
-        min_eig, ie = np.inf, 0
-        for i in range(mats.shape[0]):
-            if i % 10 == 0:
-                lo = float(np.linalg.eigvalsh(mats[i])[0])
-                if lo < min_eig:
-                    min_eig, ie = lo, i
-            else:
-                try:
-                    np.linalg.cholesky(mats[i] + shift)
-                except np.linalg.LinAlgError:
-                    probes_ok = False
-                    lo = float(np.linalg.eigvalsh(mats[i])[0])
-                    if lo < min_eig:
-                        min_eig, ie = lo, i
+    mins = traj.min_eigenvalues()
+    ie = int(np.argmin(mins))
+    min_eig = float(mins[ie])
     return ConservationReport(
         max_trace_error=float(terr[it]),
         trace_time=float(traj.times[it]),
         min_eigenvalue=min_eig,
         eigen_time=float(traj.times[ie]),
         trace_ok=bool(terr[it] <= trace_tol),
-        positivity_ok=bool(probes_ok and min_eig >= -eig_tol),
+        positivity_ok=bool(min_eig >= -eig_tol),
     )
 
 
@@ -563,12 +513,7 @@ def wigner_weisskopf(sd: rv.SpectralDensity, omega1, omega2, t, *,
     # spoils the trapezoid sum, so the step is shortened until it
     # divides the support and the grid is shifted to put both edges
     # midway between nodes
-    if sd.family == "FlatWindow":
-        lo, hi = sd.params[1:]
-    else:
-        lo, hi = sd.table[0][[0, -1]]
-    lo = omega1 + max(lo, 0.0)
-    hi = omega1 + hi
+    lo, hi = (omega1 + x for x in sd.support())
     step = (hi - lo) / math.ceil((hi - lo) * (npts - 1) / (2.0 * span))
     start = lo - step * (round((lo - omega2 + span) / step - 0.5) + 0.5)
     grid = lp.ContourGrid(start, start + (npts - 1) * step, npts,

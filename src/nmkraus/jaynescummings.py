@@ -142,7 +142,6 @@ class DressedSystem(kr.SystemSpec):
     """System table for the dressed ladder, with its construction data."""
 
     basis: DressedBasis = None
-    sd: rv.SpectralDensity = None
 
 
 def build_dressed_system(basis: DressedBasis, sd: rv.SpectralDensity):
@@ -172,7 +171,7 @@ def build_dressed_system(basis: DressedBasis, sd: rv.SpectralDensity):
                     )
                     slots[key] = e1 * e4 * w
     energies = tuple(basis.energy(e, n) for e, n in basis.states)
-    return DressedSystem(energies, rv.kernel_table(sd, slots), basis, sd)
+    return DressedSystem(energies, rv.kernel_table(sd, slots), basis)
 
 
 @dataclass(frozen=True)
@@ -250,20 +249,10 @@ def reduce_atomic(basis: DressedBasis, rho):
 # photon-block continued fraction on uniform frequency combs
 
 
-def _support(sd: rv.SpectralDensity):
-    if sd.family == "Lorentzian":
-        g0, wc, lam = sd.params
-        return max(0.0, wc - 10.0 * lam), wc + 10.0 * lam
-    if sd.family == "FlatWindow":
-        return sd.params[1], sd.params[2]
-    grid = sd.table[0]
-    return float(grid[0]), float(grid[-1])
-
-
 def _comb(sd, h):
     # integer-aligned uniform quadrature of int dw |g|^2 f(z - w);
     # alignment keeps every shifted argument on one master line
-    lo, hi = _support(sd)
+    lo, hi = sd.support()
     q0 = max(0, math.ceil(lo / h - 1e-9))
     q1 = math.floor(hi / h + 1e-9)
     if q1 - q0 < 8:
@@ -347,8 +336,8 @@ def kraus_recursion(sys: DressedSystem, z, *, n_modes=1500):
     z = complex(z)
     if z.imag <= 0:
         raise rv.LaplaceDomainError("kraus_recursion requires Im z > 0")
-    basis, sd = sys.basis, sys.sd
-    lo, hi = _support(sd)
+    basis, sd = sys.basis, sys.kernel.sd
+    lo, hi = sd.support()
     h = min((hi - lo) / n_modes, z.imag / 4.0)
     blocks = _line_blocks(basis, sd, z.real, h, 1, z.imag, basis.n_max)
     out = np.zeros((basis.dim, basis.dim), dtype=complex)
@@ -456,7 +445,7 @@ def atomic_population_series(
     if T <= 0:
         raise ValueError("the final time must be positive")
     eta = im_height if im_height is not None else 2.0 / T
-    lo, hi = _support(sd)
+    lo, hi = sd.support()
     h = line_step if line_step is not None else min(eta / 4.0, (hi - lo) / 400.0)
     h = min(h, eta / 4.0)
     q0, q1, _ = _comb(sd, h)

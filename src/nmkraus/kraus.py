@@ -31,7 +31,7 @@ sums with S slots, plus O(n dim^6) for the step operators.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -77,11 +77,18 @@ class SystemSpec:
     Parameters
     ----------
     energies : sequence of float
-        Eigenfrequencies w_k, ascending.  State labels in kernel slots
-        count from 1 in this order.
+        Eigenfrequencies w_k, ascending.  State labels in the index rule
+        of ``reservoir.kernel_table`` count from 1 in this order; the
+        kernel stores them from 0.
     kernel : reservoir.CorrelationKernel
         Indexed pair correlation table; slot (k, m, n, l) couples row k
         to column l through the intermediate pair (m, n).
+
+    Raises
+    ------
+    ValueError
+        If the energies are not ascending, or a slot names a state
+        outside ``1..dim``.
     """
 
     energies: tuple
@@ -94,26 +101,15 @@ class SystemSpec:
         if np.any(np.diff(en) < 0):
             raise ValueError("energies must be sorted ascending")
         object.__setattr__(self, "energies", tuple(float(x) for x in en))
-        for idx in self.kernel.slots:
-            if any(not 1 <= i <= en.size for i in idx):
-                raise ValueError(f"slot {idx} outside state labels 1..{en.size}")
+        slots = self.kernel.slots
+        bad = np.flatnonzero(np.any((slots < 0) | (slots >= en.size), axis=1))
+        if bad.size:
+            idx = tuple(int(i) + 1 for i in slots[bad[0]])
+            raise ValueError(f"slot {idx} outside state labels 1..{en.size}")
 
     @property
     def dim(self):
         return len(self.energies)
-
-    def slot_items(self):
-        """Slots as 0-based ((k, m, n, j), weight) pairs."""
-        return [
-            ((k - 1, m - 1, n - 1, j - 1), h.weight)
-            for (k, m, n, j), h in self.kernel.slots.items()
-        ]
-
-    def base_density(self):
-        """Underlying (sd, beta_inv), or None for a zero kernel."""
-        for h in self.kernel.slots.values():
-            return h.sd, h.beta_inv
-        return None
 
 
 @dataclass(frozen=True)
@@ -135,21 +131,6 @@ class KrausZero:
     def entry(self, k, l):
         """Time series of entry (k, l), 1-based labels."""
         return self.values[:, k - 1, l - 1]
-
-
-def _kernel_on_grid(sys: SystemSpec, t):
-    base = sys.base_density()
-    if base is None:
-        return np.zeros(len(t), dtype=complex)
-    sd, binv = base
-    if binv == 0:
-        return rv.kernel_samples(sd, t)
-    # thermal kernel through its mode expansion keeps dense grids cheap
-    om, wq = rv.discrete_modes(sd, 4000, beta_inv=binv)
-    out = np.empty(len(t), dtype=complex)
-    for i0 in range(0, len(t), 2048):
-        out[i0 : i0 + 2048] = np.exp(-1j * np.outer(t[i0 : i0 + 2048], om)) @ wq
-    return out
 
 
 def _step_inverses(A, first, t):
@@ -226,11 +207,10 @@ def solve_time_domain(sys: SystemSpec, T, dt, *, max_steps=2_000_000) -> KrausZe
     d2 = dim * dim
     en = np.asarray(sys.energies)
     t = np.arange(n + 1) * dt
-    kappa = _kernel_on_grid(sys, t)
-    items = sys.slot_items()
-    S = len(items)
-    k, m, n_, j = np.array([key for key, _ in items], dtype=int).reshape(S, 4).T
-    w = np.array([wgt for _, wgt in items], dtype=complex)
+    kappa = sys.kernel.on_grid(t)
+    k, m, n_, j = sys.kernel.slots.T
+    w = sys.kernel.weights
+    S = w.size
 
     # a[r] = e^{i(w_j - w_m) tau_r} kappa[r] pairs in the inner trapezoid
     # with W_mn[r] W_jl[i - r]; g[i] = dt^2 w e^{i(w_k - w_j) t_i} / 2
@@ -292,8 +272,7 @@ def solve_time_domain(sys: SystemSpec, T, dt, *, max_steps=2_000_000) -> KrausZe
         resid = np.abs(np.einsum("bpq,bq->bp", A, x) - F).max(axis=1)
         worst = max(worst, float(np.max(resid / np.maximum(1.0, np.abs(F).max(axis=1)))))
 
-    slot_weight = sum(abs(wgt) for _, wgt in items) if items else 0.0
-    lips = float(slot_weight * np.trapezoid(np.abs(kappa), t))
+    lips = float(np.abs(w).sum() * np.trapezoid(np.abs(kappa), t))
     return KrausZero(t, W, worst, lips, 0)
 
 
@@ -399,21 +378,15 @@ class LaplaceKraus:
         self._spacing = spacing
         self._lines = {}
         self.cauchy = {}
-        self._base = sys.base_density()
-        if self._base is not None:
-            self._modes = _fold_modes(self._base[0], n_modes, self._base[1])
-        else:
-            self._modes = (np.zeros(0), np.zeros(0))
+        self._modes = _fold_modes(sys.kernel.sd, n_modes, sys.kernel.beta_inv)
 
     # -- internal line solve ------------------------------------------
 
     def _line_points(self, imz):
         en = np.asarray(self.system.energies)
-        if self._base is not None:
-            scale = self._base[0].frequency_scale()
-            radius = self._base[0].support_radius()
-        else:
-            scale, radius = 1.0, 1.0
+        sd = self.system.kernel.sd
+        scale = sd.frequency_scale()
+        radius = sd.support()[1]
         if self._window is None:
             lo = en.min() - radius - 30.0 * scale
             hi = en.max() + 10.0 * scale
@@ -454,14 +427,14 @@ class LaplaceKraus:
         zline = xg + 1j * imz
         dim = self.system.dim
         en = np.asarray(self.system.energies)
+        kern = self.system.kernel
         npts = len(xg)
         free = np.zeros((npts, dim, dim), dtype=complex)
         for k in range(dim):
             free[:, k, k] = 1.0 / (zline - en[k])
-        if self._base is None or not self.system.kernel.slots:
+        if not kern.weights.size:
             self._lines[imz] = (xg, free, 0.0)
             return self._lines[imz]
-        sd, binv = self._base
         h = (xg[-1] - xg[0]) / (npts - 1)
         nfft = 1
         while nfft < 2 * npts + 2:
@@ -469,9 +442,8 @@ class LaplaceKraus:
         A = np.fft.fft(self._binned_weights(h, npts, nfft), nfft)
         chat_m = np.empty((npts, dim), dtype=complex)
         for mm in range(dim):
-            chat_m[:, mm] = _chat_line(sd, binv, zline - en[mm])
+            chat_m[:, mm] = _chat_line(kern.sd, kern.beta_inv, zline - en[mm])
 
-        slot_list = self.system.slot_items()
         W = free.copy()
         last_cauchy = np.inf
         for _ in range(self.depth):
@@ -486,7 +458,7 @@ class LaplaceKraus:
             B = np.zeros((npts, dim, dim), dtype=complex)
             for k in range(dim):
                 B[:, k, k] = zline - en[k]
-            for (k, m, n_, j), w in slot_list:
+            for (k, m, n_, j), w in zip(kern.slots, kern.weights):
                 B[:, k, j] -= w * (
                     M[:, m, n_] + (chat_m[:, m] if m == n_ else 0.0)
                 )
@@ -518,7 +490,7 @@ class LaplaceKraus:
         if z.imag <= 0:
             raise ContourOrderingError("evaluator requires Im z > 0")
         dim = self.system.dim
-        if self._base is None or not self.system.kernel.slots:
+        if not self.system.kernel.weights.size:
             out = np.zeros((dim, dim), dtype=complex)
             for k in range(dim):
                 out[k, k] = 1.0 / (z - self.system.energies[k])
@@ -580,12 +552,9 @@ def laplace_inverse_identity(sys: SystemSpec, W, z, *, y_height=0.0):
     dim = sys.dim
     en = np.asarray(sys.energies)
     out = np.diag(z - en).astype(complex)
-    base = sys.base_density()
-    if base is None or not sys.kernel.slots:
-        return out
-    sd, binv = base
+    kern = sys.kernel
     evaluate = W.evaluate if isinstance(W, LaplaceKraus) else W
-    om, wq = _fold_modes(sd, 4096, binv)
+    om, wq = _fold_modes(kern.sd, 4096, kern.beta_inv)
     cache = {}
 
     def deviation(zz):
@@ -596,10 +565,10 @@ def laplace_inverse_identity(sys: SystemSpec, W, z, *, y_height=0.0):
             cache[zz] = M
         return cache[zz]
 
-    for (k, m, n_, j), w in sys.slot_items():
+    for (k, m, n_, j), w in zip(kern.slots, kern.weights):
         acc = sum(a * deviation(z - nu)[m, n_] for nu, a in zip(om, wq))
         if m == n_:
-            acc = acc + rv.correlation_laplace(sd, z - en[m], binv)
+            acc = acc + rv.correlation_laplace(kern.sd, z - en[m], kern.beta_inv)
         out[k, j] -= w * acc
     return out
 
@@ -671,13 +640,7 @@ def weak_coupling_limit(sys: SystemSpec, lam, omega_tilde, *, anchor=None, eps_t
     w_anchor = sys.energies[anchor - 1]
     scaled = SystemSpec(
         sys.energies,
-        rv.CorrelationKernel(
-            {
-                idx: rv.KernelHandle(h.sd, lam**2 * h.weight, h.beta_inv)
-                for idx, h in sys.kernel.slots.items()
-            },
-            sys.kernel.beta_inv,
-        ),
+        replace(sys.kernel, weights=lam**2 * sys.kernel.weights),
     )
     wt = np.atleast_1d(np.asarray(omega_tilde, dtype=float))
     lk = LaplaceKraus(scaled, depth)

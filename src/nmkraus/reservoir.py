@@ -39,7 +39,6 @@ from scipy import integrate, special
 __all__ = [
     "SpectralDensity",
     "CorrelationKernel",
-    "KernelHandle",
     "DivergentIntegralError",
     "LaplaceDomainError",
     "IndexCollisionError",
@@ -171,14 +170,15 @@ class SpectralDensity:
         grid, g2 = self.table
         return float(np.trapezoid(g2, grid))
 
-    def support_radius(self):
-        """Frequency beyond which the weight is negligible."""
+    def support(self):
+        """Frequency interval ``(lo, hi)`` outside which the weight is negligible."""
         if self.family == "Lorentzian":
             g0, wc, lam = self.params
-            return wc + 10.0 * lam
+            return max(0.0, wc - 10.0 * lam), wc + 10.0 * lam
         if self.family == "FlatWindow":
-            return self.params[2]
-        return float(self.table[0][-1])
+            return self.params[1], self.params[2]
+        grid = self.table[0]
+        return float(grid[0]), float(grid[-1])
 
     def frequency_scale(self):
         """Characteristic frequency used for default tolerances."""
@@ -186,7 +186,7 @@ class SpectralDensity:
             return max(abs(self.params[1]), self.params[2])
         if self.family == "FlatWindow":
             return max(self.params[2], self.params[2] - self.params[1])
-        return self.support_radius()
+        return self.support()[1]
 
 
 # ---------------------------------------------------------------------------
@@ -308,7 +308,7 @@ def correlation_time(sd: SpectralDensity, t, s, beta_inv=0.0):
         val = _trapz_doubling(f, lo, grid[-1])
     else:
         lo = 1e-12 * sd.frequency_scale()
-        hi = sd.support_radius() + 40.0 * sd.frequency_scale()
+        hi = sd.support()[1] + 40.0 * sd.frequency_scale()
         val, err = _quad_complex(f, lo, hi, limit=400)
         if not np.isfinite(val):
             raise DivergentIntegralError("thermal quadrature failed")
@@ -364,7 +364,7 @@ def correlation_laplace(sd: SpectralDensity, y, beta_inv=0.0):
         return sd.weight(w) * ((nb + 1.0) / (y - w) + nb / (y + w))
 
     lo = 1e-12 * sd.frequency_scale()
-    hi = sd.support_radius() + 40.0 * sd.frequency_scale()
+    hi = sd.support()[1] + 40.0 * sd.frequency_scale()
     val, _ = _quad_complex(f, lo, hi, limit=400)
     return complex(val)
 
@@ -522,49 +522,43 @@ def discrete_modes(sd: SpectralDensity, n_modes, beta_inv=0.0):
 # indexed kernel tables
 
 
-@dataclass(frozen=True)
-class KernelHandle:
-    """Evaluators for one nonzero slot of an indexed kernel."""
-
-    sd: SpectralDensity
-    weight: complex
-    beta_inv: float = 0.0
-
-    def time(self, t, s):
-        return self.weight * correlation_time(self.sd, t, s, self.beta_inv)
-
-    def laplace(self, y):
-        return self.weight * correlation_laplace(self.sd, y, self.beta_inv)
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CorrelationKernel:
     """Indexed table of pair correlation functions.
 
-    Maps slot indices ``(k, l, m, n)`` to :class:`KernelHandle`
-    objects.  All nonzero slots share one scalar kernel, scaled by the
-    slot weight from the index rule.
+    For linear coupling to one bath every nonzero slot is a fixed weight
+    times the one scalar kernel of ``sd`` at ``beta_inv``.  Row ``s`` of
+    ``slots`` holds the 0-based state indices ``(k, l, m, n)`` of a slot
+    and ``weights[s]`` its weight; both arrays are read-only and keep
+    the order of the index rule.  A zero kernel has no slots.
     """
 
-    slots: Mapping[tuple, KernelHandle]
-    beta_inv: float = 0.0
+    sd: SpectralDensity
+    beta_inv: float
+    slots: np.ndarray
+    weights: np.ndarray
 
-    def time(self, index, t, s):
-        """Slot value c_index(t, s); zero for absent slots."""
-        h = self.slots.get(tuple(index))
-        return 0.0 + 0.0j if h is None else h.time(t, s)
+    def __post_init__(self):
+        slots = np.array(self.slots, dtype=int).reshape(-1, 4)
+        weights = np.array(self.weights, dtype=complex).reshape(-1)
+        slots.flags.writeable = False
+        weights.flags.writeable = False
+        object.__setattr__(self, "slots", slots)
+        object.__setattr__(self, "weights", weights)
 
-    def laplace(self, index, y):
-        h = self.slots.get(tuple(index))
-        return 0.0 + 0.0j if h is None else h.laplace(y)
+    def on_grid(self, t):
+        """Scalar kernel ``kappa`` at the times ``t``.
 
-    def hermiticity_defect(self, t, s):
-        """Max mismatch of c_(kl)(mn)(t,s) against conj(c_(nm)(lk)(s,t))."""
-        worst = 0.0
-        for (k, l, m, n), h in self.slots.items():
-            partner = self.time((n, m, l, k), s, t)
-            worst = max(worst, abs(h.time(t, s) - np.conj(partner)))
-        return worst
+        A thermal kernel goes through a 4000-mode expansion, which keeps
+        dense grids cheap.
+        """
+        if self.beta_inv == 0:
+            return kernel_samples(self.sd, t)
+        om, wq = discrete_modes(self.sd, 4000, beta_inv=self.beta_inv)
+        out = np.empty(len(t), dtype=complex)
+        for i0 in range(0, len(t), 2048):
+            out[i0 : i0 + 2048] = np.exp(-1j * np.outer(t[i0 : i0 + 2048], om)) @ wq
+        return out
 
 
 def kernel_table(sd: SpectralDensity, index_rule, beta_inv=0.0) -> CorrelationKernel:
@@ -575,29 +569,35 @@ def kernel_table(sd: SpectralDensity, index_rule, beta_inv=0.0) -> CorrelationKe
     sd : SpectralDensity
     index_rule : mapping or iterable
         Either ``{(k,l,m,n): weight}`` or an iterable of
-        ``((k,l,m,n), weight)`` pairs naming the nonzero slots.
+        ``((k,l,m,n), weight)`` pairs naming the nonzero slots; state
+        labels count from 1.
     beta_inv : float, optional
 
     Returns
     -------
     CorrelationKernel
+        Slots with a nonzero weight, in rule order.
 
     Raises
     ------
     IndexCollisionError
         If the same slot appears twice in the rule.
+    ValueError
+        If a slot index does not have four entries.
     """
     if isinstance(index_rule, Mapping):
         pairs = index_rule.items()
     else:
         pairs = list(index_rule)
-    slots = {}
+    seen, slots, weights = set(), [], []
     for idx, weight in pairs:
         key = tuple(int(i) for i in idx)
         if len(key) != 4:
             raise ValueError("slot index must have four entries")
-        if key in slots:
+        if key in seen:
             raise IndexCollisionError(f"slot {key} defined twice")
+        seen.add(key)
         if weight != 0:
-            slots[key] = KernelHandle(sd, complex(weight), beta_inv)
-    return CorrelationKernel(slots, beta_inv)
+            slots.append([i - 1 for i in key])
+            weights.append(complex(weight))
+    return CorrelationKernel(sd, beta_inv, slots, weights)

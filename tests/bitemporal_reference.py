@@ -10,7 +10,7 @@ with it to rounding.
 import numpy as np
 
 from nmkraus.dynamics import BitemporalState, GridMismatchError, _validate_density
-from nmkraus.kraus import SystemSpec, KrausZero, _kernel_on_grid
+from nmkraus.kraus import SystemSpec, KrausZero
 
 
 class ConvergenceError(ArithmeticError):
@@ -57,10 +57,10 @@ def solve_bitemporal(sys: SystemSpec, W: KrausZero, rho0, T, dt, *,
 
     en = np.asarray(sys.energies, dtype=float)
     B = np.exp(-1j * np.outer(tg, en))[:, :, None] * W.values[: n + 1]
-    line = _kernel_on_grid(sys, np.arange(-n, n + 1) * dt)
+    line = sys.kernel.on_grid(np.arange(-n, n + 1) * dt)
     # KD[s, sp] = kernel((sp - s) dt); a reversed sliding view, no copy
     KD = np.lib.stride_tricks.sliding_window_view(line, n + 1)[::-1]
-    slots = sys.slot_items()
+    slots = list(zip(map(tuple, sys.kernel.slots.tolist()), sys.kernel.weights.tolist()))
     eye = np.eye(dim)
 
     xi = np.zeros((n + 1, n + 1, dim, dim), dtype=complex)

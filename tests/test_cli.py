@@ -424,24 +424,3 @@ class TestCompare:
         assert rc == 2
         assert "summary file missing" in capsys.readouterr().err
 
-
-class TestThreadControls:
-    def test_invalid_env_override(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv("NMKRAUS_THREADS", "abc")
-        text = WW_BODY.format(height=0.0, dt=0.01, T=1.0)
-        rc, _ = _run(tmp_path, "ww.yaml", text, "out")
-        assert rc == 2
-        assert "threads" in capsys.readouterr().err
-
-    def test_thread_flag_exports(self, tmp_path, monkeypatch):
-        monkeypatch.delenv("NMKRAUS_THREADS", raising=False)
-        monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
-        path = tmp_path / "ww.yaml"
-        path.write_text(WW_BODY.format(height=0.0, dt=0.01, T=1.0))
-        rc = cli.main(
-            ["run", str(path), "--out", str(tmp_path / "out"), "--threads", "2"]
-        )
-        assert rc == 0
-        import os
-
-        assert os.environ["OMP_NUM_THREADS"] == "2"

@@ -184,7 +184,7 @@ class TestColumnSolverAgreement:
         basis = jc.DressedBasis(0.0, 20.0, 0.3, 1)
         sys = jc.build_dressed_system(
             basis, rv.SpectralDensity.flat_window(0.0318, 18.0, 22.0))
-        assert len(sys.slot_items()) == 36
+        assert len(sys.kernel.slots) == 36
         rho0 = jc.dressed_initial_state(
             basis, jc.JCInitialState(np.diag([0.0, 1.0]), 1))
         _assert_matches_reference(sys, rho0, 12.0, 64)
@@ -339,20 +339,6 @@ class TestAudit:
         assert not rep.positivity_ok
         assert rep.eigen_time == 13.0
         assert rep.min_eigenvalue < -1e-3
-
-
-class TestCsvDump:
-    def test_round_trip(self, tmp_path):
-        traj = dy.two_level_trajectory(far_system(), far_propagator(), RHO)
-        path = tmp_path / "traj.csv"
-        traj.dump_csv(path)
-        lines = path.read_text().strip().split("\n")
-        head = lines[0].split(",")
-        assert head[0] == "t" and head[-2:] == ["trace_err", "min_eig"]
-        assert len(lines) == traj.times.shape[0] + 1
-        last = np.array(lines[-1].split(","), dtype=float)
-        assert last[0] == traj.times[-1]
-        assert abs(last[7] + 1j * last[8] - traj.matrices[-1, 1, 1]) < 1e-15
 
 
 class TestMarkovianLimit:

@@ -54,7 +54,12 @@ class TestSystemSpec:
             kr.SystemSpec((0.0,), kern)  # slot label 2 out of range
         sys = kr.SystemSpec((0.0, 5.0), kern)
         assert sys.dim == 2
-        assert sys.slot_items() == [((1, 0, 0, 1), 1.0 + 0.0j)]
+        assert sys.kernel.slots.tolist() == [[1, 0, 0, 1]]
+        assert sys.kernel.weights.tolist() == [1.0 + 0.0j]
+        with pytest.raises(ValueError, match=r"slot \(2, 1, 1, 2\) outside state labels 1\.\.1"):
+            kr.SystemSpec((0.0,), kern)
+        with pytest.raises(ValueError, match=r"slot \(0, 1, 1, 2\)"):
+            kr.SystemSpec((0.0, 5.0), rv.kernel_table(sd, {(0, 1, 1, 2): 1.0}))
 
     def test_degenerate_energies_allowed(self):
         sd = rv.SpectralDensity.lorentzian(0.5, 5.0, 1.0)
@@ -137,7 +142,7 @@ class TestExactStepAgreement:
         basis = jc.DressedBasis(0.0, 20.0, 0.3, 1)
         sys = jc.build_dressed_system(
             basis, rv.SpectralDensity.flat_window(0.0318, 18.0, 22.0))
-        assert len(sys.slot_items()) == 36
+        assert len(sys.kernel.slots) == 36
         _assert_matches_reference(sys, 12.0, 64)
 
     @pytest.mark.parametrize("energies, weights", [
@@ -214,7 +219,7 @@ class TestLaplaceDomain:
 
     def test_two_level_closes_at_depth_two(self):
         sys = near_resonant()
-        sd = sys.base_density()[0]
+        sd = sys.kernel.sd
         z = 5.0 + 0.5j
         lk = kr.solve_continued_fraction(sys, 2, [z])
         exact = 1.0 / (z - 5.0 - rv.correlation_laplace(sd, z - 0.0))
@@ -236,7 +241,7 @@ class TestLaplaceDomain:
     def test_asymptotic_free_behaviour(self):
         sys = near_resonant()
         lk = kr.LaplaceKraus(sys, 16)
-        scale = sys.base_density()[0].frequency_scale()
+        scale = sys.kernel.sd.frequency_scale()
         z = 5.0 + 1e3j * scale
         got = lk.evaluate(z)
         en = np.array(sys.energies)
@@ -255,7 +260,7 @@ class TestLaplaceDomain:
 
     def test_identity_matches_closed_two_level_entry(self):
         sys = near_resonant()
-        sd = sys.base_density()[0]
+        sd = sys.kernel.sd
         lk = kr.solve_continued_fraction(sys, 16, [5.0 + 0.5j])
         z = 5.0 + 0.5j
         out = kr.laplace_inverse_identity(sys, lk, z)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
+from nmkraus import jaynescummings as jc
 from nmkraus import reservoir as rv
 
 
@@ -150,7 +151,7 @@ class TestCorrelationLaplace:
 
     def test_large_argument_asymptote(self):
         for sd in (LOR, FLAT):
-            y = 1j * 1e3 * sd.support_radius()
+            y = 1j * 1e3 * sd.support()[1]
             ref = sd.total_strength() / y
             assert abs(rv.correlation_laplace(sd, y) - ref) <= 1e-3 * abs(ref)
 
@@ -236,29 +237,58 @@ class TestDiscreteModes:
             assert abs(np.sum(wq) - sd.total_strength()) < 1e-3
 
 
+def assert_weight_symmetry(ck):
+    # all slots share kappa, and kappa(-tau) = conj kappa(tau) (tested
+    # above), so c_(kl)(mn)(t,s) = conj c_(nm)(lk)(s,t) holds exactly
+    # when every slot (k,l,m,n) with weight w has a partner (n,m,l,k)
+    # with weight conj(w)
+    table = {tuple(s): w for s, w in zip(ck.slots.tolist(), ck.weights.tolist())}
+    assert table
+    for (k, l, m, n), w in table.items():
+        assert table.get((n, m, l, k)) == np.conj(w)
+
+
 class TestKernelTable:
     def test_empty_rule_all_zero(self):
         ck = rv.kernel_table(LOR, {})
-        assert ck.time((2, 1, 1, 2), 1.0, 0.0) == 0
-        assert ck.laplace((1, 1, 1, 1), 1j) == 0
+        assert ck.slots.shape == (0, 4)
+        assert ck.weights.shape == (0,)
+        assert ck.sd is LOR and ck.beta_inv == 0.0
 
     def test_two_level_rule_single_slot(self):
-        ck = rv.kernel_table(LOR, {(2, 1, 1, 2): 1.0})
-        ref = rv.correlation_time(LOR, 1.3, 0.1)
-        assert ck.time((2, 1, 1, 2), 1.3, 0.1) == ref
-        for idx in ((1, 2, 2, 1), (2, 2, 1, 1), (1, 1, 1, 1)):
-            assert ck.time(idx, 1.3, 0.1) == 0
+        ck = rv.kernel_table(LOR, {(2, 1, 1, 2): 1})
+        assert ck.slots.tolist() == [[1, 0, 0, 1]]
+        assert ck.weights.tolist() == [1.0 + 0.0j]
+        assert ck.weights.dtype == complex
+        with pytest.raises(ValueError):
+            ck.slots[0, 0] = 0
+        with pytest.raises(ValueError):
+            ck.weights[0] = 2.0
 
     def test_weighted_slots_scale_kernel(self):
         rng = np.random.default_rng(606)
         w = complex(rng.normal(), rng.normal())
-        ck = rv.kernel_table(FLAT, [((3, 1, 2, 2), w)])
-        ref = w * rv.correlation_laplace(FLAT, 0.7 + 0.9j)
-        assert abs(ck.laplace((3, 1, 2, 2), 0.7 + 0.9j) - ref) < 1e-14
+        ck = rv.kernel_table(FLAT, [((3, 1, 2, 2), w)], beta_inv=0.5)
+        assert ck.slots.tolist() == [[2, 0, 1, 1]]
+        assert ck.weights[0] == w
+        assert ck.sd is FLAT and ck.beta_inv == 0.5
+
+    def test_zero_weights_dropped(self):
+        ck = rv.kernel_table(LOR, {(2, 1, 1, 2): 0.0, (1, 2, 2, 1): 0.5, (1, 1, 1, 1): 0j})
+        assert ck.slots.tolist() == [[0, 1, 1, 0]]
+        assert ck.weights.tolist() == [0.5 + 0.0j]
+
+    def test_rule_order_kept(self):
+        rule = [((3, 1, 1, 3), 0.25), ((1, 2, 2, 1), 1.0), ((2, 1, 1, 2), -0.5j)]
+        ck = rv.kernel_table(LOR, rule)
+        assert ck.slots.tolist() == [[2, 0, 0, 2], [0, 1, 1, 0], [1, 0, 0, 1]]
+        assert ck.weights.tolist() == [0.25, 1.0, -0.5j]
 
     def test_collision_rejected(self):
         with pytest.raises(rv.IndexCollisionError):
             rv.kernel_table(LOR, [((2, 1, 1, 2), 1.0), ((2, 1, 1, 2), 0.5)])
+        with pytest.raises(ValueError, match="four entries"):
+            rv.kernel_table(LOR, {(2, 1, 1): 1.0})
 
     def test_hermiticity_pairing(self):
         rng = np.random.default_rng(707)
@@ -268,5 +298,10 @@ class TestKernelTable:
             w = complex(rng.normal(), rng.normal())
             rule[(k, l, m, n)] = w
             rule[(n, m, l, k)] = np.conj(w)
-        ck = rv.kernel_table(LOR, rule)
-        assert ck.hermiticity_defect(1.7, 0.4) < 1e-12
+        assert_weight_symmetry(rv.kernel_table(LOR, rule))
+        # the dressed ladder's decay-pair table
+        basis = jc.DressedBasis(0.0, 20.0, 0.3, 2)
+        assert_weight_symmetry(jc.build_dressed_system(basis, FLAT).kernel)
+        # a table without the partner slot fails the check
+        with pytest.raises(AssertionError):
+            assert_weight_symmetry(rv.kernel_table(LOR, {(2, 1, 1, 1): 1.0}))

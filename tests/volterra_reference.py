@@ -9,7 +9,7 @@ walks the slots in Python and recomputes each slot's history sum.
 import numpy as np
 
 from bitemporal_reference import ConvergenceError
-from nmkraus.kraus import KrausZero, SystemSpec, _kernel_on_grid
+from nmkraus.kraus import KrausZero, SystemSpec
 
 
 def solve_time_domain(
@@ -54,8 +54,8 @@ def solve_time_domain(
     dim = sys.dim
     en = np.asarray(sys.energies)
     t = np.arange(n + 1) * dt
-    kappa = _kernel_on_grid(sys, t)
-    slots = sys.slot_items()
+    kappa = sys.kernel.on_grid(t)
+    slots = list(zip(map(tuple, sys.kernel.slots.tolist()), sys.kernel.weights.tolist()))
 
     W = np.empty((n + 1, dim, dim), dtype=complex)
     W[0] = np.eye(dim)
@@ -114,6 +114,6 @@ def solve_time_domain(
                 phase[s][i - 1] * G[s][i - 1] + phase[s][i] * G[s][i]
             )
 
-    slot_weight = sum(abs(w) for _, w in slots) if slots else 0.0
+    slot_weight = np.abs(sys.kernel.weights).sum()
     lips = float(slot_weight * np.trapezoid(np.abs(kappa), t))
     return KrausZero(t, W, worst_resid, lips, worst_iters)
