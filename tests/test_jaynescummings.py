@@ -129,6 +129,20 @@ class TestDressedSystem:
         topp = b.index(1, 1) + 1
         assert slots[(top, lo, lo, topp)] == pytest.approx(-0.25)
 
+    def test_kernel_hermiticity(self):
+        # c_(kl)(mn)(t,s) against conj c_(nm)(lk)(s,t), an absent slot
+        # reading zero
+        k = small_system().kernel
+        table = {tuple(s): w for s, w in zip(k.slots.tolist(), k.weights.tolist())}
+        t, s = 0.7, 0.2
+        c_ts = rv.correlation_time(k.sd, t, s, k.beta_inv)
+        c_st = rv.correlation_time(k.sd, s, t, k.beta_inv)
+        worst = max(
+            abs(w * c_ts - np.conj(table.get((n, m, l, q), 0.0) * c_st))
+            for (q, l, m, n), w in table.items()
+        )
+        assert worst < 1e-12
+
     def test_accepted_by_volterra_solver(self):
         sol = kr.solve_time_domain(small_system(), 0.5, 0.01)
         assert np.max(np.abs(sol.values[0] - np.eye(5))) == 0.0
