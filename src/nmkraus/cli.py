@@ -342,7 +342,7 @@ def _run_generic_system(cfg, base, outdir):
         en = [float(x) for x in en]
     except (TypeError, ValueError):
         raise ConfigError("system.energies_per_time must be numbers") from None
-    rule = {}
+    rule = []
     for i, slot in enumerate(_list(cfg, "system.slots")):
         if not isinstance(slot, dict):
             raise ConfigError(f"system.slots[{i}] must be a mapping")
@@ -350,9 +350,9 @@ def _run_generic_system(cfg, base, outdir):
             _int(slot, name, minimum=1)
             for name in ("row", "mid_out", "mid_in", "col")
         )
-        rule[key] = complex(
+        rule.append((key, complex(
             _num(slot, "weight_re"), _num(slot, "weight_im", 0.0)
-        )
+        )))
     try:
         sys_ = kr.SystemSpec(tuple(en), rv.kernel_table(sd, rule))
     except (ValueError, rv.IndexCollisionError) as e:

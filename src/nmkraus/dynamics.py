@@ -21,7 +21,6 @@ from .kraus import (
     KrausZero,
     SingularOperatorError,
     SystemSpec,
-    _chat_line,
     _fold_modes,
 )
 
@@ -520,7 +519,7 @@ def wigner_weisskopf(sd: rv.SpectralDensity, omega1, omega2, t, *,
                           "Trapezoid", im_offset)
     omega, _ = grid.nodes()
     zline = omega + 1j * im_offset
-    image = 1.0 / (zline - omega2 - _chat_line(sd, 0.0, zline - omega1))
+    image = 1.0 / (zline - omega2 - rv.correlation_laplace(sd, zline - omega1))
     # the 1/z asymptote carries the t=0 jump; peel off a reference pole
     # with the same asymptote, pushed below the axis so the contour
     # resolves it, and invert that part exactly

@@ -317,43 +317,6 @@ def _cubic_interp(xg, yg, x):
     )
 
 
-def _chat_line(sd, beta_inv, y):
-    """Vectorized closed Laplace image of the kernel along a line."""
-    y = np.asarray(y, dtype=complex)
-    if beta_inv == 0 and sd.family in ("Lorentzian", "FlatWindow"):
-        return rv._laplace_zero_temp(sd, y)
-    if beta_inv == 0:
-        grid, g2 = sd.table
-        out = np.empty(y.shape, dtype=complex)
-        flat_in, flat_out = y.reshape(-1), out.reshape(-1)
-        for i0 in range(0, flat_in.size, 512):
-            blk = flat_in[i0 : i0 + 512]
-            flat_out[i0 : i0 + 512] = np.trapezoid(
-                g2 / (blk[:, None] - grid), grid, axis=1
-            )
-        return out
-    # thermal kernels have compact support bounded away from zero (the
-    # divergence guard enforces it), so one Gauss-Legendre rule over
-    # the support evaluates the image for the whole line at once
-    if sd.family == "FlatWindow":
-        _, lo, hi = sd.params
-    else:
-        grid = sd.table[0]
-        lo, hi = grid[0], grid[-1]
-    xq, vq = rv.gauss_legendre(600)
-    om = 0.5 * (lo + hi) + 0.5 * (hi - lo) * xq
-    wq = 0.5 * (hi - lo) * vq * sd.weight(om)
-    nb = rv.thermal_occupation(om, 1.0 / beta_inv)
-    out = np.empty(y.shape, dtype=complex)
-    flat_in, flat_out = y.reshape(-1), out.reshape(-1)
-    for i0 in range(0, flat_in.size, 512):
-        blk = flat_in[i0 : i0 + 512, None]
-        flat_out[i0 : i0 + 512] = np.sum(
-            wq * ((nb + 1.0) / (blk - om) + nb / (blk + om)), axis=1
-        )
-    return out
-
-
 _MAX_LINE_POINTS = 400_000
 
 
@@ -363,8 +326,9 @@ class LaplaceKraus:
     One functional-iteration solve is performed per distinct Im z and
     cached; point evaluations interpolate along the line.  The iterate
     is stored through its deviation from the free resolvent, so the
-    free part of the collapsed integral uses the closed reservoir image
-    and rows without feedback are exact at any depth.  A line that
+    free part of the collapsed integral uses the reservoir image
+    ``correlation_laplace`` and rows without feedback are exact at any
+    depth.  A line that
     would need more than 400,000 points raises LineResolutionError.
     """
 
@@ -442,7 +406,7 @@ class LaplaceKraus:
         A = np.fft.fft(self._binned_weights(h, npts, nfft), nfft)
         chat_m = np.empty((npts, dim), dtype=complex)
         for mm in range(dim):
-            chat_m[:, mm] = _chat_line(kern.sd, kern.beta_inv, zline - en[mm])
+            chat_m[:, mm] = rv.correlation_laplace(kern.sd, zline - en[mm], kern.beta_inv)
 
         W = free.copy()
         last_cauchy = np.inf
@@ -526,8 +490,8 @@ def laplace_inverse_identity(sys: SystemSpec, W, z, *, y_height=0.0):
 
     Entry (k, l) is ``(z - w_k) delta_kl`` minus the slot-weighted
     collapsed integral of W over the reservoir spectrum; the free part
-    of W collapses through the closed reservoir image, the deviation
-    through the discrete mode expansion.
+    of W collapses through the reservoir image ``correlation_laplace``,
+    the deviation through the discrete mode expansion.
 
     Parameters
     ----------

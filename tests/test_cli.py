@@ -278,6 +278,15 @@ class TestGenericRuns:
         assert rc == 2
         assert "system" in capsys.readouterr().err
 
+    def test_slot_listed_twice(self, tmp_path, capsys):
+        # a repeated slot must not silently keep its last weight
+        slot = "    - {row: 2, mid_out: 1, mid_in: 1, col: 2, weight_re: 1.0}\n"
+        text = GENERIC_BODY.format(row=2, extra="").replace(
+            slot, slot + slot.replace("1.0}", "5.0}"))
+        rc, _ = _run(tmp_path, "gen.yaml", text, "out")
+        assert rc == 2
+        assert "slot (2, 1, 1, 2) defined twice" in capsys.readouterr().err
+
 
 class TestJaynesCummingsRuns:
     def test_oversized_field_is_a_config_error(self, tmp_path, capsys):

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import thermal_reference
 import volterra_reference
 from nmkraus import jaynescummings as jc
 from nmkraus import kraus as kr
@@ -406,3 +407,17 @@ class TestThermal:
         assert abs(ft - wz) / abs(wz) < 1e-5
         ident = kr.laplace_inverse_identity(sys, lk, z)
         assert np.max(np.abs(ident @ lk.evaluate(z) - np.eye(2))) < 1e-6
+
+
+class TestThermalIdentityFreePart:
+    def test_free_part_on_narrow_window(self):
+        # the free resolvent has no deviation, so only the reservoir image
+        # of the diagonal slot enters the identity
+        h, lo, hi, binv = 0.2, 4.5, 5.5, 0.8
+        sys = two_level(rv.SpectralDensity.flat_window(h, lo, hi), binv, 5.0)
+        z = 5.0 + 0.5j
+        ident = kr.laplace_inverse_identity(
+            sys, lambda zz: np.diag(1.0 / (zz - np.array([0.0, 5.0]))), z)
+        ref = z - 5.0 - thermal_reference.image(h, lo, hi, binv, z)
+        assert abs(ident[1, 1] - ref) < 1e-12 * abs(ref)
+        assert ident[0, 0] == z

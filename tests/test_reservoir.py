@@ -2,8 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate
 
+import thermal_reference as tref
 from nmkraus import jaynescummings as jc
 from nmkraus import reservoir as rv
 
@@ -196,6 +199,96 @@ class TestThermal:
         sd = rv.SpectralDensity.flat_window(0.2, 0.0, 3.0)
         with pytest.raises(rv.DivergentIntegralError):
             rv.correlation_laplace(sd, 1.0 + 1.0j, beta_inv=0.3)
+
+
+class TestThermalModeRule:
+    """Thermal mode sums against quad restricted to the window."""
+
+    # narrow against the span an unrestricted quadrature would search
+    H, LO, HI, BINV = 0.2, 4.5, 5.5, 0.8
+
+    def test_time_kernel_on_narrow_window(self):
+        sd = rv.SpectralDensity.flat_window(self.H, self.LO, self.HI)
+        taus = np.array([-3.1, 0.0, 0.4, 2.3, 17.0])
+        ref = np.array([tref.kappa(self.H, self.LO, self.HI, self.BINV, t) for t in taus])
+        peak = abs(ref[1])
+        got = rv.kernel_samples(sd, taus, self.BINV)
+        assert np.max(np.abs(got - ref)) < 1e-12 * peak
+        for tau, r in zip(taus, ref):
+            c = rv.correlation_time(sd, tau, 0.0, self.BINV)
+            assert isinstance(c, complex) and abs(c - r) < 1e-12 * peak
+
+    def test_image_on_narrow_window(self):
+        sd = rv.SpectralDensity.flat_window(self.H, self.LO, self.HI)
+        ys = np.array([[5.0 + 0.5j, 4.6 + 0.05j], [-2.0 + 1.0j, 30.0 + 0.2j]])
+        ref = np.array([[tref.image(self.H, self.LO, self.HI, self.BINV, y) for y in row]
+                        for row in ys])
+        peak = np.max(np.abs(ref))
+        got = rv.correlation_laplace(sd, ys, self.BINV)
+        assert got.shape == ys.shape
+        assert np.max(np.abs(got - ref)) < 1e-12 * peak
+        one = rv.correlation_laplace(sd, ys[0, 0], self.BINV)
+        assert isinstance(one, complex) and abs(one - ref[0, 0]) < 1e-12 * peak
+        with pytest.raises(rv.LaplaceDomainError):
+            rv.correlation_laplace(sd, np.array([1.0 + 1.0j, 2.0 - 1e-3j]), self.BINV)
+
+    def test_image_close_to_the_axis(self):
+        # a single 600-node Gauss rule over the window misses this line by 4e-2 of its peak
+        h, lo, hi, binv = 0.04, 4.0, 8.0, 2.0
+        sd = rv.SpectralDensity.flat_window(h, lo, hi)
+        ys = np.linspace(3.0, 9.0, 13) + 0.005j
+        ref = np.array([tref.image(h, lo, hi, binv, y) for y in ys])
+        got = rv.correlation_laplace(sd, ys, binv)
+        assert np.max(np.abs(got - ref)) < 1e-10 * np.max(np.abs(ref))
+
+    def test_node_cap(self):
+        sd = rv.SpectralDensity.flat_window(0.04, 4.0, 8.0)
+        # the reach (hi - lo) * tau = 16000 of a 4000-node Gauss rule is inside the cap
+        assert np.isfinite(rv.kernel_samples(sd, 4000.0, 1.0))
+        with pytest.raises(rv.DivergentIntegralError, match="needs [0-9]+ modes"):
+            rv.kernel_samples(sd, np.array([0.0, 1e6]), 1.0)
+        with pytest.raises(rv.DivergentIntegralError, match="needs [0-9]+ modes"):
+            rv.correlation_laplace(sd, 6.0 + 1e-6j, 1.0)
+
+
+@settings(max_examples=40, deadline=2000)
+@given(lo=st.floats(0.2, 20.0), width=st.floats(0.1, 10.0),
+       beta_inv=st.floats(0.05, 5.0), tau=st.floats(-40.0, 40.0),
+       rise=st.floats(0.01, 1.0))
+def test_thermal_flat_window_invariants(lo, width, beta_inv, tau, rise):
+    h, hi = 0.3, lo + width
+    sd = rv.SpectralDensity.flat_window(h, lo, hi)
+    k, k_neg, k0 = rv.kernel_samples(sd, np.array([tau, -tau, 0.0]), beta_inv)
+    ref0 = tref.kappa(h, lo, hi, beta_inv, 0.0)
+    assert abs(k0 - ref0) <= 1e-12 * ref0.real
+    assert abs(k - tref.kappa(h, lo, hi, beta_inv, tau)) <= 1e-12 * ref0.real
+    assert k_neg == np.conj(k)
+    y = lo + 0.5 * width + 1j * rise * width
+    ref_y = tref.image(h, lo, hi, beta_inv, y)
+    assert abs(rv.correlation_laplace(sd, y, beta_inv) - ref_y) <= 1e-11 * abs(ref_y)
+    # the image tends to kappa(0)/y: total_strength/y only at zero temperature
+    far = 1e8j * hi
+    assert abs(far * rv.correlation_laplace(sd, far, beta_inv) - ref0) <= 1e-6 * ref0.real
+
+
+@settings(max_examples=30, deadline=2000)
+@given(lo=st.floats(0.2, 20.0), width=st.floats(0.1, 10.0),
+       beta_inv=st.floats(0.05, 5.0), tau=st.floats(-40.0, 40.0),
+       g2=st.lists(st.integers(0, 100), min_size=2, max_size=8))
+def test_thermal_table_invariants(lo, width, beta_inv, tau, g2):
+    # a table keeps its nodes: the trapezoid rule with occupation factors
+    omega = np.linspace(lo, lo + width, len(g2))
+    g2 = np.array(g2) / 100.0
+    sd = rv.SpectralDensity.tabulated(omega, g2)
+    coth = 1.0 / np.tanh(omega / (2.0 * beta_inv))
+    ref = np.trapezoid(g2 * (coth * np.cos(omega * tau) - 1j * np.sin(omega * tau)), omega)
+    ref0 = np.trapezoid(g2 * coth, omega)
+    k, k_neg, k0 = rv.kernel_samples(sd, np.array([tau, -tau, 0.0]), beta_inv)
+    assert abs(k0 - ref0) <= 1e-12 * ref0
+    assert abs(k - ref) <= 1e-12 * ref0
+    assert k_neg == np.conj(k)
+    far = 1e8j * omega[-1]
+    assert abs(far * rv.correlation_laplace(sd, far, beta_inv) - ref0) <= 1e-6 * ref0
 
 
 class TestDiscreteModes:
