@@ -22,7 +22,8 @@ jaynescummings
     series and plateau diagnostics.
 cli
     Scenario runner producing CSV trajectories and machine-readable
-    summaries.
+    summaries.  The package does not import it, so that
+    ``python -m nmkraus.cli`` runs it once.
 """
 
 __version__ = "0.1.0"
@@ -32,7 +33,6 @@ from . import laplace
 from . import kraus
 from . import dynamics
 from . import jaynescummings
-from . import cli
 
 __all__ = [
     "reservoir",
@@ -40,6 +40,5 @@ __all__ = [
     "kraus",
     "dynamics",
     "jaynescummings",
-    "cli",
     "__version__",
 ]

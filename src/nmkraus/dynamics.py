@@ -17,12 +17,7 @@ from scipy import linalg as sla
 
 from . import laplace as lp
 from . import reservoir as rv
-from .kraus import (
-    KrausZero,
-    SingularOperatorError,
-    SystemSpec,
-    _fold_modes,
-)
+from .kraus import KrausZero, SingularOperatorError, SystemSpec
 
 __all__ = [
     "BitemporalState",
@@ -392,16 +387,22 @@ def extract_density(xi: BitemporalState) -> DensityTrajectory:
                              herm_residual=herm)
 
 
-def two_level_trajectory(sys: SystemSpec, W: KrausZero, rho0, *,
-                         n_modes=4096) -> DensityTrajectory:
+def two_level_trajectory(sys: SystemSpec, W: KrausZero, rho0) -> DensityTrajectory:
     """Closed refill form for the single raising-lowering slot.
 
     For a two-level system whose only slot feeds the ground state, the
-    memory double integral factorizes over reservoir modes into a sum
-    of squared prefix integrals.  That gives the trajectory in O(grid x
-    modes) work and keeps every matrix positive semidefinite by
-    construction, which makes long weak-coupling runs affordable where
-    the full two-time sweep is not.
+    ground population gains the trapezoid double integral
+
+        refill_i = sum_{r,s<=i} c_r c_s a_r conj(a_s) kappa(t_s - t_r),
+
+    with ``a_r = dt W22(t_r) e^{-i w21 t_r}``, ``c`` the trapezoid
+    weights of ``[0, t_i]`` and ``kappa`` the kernel on the grid.  The
+    sums ``C_i = sum_{r<i} at_r kappa(t_i - t_r)``, where ``at`` is ``a``
+    with its first entry halved, are one causal FFT convolution, and
+    every prefix then follows from one cumulative sum: O(n log n) work,
+    where the full two-time sweep costs O(n^3).  The refill is a
+    quadratic form in a positive definite kernel (Bochner's theorem),
+    so every matrix stays positive semidefinite.
     """
     if sys.dim != 2:
         raise ValueError("refill form needs a two-level system")
@@ -413,22 +414,24 @@ def two_level_trajectory(sys: SystemSpec, W: KrausZero, rho0, *,
         raise ValueError("slot weight must be real and nonnegative")
     rho0 = _validate_density(rho0, 2)
 
-    nu, mw = _fold_modes(kern.sd, n_modes, kern.beta_inv)
     tg = W.grid
+    n = tg.shape[0] - 1
     dt = tg[1] - tg[0]
     w22 = W.values[:, 1, 1]
     w21 = sys.energies[1] - sys.energies[0]
-    npts = tg.shape[0]
-    refill = np.zeros(npts)
-    for lo in range(0, nu.shape[0], 256):
-        dnu = nu[lo:lo + 256] - w21
-        # e^{i t nu} on the uniform grid as a block phase times an
-        # in-block phase, t_{64b + r} = t_{64b} + t_r: one complex
-        # product per point instead of one complex exponential
-        f = np.exp(1j * np.outer(tg[::64], dnu))[:, None, :] * np.exp(1j * np.outer(tg[:64], dnu))
-        f = f.reshape(-1, dnu.size)[:npts] * w22[:, None]
-        pre = dt * (np.cumsum(f, axis=0) - 0.5 * (f + f[0][None, :]))
-        refill += (pre.real ** 2 + pre.imag ** 2) @ mw[lo:lo + 256]
+    kappa = kern.on_grid(tg)
+    k0 = kappa[0].real
+    kappa[0] = 0.0  # C_i sums the nodes r < i only
+    a = dt * w22 * np.exp(-1j * w21 * tg)
+    at = a.copy()
+    at[0] *= 0.5
+    nfft = sfft.next_fast_len(2 * n)
+    C = sfft.ifft(sfft.fft(at[:n], nfft) * sfft.fft(kappa, nfft))[: n + 1]
+    # Q_i: the form over the nodes r < i at full weight (at_0 halved)
+    inc = np.abs(at) ** 2 * k0 + 2.0 * (np.conj(at) * C).real
+    refill = np.concatenate([[0.0], np.cumsum(inc[:-1])])
+    refill += (np.conj(a) * C).real + 0.25 * np.abs(a) ** 2 * k0
+    refill[0] = 0.0
 
     mats = np.empty((tg.shape[0], 2, 2), dtype=complex)
     p2 = rho0[1, 1].real

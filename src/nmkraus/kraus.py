@@ -280,28 +280,6 @@ def solve_time_domain(sys: SystemSpec, T, dt, *, max_steps=2_000_000) -> KrausZe
 # Laplace-domain solver
 
 
-def _fold_modes(sd, n_modes, beta_inv):
-    """Mode expansion used to fold line deviations.
-
-    Flat windows use uniform midpoint nodes; Gauss nodes of this count
-    cost more to generate than they help, since binning onto the line
-    grid limits the resolution anyway.
-    """
-    if sd.family != "FlatWindow":
-        return rv.discrete_modes(sd, n_modes, beta_inv=beta_inv)
-    h, lo, hi = sd.params
-    d = (hi - lo) / n_modes
-    omega = lo + (np.arange(n_modes) + 0.5) * d
-    wq = np.full(n_modes, h * d)
-    if beta_inv == 0:
-        return omega, wq
-    nb = rv.thermal_occupation(omega, 1.0 / beta_inv)
-    return (
-        np.concatenate([omega, -omega]),
-        np.concatenate([(nb + 1.0) * wq, nb * wq]),
-    )
-
-
 def _cubic_interp(xg, yg, x):
     # uniform-grid 4-point Lagrange interpolation, vectorized over x
     h = xg[1] - xg[0]
@@ -328,21 +306,19 @@ class LaplaceKraus:
     is stored through its deviation from the free resolvent, so the
     free part of the collapsed integral uses the reservoir image
     ``correlation_laplace`` and rows without feedback are exact at any
-    depth.  A line that
-    would need more than 400,000 points raises LineResolutionError.
+    depth; the deviation is folded over 4,096 modes of
+    ``reservoir.discrete_modes``.  A line that would need more than
+    400,000 points raises LineResolutionError.
     """
 
-    def __init__(self, sys: SystemSpec, depth, *, n_modes=4096, window=None, spacing=None):
+    def __init__(self, sys: SystemSpec, depth):
         if depth < 1:
             raise ValueError("depth must be >= 1")
         self.system = sys
         self.depth = depth
-        self.n_modes = n_modes
-        self._window = window
-        self._spacing = spacing
         self._lines = {}
         self.cauchy = {}
-        self._modes = _fold_modes(sys.kernel.sd, n_modes, sys.kernel.beta_inv)
+        self._modes = rv.discrete_modes(sys.kernel.sd, 4096, sys.kernel.beta_inv)
 
     # -- internal line solve ------------------------------------------
 
@@ -351,20 +327,14 @@ class LaplaceKraus:
         sd = self.system.kernel.sd
         scale = sd.frequency_scale()
         radius = sd.support()[1]
-        if self._window is None:
-            lo = en.min() - radius - 30.0 * scale
-            hi = en.max() + 10.0 * scale
-        else:
-            lo, hi = self._window
-        if self._spacing is None:
-            dx = min(scale, max(imz, 0.05)) / 40.0
-        else:
-            dx = self._spacing
+        lo = en.min() - radius - 30.0 * scale
+        hi = en.max() + 10.0 * scale
+        dx = min(scale, max(imz, 0.05)) / 40.0
         npts = int(np.ceil((hi - lo) / dx)) + 1
         if npts > _MAX_LINE_POINTS:
             raise LineResolutionError(
-                f"line Im z = {imz:g} needs {npts} points at spacing {dx:.3g} "
-                f"(limit {_MAX_LINE_POINTS}); narrow the window or coarsen the spacing",
+                f"line Im z = {imz:g} needs {npts} points to cover [{lo:g}, {hi:g}] "
+                f"at spacing {dx:.3g} (limit {_MAX_LINE_POINTS})",
                 npts,
             )
         return np.linspace(lo, hi, max(npts, 16))
@@ -408,24 +378,36 @@ class LaplaceKraus:
         for mm in range(dim):
             chat_m[:, mm] = rv.correlation_laplace(kern.sd, zline - en[mm], kern.beta_inv)
 
+        k_s, m_s, n_s, j_s = kern.slots.T
+        # the slots read only the entries (pm[q], pn[q]) of the deviation;
+        # the folds and the slot sums run in batches of at most 4 MiB,
+        # which bounds the memory of a line solve
+        pairs, q_s = np.unique(np.stack([m_s, n_s], axis=1), axis=0, return_inverse=True)
+        pm, pn = pairs.T
+        q_s = q_s.reshape(-1)
+        diag = np.flatnonzero(pm == pn)
+        cols = max(1, (4 << 20) // (16 * nfft))
+        rows = max(1, (4 << 20) // (16 * q_s.size))
+
         W = free.copy()
         last_cauchy = np.inf
         for _ in range(self.depth):
-            corr = W - free
-            # M[i]_mn = sum_r A_r corr[i - r]_mn; the zero padding
+            corr = (W - free)[:, pm, pn]
+            # M[i, q] = sum_r A_r corr[i - r, q]; the zero padding
             # stands in for the negligible deviation outside the window
-            M = np.empty((npts, dim, dim), dtype=complex)
-            for mm in range(dim):
-                for nn in range(dim):
-                    cf = np.fft.fft(corr[:, mm, nn], nfft)
-                    M[:, mm, nn] = np.fft.ifft(cf * A)[:npts]
+            M = np.empty_like(corr)
+            for c in range(0, pm.size, cols):
+                cf = np.fft.fft(corr[:, c : c + cols], nfft, axis=0)
+                cf *= A[:, None]
+                M[:, c : c + cols] = np.fft.ifft(cf, axis=0)[:npts]
+            M[:, diag] += chat_m[:, pm[diag]]
             B = np.zeros((npts, dim, dim), dtype=complex)
             for k in range(dim):
                 B[:, k, k] = zline - en[k]
-            for (k, m, n_, j), w in zip(kern.slots, kern.weights):
-                B[:, k, j] -= w * (
-                    M[:, m, n_] + (chat_m[:, m] if m == n_ else 0.0)
-                )
+            # ufunc.at subtracts repeated (k, j) slots one by one, in slot order
+            for i0 in range(0, npts, rows):
+                vals = M[i0 : i0 + rows, q_s] * kern.weights
+                np.subtract.at(B[i0 : i0 + rows], (slice(None), k_s, j_s), vals)
             try:
                 Wnew = np.linalg.inv(B)
             except np.linalg.LinAlgError as exc:
@@ -518,7 +500,7 @@ def laplace_inverse_identity(sys: SystemSpec, W, z, *, y_height=0.0):
     out = np.diag(z - en).astype(complex)
     kern = sys.kernel
     evaluate = W.evaluate if isinstance(W, LaplaceKraus) else W
-    om, wq = _fold_modes(kern.sd, 4096, kern.beta_inv)
+    om, wq = rv.discrete_modes(kern.sd, 4096, kern.beta_inv)
     cache = {}
 
     def deviation(zz):

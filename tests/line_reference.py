@@ -1,0 +1,54 @@
+"""Entry-by-entry contour-line solve, kept as the reference for the batched one.
+
+This is the fixed-point loop of the original
+``kraus.LaplaceKraus._solve_line``: every iteration runs one FFT pair
+per matrix entry and walks the slots in Python to build the inverse.
+The batched solve does the same arithmetic and must agree with it bit
+for bit.
+"""
+
+import numpy as np
+
+from nmkraus import reservoir as rv
+
+
+def solve_line(lk, imz):
+    """``(xg, W, last_cauchy)`` of the line ``Im z = imz`` of ``lk``."""
+    xg = lk._line_points(imz)
+    zline = xg + 1j * imz
+    dim = lk.system.dim
+    en = np.asarray(lk.system.energies)
+    kern = lk.system.kernel
+    npts = len(xg)
+    free = np.zeros((npts, dim, dim), dtype=complex)
+    for k in range(dim):
+        free[:, k, k] = 1.0 / (zline - en[k])
+    h = (xg[-1] - xg[0]) / (npts - 1)
+    nfft = 1
+    while nfft < 2 * npts + 2:
+        nfft *= 2
+    A = np.fft.fft(lk._binned_weights(h, npts, nfft), nfft)
+    chat_m = np.empty((npts, dim), dtype=complex)
+    for mm in range(dim):
+        chat_m[:, mm] = rv.correlation_laplace(kern.sd, zline - en[mm], kern.beta_inv)
+
+    W = free.copy()
+    last_cauchy = np.inf
+    for _ in range(lk.depth):
+        corr = W - free
+        M = np.empty((npts, dim, dim), dtype=complex)
+        for mm in range(dim):
+            for nn in range(dim):
+                cf = np.fft.fft(corr[:, mm, nn], nfft)
+                M[:, mm, nn] = np.fft.ifft(cf * A)[:npts]
+        B = np.zeros((npts, dim, dim), dtype=complex)
+        for k in range(dim):
+            B[:, k, k] = zline - en[k]
+        for (k, m, n_, j), w in zip(kern.slots, kern.weights):
+            B[:, k, j] -= w * (M[:, m, n_] + (chat_m[:, m] if m == n_ else 0.0))
+        Wnew = np.linalg.inv(B)
+        last_cauchy = float(np.max(np.abs(Wnew - W)))
+        W = Wnew
+        if last_cauchy <= 1e-10:
+            break
+    return xg, W, last_cauchy

@@ -1,8 +1,12 @@
 """Scenario runner: configs, artifacts, audits, exit codes, comparison."""
 
 import json
+import os
+import subprocess
+import sys
 import textwrap
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -148,6 +152,18 @@ def _compare(capsys, a, b):
     return rc, (json.loads(cap.out) if rc == 0 else None), cap.err
 
 
+def test_module_entry_runs_once():
+    # runpy warns when the package has already imported nmkraus.cli
+    env = dict(os.environ)
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    res = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "nmkraus.cli", "--help"],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert res.returncode == 0, res.stderr
+
+
 class TestTwoLevelRuns:
     def test_trajectory_artifacts_and_audits(self, tmp_path):
         text = WW_BODY.format(height=0.0318, dt=0.01, T=20.0)
@@ -203,9 +219,9 @@ class TestTwoLevelRuns:
 
     def test_line_resolution_is_a_solver_error(self, tmp_path, capsys, monkeypatch):
         def runner(cfg, base, outdir):
-            sd = rv.SpectralDensity.lorentzian(1.0, 5.0, 1.0)
-            sys_ = kr.SystemSpec((0.0, 5.0), rv.kernel_table(sd, {(2, 1, 1, 2): 1.0}))
-            kr.LaplaceKraus(sys_, 8, spacing=1e-4).evaluate(5.0 + 0.5j)
+            sd = rv.SpectralDensity.lorentzian(0.5, 200.0, 1.0)
+            sys_ = kr.SystemSpec((0.0, 200.0), rv.kernel_table(sd, {(2, 1, 1, 2): 1.0}))
+            kr.LaplaceKraus(sys_, 8).evaluate(200.0 + 0.5j)
 
         monkeypatch.setitem(cli._SCENARIOS, "TwoLevelWW", runner)
         text = WW_BODY.format(height=0.0318, dt=0.01, T=5.0)

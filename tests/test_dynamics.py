@@ -8,8 +8,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import linalg as sla
 
 import bitemporal_reference
+import refill_reference
 from nmkraus import dynamics as dy
 from nmkraus import jaynescummings as jc
 from nmkraus import kraus as kr
@@ -260,6 +262,26 @@ def test_causal_solver_matches_dense_solve(P, m, leaf, seed):
     assert resid <= 1e-13
 
 
+def direct_refill(sys, W, prefixes):
+    """Refill at each prefix ``i`` as the trapezoid double sum over ``[0, t_i]``.
+
+    ``sum_{r,s<=i} c_r c_s a_r conj(a_s) kappa(t_s - t_r)`` with
+    ``a_r = dt W22(t_r) e^{-i w21 t_r}``, one quadratic form per prefix.
+    """
+    tg = W.grid
+    dt = tg[1] - tg[0]
+    a = dt * W.values[:, 1, 1] * np.exp(-1j * (sys.energies[1] - sys.energies[0]) * tg)
+    kappa = sys.kernel.on_grid(tg)
+    out = []
+    for i in prefixes:
+        b = a[: i + 1].copy()
+        b[0] *= 0.5
+        b[i] *= 0.5
+        # toeplitz conjugates the first row: K[s, r] = kappa(t_s - t_r)
+        out.append((np.conj(b) @ sla.toeplitz(kappa[: i + 1]) @ b).real)
+    return np.array(out)
+
+
 class TestRefill:
     def test_requires_radiative_structure(self):
         sd = rv.SpectralDensity.flat_window(0.05, 3.0, 7.0)
@@ -285,16 +307,54 @@ class TestRefill:
         (rv.SpectralDensity.flat_window(0.04, 4.0, 8.0), 6.0, 2.0),
         (rv.SpectralDensity.lorentzian(0.5, 200.0, 1.0), 200.0, 0.0),
     ], ids=["flat", "thermal_flat", "lorentzian"])
-    def test_phase_recurrence_matches_direct_exponentials(self, sd, w21, beta_inv):
-        # 1001 grid points: a ragged last block of the 64-row recurrence
+    def test_matches_direct_sum_and_mode_fold(self, sd, w21, beta_inv):
+        # criterion 01's step: the reference's 4096-mode fold misses the
+        # grid kernel's refill by about 5e-9 on the flat windows and
+        # 3.3e-7 on the Lorentzian, a gap that grows as dt^2 (1.6e-6 at
+        # dt 5e-3)
         sys = radiative(sd, w21, beta_inv)
-        W = kr.solve_time_domain(sys, 5.0, 0.005)
-        nu, mw = kr._fold_modes(sd, 4096, beta_inv)
-        f = np.exp(1j * np.outer(W.grid, nu - w21)) * W.values[:, 1, 1, None]
-        pre = 0.005 * (np.cumsum(f, axis=0) - 0.5 * (f + f[0]))
-        ref = np.abs(pre) ** 2 @ mw
-        traj = dy.two_level_trajectory(sys, W, EXCITED)
-        assert np.max(np.abs(traj.matrices[:, 0, 0] - ref)) <= 1e-13
+        W = kr.solve_time_domain(sys, 4.0, 2e-3)
+        refill = dy.two_level_trajectory(sys, W, EXCITED).matrices[:, 0, 0].real
+        prefixes = np.unique(np.r_[1:8, np.linspace(1, W.grid.size - 1, 40).astype(int)])
+        direct = direct_refill(sys, W, prefixes)
+        assert np.max(np.abs(refill[prefixes] - direct)) <= 1e-13 * np.max(refill)
+        assert np.max(np.abs(refill - refill_reference.refill(sys, W))) <= 1e-6
+
+    def test_halving_step_quarters_the_trace_drift(self):
+        # criterion 01's line: the trapezoid rule's drift is O(dt^2)
+        drifts = []
+        for dt in (2e-3, 1e-3):
+            W = kr.solve_time_domain(far_system(), 7.0, dt)
+            traj = dy.two_level_trajectory(far_system(), W, EXCITED)
+            drifts.append(np.max(traj.trace_errors()))
+        assert 3.5 <= drifts[0] / drifts[1] <= 4.5
+
+    @settings(max_examples=25, deadline=2000)
+    @given(
+        family=st.sampled_from(["flat", "lorentzian", "thermal"]),
+        w21=st.floats(3.0, 8.0),
+        strength=st.floats(0.01, 0.3),
+        width=st.floats(0.5, 3.0),
+        detuning=st.floats(-1.0, 1.0),
+        beta_inv=st.floats(0.2, 2.0),
+        n=st.integers(20, 300),
+    )
+    def test_generated_refill_is_nonnegative_and_direct(self, family, w21, strength,
+                                                        width, detuning, beta_inv, n):
+        center = w21 + detuning
+        if family == "lorentzian":
+            sd, beta_inv = rv.SpectralDensity.lorentzian(strength, center, width), 0.0
+        else:
+            sd = rv.SpectralDensity.flat_window(strength / width, center - width / 2,
+                                                center + width / 2)
+            beta_inv = beta_inv if family == "thermal" else 0.0
+        sys = radiative(sd, w21, beta_inv)
+        W = kr.solve_time_domain(sys, n * 0.02, 0.02)
+        refill = dy.two_level_trajectory(sys, W, EXCITED).matrices[:, 0, 0].real
+        prefixes = np.unique(np.linspace(1, n, 25).astype(int))
+        assert refill[0] == 0.0 and np.min(refill[1:]) >= 0.0
+        direct = direct_refill(sys, W, prefixes)
+        assert np.max(np.abs(refill[prefixes] - direct)) <= 1e-13 * np.max(refill)
 
     def test_exactly_positive(self):
         fast = dy.two_level_trajectory(far_system(), far_propagator(), RHO)
@@ -353,7 +413,7 @@ class TestMarkovianLimit:
             kern = rv.kernel_table(sd, {(2, 1, 1, 2): lam**2})
             sys = kr.SystemSpec((0.0, w21), kern)
             W = kr.solve_time_domain(sys, 1.5 / g_eff, 3e-4 / g_eff)
-            traj = dy.two_level_trajectory(sys, W, RHO, n_modes=2048)
+            traj = dy.two_level_trajectory(sys, W, RHO)
             ref = dy.markovian_channel(g_eff, 0.0, RHO, traj.times)
             devs.append(np.max(np.abs(traj.matrices - ref)))
         assert devs[0] > devs[1] > devs[2]

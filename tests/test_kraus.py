@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import line_reference
 import thermal_reference
 import volterra_reference
 from nmkraus import jaynescummings as jc
@@ -288,12 +289,27 @@ class TestLaplaceDomain:
             kr.solve_continued_fraction(sys, 8, [5.0 + 0.0j])
 
     def test_line_resolution_error(self):
-        # 220 wide at spacing 1e-4 asks for 2.2M line points
-        lk = kr.LaplaceKraus(near_resonant(), 8, spacing=1e-4)
-        with pytest.raises(kr.LineResolutionError, match="2200001 points") as info:
-            lk.evaluate(5.0 + 0.5j)
+        # criterion 01's line: the Lorentzian's support reaches far past
+        # the 0.0125 spacing of Im z = 0.5, 672,801 line points
+        sd = rv.SpectralDensity.lorentzian(0.5, 200.0, 1.0)
+        sys = kr.SystemSpec((0.0, 200.0), rv.kernel_table(sd, {(2, 1, 1, 2): 1.0}))
+        lk = kr.LaplaceKraus(sys, 8)
+        with pytest.raises(kr.LineResolutionError, match="672801 points") as info:
+            lk.evaluate(200.0 + 0.5j)
         assert isinstance(info.value, ValueError)
-        assert info.value.npts == 2_200_001
+        assert info.value.npts == 672_801
+
+    def test_batched_line_solve_matches_entry_loop(self):
+        # dressed ladder: 5 levels, repeated (k, j) slots
+        ladder = jc.build_dressed_system(
+            jc.DressedBasis(0.0, 20.0, 0.3, 1), rv.SpectralDensity.flat_window(0.0318, 18.0, 22.0)
+        )
+        lk = kr.LaplaceKraus(ladder, 8)
+        xg, W, cauchy = lk._solve_line(2.0)
+        ref_xg, ref_W, ref_cauchy = line_reference.solve_line(lk, 2.0)
+        assert np.array_equal(xg, ref_xg)
+        assert np.array_equal(W, ref_W)
+        assert cauchy == ref_cauchy
 
     def test_singular_near_real_axis(self):
         sys = near_resonant()
