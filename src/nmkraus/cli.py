@@ -9,7 +9,8 @@ unit in the name (``dt_time``, ``center_per_time``) so rescaled inputs
 cannot be mixed up silently.
 
 Exit codes: 0 all audits within tolerance, 1 an audit exceeded its
-tolerance, 2 config or comparison-input error, 3 solver failure.
+tolerance, 2 config or comparison-input error, 3 solver failure, 4 an
+unexpected internal error (its traceback goes to stderr).
 
 ``compare`` diffs the artifacts of two finished runs column by column;
 grids may differ by an integer subsampling factor, anything else is a
@@ -25,6 +26,7 @@ import argparse
 import json
 import math
 import sys
+import traceback
 import warnings
 from pathlib import Path
 
@@ -162,7 +164,7 @@ def _initial_two_level(cfg, path="initial"):
         ]
     )
     try:
-        return dy._validate_density(rho, 2)
+        return dy.validate_density(rho, 2)
     except dy.StateValidationError as e:
         raise ConfigError(f"{path}: {e}") from e
 
@@ -178,7 +180,7 @@ def _initial_matrix(cfg, dim):
     if re.shape != (dim, dim) or im.shape != (dim, dim):
         raise ConfigError(f"initial.rho_re must be a {dim}x{dim} matrix")
     try:
-        return dy._validate_density(re + 1j * im, dim)
+        return dy.validate_density(re + 1j * im, dim)
     except dy.StateValidationError as e:
         raise ConfigError(f"initial: {e}") from e
 
@@ -673,6 +675,9 @@ def main(argv=None):
     except ShapeMismatchError as e:
         print(f"compare error: {e}", file=sys.stderr)
         return 2
+    except Exception:
+        traceback.print_exc()
+        return 4
 
 
 if __name__ == "__main__":

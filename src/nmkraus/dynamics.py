@@ -33,6 +33,7 @@ __all__ = [
     "markovian_channel",
     "solve_bitemporal",
     "two_level_trajectory",
+    "validate_density",
     "wigner_weisskopf",
 ]
 
@@ -53,7 +54,12 @@ class FieldSizeError(MemoryError):
         self.nbytes = nbytes
 
 
-def _validate_density(rho0, dim):
+def validate_density(rho0, dim):
+    """Return ``rho0`` as a complex ``dim x dim`` density matrix.
+
+    Raises StateValidationError unless it is Hermitian, of unit trace
+    and positive semidefinite.
+    """
     rho0 = np.asarray(rho0, dtype=complex)
     if rho0.shape != (dim, dim):
         raise StateValidationError(f"initial state must be {dim}x{dim}")
@@ -279,7 +285,7 @@ def solve_bitemporal(sys: SystemSpec, W: KrausZero, rho0, T, dt) -> BitemporalSt
         message names its rows.
     """
     dim = sys.dim
-    rho0 = _validate_density(rho0, dim)
+    rho0 = validate_density(rho0, dim)
     if dt <= 0 or T <= 0:
         raise ValueError("need T > 0 and dt > 0")
     n = int(round(T / dt))
@@ -412,7 +418,7 @@ def two_level_trajectory(sys: SystemSpec, W: KrausZero, rho0) -> DensityTrajecto
     wgt = kern.weights[0]
     if abs(wgt.imag) > 1e-12 * abs(wgt) or wgt.real < 0:
         raise ValueError("slot weight must be real and nonnegative")
-    rho0 = _validate_density(rho0, 2)
+    rho0 = validate_density(rho0, 2)
 
     tg = W.grid
     n = tg.shape[0] - 1

@@ -183,7 +183,7 @@ class JCInitialState:
 
     def __post_init__(self):
         ra = np.asarray(self.rho_a, dtype=complex)
-        dy._validate_density(ra, 2)
+        dy.validate_density(ra, 2)
         object.__setattr__(self, "rho_a", ra)
         if int(self.p) != self.p or self.p < 0:
             raise ValueError("photon number must be an integer >= 0")
@@ -372,29 +372,15 @@ class SeriesResult:
         return 1.0 - self.excited
 
 
-def _line_invert(gline, x0, h, eta, nfft, n_t):
-    # (1/2pi) int dx e^{-i(x + i eta) t} G along the uniform line, as an
-    # FFT with trapezoid end weights; output on t_k = k * 2pi/(nfft*h)
-    gw = np.array(gline, dtype=complex)
-    gw[..., 0] *= 0.5
-    gw[..., -1] *= 0.5
-    spec = np.fft.fft(gw, n=nfft, axis=-1)[..., :n_t]
-    tk = (2.0 * np.pi / (nfft * h)) * np.arange(n_t)
-    return (h / (2.0 * np.pi)) * np.exp((eta - 1j * x0) * tk) * spec
+# contour margin beyond the outermost pole locations, warning level of
+# the last retained order, and memory budget of one block of phases
+_WINDOW_PAD = 4.0
+_TRUNCATION_TOL = 2e-2
+_PHASE_BYTES = 4 << 20
 
 
 def atomic_population_series(
-    basis: DressedBasis,
-    sd: rv.SpectralDensity,
-    init: JCInitialState,
-    times,
-    r_max,
-    *,
-    im_height=None,
-    line_step=None,
-    outer_step=None,
-    window_pad=4.0,
-    truncation_tol=2e-2,
+    basis: DressedBasis, sd: rv.SpectralDensity, init: JCInitialState, times, r_max
 ):
     """Excited-state population by iterating the two-time solution.
 
@@ -404,27 +390,34 @@ def atomic_population_series(
     number vanish identically.  Order ``r`` costs one nested comb sum
     per extra exchanged quantum.
 
+    Every line is inverted at the requested times themselves: on the
+    line nodes ``x_j = wlo + j h`` the amplitude at ``t_k`` is a product
+    with the phase matrix ``P[j, k] = (h / 2pi) w_j e^{eta t_k}
+    e^{-i x_j t_k}``, with trapezoid weights ``w_j``.  The cost grows
+    linearly with the number of times, which are taken in blocks whose
+    phases hold at most 4 MiB.  The contour height ``eta = 2 / T``, the
+    line step ``h = min(eta / 4, width / 400)`` and the comb step
+    ``max(2 h, pi / (2 T))`` of the order >= 1 sums follow the final
+    time ``T`` alone, so the value at a time does not depend on which
+    other times are requested.
+
     Parameters
     ----------
     basis, sd : ladder basis and reservoir weight
     init : JCInitialState
     times : ndarray
-        Ascending, nonnegative; the final entry sets contour height and
-        output resolution.
+        Ascending, nonnegative; the final entry sets the contour height
+        and the line resolution.
     r_max : int
         Highest retained order.
-    im_height, line_step, outer_step : float, optional
-        Contour height, line resolution, and comb step of the
-        order >= 1 frequency sums.  Defaults scale with the time span.
-    window_pad : float, optional
-        Contour margin beyond the outermost pole locations.
-    truncation_tol : float, optional
-        Warn when the last retained order peaks above this while
-        further orders remain.
 
     Returns
     -------
     SeriesResult
+        ``term_peaks`` holds each order's peak over the requested
+        times.  ``truncation_estimate`` is the last retained order's
+        peak while further orders remain, else 0; above 2e-2 it also
+        raises a warning.
     """
     times = np.asarray(times, dtype=float)
     if (
@@ -444,10 +437,9 @@ def atomic_population_series(
     T = float(times[-1])
     if T <= 0:
         raise ValueError("the final time must be positive")
-    eta = im_height if im_height is not None else 2.0 / T
+    eta = 2.0 / T
     lo, hi = sd.support()
-    h = line_step if line_step is not None else min(eta / 4.0, (hi - lo) / 400.0)
-    h = min(h, eta / 4.0)
+    h = min(eta / 4.0, (hi - lo) / 400.0)
     q0, q1, _ = _comb(sd, h)
 
     r_cap = int(min(r_max, p))
@@ -470,31 +462,16 @@ def atomic_population_series(
             top = max(top, lev)
             wlo = min(wlo, basis.energy(-1, lev) - s * q1 * h)
             whi = max(whi, basis.energy(1, lev) - s * q0 * h)
-    wlo -= window_pad
-    whi += window_pad
+    wlo -= _WINDOW_PAD
+    whi += _WINDOW_PAD
     n_line = int(math.ceil((whi - wlo) / h)) + 1
     n_vis = n_line + r_cap * q1
     blocks = _line_blocks(basis, sd, wlo, h, n_vis, eta, top)
 
-    span = (n_vis - 1) * h
-    dt_target = min(T / max(256.0, 2.0 * times.size), 1.5 / span)
-    nfft = 1 << max(
-        int(math.ceil(math.log2(max(n_line, 2.0 * np.pi / (h * dt_target))))), 8
-    )
-    dt_out = 2.0 * np.pi / (nfft * h)
-    n_t = int(T / dt_out) + 2
-    while n_t > 0.45 * nfft:
-        nfft *= 2
-        dt_out = 2.0 * np.pi / (nfft * h)
-        n_t = int(T / dt_out) + 2
-    tk = dt_out * np.arange(n_t)
-
     # outer comb for the order >= 1 sums; multiples of h keep every
     # shifted factor argument on the master line
-    step_req = (
-        outer_step if outer_step is not None else max(2.0 * h, np.pi / (2.0 * T))
-    )
-    stride = max(1, min(int(round(step_req / h)), (q1 - q0) // 8))
+    step = max(2.0 * h, np.pi / (2.0 * T))
+    stride = max(1, min(int(round(step / h)), (q1 - q0) // 8))
     oidx = np.arange(q0, q1 + 1, stride)
     if oidx[-1] != q1:
         oidx = np.append(oidx, q1)
@@ -505,77 +482,78 @@ def atomic_population_series(
     trap[1:-1] = 0.5 * (gaps[:-1] + gaps[1:])
     ow = sd.weight(oidx * h) * trap
 
-    total = np.zeros(n_t)
-    peaks = {}
+    # per term: the line factor of its first level (for r = 0 with the
+    # two poles taken out, their part inverts in closed form), the
+    # factors of the levels above it, and the two pole frequencies
+    xline = wlo + h * np.arange(n_line)
+    parts = []
     for r, n1, diag_weight, last_vec in terms:
         lev0 = n1 + 1
-        coeff = diag_weight / 4.0 ** (r + 1)
         u0 = last_vec if r == 0 else _ONES
-        rows = (blocks[lev0] * u0[None, None, :]).sum(axis=-1)
+        rows = (blocks[lev0][:n_line] * u0).sum(axis=-1)
         omegas = np.array([basis.energy(-1, lev0), basis.energy(1, lev0)])
         if r == 0:
-            xline = wlo + h * np.arange(n_line) + 1j * eta
-            amp = np.zeros(n_t, dtype=complex)
-            for ie in (0, 1):
-                rest = rows[:n_line, ie] - u0[ie] / (xline - omegas[ie])
-                a_rest = _line_invert(rest, wlo, h, eta, nfft, n_t)
-                a_full = a_rest - 1j * u0[ie] * np.exp(-1j * omegas[ie] * tk)
-                amp += _SIGN[ie] * np.exp(1j * omegas[ie] * tk) * a_full
-            term = np.abs(amp) ** 2
-        else:
-            inner = [
-                (
-                    (blocks[lev0 + s] * (_ONES if s < r else last_vec)).sum(axis=-1)
-                    * _SIGN
-                ).sum(axis=-1)
-                for s in range(1, r + 1)
-            ]
-            term = _sum_orders(
-                rows, inner, ow, oidx, n_line, wlo, h, eta, nfft, n_t, omegas, tk
-            )
-        total += coeff * term
-        peaks[r] = peaks.get(r, 0.0) + coeff * float(np.max(term))
+            rows = rows - u0 / (xline[:, None] + 1j * eta - omegas)
+        inner = [
+            (
+                (blocks[lev0 + s] * (_ONES if s < r else last_vec)).sum(axis=-1)
+                * _SIGN
+            ).sum(axis=-1)
+            for s in range(1, r + 1)
+        ]
+        parts.append((r, diag_weight / 4.0 ** (r + 1), rows, inner, u0, omegas))
 
+    wts = np.full(n_line, h / (2.0 * np.pi))
+    wts[[0, -1]] *= 0.5
+    nb = max(1, _PHASE_BYTES // (16 * n_line))
+    total = np.zeros(times.size)
+    peak = np.zeros(len(parts))
+    for b in range(0, times.size, nb):
+        tb = times[b : b + nb]
+        P = wts[:, None] * np.exp(np.outer(eta - 1j * xline, tb))
+        for i, (r, coeff, rows, inner, u0, omegas) in enumerate(parts):
+            phase = _SIGN[:, None] * np.exp(1j * np.outer(omegas, tb))
+            if r == 0:
+                amp = (phase * (rows.T @ P)).sum(axis=0) - 1j * (_SIGN * u0).sum()
+                term = np.abs(amp) ** 2
+            else:
+                term = _sum_orders(P * (rows @ phase), inner, ow, oidx)
+            total[b : b + nb] += coeff * term
+            peak[i] = max(peak[i], float(np.max(term)))
+
+    peaks = {}
+    for (r, coeff, *_), pk in zip(parts, peak):
+        peaks[r] = peaks.get(r, 0.0) + coeff * pk
     last_peak = peaks.get(r_cap, 0.0) if r_cap < p else 0.0
-    if last_peak > truncation_tol:
+    if last_peak > _TRUNCATION_TOL:
         warnings.warn(
             f"series truncation estimate {last_peak:.2e} exceeds "
-            f"{truncation_tol:.1e}; consider r_max = {r_max + 1}",
+            f"{_TRUNCATION_TOL:.1e}; consider r_max = {r_max + 1}",
             stacklevel=2,
         )
-    excited = np.clip(np.real(kr._cubic_interp(tk, total, times)), 0.0, None)
     return SeriesResult(
-        times, excited, tuple(peaks[r] for r in sorted(peaks)), last_peak
+        times, total, tuple(peaks[r] for r in sorted(peaks)), last_peak
     )
 
 
-def _sum_orders(rows, inner, ow, oidx, n_line, wlo, h, eta, nfft, n_t, omegas, tk):
-    # nested comb sums over the order-r frequency weights; the last
-    # level is batched, outer ones recurse (cost grows as comb**r)
-    r = len(inner)
-    phase = np.exp(1j * np.outer(omegas, tk))
-
-    def accumulate(depth, base, gpart):
-        if depth == r - 1:
-            win = sliding_window_view(inner[depth], n_line)[base + oidx]
-            out = np.zeros(n_t)
-            for i0 in range(0, oidx.size, 64):
-                seg = win[i0 : i0 + 64] * gpart[None, :]
-                amp = np.zeros((seg.shape[0], n_t), dtype=complex)
-                for ie in (0, 1):
-                    a = _line_invert(
-                        seg * rows[:n_line, ie][None, :], wlo, h, eta, nfft, n_t
-                    )
-                    amp += _SIGN[ie] * phase[ie][None, :] * a
-                out += ow[i0 : i0 + 64] @ (np.abs(amp) ** 2)
-            return out
-        out = np.zeros(n_t)
-        for j, o in enumerate(oidx):
-            gnext = gpart * inner[depth][base + o : base + o + n_line]
-            out += ow[j] * accumulate(depth + 1, base + o, gnext)
+def _sum_orders(Q, inner, ow, oidx, base=0, gpart=1.0):
+    # nested comb sums over the order-r frequency weights at the times
+    # of one block; Q carries the first level's factor, both poles'
+    # phases and the inversion weights, so the batched last level is one
+    # product per 64 comb nodes; outer levels recurse (cost grows as
+    # comb**r)
+    n_line, n_t = Q.shape
+    out = np.zeros(n_t)
+    if len(inner) == 1:
+        win = sliding_window_view(inner[0], n_line)[base + oidx]
+        for i0 in range(0, oidx.size, 64):
+            amp = (win[i0 : i0 + 64] * gpart) @ Q
+            out += ow[i0 : i0 + 64] @ (np.abs(amp) ** 2)
         return out
-
-    return accumulate(0, 0, np.ones(n_line))
+    for j, o in enumerate(oidx):
+        gnext = gpart * inner[0][base + o : base + o + n_line]
+        out += ow[j] * _sum_orders(Q, inner[1:], ow, oidx, base + o, gnext)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -671,7 +649,7 @@ def entropy_limit_scan(
     if rho_a is None:
         rho_a = np.array([[0.0, 0.0], [0.0, 1.0]])
     ra = np.asarray(rho_a, dtype=complex)
-    dy._validate_density(ra, 2)
+    dy.validate_density(ra, 2)
     gf2 = float(sd.weight(basis.omega_f))
     rows = []
     for lam in lams:

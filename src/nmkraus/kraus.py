@@ -281,11 +281,12 @@ def solve_time_domain(sys: SystemSpec, T, dt, *, max_steps=2_000_000) -> KrausZe
 
 
 def _cubic_interp(xg, yg, x):
-    # uniform-grid 4-point Lagrange interpolation, vectorized over x
+    # uniform-grid 4-point Lagrange interpolation along the first axis of
+    # yg, vectorized over x; the weights broadcast over yg's other axes
     h = xg[1] - xg[0]
     u = (np.asarray(x) - xg[0]) / h
     i = np.clip(np.floor(u).astype(int), 1, len(xg) - 3)
-    s = u - i
+    s = (u - i).reshape(u.shape + (1,) * (yg.ndim - 1))
     ym1, y0, y1, y2 = yg[i - 1], yg[i], yg[i + 1], yg[i + 2]
     return (
         ym1 * (-s * (s - 1) * (s - 2) / 6)
@@ -441,10 +442,7 @@ class LaplaceKraus:
             for k in range(dim):
                 out[k, k] = 1.0 / (z - self.system.energies[k])
             return out
-        key = z.imag
-        if key not in self._lines:
-            self._solve_line(key)
-        xg, W, _ = self._lines[key]
+        xg, W, _ = self._line(z.imag)
         if not xg[0] <= z.real <= xg[-1]:
             # outside the stored window the deviation from the free
             # resolvent is negligible by its 1/z^2 decay
@@ -452,34 +450,34 @@ class LaplaceKraus:
             for k in range(dim):
                 out[k, k] = 1.0 / (z - self.system.energies[k])
             return out
-        out = np.empty((dim, dim), dtype=complex)
-        xq = np.array([z.real])
-        for a in range(dim):
-            for b in range(dim):
-                out[a, b] = _cubic_interp(xg, W[:, a, b], xq)[0]
-        return out
+        return _cubic_interp(xg, W, np.array([z.real]))[0]
 
     def cauchy_at(self, z):
         """Final iteration update size on the line through z."""
-        key = complex(z).imag
-        if key not in self._lines:
-            self._solve_line(key)
-        return self._lines[key][2]
+        return self._line(complex(z).imag)[2]
+
+    def _line(self, imz):
+        if imz not in self._lines:
+            self._solve_line(imz)
+        return self._lines[imz]
 
 
-def laplace_inverse_identity(sys: SystemSpec, W, z, *, y_height=0.0):
+def laplace_inverse_identity(sys: SystemSpec, W: LaplaceKraus, z, *, y_height=0.0):
     """Matrix I(z) with I(z) W(z) = identity for the converged image.
 
     Entry (k, l) is ``(z - w_k) delta_kl`` minus the slot-weighted
     collapsed integral of W over the reservoir spectrum; the free part
     of W collapses through the reservoir image ``correlation_laplace``,
-    the deviation through the discrete mode expansion.
+    the deviation through the discrete mode expansion.  Every shifted
+    point ``z - omega_a`` lies on W's stored line at ``Im z``, so the
+    deviation at all modes is one interpolation along that line, read
+    as zero outside its window as :meth:`LaplaceKraus.evaluate` does.
 
     Parameters
     ----------
     sys : SystemSpec
-    W : LaplaceKraus or callable
-        Laplace-domain propagator evaluator.
+    W : LaplaceKraus
+        Laplace-domain propagator whose values enter the integral.
     z : complex
         Must satisfy ``Im z > y_height``.
     y_height : float, optional
@@ -499,20 +497,19 @@ def laplace_inverse_identity(sys: SystemSpec, W, z, *, y_height=0.0):
     en = np.asarray(sys.energies)
     out = np.diag(z - en).astype(complex)
     kern = sys.kernel
-    evaluate = W.evaluate if isinstance(W, LaplaceKraus) else W
     om, wq = rv.discrete_modes(kern.sd, 4096, kern.beta_inv)
-    cache = {}
-
-    def deviation(zz):
-        if zz not in cache:
-            M = np.array(evaluate(zz), dtype=complex)
-            for k in range(dim):
-                M[k, k] -= 1.0 / (zz - en[k])
-            cache[zz] = M
-        return cache[zz]
-
+    dev = np.zeros((om.size, dim, dim), dtype=complex)
+    if W.system.kernel.weights.size:
+        if z.imag <= 0:
+            raise ContourOrderingError("evaluator requires Im z > 0")
+        xg, line, _ = W._line(z.imag)
+        x = z.real - om
+        a = np.flatnonzero((xg[0] <= x) & (x <= xg[-1]))
+        dev[a] = _cubic_interp(xg, line, x[a])
+        diag = np.arange(dim)
+        dev[a[:, None], diag, diag] -= 1.0 / ((z - om[a])[:, None] - en)
     for (k, m, n_, j), w in zip(kern.slots, kern.weights):
-        acc = sum(a * deviation(z - nu)[m, n_] for nu, a in zip(om, wq))
+        acc = wq @ dev[:, m, n_]
         if m == n_:
             acc = acc + rv.correlation_laplace(kern.sd, z - en[m], kern.beta_inv)
         out[k, j] -= w * acc

@@ -9,7 +9,7 @@ with it to rounding.
 
 import numpy as np
 
-from nmkraus.dynamics import BitemporalState, GridMismatchError, _validate_density
+from nmkraus.dynamics import BitemporalState, GridMismatchError, validate_density
 from nmkraus.kraus import SystemSpec, KrausZero
 
 
@@ -43,7 +43,7 @@ def solve_bitemporal(sys: SystemSpec, W: KrausZero, rho0, T, dt, *,
         If a node's fixed point stalls, with ``step`` set to its row.
     """
     dim = sys.dim
-    rho0 = _validate_density(rho0, dim)
+    rho0 = validate_density(rho0, dim)
     if dt <= 0 or T <= 0:
         raise ValueError("need T > 0 and dt > 0")
     n = int(round(T / dt))

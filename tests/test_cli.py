@@ -229,6 +229,18 @@ class TestTwoLevelRuns:
         assert rc == 3
         assert "LineResolutionError" in capsys.readouterr().err
 
+    def test_internal_error_has_its_own_exit_code(self, tmp_path, capsys, monkeypatch):
+        def runner(cfg, base, outdir):
+            return {}["missing"]
+
+        monkeypatch.setitem(cli._SCENARIOS, "TwoLevelWW", runner)
+        text = WW_BODY.format(height=0.0318, dt=0.01, T=5.0)
+        rc, _ = _run(tmp_path, "bug.yaml", text, "out")
+        assert rc == 4
+        err = capsys.readouterr().err
+        assert "Traceback" in err
+        assert "KeyError: 'missing'" in err
+
     def test_missing_config_file(self, tmp_path, capsys):
         rc = cli.main(["run", str(tmp_path / "nope.yaml"), "--out", str(tmp_path)])
         assert rc == 2

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import recursion_reference
+import series_reference
 import nmkraus.dynamics as dy
 import nmkraus.jaynescummings as jc
 import nmkraus.kraus as kr
@@ -416,6 +417,51 @@ class TestSeries:
             jc.atomic_population_series(
                 small_basis(), window_sd(), init, np.linspace(0, 1, 5), -1
             )
+
+
+# criterion 07's ladder and request, and the p = 2, r = 2 case of
+# TestOverlapSaveAgreement: (basis, init, times, r_max)
+SERIES_CASES = {
+    "criterion_07": (
+        small_basis, jc.JCInitialState(EXCITED_A, 1), np.linspace(0.0, 60.0, 321), 2
+    ),
+    "p2_r2": (
+        lambda: jc.DressedBasis(0.0, W_F, COUPLING, 2),
+        jc.JCInitialState(RHO_A, 2),
+        np.linspace(0.0, 0.25 / GAMMA, 41),
+        2,
+    ),
+}
+
+
+class TestSeriesAtRequestedTimes:
+    @pytest.mark.parametrize("case", sorted(SERIES_CASES))
+    def test_matches_dense_grid_route(self, case):
+        # times on the reference's FFT grid, ending at the same final
+        # time so that the contour height and line step agree
+        make_basis, init, t, r_max = SERIES_CASES[case]
+        basis = make_basis()
+        tk, total, _ = series_reference.dense_series(basis, window_sd(), init, t, r_max)
+        sel = np.flatnonzero(tk < t[-1])[::5]
+        res = jc.atomic_population_series(
+            basis, window_sd(), init, np.append(tk[sel], t[-1]), r_max
+        )
+        assert np.max(np.abs(res.excited[:-1] - total[sel])) <= 1e-12 * np.max(total)
+
+    def test_values_do_not_depend_on_other_times(self):
+        # criterion 07's 321 times span several 4 MiB phase blocks
+        basis, init, t, r_max = SERIES_CASES["criterion_07"]
+        full = jc.atomic_population_series(basis(), window_sd(), init, t, r_max)
+        sub = jc.atomic_population_series(basis(), window_sd(), init, t[::5], r_max)
+        assert np.max(np.abs(sub.excited - full.excited[::5])) <= 1e-13
+
+    def test_peaks_are_taken_over_the_requested_times(self):
+        # an atom in its ground state with one photon peaks between the
+        # coarse times; the peak is read at the times, not between them
+        t = np.linspace(0.0, 3.0 / GAMMA, 13)
+        init = jc.JCInitialState(np.diag([1.0, 0.0]), 1)
+        res = jc.atomic_population_series(small_basis(), window_sd(), init, t, 0)
+        assert res.truncation_estimate == res.term_peaks[0] == np.max(res.excited)
 
 
 class TestPlateauOracle:

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import identity_reference
 import line_reference
 import thermal_reference
 import volterra_reference
@@ -257,7 +258,7 @@ class TestLaplaceDomain:
         sys = kr.SystemSpec((0.0, 3.0), rv.kernel_table(
             rv.SpectralDensity.flat_window(0.1, 1.0, 2.0), {}))
         z = 0.7 + 0.9j
-        out = kr.laplace_inverse_identity(sys, lambda zz: np.eye(2), z)
+        out = kr.laplace_inverse_identity(sys, kr.LaplaceKraus(sys, 1), z)
         assert np.max(np.abs(out - np.diag(z - np.array([0.0, 3.0])))) == 0
 
     def test_identity_matches_closed_two_level_entry(self):
@@ -277,6 +278,24 @@ class TestLaplaceDomain:
             ident = kr.laplace_inverse_identity(sys, lk, z)
             resid = ident @ lk.evaluate(z) - np.eye(2)
             assert np.max(np.abs(resid)) < 1e-6
+
+    @pytest.mark.parametrize("case", ["zero_temperature", "thermal", "dressed_ladder"])
+    def test_identity_matches_mode_loop(self, case):
+        if case == "zero_temperature":
+            sys, z = near_resonant(), 5.0 + 0.5j
+        elif case == "thermal":
+            sys = two_level(rv.SpectralDensity.flat_window(0.04, 4.0, 8.0), 2.0, 6.0)
+            z = 6.0 + 3.5j
+        else:
+            sys = jc.build_dressed_system(
+                jc.DressedBasis(0.0, 20.0, 0.3, 1),
+                rv.SpectralDensity.flat_window(0.0318, 18.0, 22.0),
+            )
+            z = 19.5 + 2.0j
+        lk = kr.solve_continued_fraction(sys, 16, [z])
+        got = kr.laplace_inverse_identity(sys, lk, z)
+        ref = identity_reference.laplace_inverse_identity(sys, lk, z)
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
     def test_contour_ordering_errors(self):
         sys = near_resonant()
@@ -430,10 +449,11 @@ class TestThermalIdentityFreePart:
         # the free resolvent has no deviation, so only the reservoir image
         # of the diagonal slot enters the identity
         h, lo, hi, binv = 0.2, 4.5, 5.5, 0.8
-        sys = two_level(rv.SpectralDensity.flat_window(h, lo, hi), binv, 5.0)
+        sd = rv.SpectralDensity.flat_window(h, lo, hi)
+        sys = two_level(sd, binv, 5.0)
+        free = kr.LaplaceKraus(kr.SystemSpec((0.0, 5.0), rv.kernel_table(sd, {})), 1)
         z = 5.0 + 0.5j
-        ident = kr.laplace_inverse_identity(
-            sys, lambda zz: np.diag(1.0 / (zz - np.array([0.0, 5.0]))), z)
+        ident = kr.laplace_inverse_identity(sys, free, z)
         ref = z - 5.0 - thermal_reference.image(h, lo, hi, binv, z)
         assert abs(ident[1, 1] - ref) < 1e-12 * abs(ref)
         assert ident[0, 0] == z
