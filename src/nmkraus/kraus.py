@@ -34,6 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
+from scipy import fft as sfft
 
 from . import reservoir as rv
 
@@ -310,6 +311,19 @@ class LaplaceKraus:
     depth; the deviation is folded over 4,096 modes of
     ``reservoir.discrete_modes``.  A line that would need more than
     400,000 points raises LineResolutionError.
+
+    A line is solved on the diagonal blocks the slots can reach.  Every
+    state starts in its own block, and a slot ``(k, m, n, j)`` whose
+    ``m`` and ``n`` share a block merges the blocks of ``k`` and ``j``,
+    until nothing merges.  The free resolvent is diagonal and the
+    inverse of a block-diagonal matrix is block-diagonal, so every
+    iterate is exactly zero outside the blocks, and the slots that
+    would read such a zero are dropped.  One iteration folds the read
+    entries by an FFT convolution just long enough not to wrap around
+    (the line plus the span of the binned mode offsets), taken in
+    batches of columns of at most 4 MiB; builds the block entries of
+    the inverse by one product with the summed slot weights; and
+    inverts each group of equal-size blocks in one batched call.
     """
 
     def __init__(self, sys: SystemSpec, depth):
@@ -320,6 +334,35 @@ class LaplaceKraus:
         self._lines = {}
         self.cauchy = {}
         self._modes = rv.discrete_modes(sys.kernel.sd, 4096, sys.kernel.beta_inv)
+        dim = sys.dim
+        k, m, n, j = sys.kernel.slots.T
+        label = np.arange(dim)
+        merged = True
+        while merged:
+            merged = False
+            for s in np.flatnonzero(label[m] == label[n]):
+                if label[k[s]] != label[j[s]]:
+                    label[label == label[k[s]]] = label[j[s]]
+                    merged = True
+        blocks = sorted((np.flatnonzero(label == b) for b in np.unique(label)),
+                        key=lambda st: (st.size, st[0]))
+        self._blocks = tuple(tuple(st.tolist()) for st in blocks)
+        # block entries: each block row-major, blocks of one size adjacent;
+        # a group is (first entry, block count, block size)
+        self._entries = np.concatenate([(st[:, None] * dim + st).ravel() for st in blocks])
+        size, count = np.unique([st.size for st in blocks], return_counts=True)
+        first = np.cumsum(count * size * size) - count * size * size
+        self._groups = list(zip(first.tolist(), count.tolist(), size.tolist()))
+        where = np.full(dim * dim, -1)
+        where[self._entries] = np.arange(self._entries.size)
+        live = label[m] == label[n]
+        pairs, q = np.unique(np.stack([m[live], n[live]], axis=1), axis=0, return_inverse=True)
+        self._pairs = pairs
+        self._read = where[pairs[:, 0] * dim + pairs[:, 1]]
+        # G[q, e]: summed weight of the slots that read pair q into entry e
+        self._G = np.zeros((len(pairs), self._entries.size), dtype=complex)
+        np.add.at(self._G, (q.reshape(-1), where[k[live] * dim + j[live]]),
+                  sys.kernel.weights[live])
 
     # -- internal line solve ------------------------------------------
 
@@ -340,11 +383,13 @@ class LaplaceKraus:
             )
         return np.linspace(lo, hi, max(npts, 16))
 
-    def _binned_weights(self, h, npts, nfft):
-        """Mode weights split linearly onto integer grid offsets.
+    def _fold_weights(self, h, npts):
+        """Spectrum of the mode weights split onto integer grid offsets.
 
         Shifts beyond the window are dropped; their window lookups land
-        on the zero padding anyway.
+        on the zero padding anyway.  The FFT length covers the line plus
+        the range of the offsets and of 0, so the circular convolution
+        does not wrap around onto the line.
         """
         om, wq = self._modes
         pos = om / h
@@ -352,10 +397,12 @@ class LaplaceKraus:
         pos, ww = pos[keep], wq[keep]
         i0 = np.floor(pos).astype(int)
         frac = pos - i0
+        span = max(i0.max(initial=-1) + 1, 0) - min(i0.min(initial=0), 0)
+        nfft = sfft.next_fast_len(npts + span + 1)
         A = np.zeros(nfft)
         np.add.at(A, i0 % nfft, (1.0 - frac) * ww)
         np.add.at(A, (i0 + 1) % nfft, frac * ww)
-        return A
+        return sfft.fft(A)
 
     def _solve_line(self, imz):
         xg = self._line_points(imz)
@@ -364,58 +411,48 @@ class LaplaceKraus:
         en = np.asarray(self.system.energies)
         kern = self.system.kernel
         npts = len(xg)
-        free = np.zeros((npts, dim, dim), dtype=complex)
-        for k in range(dim):
-            free[:, k, k] = 1.0 / (zline - en[k])
-        if not kern.weights.size:
-            self._lines[imz] = (xg, free, 0.0)
-            return self._lines[imz]
-        h = (xg[-1] - xg[0]) / (npts - 1)
-        nfft = 1
-        while nfft < 2 * npts + 2:
-            nfft *= 2
-        A = np.fft.fft(self._binned_weights(h, npts, nfft), nfft)
-        chat_m = np.empty((npts, dim), dtype=complex)
-        for mm in range(dim):
-            chat_m[:, mm] = rv.correlation_laplace(kern.sd, zline - en[mm], kern.beta_inv)
-
-        k_s, m_s, n_s, j_s = kern.slots.T
-        # the slots read only the entries (pm[q], pn[q]) of the deviation;
-        # the folds and the slot sums run in batches of at most 4 MiB,
-        # which bounds the memory of a line solve
-        pairs, q_s = np.unique(np.stack([m_s, n_s], axis=1), axis=0, return_inverse=True)
-        pm, pn = pairs.T
-        q_s = q_s.reshape(-1)
+        ent = self._entries
+        state = np.flatnonzero(ent // dim == ent % dim)
+        base = np.zeros((npts, ent.size), dtype=complex)
+        base[:, state] = zline[:, None] - en[ent[state] % dim]
+        free = np.zeros_like(base)
+        free[:, state] = 1.0 / base[:, state]
+        A = self._fold_weights((xg[-1] - xg[0]) / (npts - 1), npts)
+        nfft = A.size
+        pm, pn = self._pairs.T
         diag = np.flatnonzero(pm == pn)
+        chat = np.zeros((npts, pm.size), dtype=complex)
+        for q in diag:
+            chat[:, q] = rv.correlation_laplace(kern.sd, zline - en[pm[q]], kern.beta_inv)
         cols = max(1, (4 << 20) // (16 * nfft))
-        rows = max(1, (4 << 20) // (16 * q_s.size))
-
-        W = free.copy()
-        last_cauchy = np.inf
-        for _ in range(self.depth):
-            corr = (W - free)[:, pm, pn]
-            # M[i, q] = sum_r A_r corr[i - r, q]; the zero padding
-            # stands in for the negligible deviation outside the window
-            M = np.empty_like(corr)
-            for c in range(0, pm.size, cols):
-                cf = np.fft.fft(corr[:, c : c + cols], nfft, axis=0)
-                cf *= A[:, None]
-                M[:, c : c + cols] = np.fft.ifft(cf, axis=0)[:npts]
-            M[:, diag] += chat_m[:, pm[diag]]
-            B = np.zeros((npts, dim, dim), dtype=complex)
-            for k in range(dim):
-                B[:, k, k] = zline - en[k]
-            # ufunc.at subtracts repeated (k, j) slots one by one, in slot order
-            for i0 in range(0, npts, rows):
-                vals = M[i0 : i0 + rows, q_s] * kern.weights
-                np.subtract.at(B[i0 : i0 + rows], (slice(None), k_s, j_s), vals)
+        W, last_cauchy = free, 0.0
+        # with no slot reading the iterate, the free resolvent is exact
+        for it in range(self.depth if len(self._pairs) else 0):
+            M = chat
+            if it:
+                # the first iterate is the free resolvent: zero deviation
+                corr = (W - free)[:, self._read]
+                M = np.empty_like(corr)
+                for c in range(0, pm.size, cols):
+                    # M[i, q] = sum_r A_r corr[i - r, q]; the zero padding
+                    # stands in for the negligible deviation outside the window
+                    cf = sfft.fft(corr[:, c : c + cols], nfft, axis=0)
+                    cf *= A[:, None]
+                    M[:, c : c + cols] = sfft.ifft(cf, axis=0)[:npts]
+                M += chat
+            B = base - M @ self._G
+            Wnew = np.empty_like(B)
             try:
-                Wnew = np.linalg.inv(B)
+                for e0, cnt, s in self._groups:
+                    e1 = e0 + cnt * s * s
+                    blk = B[:, e0:e1].reshape(npts, cnt, s, s)
+                    Wnew[:, e0:e1] = np.linalg.inv(blk).reshape(npts, -1)
             except np.linalg.LinAlgError as exc:
                 raise SingularOperatorError(
                     f"singular inversion on line Im z = {imz:g}"
                 ) from exc
-            est = np.linalg.norm(B, axis=(1, 2)) * np.linalg.norm(Wnew, axis=(1, 2))
+            # Frobenius norms: both matrices vanish outside the blocks
+            est = np.linalg.norm(B, axis=1) * np.linalg.norm(Wnew, axis=1)
             bad = int(np.argmax(est))
             if not np.isfinite(est[bad]) or est[bad] > 1e12:
                 raise SingularOperatorError(
@@ -426,7 +463,9 @@ class LaplaceKraus:
             W = Wnew
             if last_cauchy <= 1e-10:
                 break
-        self._lines[imz] = (xg, W, last_cauchy)
+        out = np.zeros((npts, dim * dim), dtype=complex)
+        out[:, ent] = W
+        self._lines[imz] = (xg, out.reshape(npts, dim, dim), last_cauchy)
         return self._lines[imz]
 
     # -- public evaluation --------------------------------------------
@@ -516,7 +555,7 @@ def laplace_inverse_identity(sys: SystemSpec, W: LaplaceKraus, z, *, y_height=0.
     return out
 
 
-def solve_continued_fraction(sys: SystemSpec, depth, z_set, **kwargs) -> LaplaceKraus:
+def solve_continued_fraction(sys: SystemSpec, depth, z_set) -> LaplaceKraus:
     """Iterate the Laplace-domain fixed point from the free resolvent.
 
     Builds one contour-line solve per distinct Im z in ``z_set`` and
@@ -536,7 +575,7 @@ def solve_continued_fraction(sys: SystemSpec, depth, z_set, **kwargs) -> Laplace
     LaplaceKraus
         With ``cauchy`` mapping each requested z to its update size.
     """
-    lk = LaplaceKraus(sys, depth, **kwargs)
+    lk = LaplaceKraus(sys, depth)
     for z in z_set:
         z = complex(z)
         if z.imag <= 0:

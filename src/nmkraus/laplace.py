@@ -21,7 +21,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 
 from .reservoir import LaplaceDomainError
 
@@ -180,6 +179,9 @@ def forward_transform(f, shift, z, *, t=None, T=None, n=None, tail_tol=1e-6):
             f"tail estimate {est:.3e} exceeds {tail_tol:.1e}; "
             f"extend T (T*Im z = {t[-1] * z.imag:.2f}, want >= 30 for plain tails)"
         )
+    # imported here: scipy.integrate loads scipy.optimize and scipy.sparse
+    from scipy import integrate
+
     integrand = np.exp((1j * z - 1j * shift) * t) * fvals
     return -1j * integrate.simpson(integrand, x=t)
 

@@ -2,14 +2,29 @@
 
 This is the fixed-point loop of the original
 ``kraus.LaplaceKraus._solve_line``: every iteration runs one FFT pair
-per matrix entry and walks the slots in Python to build the inverse.
-The batched solve does the same arithmetic and must agree with it bit
-for bit.
+per matrix entry, of a power-of-two length at least twice the line,
+walks the slots in Python to build B and inverts the dense
+``dim x dim`` matrices.  The block solve rounds differently, so the
+two agree to rounding, not bit for bit.
 """
 
 import numpy as np
 
 from nmkraus import reservoir as rv
+
+
+def binned_weights(lk, h, npts, nfft):
+    """Mode weights split linearly onto integer grid offsets mod ``nfft``."""
+    om, wq = lk._modes
+    pos = om / h
+    keep = np.abs(pos) < npts - 1
+    pos, ww = pos[keep], wq[keep]
+    i0 = np.floor(pos).astype(int)
+    frac = pos - i0
+    A = np.zeros(nfft)
+    np.add.at(A, i0 % nfft, (1.0 - frac) * ww)
+    np.add.at(A, (i0 + 1) % nfft, frac * ww)
+    return A
 
 
 def solve_line(lk, imz):
@@ -27,7 +42,7 @@ def solve_line(lk, imz):
     nfft = 1
     while nfft < 2 * npts + 2:
         nfft *= 2
-    A = np.fft.fft(lk._binned_weights(h, npts, nfft), nfft)
+    A = np.fft.fft(binned_weights(lk, h, npts, nfft), nfft)
     chat_m = np.empty((npts, dim), dtype=complex)
     for mm in range(dim):
         chat_m[:, mm] = rv.correlation_laplace(kern.sd, zline - en[mm], kern.beta_inv)

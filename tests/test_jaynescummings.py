@@ -157,6 +157,12 @@ class TestRecursion:
                              text=True, check=True)
         assert out.stdout.strip() == "False"
 
+    def test_cli_import_leaves_scipy_integrate_out(self):
+        code = "import sys, nmkraus.cli; print('scipy.integrate' in sys.modules)"
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                             text=True, check=True)
+        assert out.stdout.strip() == "False"
+
     @pytest.mark.parametrize("sizes", [(16501, 1501), (193601, 1501), (7, 3)])
     def test_overlap_save_matches_fftconvolve(self, sizes):
         from scipy import fft as sfft

@@ -2,6 +2,7 @@
 
 import functools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -204,6 +205,25 @@ class TestExactStepAgreement:
             kr.solve_time_domain(sys, 2 * dt, dt)
 
 
+def dressed_ladder(n_max):
+    return jc.build_dressed_system(
+        jc.DressedBasis(0.0, 20.0, 0.3, n_max), rv.SpectralDensity.flat_window(0.0318, 18.0, 22.0)
+    )
+
+
+def _assert_line_matches_reference(lk, imz):
+    xg, W, cauchy = lk._solve_line(imz)
+    ref_xg, ref_W, ref_cauchy = line_reference.solve_line(lk, imz)
+    assert np.array_equal(xg, ref_xg)
+    assert np.max(np.abs(W - ref_W)) <= 1e-13 * np.max(np.abs(ref_W))
+    assert abs(cauchy - ref_cauchy) <= 1e-12
+    # the dense iterates are exactly zero outside the blocks
+    inside = np.zeros((lk.system.dim,) * 2, dtype=bool)
+    for b in lk._blocks:
+        inside[np.ix_(b, b)] = True
+    assert not np.any(ref_W[:, ~inside])
+
+
 @functools.lru_cache(maxsize=None)
 def near_resonant():
     return two_level(rv.SpectralDensity.lorentzian(1.0, 5.0, 1.0))
@@ -319,16 +339,63 @@ class TestLaplaceDomain:
         assert info.value.npts == 672_801
 
     def test_batched_line_solve_matches_entry_loop(self):
-        # dressed ladder: 5 levels, repeated (k, j) slots
-        ladder = jc.build_dressed_system(
-            jc.DressedBasis(0.0, 20.0, 0.3, 1), rv.SpectralDensity.flat_window(0.0318, 18.0, 22.0)
-        )
-        lk = kr.LaplaceKraus(ladder, 8)
-        xg, W, cauchy = lk._solve_line(2.0)
-        ref_xg, ref_W, ref_cauchy = line_reference.solve_line(lk, 2.0)
-        assert np.array_equal(xg, ref_xg)
-        assert np.array_equal(W, ref_W)
-        assert cauchy == ref_cauchy
+        # dressed ladder: 5 levels, repeated (k, j) slots; the blocks are
+        # those of the ladder's 2 x 2 recursion
+        lk = kr.LaplaceKraus(dressed_ladder(1), 8)
+        assert lk._blocks == ((0,), (1, 2), (3, 4))
+        _assert_line_matches_reference(lk, 2.0)
+
+    @pytest.mark.parametrize("case", ["ladder_n2", "ladder_n3", "thermal_ladder", "four_level_table"])
+    def test_block_line_solve_matches_entry_loop(self, case):
+        if case == "four_level_table":
+            # slot (3,3,4,2) reads inside a block only after (4,2,2,3)
+            # forms it, so the closure takes a second pass; (2,1,3,4)
+            # reads across blocks and is dropped
+            rule = {(2, 1, 1, 2): 1.0, (3, 3, 4, 2): 0.3j, (4, 2, 2, 3): 0.4,
+                    (1, 2, 3, 1): 0.5, (2, 1, 3, 4): 0.2}
+            sd = rv.SpectralDensity.flat_window(0.04, 0.5, 3.0)
+            sys = kr.SystemSpec((0.0, 1.0, 2.5, 4.0), rv.kernel_table(sd, rule))
+            blocks = ((0,), (1, 2, 3))
+        elif case == "thermal_ladder":
+            # negative mode offsets: the absorption branch
+            sys = dressed_ladder(1)
+            sys = kr.SystemSpec(sys.energies, replace(sys.kernel, beta_inv=0.5))
+            blocks = ((0,), (1, 2), (3, 4))
+        else:
+            n_max = int(case[-1])
+            sys = dressed_ladder(n_max)
+            blocks = ((0,),) + tuple((i, i + 1) for i in range(1, 2 * n_max + 3, 2))
+        lk = kr.LaplaceKraus(sys, 8)
+        assert lk._blocks == blocks
+        _assert_line_matches_reference(lk, 1.5)
+
+    @settings(max_examples=15, deadline=None)
+    @given(
+        dim=st.integers(2, 4),
+        gaps=st.lists(st.floats(0.0, 1.5), min_size=3, max_size=3),
+        slots=st.lists(
+            st.tuples(
+                st.tuples(*[st.integers(1, 4)] * 4),
+                st.floats(0.0, 0.5),
+                st.floats(-math.pi, math.pi),
+            ),
+            min_size=1, max_size=6,
+        ),
+        height=st.floats(0.001, 0.05),
+        lo=st.floats(0.5, 2.0),
+        width=st.floats(0.2, 1.5),
+        beta_inv=st.sampled_from([0.0, 0.5]),
+        imz=st.floats(0.5, 2.0),
+    )
+    def test_generated_block_closure(self, dim, gaps, slots, height, lo, width, beta_inv, imz):
+        # arbitrary slot indices, including m != n, with complex |w| <= 0.5
+        energies = np.concatenate([[0.0], np.cumsum(gaps[: dim - 1])])
+        rule = {}
+        for idx, mag, phase in slots:
+            rule[tuple(1 + (i - 1) % dim for i in idx)] = mag * np.exp(1j * phase)
+        sd = rv.SpectralDensity.flat_window(height, lo, lo + width)
+        sys = kr.SystemSpec(tuple(energies), rv.kernel_table(sd, rule, beta_inv=beta_inv))
+        _assert_line_matches_reference(kr.LaplaceKraus(sys, 4), imz)
 
     def test_singular_near_real_axis(self):
         sys = near_resonant()
