@@ -224,7 +224,7 @@ def _check(name, value, limit, sense="<="):
 def _conservation_checks(cfg, traj, trace_default=1e-6, eig_default=1e-10):
     trace_tol = _pos(cfg, "audit.trace_tol", trace_default)
     eig_tol = _pos(cfg, "audit.eig_tol", eig_default)
-    rep = dy.audit_conservation(traj, trace_tol=trace_tol, eig_tol=eig_tol)
+    rep = dy.audit_conservation(traj)
     return [
         _check("trace_max_error", rep.max_trace_error, trace_tol),
         _check("min_eigenvalue", rep.min_eigenvalue, -eig_tol, ">="),

@@ -113,11 +113,6 @@ class DressedBasis:
         return 2 * self.n_max + 3
 
     @staticmethod
-    def theta(n):
-        """Discrete step: 1 for n >= 0, else 0."""
-        return 1.0 if n >= 0 else 0.0
-
-    @staticmethod
     def nu(n):
         """Doublet normalization; 1 on the ground rung, 0 below it."""
         if n == -1:

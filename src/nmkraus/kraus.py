@@ -475,21 +475,13 @@ class LaplaceKraus:
         z = complex(z)
         if z.imag <= 0:
             raise ContourOrderingError("evaluator requires Im z > 0")
-        dim = self.system.dim
-        if not self.system.kernel.weights.size:
-            out = np.zeros((dim, dim), dtype=complex)
-            for k in range(dim):
-                out[k, k] = 1.0 / (z - self.system.energies[k])
-            return out
-        xg, W, _ = self._line(z.imag)
-        if not xg[0] <= z.real <= xg[-1]:
-            # outside the stored window the deviation from the free
-            # resolvent is negligible by its 1/z^2 decay
-            out = np.zeros((dim, dim), dtype=complex)
-            for k in range(dim):
-                out[k, k] = 1.0 / (z - self.system.energies[k])
-            return out
-        return _cubic_interp(xg, W, np.array([z.real]))[0]
+        if self.system.kernel.weights.size:
+            xg, W, _ = self._line(z.imag)
+            if xg[0] <= z.real <= xg[-1]:
+                return _cubic_interp(xg, W, np.array([z.real]))[0]
+        # no kernel, or outside the stored window, where the deviation
+        # from the free resolvent is negligible by its 1/z^2 decay
+        return np.diag(1.0 / (z - np.asarray(self.system.energies)))
 
     def cauchy_at(self, z):
         """Final iteration update size on the line through z."""

@@ -5,14 +5,17 @@ The forward map used throughout the package is
     F(z) = -i int_0^T dt exp(i z t - i shift t) f(t),     Im z > 0,
 
 where ``shift`` removes a known row phase so that F has its poles at
-physical frequencies.  The inverse runs along a horizontal contour just
-above the real axis,
+physical frequencies.  :func:`forward_transform` applies it to samples
+on a uniform time grid by Simpson's rule.  The inverse runs along a
+horizontal contour just above the real axis,
 
     f(t) = (i / 2 pi) int domega exp(-i (omega + i eps) t) F(omega + i eps),
 
-discretized on a finite window.  Piecewise-linear Filon weights make the
-window quadrature exact for linear interpolants of F at every t, which
-keeps large t from aliasing on coarse grids.
+and :func:`invert` takes F sampled on the uniform nodes of a
+:class:`ContourGrid`.  Piecewise-linear Filon weights make the window
+quadrature exact for linear interpolants of F at every t, which keeps
+large t from aliasing on coarse grids.  Known poles are split off before
+inversion and added back in time by :func:`pole_series`.
 """
 
 from __future__ import annotations
@@ -25,13 +28,11 @@ import numpy as np
 from .reservoir import LaplaceDomainError
 
 __all__ = [
-    "ShiftedTransformSpec",
     "ContourGrid",
     "TailTruncationError",
     "WindowTooNarrowError",
     "forward_transform",
     "invert",
-    "subtract_poles",
     "pole_series",
 ]
 
@@ -45,20 +46,8 @@ class WindowTooNarrowError(ArithmeticError):
 
 
 @dataclass(frozen=True)
-class ShiftedTransformSpec:
-    """Row phase shift and contour height for a shifted transform."""
-
-    shift: float
-    im_offset: float
-
-    def __post_init__(self):
-        if self.im_offset <= 0:
-            raise ValueError("im_offset must be > 0")
-
-
-@dataclass(frozen=True)
 class ContourGrid:
-    """Uniform or Clenshaw-Curtis discretization of the inversion contour.
+    """Uniform discretization of the inversion contour.
 
     Parameters
     ----------
@@ -66,9 +55,6 @@ class ContourGrid:
         Real window of the contour.
     n_points : int
         Number of nodes, at least 16.
-    rule : str
-        ``"Trapezoid"`` (with Filon weighting in time) or
-        ``"ClenshawCurtis"``.
     im_offset : float
         Contour height above the real axis; callers should scale it
         with the spectral linewidths involved.
@@ -77,7 +63,6 @@ class ContourGrid:
     omega_min: float
     omega_max: float
     n_points: int = 20000
-    rule: str = "Trapezoid"
     im_offset: float = 1e-4
 
     def __post_init__(self):
@@ -85,33 +70,12 @@ class ContourGrid:
             raise ValueError("need omega_min < omega_max")
         if self.n_points < 16:
             raise ValueError("need n_points >= 16")
-        if self.rule not in ("Trapezoid", "ClenshawCurtis"):
-            raise ValueError(f"unknown rule {self.rule!r}")
         if self.im_offset <= 0:
             raise ValueError("im_offset must be > 0")
 
     def nodes(self):
-        """Contour abscissas (real parts) and, for Clenshaw-Curtis, weights."""
-        if self.rule == "Trapezoid":
-            return np.linspace(self.omega_min, self.omega_max, self.n_points), None
-        x, w = _clenshaw_curtis(self.n_points)
-        half = 0.5 * (self.omega_max - self.omega_min)
-        return self.omega_min + (x[::-1] + 1.0) * half, w[::-1] * half
-
-
-def _clenshaw_curtis(n):
-    # Waldvogel's FFT construction of Clenshaw-Curtis weights on [-1, 1];
-    # interior weights 2*ifft, endpoints single share
-    N = n - 1
-    c = np.zeros(N + 1)
-    k = np.arange(0, N + 1, 2)
-    c[k] = 2.0 / (1.0 - k.astype(float) ** 2)
-    f = np.real(np.fft.ifft(np.concatenate([c, c[-2:0:-1]])))
-    w = np.empty(n)
-    w[0] = f[0]
-    w[1:N] = 2.0 * f[1:N]
-    w[N] = f[N]
-    return np.cos(np.pi * np.arange(n) / N), w
+        """Contour abscissas (real parts)."""
+        return np.linspace(self.omega_min, self.omega_max, self.n_points)
 
 
 def _tail_estimate(fvals, t, im_z):
@@ -129,24 +93,19 @@ def _tail_estimate(fvals, t, im_z):
     return aT * np.exp(-im_z * t[-1]) / (rate + im_z)
 
 
-def forward_transform(f, shift, z, *, t=None, T=None, n=None, tail_tol=1e-6):
+def forward_transform(f, shift, z, *, t, tail_tol=1e-6):
     """One-sided transform ``-i int_0^T exp(izt - i*shift*t) f(t) dt``.
 
     Parameters
     ----------
-    f : callable or ndarray
-        Time function, or samples on the uniform grid ``t``.
+    f : ndarray
+        Samples on the uniform grid ``t``.
     shift : float
         Row phase removed under the integral.
     z : complex
         Transform variable, ``Im z > 0``.
-    t : ndarray, optional
-        Uniform sample grid starting at 0 (required for sampled ``f``).
-    T : float, optional
-        Upper limit when ``f`` is callable.
-    n : int, optional
-        Sample count for callable ``f``; defaults to resolving the
-        fastest phase with ~20 points per period.
+    t : ndarray
+        Uniform sample grid starting at 0; ``T = t[-1]``.
     tail_tol : float, optional
         Bound on the neglected ``[T, inf)`` tail.
 
@@ -160,19 +119,10 @@ def forward_transform(f, shift, z, *, t=None, T=None, n=None, tail_tol=1e-6):
     z = complex(z)
     if z.imag <= 0:
         raise LaplaceDomainError("forward_transform requires Im z > 0")
-    if callable(f):
-        if T is None:
-            raise ValueError("callable f requires T")
-        if n is None:
-            rate = abs(z.real - shift) + z.imag
-            n = int(max(2000, 20 * T * rate / (2 * np.pi)))
-        t = np.linspace(0.0, T, n + 1)
-        fvals = np.asarray([f(x) for x in t], dtype=complex)
-    else:
-        fvals = np.asarray(f, dtype=complex)
-        if t is None or len(t) != len(fvals):
-            raise ValueError("sampled f requires a matching time grid")
-        t = np.asarray(t, dtype=float)
+    fvals = np.asarray(f, dtype=complex)
+    if len(t) != len(fvals):
+        raise ValueError("samples of f must match the time grid")
+    t = np.asarray(t, dtype=float)
     est = _tail_estimate(fvals, t, z.imag)
     if est > tail_tol:
         raise TailTruncationError(
@@ -206,9 +156,8 @@ def _filon_weights(theta):
 def invert(F, grid: ContourGrid, t, *, boundary_tol=1e-3):
     """Contour inversion ``(i/2pi) int e^{-i(omega+ieps)t} F domega``.
 
-    ``F`` may be a callable evaluated at ``omega + i*im_offset`` or an
-    array of samples on the grid nodes.  ``t`` may be a scalar or an
-    array; sampling of ``F`` happens once either way.
+    ``F`` holds samples at ``grid.nodes() + i*grid.im_offset``.  ``t``
+    may be a scalar or an array.
 
     Raises
     ------
@@ -216,16 +165,9 @@ def invert(F, grid: ContourGrid, t, *, boundary_tol=1e-3):
         If a boundary sample of ``|F|`` exceeds ``boundary_tol`` times
         the peak magnitude on the window.
     """
-    omega, ccw = grid.nodes()
-    eps = grid.im_offset
-    if callable(F):
-        fv = np.asarray(F(omega + 1j * eps), dtype=complex)
-        if fv.shape != omega.shape:
-            fv = np.asarray([F(w + 1j * eps) for w in omega], dtype=complex)
-    else:
-        fv = np.asarray(F, dtype=complex)
-        if fv.shape != omega.shape:
-            raise ValueError("sampled F must match the grid nodes")
+    fv = np.asarray(F, dtype=complex)
+    if fv.shape != (grid.n_points,):
+        raise ValueError("sampled F must match the grid nodes")
     peak = np.max(np.abs(fv))
     if peak > 0 and max(abs(fv[0]), abs(fv[-1])) > boundary_tol * peak:
         raise WindowTooNarrowError(
@@ -234,55 +176,28 @@ def invert(F, grid: ContourGrid, t, *, boundary_tol=1e-3):
         )
     tarr = np.atleast_1d(np.asarray(t, dtype=float))
     out = np.empty(tarr.shape, dtype=complex)
-    if grid.rule == "ClenshawCurtis":
-        for i0 in range(0, tarr.size, 256):
-            blk = tarr[i0 : i0 + 256]
-            phase = np.exp(-1j * np.outer(blk, omega))
-            out[i0 : i0 + 256] = phase @ (ccw * fv)
-    else:
-        # node k = J*nb + b sits at omega_min + (J*nb + b)*step, so its
-        # phase is a coarse factor per J times a fine factor per b: a
-        # time block needs nj + nb exponentials instead of m, and the
-        # node sum is one product over b, then one over J
-        m = omega.size - 1
-        step = (grid.omega_max - grid.omega_min) / m
-        h = omega[1] - omega[0]  # Filon spacing, read off the nodes
-        nb = math.isqrt(m - 1) + 1
-        nj = -(-m // nb)
-        coef = np.zeros((2, nj * nb), dtype=complex)
-        coef[0, :m] = fv[:-1]
-        coef[1, :m] = np.diff(fv)
-        coef = coef.reshape(2 * nj, nb).T
-        coarse = grid.omega_min + (nb * step) * np.arange(nj)
-        fine = step * np.arange(nb)
-        for i0 in range(0, tarr.size, 256):
-            blk = tarr[i0 : i0 + 256]
-            w0, w1 = _filon_weights(blk * h)
-            part = (np.exp(-1j * np.outer(blk, fine)) @ coef).reshape(-1, 2, nj)
-            acc = np.einsum("tsj,tj->ts", part, np.exp(-1j * np.outer(blk, coarse)))
-            out[i0 : i0 + 256] = h * (acc[:, 0] * w0 + acc[:, 1] * w1)
-    out *= (1j / (2 * np.pi)) * np.exp(eps * tarr)
+    # node k = J*nb + b sits at omega_min + (J*nb + b)*step, so its
+    # phase is a coarse factor per J times a fine factor per b: a time
+    # block needs nj + nb exponentials instead of m, and the node sum is
+    # one product over b, then one over J
+    m = grid.n_points - 1
+    step = (grid.omega_max - grid.omega_min) / m
+    nb = math.isqrt(m - 1) + 1
+    nj = -(-m // nb)
+    coef = np.zeros((2, nj * nb), dtype=complex)
+    coef[0, :m] = fv[:-1]
+    coef[1, :m] = np.diff(fv)
+    coef = coef.reshape(2 * nj, nb).T
+    coarse = grid.omega_min + (nb * step) * np.arange(nj)
+    fine = step * np.arange(nb)
+    for i0 in range(0, tarr.size, 256):
+        blk = tarr[i0 : i0 + 256]
+        w0, w1 = _filon_weights(blk * step)
+        part = (np.exp(-1j * np.outer(blk, fine)) @ coef).reshape(-1, 2, nj)
+        acc = np.einsum("tsj,tj->ts", part, np.exp(-1j * np.outer(blk, coarse)))
+        out[i0 : i0 + 256] = step * (acc[:, 0] * w0 + acc[:, 1] * w1)
+    out *= (1j / (2 * np.pi)) * np.exp(grid.im_offset * tarr)
     return out[0] if np.isscalar(t) or np.ndim(t) == 0 else out
-
-
-def subtract_poles(F, poles, residues):
-    """Evaluator for ``F(z) - sum_k r_k / (z - p_k)``.
-
-    Splitting off known poles leaves a smoother remainder that inverts
-    accurately on modest windows; add the poles back in time with
-    :func:`pole_series`.
-    """
-    poles = np.asarray(poles, dtype=complex)
-    residues = np.asarray(residues, dtype=complex)
-    if poles.shape != residues.shape:
-        raise ValueError("poles and residues must align")
-
-    def rest(z):
-        zarr = np.asarray(z, dtype=complex)
-        tail = (residues / (zarr[..., None] - poles)).sum(axis=-1)
-        return np.asarray(F(z), dtype=complex) - tail
-
-    return rest
 
 
 def pole_series(poles, residues, t):

@@ -426,7 +426,7 @@ def _laplace_zero_temp(sd: SpectralDensity, y):
     return h * np.log((y - lo) / (y - hi))
 
 
-def correlation_boundary(sd: SpectralDensity, omega, eps_imag=None, richardson=False):
+def correlation_boundary(sd: SpectralDensity, omega, eps_imag=None):
     """Boundary value of the zero-temperature Laplace image just above the real axis.
 
     Realizes the ``omega + i0`` prescription with a small positive
@@ -438,18 +438,12 @@ def correlation_boundary(sd: SpectralDensity, omega, eps_imag=None, richardson=F
         Real evaluation frequency.
     eps_imag : float, optional
         Contour height; defaults to ``1e-6 * frequency_scale``.
-    richardson : bool, optional
-        If true, extrapolate eps -> 0 from eps and eps/2.
     """
     if eps_imag is None:
         eps_imag = 1e-6 * sd.frequency_scale()
     if eps_imag <= 0:
         raise ValueError("eps_imag must be > 0")
-    v1 = correlation_laplace(sd, omega + 1j * eps_imag)
-    if not richardson:
-        return v1
-    v2 = correlation_laplace(sd, omega + 0.5j * eps_imag)
-    return 2.0 * v2 - v1
+    return correlation_laplace(sd, omega + 1j * eps_imag)
 
 
 # ---------------------------------------------------------------------------

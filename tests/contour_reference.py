@@ -1,8 +1,9 @@
 """Dense uniform-node contour inversion, kept as the reference for the factored one.
 
-This is the Trapezoid branch of the original ``laplace.invert``: one
-complex exponential per (time, node) pair, Filon-weighted.
-``laplace.invert`` must agree with it to rounding on uniform grids.
+The dense form of ``laplace.invert``: one complex exponential per
+(time, node) pair, Filon-weighted, with the exact node step
+``(omega[-1] - omega[0]) / (n - 1)``.  ``laplace.invert`` must agree
+with it to rounding on uniform grids.
 """
 
 import numpy as np
@@ -14,7 +15,7 @@ def invert_trapezoid(fv, omega, eps, t):
     """Filon-weighted ``(i/2pi) int e^{-i(omega+ieps)t} F domega`` on uniform nodes."""
     tarr = np.atleast_1d(np.asarray(t, dtype=float))
     out = np.empty(tarr.shape, dtype=complex)
-    h = omega[1] - omega[0]
+    h = (omega[-1] - omega[0]) / (omega.size - 1)
     dfv = np.diff(fv)
     for i0 in range(0, tarr.size, 256):
         blk = tarr[i0 : i0 + 256]

@@ -83,8 +83,6 @@ class TestDressedBasis:
             assert b.index(*s) == i
 
     def test_step_and_normalization_helpers(self):
-        assert jc.DressedBasis.theta(-1) == 0.0
-        assert jc.DressedBasis.theta(0) == 1.0
         assert jc.DressedBasis.nu(-1) == 1.0
         assert jc.DressedBasis.nu(4) == pytest.approx(1 / math.sqrt(2))
 

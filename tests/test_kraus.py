@@ -397,6 +397,46 @@ class TestLaplaceDomain:
         sys = kr.SystemSpec(tuple(energies), rv.kernel_table(sd, rule, beta_inv=beta_inv))
         _assert_line_matches_reference(kr.LaplaceKraus(sys, 4), imz)
 
+    @settings(max_examples=10, deadline=None)
+    @given(
+        gaps=st.lists(st.floats(2.5, 4.0), min_size=1, max_size=2),
+        amps=st.lists(
+            st.tuples(st.floats(0.1, 1.0), st.floats(-math.pi, math.pi)),
+            min_size=3, max_size=3,
+        ),
+        lorentzian=st.booleans(),
+        strength=st.floats(0.0, 1.0),
+        zs=st.lists(
+            st.tuples(st.floats(0.0, 1.0), st.floats(1.5, 3.0)), min_size=3, max_size=3
+        ),
+    )
+    def test_generated_cross_solver_agreement(self, gaps, amps, lorentzian, strength, zs):
+        # physical slots conj(A[m,k]) A[n,j] from a lowering matrix A,
+        # strictly upper triangular with sum |A| = 0.7
+        energies = np.concatenate([[0.0], np.cumsum(gaps)])
+        dim = energies.size
+        A = np.zeros((dim, dim), dtype=complex)
+        for (m, k), (mag, phase) in zip(zip(*np.triu_indices(dim, 1)), amps):
+            A[m, k] = mag * np.exp(1j * phase)
+        A *= 0.7 / np.sum(np.abs(A))
+        rule = {}
+        for k, m, n, j in np.ndindex(dim, dim, dim, dim):
+            if A[m, k] != 0 and A[n, j] != 0:
+                rule[(k + 1, m + 1, n + 1, j + 1)] = np.conj(A[m, k]) * A[n, j]
+        if lorentzian:
+            sd = rv.SpectralDensity.lorentzian(0.2 + 0.4 * strength, 3.0, 1.0)
+        else:
+            sd = rv.SpectralDensity.flat_window(0.02 + 0.06 * strength, 1.5, 4.5)
+        sys = kr.SystemSpec(tuple(energies), rv.kernel_table(sd, rule))
+        sol = kr.solve_time_domain(sys, 20.0, 5e-3)
+        lk = kr.LaplaceKraus(sys, 32)
+        for frac, imz in zs:
+            z = (energies[-1] + 2.0) * frac - 1.0 + 1j * imz
+            direct = lk.evaluate(z)
+            for k in range(dim):
+                ft = lp.forward_transform(sol.values[:, k, k], energies[k], z, t=sol.grid)
+                assert abs(ft - direct[k, k]) <= 1e-5 * abs(direct[k, k])
+
     def test_singular_near_real_axis(self):
         sys = near_resonant()
         lk = kr.LaplaceKraus(sys, 8)

@@ -163,10 +163,6 @@ class TestCorrelationLaplace:
         sd = rv.SpectralDensity.flat_window(0.5, 1.0, 3.0)
         v = rv.correlation_boundary(sd, 2.0, eps_imag=1e-7)
         assert abs(v.imag + np.pi * 0.5) < 1e-5
-        plain = rv.correlation_boundary(sd, 2.0, eps_imag=1e-3)
-        rich = rv.correlation_boundary(sd, 2.0, eps_imag=1e-3, richardson=True)
-        exact = rv.correlation_boundary(sd, 2.0, eps_imag=1e-9)
-        assert abs(rich - exact) < abs(plain - exact)
 
 
 class TestThermal:
