@@ -2,11 +2,17 @@
 
 Each run consumes one YAML config describing a scenario ``kind`` from
 {TwoLevelWW, MarkovLimit, GenericSystem, JaynesCummings, PlateauFigure,
-EntropyScan}, dispatches to the solver modules and writes the artifacts
-into the output directory together with ``summary.json``, a
-machine-readable audit report.  Dimensionful config keys carry their
-unit in the name (``dt_time``, ``center_per_time``) so rescaled inputs
-cannot be mixed up silently.
+EntropyScan}.  Every kind has a runner, a function
+``runner(cfg, base) -> (artifact, {column: values}, checks)`` of the
+parsed config and the config's directory (``base`` resolves relative
+table paths).  It returns the name of its one table, the table's
+columns in order, and its audits in print order; it never touches the
+output directory.  ``_cmd_run`` creates that directory only after the
+runner returns, and ``_finish`` writes ``<artifact>.csv`` and
+``summary.json``, a machine-readable audit report, so a run that stops
+on a config or solver error writes nothing.  Dimensionful config keys
+carry their unit in the name (``dt_time``, ``center_per_time``) so
+rescaled inputs cannot be mixed up silently.
 
 Exit codes: 0 all audits within tolerance, 1 an audit exceeded its
 tolerance, 2 config or comparison-input error, 3 solver failure, 4 an
@@ -14,8 +20,11 @@ unexpected internal error (its traceback goes to stderr).
 
 ``compare`` diffs the artifacts of two finished runs column by column;
 grids may differ by an integer subsampling factor, anything else is a
-shape mismatch.  Identical configs reproduce byte-identical artifacts:
-every summation order is fixed and nothing depends on wall-clock state.
+shape mismatch.  Per column it reports ``max_abs``, the largest absolute
+difference, and ``max_rel``, that difference over the column's largest
+magnitude in either run (0 when both columns vanish).  Identical configs
+reproduce byte-identical artifacts: every summation order is fixed and
+nothing depends on wall-clock state.
 
 BLAS and OpenMP size their thread pools when numpy loads, so set
 ``OPENBLAS_NUM_THREADS``/``OMP_NUM_THREADS`` before launching to cap
@@ -109,6 +118,13 @@ def _list(cfg, path):
     return v
 
 
+def _floats(cfg, path):
+    try:
+        return [float(x) for x in _list(cfg, path)]
+    except (TypeError, ValueError):
+        raise ConfigError(f"{path} must be numbers") from None
+
+
 def _build_spectral(cfg, base, scale2=1.0):
     fam = _str(cfg, "spectral.family").lower()
     try:
@@ -148,25 +164,19 @@ def _build_spectral(cfg, base, scale2=1.0):
     )
 
 
-def _initial_two_level(cfg, path="initial"):
+def _initial_two_level(cfg):
+    re = _num(cfg, "initial.rho21_re", 0.0)
+    im = _num(cfg, "initial.rho21_im", 0.0)
     rho = np.array(
         [
-            [
-                _nonneg(cfg, f"{path}.rho11", 0.0),
-                _num(cfg, f"{path}.rho21_re", 0.0)
-                - 1j * _num(cfg, f"{path}.rho21_im", 0.0),
-            ],
-            [
-                _num(cfg, f"{path}.rho21_re", 0.0)
-                + 1j * _num(cfg, f"{path}.rho21_im", 0.0),
-                _nonneg(cfg, f"{path}.rho22", 1.0),
-            ],
+            [_nonneg(cfg, "initial.rho11", 0.0), re - 1j * im],
+            [re + 1j * im, _nonneg(cfg, "initial.rho22", 1.0)],
         ]
     )
     try:
         return dy.validate_density(rho, 2)
     except dy.StateValidationError as e:
-        raise ConfigError(f"{path}: {e}") from e
+        raise ConfigError(f"initial: {e}") from e
 
 
 def _initial_matrix(cfg, dim):
@@ -203,13 +213,6 @@ def _build_basis(cfg):
 # artifacts
 
 
-def _write_csv(path, columns, arrays):
-    data = np.column_stack([np.asarray(a, dtype=float) for a in arrays])
-    np.savetxt(
-        path, data, fmt=_FMT, delimiter=",", header=",".join(columns), comments=""
-    )
-
-
 def _check(name, value, limit, sense="<="):
     ok = value <= limit if sense == "<=" else value >= limit
     return {
@@ -221,20 +224,31 @@ def _check(name, value, limit, sense="<="):
     }
 
 
-def _conservation_checks(cfg, traj, trace_default=1e-6, eig_default=1e-10):
-    trace_tol = _pos(cfg, "audit.trace_tol", trace_default)
-    eig_tol = _pos(cfg, "audit.eig_tol", eig_default)
+def _audits(cfg, traj, **residuals):
+    """Trace and positivity checks of ``traj``, then each solver residual."""
+    trace_tol = _pos(cfg, "audit.trace_tol", 1e-6)
+    eig_tol = _pos(cfg, "audit.eig_tol", 1e-10)
     rep = dy.audit_conservation(traj)
-    return [
+    checks = [
         _check("trace_max_error", rep.max_trace_error, trace_tol),
         _check("min_eigenvalue", rep.min_eigenvalue, -eig_tol, ">="),
     ]
+    if residuals:
+        solver_tol = _pos(cfg, "audit.solver_tol", 1e-8)
+        checks += [_check(name, v, solver_tol) for name, v in residuals.items()]
+    return checks
 
 
-def _finish(outdir, kind, artifacts, checks):
+def _finish(outdir, kind, artifact, table, checks):
+    fname = f"{artifact}.csv"
+    data = np.column_stack([np.asarray(a, dtype=float) for a in table.values()])
+    np.savetxt(
+        outdir / fname, data, fmt=_FMT, delimiter=",", header=",".join(table),
+        comments="",
+    )
     summary = {
         "kind": kind,
-        "artifacts": artifacts,
+        "artifacts": {artifact: fname},
         "audits": {
             c["name"]: {k: c[k] for k in ("value", "limit", "sense", "passed")}
             for c in checks
@@ -244,8 +258,7 @@ def _finish(outdir, kind, artifacts, checks):
     with open(outdir / "summary.json", "w") as fh:
         json.dump(summary, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    for name, fname in artifacts.items():
-        print(f"wrote {name}: {outdir / fname}")
+    print(f"wrote {artifact}: {outdir / fname}")
     for c in checks:
         state = "pass" if c["passed"] else "FAIL"
         print(
@@ -257,49 +270,69 @@ def _finish(outdir, kind, artifacts, checks):
 
 
 # ---------------------------------------------------------------------------
-# scenarios
+# scenarios: each runner maps (cfg, base) to (artifact, {column: values}, checks)
 
 
-def _two_level_pieces(cfg, base, scale2=1.0):
-    sd = _build_spectral(cfg, base, scale2)
+def _time_grid(cfg):
+    dt = _pos(cfg, "numerics.dt_time")
+    T = _pos(cfg, "numerics.t_final_time")
+    if T <= dt:
+        raise ConfigError("numerics.t_final_time must exceed numerics.dt_time")
+    return T, dt
+
+
+def _two_time(sys_, rho0, T, dt):
+    """Two-time trajectory and its solver residuals, after the field-size guard."""
+    dy.check_field_size(sys_, T, dt)
+    W = kr.solve_time_domain(sys_, T, dt)
+    xi = dy.solve_bitemporal(sys_, W, rho0, T, dt)
+    return dy.extract_density(xi), {
+        "volterra_residual": W.max_residual,
+        "bitemporal_residual": xi.max_residual,
+    }
+
+
+def _two_level(cfg, sd):
+    """System, Volterra solution and refill trajectory of a two-level run."""
     w1 = _num(cfg, "system.omega_1_per_time", 0.0)
     w2 = _num(cfg, "system.omega_2_per_time")
     if w2 <= w1:
         raise ConfigError("system.omega_2_per_time must exceed system.omega_1_per_time")
     rho0 = _initial_two_level(cfg)
-    dt = _pos(cfg, "numerics.dt_time")
-    T = _pos(cfg, "numerics.t_final_time")
-    if T <= dt:
-        raise ConfigError("numerics.t_final_time must exceed numerics.dt_time")
+    T, dt = _time_grid(cfg)
     sys_ = kr.SystemSpec((w1, w2), rv.kernel_table(sd, {(2, 1, 1, 2): 1.0}))
     W = kr.solve_time_domain(sys_, T, dt)
-    return sd, sys_, W, dy.two_level_trajectory(sys_, W, rho0), rho0
+    return sys_, W, dy.two_level_trajectory(sys_, W, rho0)
 
 
-def _run_two_level_ww(cfg, base, outdir):
-    _, _, W, traj, _ = _two_level_pieces(cfg, base)
+def _two_level_columns(traj):
     m = traj.matrices
-    _write_csv(
-        outdir / "trajectory.csv",
-        ["t_time", "rho11", "rho22", "rho21_re", "rho21_im"],
-        [traj.times, m[:, 0, 0].real, m[:, 1, 1].real, m[:, 1, 0].real, m[:, 1, 0].imag],
-    )
-    checks = _conservation_checks(cfg, traj)
-    checks.append(
-        _check("volterra_residual", W.max_residual, _pos(cfg, "audit.solver_tol", 1e-8))
-    )
-    return {"trajectory": "trajectory.csv"}, checks
+    return {
+        "t_time": traj.times,
+        "rho11": m[:, 0, 0].real,
+        "rho22": m[:, 1, 1].real,
+        "rho21_re": m[:, 1, 0].real,
+        "rho21_im": m[:, 1, 0].imag,
+    }
 
 
-def _run_markov_limit(cfg, base, outdir):
+def _run_two_level_ww(cfg, base):
+    _, W, traj = _two_level(cfg, _build_spectral(cfg, base))
+    checks = _audits(cfg, traj, volterra_residual=W.max_residual)
+    return "trajectory", _two_level_columns(traj), checks
+
+
+def _run_markov_limit(cfg, base):
     lam = _pos(cfg, "coupling.scale")
-    sd, sys_, W, traj, rho0 = _two_level_pieces(cfg, base, scale2=lam * lam)
+    sd = _build_spectral(cfg, base, scale2=lam * lam)
+    sys_, _, traj = _two_level(cfg, sd)
     w21 = sys_.energies[1] - sys_.energies[0]
     gamma = math.pi * float(sd.weight(w21))
     if gamma <= 0:
         raise ConfigError("spectral weight vanishes at the transition frequency")
     obar = _num(cfg, "channel.omega_bar_per_time", 0.0)
-    chan = dy.markovian_channel(gamma, obar, rho0, traj.times)
+    # the channel starts from the run's own initial state
+    chan = dy.markovian_channel(gamma, obar, traj.matrices[0], traj.times)
     chan_dev = float(np.max(np.abs(traj.matrices - chan)))
     M, N = dy.channel_pair(gamma, obar, traj.times)
     Mh = np.conj(np.swapaxes(M, -1, -2))
@@ -315,81 +348,50 @@ def _run_markov_limit(cfg, base, outdir):
     fitted = -0.5 * float(slope)
     rate_err = abs(fitted - gamma) / gamma
 
-    m = traj.matrices
-    _write_csv(
-        outdir / "trajectory.csv",
-        ["t_time", "rho11", "rho22", "rho21_re", "rho21_im", "channel_rho22"],
-        [
-            traj.times,
-            m[:, 0, 0].real,
-            m[:, 1, 1].real,
-            m[:, 1, 0].real,
-            m[:, 1, 0].imag,
-            chan[:, 1, 1].real,
-        ],
-    )
-    checks = _conservation_checks(cfg, traj)
-    checks += [
+    table = _two_level_columns(traj)
+    table["channel_rho22"] = chan[:, 1, 1].real
+    checks = _audits(cfg, traj) + [
         _check("rate_rel_error", rate_err, _pos(cfg, "audit.rate_rel_tol", 0.05)),
         _check("channel_max_dev", chan_dev, _pos(cfg, "audit.channel_dev_tol", 0.05)),
         _check("channel_identity", ident, _pos(cfg, "audit.identity_tol", 1e-12)),
     ]
-    return {"trajectory": "trajectory.csv"}, checks
+    return "trajectory", table, checks
 
 
-def _run_generic_system(cfg, base, outdir):
+def _run_generic_system(cfg, base):
     sd = _build_spectral(cfg, base)
-    en = _list(cfg, "system.energies_per_time")
-    try:
-        en = [float(x) for x in en]
-    except (TypeError, ValueError):
-        raise ConfigError("system.energies_per_time must be numbers") from None
+    en = _floats(cfg, "system.energies_per_time")
     rule = []
     for i, slot in enumerate(_list(cfg, "system.slots")):
         if not isinstance(slot, dict):
             raise ConfigError(f"system.slots[{i}] must be a mapping")
-        key = tuple(
-            _int(slot, name, minimum=1)
-            for name in ("row", "mid_out", "mid_in", "col")
-        )
-        rule.append((key, complex(
-            _num(slot, "weight_re"), _num(slot, "weight_im", 0.0)
-        )))
+        try:
+            key = tuple(
+                _int(slot, name, minimum=1)
+                for name in ("row", "mid_out", "mid_in", "col")
+            )
+            weight = complex(_num(slot, "weight_re"), _num(slot, "weight_im", 0.0))
+        except ConfigError as e:
+            raise ConfigError(f"system.slots[{i}].{e}") from None
+        rule.append((key, weight))
     try:
         sys_ = kr.SystemSpec(tuple(en), rv.kernel_table(sd, rule))
     except (ValueError, rv.IndexCollisionError) as e:
         raise ConfigError(f"system: {e}") from e
     rho0 = _initial_matrix(cfg, sys_.dim)
-    dt = _pos(cfg, "numerics.dt_time")
-    T = _pos(cfg, "numerics.t_final_time")
-    if T <= dt:
-        raise ConfigError("numerics.t_final_time must exceed numerics.dt_time")
-
-    dy.check_field_size(sys_, T, dt)
-    W = kr.solve_time_domain(sys_, T, dt)
-    xi = dy.solve_bitemporal(sys_, W, rho0, T, dt)
-    traj = dy.extract_density(xi)
-    mins = np.linalg.eigvalsh(traj.matrices)[:, 0]
-    cols = ["t_time"] + [f"pop_{k}" for k in range(1, sys_.dim + 1)]
-    arrays = [traj.times] + [
-        traj.matrices[:, k, k].real for k in range(sys_.dim)
-    ]
-    _write_csv(
-        outdir / "trajectory.csv",
-        cols + ["trace_re", "min_eigenvalue"],
-        arrays + [np.trace(traj.matrices, axis1=1, axis2=2).real, mins],
-    )
-    solver_tol = _pos(cfg, "audit.solver_tol", 1e-8)
-    checks = _conservation_checks(cfg, traj)
-    checks += [
-        _check("volterra_residual", W.max_residual, solver_tol),
-        _check("bitemporal_residual", xi.max_residual, solver_tol),
-        _check("hermiticity_residual", traj.herm_residual, 1e-10),
-    ]
-    return {"trajectory": "trajectory.csv"}, checks
+    traj, resid = _two_time(sys_, rho0, *_time_grid(cfg))
+    m = traj.matrices
+    table = {"t_time": traj.times}
+    for k in range(sys_.dim):
+        table[f"pop_{k + 1}"] = m[:, k, k].real
+    table["trace_re"] = np.trace(m, axis1=1, axis2=2).real
+    table["min_eigenvalue"] = np.linalg.eigvalsh(m)[:, 0]
+    checks = _audits(cfg, traj, **resid)
+    checks.append(_check("hermiticity_residual", traj.herm_residual, 1e-10))
+    return "trajectory", table, checks
 
 
-def _run_jaynes_cummings(cfg, base, outdir):
+def _run_jaynes_cummings(cfg, base):
     basis = _build_basis(cfg)
     sd = _build_spectral(cfg, base)
     p = _int(cfg, "initial.photon_number", minimum=0)
@@ -409,39 +411,22 @@ def _run_jaynes_cummings(cfg, base, outdir):
             warnings.simplefilter("ignore")
             res = jc.atomic_population_series(basis, sd, init, times, r_max)
         excited, ground = res.excited, res.ground
+        trunc_tol = _pos(cfg, "audit.truncation_tol", 2e-2)
         checks = [
-            _check(
-                "truncation_estimate",
-                res.truncation_estimate,
-                _pos(cfg, "audit.truncation_tol", 2e-2),
-            ),
+            _check("truncation_estimate", res.truncation_estimate, trunc_tol),
             _check("population_bound", float(np.max(excited)), 1.0 + 1e-9),
         ]
     else:
-        dt = T / (n_times - 1)
         sysj = jc.build_dressed_system(basis, sd)
-        dy.check_field_size(sysj, T, dt)
-        W = kr.solve_time_domain(sysj, T, dt)
         rho0 = jc.dressed_initial_state(basis, init)
-        xi = dy.solve_bitemporal(sysj, W, rho0, T, dt)
-        traj = dy.extract_density(xi)
+        traj, resid = _two_time(sysj, rho0, T, T / (n_times - 1))
         red = jc.reduce_atomic(basis, traj.matrices)
         excited, ground = red[:, 1, 1].real, red[:, 0, 0].real
-        solver_tol = _pos(cfg, "audit.solver_tol", 1e-8)
-        checks = _conservation_checks(cfg, traj)
-        checks += [
-            _check("volterra_residual", W.max_residual, solver_tol),
-            _check("bitemporal_residual", xi.max_residual, solver_tol),
-        ]
-    _write_csv(
-        outdir / "trajectory.csv",
-        ["t_time", "excited", "ground"],
-        [times, excited, ground],
-    )
-    return {"trajectory": "trajectory.csv"}, checks
+        checks = _audits(cfg, traj, **resid)
+    return "trajectory", {"t_time": times, "excited": excited, "ground": ground}, checks
 
 
-def _run_plateau_figure(cfg, base, outdir):
+def _run_plateau_figure(cfg, base):
     ps = _list(cfg, "photon_numbers")
     if any(isinstance(p, bool) or not isinstance(p, int) or p < 1 for p in ps):
         raise ConfigError("photon_numbers must be integers >= 1")
@@ -455,7 +440,7 @@ def _run_plateau_figure(cfg, base, outdir):
     plateau_tol = _pos(cfg, "audit.plateau_tol", 1e-2)
     tail_tol = _pos(cfg, "audit.tail_tol", 1e-2)
 
-    cols, arrays, checks = ["tau"], [taus], []
+    table, checks = {"tau": taus}, []
     for p in ps:
         tail_start = p + 5.0 * math.sqrt(p)
         if tau_max < tail_start + 1.0:
@@ -464,67 +449,44 @@ def _run_plateau_figure(cfg, base, outdir):
                 f"for photon_numbers entry {p}"
             )
         F = jc.plateau_oracle(jc.PlateauParams(taus, p, r11, r22))
-        cols.append(f"F_p{p}")
-        arrays.append(F)
+        table[f"F_p{p}"] = F
         # settled stretch starts past the first few scaled lifetimes; the
         # onset analysis lives with the acceptance records
         window = (taus >= 5.5) & (taus <= p - 3.0 * math.sqrt(p))
         if np.any(window):
-            checks.append(
-                _check(
-                    f"plateau_dev_p{p}",
-                    float(np.max(np.abs(F[window] - 0.5))),
-                    plateau_tol,
-                )
-            )
-        checks.append(
-            _check(f"tail_max_p{p}", float(np.max(F[taus >= tail_start])), tail_tol)
-        )
-    _write_csv(outdir / "figure.csv", cols, arrays)
-    return {"figure": "figure.csv"}, checks
+            dev = float(np.max(np.abs(F[window] - 0.5)))
+            checks.append(_check(f"plateau_dev_p{p}", dev, plateau_tol))
+        tail = float(np.max(F[taus >= tail_start]))
+        checks.append(_check(f"tail_max_p{p}", tail, tail_tol))
+    return "figure", table, checks
 
 
-def _run_entropy_scan(cfg, base, outdir):
+def _run_entropy_scan(cfg, base):
     basis = _build_basis(cfg)
     sd = _build_spectral(cfg, base)
     alpha = _num(cfg, "exponents.alpha")
     beta = _num(cfg, "exponents.beta")
-    lams = _list(cfg, "couplings")
+    lams = _floats(cfg, "couplings")
+    p_tilde = _pos(cfg, "scaling.p_tilde")
+    t_tilde = _pos(cfg, "scaling.t_tilde", 1.0)
     rho_a = None
     if _fetch(cfg, "initial", None) is not None:
         rho_a = _initial_two_level(cfg)
     try:
         rows = jc.entropy_limit_scan(
-            basis,
-            sd,
-            alpha,
-            beta,
-            lams,
-            p_tilde=_pos(cfg, "scaling.p_tilde"),
-            t_tilde=_pos(cfg, "scaling.t_tilde", 1.0),
-            rho_a=rho_a,
+            basis, sd, alpha, beta, lams, p_tilde=p_tilde, t_tilde=t_tilde, rho_a=rho_a
         )
     except jc.EntropyScalingError as e:
         raise ConfigError(f"exponents: {e}") from e
     except ValueError as e:
-        raise ConfigError(str(e)) from e
-    _write_csv(
-        outdir / "scan.csv",
-        ["lam", "photon_number", "tau", "excited", "distance", "coherence_bound"],
-        [
-            [r.lam for r in rows],
-            [r.photon_number for r in rows],
-            [r.tau for r in rows],
-            [r.excited for r in rows],
-            [r.distance for r in rows],
-            [r.coherence_bound for r in rows],
-        ],
-    )
+        raise ConfigError(f"couplings: {e}") from e
+    cols = ("lam", "photon_number", "tau", "excited", "distance", "coherence_bound")
+    table = {c: [getattr(r, c) for r in rows] for c in cols}
     checks = []
     if len(rows) >= 2:
         drop = min(a.distance - b.distance for a, b in zip(rows, rows[1:]))
         checks.append(_check("min_distance_drop", drop, 1e-12, ">="))
-    return {"scan": "scan.csv"}, checks
+    return "scan", table, checks
 
 
 _SCENARIOS = {
@@ -598,8 +560,9 @@ def _cmd_compare(args):
         ia, ib = _subsample(ta[key], tb[key])
         entry = {}
         for col in ta:
-            diff = np.abs(ta[col][ia] - tb[col][ib])
-            ref = float(np.max(np.abs(ta[col][ia])))
+            a, b = ta[col][ia], tb[col][ib]
+            diff = np.abs(a - b)
+            ref = float(max(np.max(np.abs(a)), np.max(np.abs(b))))
             entry[col] = {
                 "max_abs": float(np.max(diff)),
                 "max_rel": float(np.max(diff) / ref) if ref > 0 else 0.0,
@@ -639,9 +602,8 @@ def _cmd_run(args):
         if args.out is not None
         else _str(cfg, "output.directory", f"runs/{kind}")
     )
-    outdir.mkdir(parents=True, exist_ok=True)
     try:
-        artifacts, checks = runner(cfg, path.parent, outdir)
+        artifact, table, checks = runner(cfg, path.parent)
     except ConfigError:
         raise
     except dy.FieldSizeError as e:
@@ -649,7 +611,8 @@ def _cmd_run(args):
     except (ValueError, ArithmeticError, RuntimeError) as e:
         print(f"solver error in {kind} ({type(e).__name__}): {e}", file=sys.stderr)
         return 3
-    return _finish(outdir, kind, artifacts, checks)
+    outdir.mkdir(parents=True, exist_ok=True)
+    return _finish(outdir, kind, artifact, table, checks)
 
 
 def main(argv=None):

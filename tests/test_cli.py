@@ -10,10 +10,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 
 import nmkraus.cli as cli
 import nmkraus.kraus as kr
 import nmkraus.reservoir as rv
+
+CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
 WW_BODY = """\
 kind: TwoLevelWW
@@ -196,9 +199,10 @@ class TestTwoLevelRuns:
 
     def test_negative_dt_names_the_field(self, tmp_path, capsys):
         text = WW_BODY.format(height=0.0318, dt=-0.01, T=5.0)
-        rc, _ = _run(tmp_path, "bad.yaml", text, "out")
+        rc, outdir = _run(tmp_path, "bad.yaml", text, "out")
         assert rc == 2
         assert "numerics.dt_time" in capsys.readouterr().err
+        assert not outdir.exists()
 
     def test_missing_field_names_the_path(self, tmp_path, capsys):
         text = WW_BODY.format(height=0.0318, dt=0.01, T=5.0)
@@ -218,19 +222,20 @@ class TestTwoLevelRuns:
         assert "parse" in capsys.readouterr().err
 
     def test_line_resolution_is_a_solver_error(self, tmp_path, capsys, monkeypatch):
-        def runner(cfg, base, outdir):
+        def runner(cfg, base):
             sd = rv.SpectralDensity.lorentzian(0.5, 200.0, 1.0)
             sys_ = kr.SystemSpec((0.0, 200.0), rv.kernel_table(sd, {(2, 1, 1, 2): 1.0}))
             kr.LaplaceKraus(sys_, 8).evaluate(200.0 + 0.5j)
 
         monkeypatch.setitem(cli._SCENARIOS, "TwoLevelWW", runner)
         text = WW_BODY.format(height=0.0318, dt=0.01, T=5.0)
-        rc, _ = _run(tmp_path, "fine.yaml", text, "out")
+        rc, outdir = _run(tmp_path, "fine.yaml", text, "out")
         assert rc == 3
         assert "LineResolutionError" in capsys.readouterr().err
+        assert not outdir.exists()
 
     def test_internal_error_has_its_own_exit_code(self, tmp_path, capsys, monkeypatch):
-        def runner(cfg, base, outdir):
+        def runner(cfg, base):
             return {}["missing"]
 
         monkeypatch.setitem(cli._SCENARIOS, "TwoLevelWW", runner)
@@ -315,6 +320,19 @@ class TestGenericRuns:
         assert rc == 2
         assert "slot (2, 1, 1, 2) defined twice" in capsys.readouterr().err
 
+    def test_slot_without_col_names_the_path(self, tmp_path, capsys):
+        text = GENERIC_BODY.format(row=2, extra="").replace(", col: 2", "")
+        rc, _ = _run(tmp_path, "gen.yaml", text, "out")
+        assert rc == 2
+        assert "system.slots[0].col is required" in capsys.readouterr().err
+
+    def test_non_numeric_slot_weight_names_the_path(self, tmp_path, capsys):
+        text = GENERIC_BODY.format(row=2, extra="").replace(
+            "weight_re: 1.0", "weight_re: abc")
+        rc, _ = _run(tmp_path, "gen.yaml", text, "out")
+        assert rc == 2
+        assert "system.slots[0].weight_re must be a number" in capsys.readouterr().err
+
 
 class TestJaynesCummingsRuns:
     def test_oversized_field_is_a_config_error(self, tmp_path, capsys):
@@ -388,6 +406,16 @@ class TestEntropyScanRuns:
         assert rc == 2
         assert "alpha must exceed 2" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("entries, message", [
+        ("abc, 0.1]", "couplings must be numbers"),
+        ("0.1, 0.2]", "couplings: lams must be strictly decreasing"),
+    ])
+    def test_bad_coupling_names_the_field(self, tmp_path, capsys, entries, message):
+        text = SCAN_BODY.format(alpha=2.5).replace("0.2, 0.1]", entries)
+        rc, _ = _run(tmp_path, "scan.yaml", text, "out")
+        assert rc == 2
+        assert message in capsys.readouterr().err
+
 
 class TestCompare:
     def _halving_runs(self, tmp_path):
@@ -416,6 +444,22 @@ class TestCompare:
         assert rc == 0
         rep = json.loads(capsys.readouterr().out)
         assert rep["kind"] == "TwoLevelWW"
+
+    def test_relative_difference_is_symmetric(self, tmp_path, capsys):
+        # run A has rho21 = 0 throughout, run B starts from rho21 = 0.3
+        text = WW_BODY.format(height=0.0318, dt=0.01, T=5.0)
+        _, out_a = _run(tmp_path, "a.yaml", text, "outa")
+        text += "initial:\n  rho11: 0.5\n  rho22: 0.5\n  rho21_re: 0.3\n"
+        _, out_b = _run(tmp_path, "b.yaml", text, "outb")
+        rc, ab, _ = _compare(capsys, out_a, out_b)
+        assert rc == 0
+        rc, ba, _ = _compare(capsys, out_b, out_a)
+        assert rc == 0
+        cols_ab = ab["artifacts"]["trajectory"]["columns"]
+        assert cols_ab == ba["artifacts"]["trajectory"]["columns"]
+        assert cols_ab["rho21_re"]["max_rel"] == 1.0
+        for col in cols_ab.values():
+            assert (col["max_rel"] > 0) == (col["max_abs"] > 0)
 
     def test_step_halving_contracts_fourfold(self, tmp_path, capsys):
         coarse, mid, fine = self._halving_runs(tmp_path)
@@ -461,3 +505,38 @@ class TestCompare:
         assert rc == 2
         assert "summary file missing" in capsys.readouterr().err
 
+
+
+def _expected_header(cfg):
+    kind = cfg["kind"]
+    if kind == "GenericSystem":
+        dim = len(cfg["system"]["energies_per_time"])
+        pops = [f"pop_{k}" for k in range(1, dim + 1)]
+        return ["t_time", *pops, "trace_re", "min_eigenvalue"]
+    if kind == "PlateauFigure":
+        return ["tau"] + [f"F_p{p}" for p in cfg["photon_numbers"]]
+    two_level = ["t_time", "rho11", "rho22", "rho21_re", "rho21_im"]
+    return {
+        "TwoLevelWW": two_level,
+        "MarkovLimit": two_level + ["channel_rho22"],
+        "JaynesCummings": ["t_time", "excited", "ground"],
+        "EntropyScan": [
+            "lam", "photon_number", "tau", "excited", "distance", "coherence_bound",
+        ],
+    }[kind]
+
+
+@pytest.mark.parametrize(
+    "config", sorted(CONFIG_DIR.glob("*.yaml")), ids=lambda p: p.stem
+)
+def test_shipped_config_writes_its_artifact(config, tmp_path):
+    cfg = yaml.safe_load(config.read_text())
+    outdir = tmp_path / "out"
+    assert cli.main(["run", str(config), "--out", str(outdir)]) == 0
+    s = _summary(outdir)
+    assert s["kind"] == cfg["kind"]
+    assert s["passed"] is True
+    (fname,) = s["artifacts"].values()
+    assert sorted(p.name for p in outdir.iterdir()) == sorted([fname, "summary.json"])
+    header = (outdir / fname).read_text().splitlines()[0]
+    assert header.split(",") == _expected_header(cfg)
