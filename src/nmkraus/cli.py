@@ -278,6 +278,10 @@ def _time_grid(cfg):
     T = _pos(cfg, "numerics.t_final_time")
     if T <= dt:
         raise ConfigError("numerics.t_final_time must exceed numerics.dt_time")
+    if abs(round(T / dt) * dt - T) > 1e-9 * max(T, 1.0):
+        raise ConfigError(
+            "numerics.t_final_time must be an integer multiple of numerics.dt_time"
+        )
     return T, dt
 
 
@@ -385,7 +389,7 @@ def _run_generic_system(cfg, base):
     for k in range(sys_.dim):
         table[f"pop_{k + 1}"] = m[:, k, k].real
     table["trace_re"] = np.trace(m, axis1=1, axis2=2).real
-    table["min_eigenvalue"] = np.linalg.eigvalsh(m)[:, 0]
+    table["min_eigenvalue"] = traj.min_eigenvalues()
     checks = _audits(cfg, traj, **resid)
     checks.append(_check("hermiticity_residual", traj.herm_residual, 1e-10))
     return "trajectory", table, checks

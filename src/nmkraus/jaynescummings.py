@@ -63,6 +63,14 @@ class EntropyScalingError(ValueError):
     """Scaling exponents outside the admissible wedge."""
 
 
+def _labels(dim):
+    # branch eps, photon label n and doublet normalization nu of each
+    # state index, in the order (1, -1), (-1, 0), (1, 0), (-1, 1), ...
+    s = np.arange(dim)
+    n = (s - 1) // 2
+    return 1 - 2 * (s % 2), n, np.where(n < 0, 1.0, _INV_RT2)
+
+
 @dataclass(frozen=True)
 class DressedBasis:
     """Energy eigenbasis of the atom-mode ladder.
@@ -93,16 +101,12 @@ class DressedBasis:
         if int(self.n_max) != self.n_max or self.n_max < 1:
             raise ValueError("n_max must be an integer >= 1")
         object.__setattr__(self, "n_max", int(self.n_max))
-        states = [(1, -1)]
-        for n in range(self.n_max + 1):
-            states += [(-1, n), (1, n)]
-        object.__setattr__(self, "states", tuple(states))
-        en = [self.energy(e, n) for e, n in states]
-        if np.any(np.diff(en) <= 0):
+        eps, n, _ = _labels(self.dim)
+        if np.any(np.diff(self.energy(eps, n)) <= 0):
             raise ValueError(
                 "ladder rungs overlap at this cutoff; lower n_max or coupling"
             )
-        object.__setattr__(self, "_pos", {s: i for i, s in enumerate(states)})
+        object.__setattr__(self, "states", tuple(zip(eps.tolist(), n.tolist())))
 
     @property
     def omega_f(self):
@@ -120,16 +124,16 @@ class DressedBasis:
         return _INV_RT2 if n >= 0 else 0.0
 
     def energy(self, eps, n):
-        """Rung energy for branch ``eps`` at photon label ``n``."""
+        """Rung energy for branch ``eps`` at photon label ``n``; broadcasts."""
         return (
             self.omega_a2 * (n + 1)
             - self.omega_a1 * n
-            + eps * self.coupling * math.sqrt(n + 1.0)
+            + eps * self.coupling * np.sqrt(n + 1.0)
         )
 
     def index(self, eps, n):
         """Position of ``(eps, n)`` in the state ordering."""
-        return self._pos[(eps, n)]
+        return self.states.index((eps, n))
 
 
 @dataclass(frozen=True)
@@ -139,34 +143,37 @@ class DressedSystem(kr.SystemSpec):
     basis: DressedBasis = None
 
 
+def _amplitudes(basis):
+    """Amplitude table ``U[s, a, m] = <s | a, m>``, shape ``(dim, 2, n_max + 2)``.
+
+    Atom ``a`` is 0 ground, 1 excited, and ``m`` the photon number:
+    ``(eps, n) = nu(n) (|g, n+1> + eps |e, n>)``, ``(1, -1) = |g, 0>``.
+    """
+    eps, n, nu = _labels(basis.dim)
+    s = np.arange(basis.dim)
+    U = np.zeros((basis.dim, 2, basis.n_max + 2))
+    U[s, 0, n + 1] = nu
+    U[s[1:], 1, n[1:]] = eps[1:] * nu[1:]
+    return U
+
+
 def build_dressed_system(basis: DressedBasis, sd: rv.SpectralDensity):
     """Assemble the ladder's state table and decay-pair kernel.
 
     Nonzero slots connect neighbouring rungs only: the inner pair sits
     one photon label below the outer pair on each side, with weight
     ``eps_outer_left * eps_outer_right * nu * nu / 2``.  Every other
-    index combination vanishes identically.
+    index combination vanishes identically.  Slots run over (inner left,
+    inner right, outer branch left, outer branch right) in state order.
     """
-    lows = [
-        (e, n)
-        for n in range(-1, basis.n_max)
-        for e in ((1,) if n < 0 else (-1, 1))
-    ]
-    slots = {}
-    for e2, n2 in lows:
-        for e3, n3 in lows:
-            w = 0.5 * basis.nu(n2) * basis.nu(n3)
-            for e1 in (-1, 1):
-                for e4 in (-1, 1):
-                    key = (
-                        basis.index(e1, n2 + 1) + 1,
-                        basis.index(e2, n2) + 1,
-                        basis.index(e3, n3) + 1,
-                        basis.index(e4, n3 + 1) + 1,
-                    )
-                    slots[key] = e1 * e4 * w
-    energies = tuple(basis.energy(e, n) for e, n in basis.states)
-    return DressedSystem(energies, rv.kernel_table(sd, slots), basis)
+    eps, n, nu = _labels(basis.dim)
+    low = np.arange(basis.dim - 2)
+    up = 2 * n[low] + 3  # index of (-1, n + 1); (1, n + 1) follows it
+    l2, l3, b1, b4 = np.meshgrid(low, low, [0, 1], [0, 1], indexing="ij")
+    slots = np.stack([up[l2] + b1, l2, l3, up[l3] + b4], axis=-1)
+    weights = _SIGN[b1] * _SIGN[b4] * (0.5 * nu[l2] * nu[l3])
+    kernel = rv.CorrelationKernel(sd, 0.0, slots, weights)
+    return DressedSystem(basis.energy(eps, n), kernel, basis)
 
 
 @dataclass(frozen=True)
@@ -186,58 +193,28 @@ class JCInitialState:
 
 
 def dressed_initial_state(basis: DressedBasis, init: JCInitialState):
-    """Factorized atom (x) p-photon state written in the dressed basis."""
+    """Factorized atom (x) p-photon state written in the dressed basis.
+
+    ``rho[i, j] = sum_ab U[i, a, p] U[j, b, p] rho_a[a, b]`` with the
+    amplitude table ``U[s, a, m] = <s | a, m>``, atom ground 0, excited 1.
+    """
     if init.p > basis.n_max:
         raise PhotonCutoffError(
             f"photon number {init.p} exceeds the basis cutoff {basis.n_max}"
         )
-    p = init.p
-    ra = init.rho_a
-    rho = np.zeros((basis.dim, basis.dim), dtype=complex)
-    for e1, n1 in basis.states:
-        for e2, n2 in basis.states:
-            val = 0.0 + 0.0j
-            if n1 == n2 and n1 + 1 == p:
-                val += ra[0, 0]
-            if n1 == n2 + 1 and n1 == p:
-                val += e1 * ra[1, 0]
-            if n1 + 1 == n2 and n2 == p:
-                val += e2 * ra[0, 1]
-            if n1 == n2 and n1 == p:
-                val += e1 * e2 * ra[1, 1]
-            if val != 0:
-                i, j = basis.index(e1, n1), basis.index(e2, n2)
-                rho[i, j] = basis.nu(n1) * basis.nu(n2) * val
-    return rho
+    C = _amplitudes(basis)[:, :, init.p]
+    return (C[:, None, :, None] * C[None, :, None, :] * init.rho_a).sum(axis=(2, 3))
 
 
 def reduce_atomic(basis: DressedBasis, rho):
     """Trace out the privileged mode: (..., dim, dim) -> (..., 2, 2).
 
-    Output rows are ordered (ground, excited), matching JCInitialState.
+    ``out[..., a, b] = sum_{s, t, m} U[s, a, m] rho[..., s, t] U[t, b, m]``
+    with the amplitude table ``U[s, a, m] = <s | a, m>``; rows are
+    ordered (ground, excited), matching JCInitialState.
     """
-    rho = np.asarray(rho)
-    im = np.array([basis.index(-1, n) for n in range(basis.n_max + 1)])
-    ip = np.array([basis.index(1, n) for n in range(basis.n_max + 1)])
-    g = basis.index(1, -1)
-    mm = rho[..., im, im]
-    pp = rho[..., ip, ip]
-    mp = rho[..., im, ip]
-    pm = rho[..., ip, im]
-    out = np.zeros(rho.shape[:-2] + (2, 2), dtype=complex)
-    out[..., 1, 1] = 0.5 * (pp + mm - mp - pm).sum(axis=-1)
-    out[..., 0, 0] = rho[..., g, g] + 0.5 * (pp + mm + mp + pm).sum(axis=-1)
-    coh = _INV_RT2 * (rho[..., ip[0], g] - rho[..., im[0], g])
-    if basis.n_max >= 1:
-        coh = coh + 0.5 * (
-            rho[..., ip[1:], ip[:-1]]
-            + rho[..., ip[1:], im[:-1]]
-            - rho[..., im[1:], ip[:-1]]
-            - rho[..., im[1:], im[:-1]]
-        ).sum(axis=-1)
-    out[..., 1, 0] = coh
-    out[..., 0, 1] = np.conj(coh)
-    return out
+    U = _amplitudes(basis)
+    return np.einsum("sam,...st,tbm->...ab", U, rho, U, optimize=True)
 
 
 # ---------------------------------------------------------------------------

@@ -129,10 +129,6 @@ class KrausZero:
     lipschitz: float
     picard_iters: int
 
-    def entry(self, k, l):
-        """Time series of entry (k, l), 1-based labels."""
-        return self.values[:, k - 1, l - 1]
-
 
 def _step_inverses(A, first, t):
     """Inverses of the step operators ``A[b]`` of steps ``first + b``.

@@ -204,6 +204,15 @@ class TestTwoLevelRuns:
         assert "numerics.dt_time" in capsys.readouterr().err
         assert not outdir.exists()
 
+    def test_off_grid_final_time_names_both_fields(self, tmp_path, capsys):
+        # T = 1.0 on dt = 0.3 used to end the trajectory at t = 0.9
+        text = WW_BODY.format(height=0.0318, dt=0.3, T=1.0)
+        rc, outdir = _run(tmp_path, "bad.yaml", text, "out")
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "numerics.t_final_time" in err and "numerics.dt_time" in err
+        assert not outdir.exists()
+
     def test_missing_field_names_the_path(self, tmp_path, capsys):
         text = WW_BODY.format(height=0.0318, dt=0.01, T=5.0)
         text = text.replace("  omega_2_per_time: 5.0\n", "")
@@ -303,6 +312,16 @@ class TestGenericRuns:
         text = GENERIC_BODY.format(row=2, extra="").replace(
             "t_final_time: 10.0", "t_final_time: 5000.0")
         _assert_refused_at_once(tmp_path, capsys, text)
+
+    def test_off_grid_final_time_names_both_fields(self, tmp_path, capsys):
+        # was a solver error (GridMismatchError), exit 3
+        text = GENERIC_BODY.format(row=2, extra="").replace(
+            "dt_time: 0.05\n  t_final_time: 10.0", "dt_time: 0.3\n  t_final_time: 1.0")
+        rc, outdir = _run(tmp_path, "gen.yaml", text, "out")
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "numerics.t_final_time" in err and "numerics.dt_time" in err
+        assert not outdir.exists()
 
     def test_bad_slot_label(self, tmp_path, capsys):
         rc, _ = _run(

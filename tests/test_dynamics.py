@@ -400,6 +400,52 @@ class TestAudit:
         assert rep.min_eigenvalue < -1e-3
 
 
+class TestGeneratedInvariants:
+    """Trace, Hermiticity, positivity and O(dt^2) drift on generated systems."""
+
+    @settings(max_examples=10, deadline=None)
+    @given(
+        gaps=st.lists(st.floats(2.5, 4.0), min_size=1, max_size=2),
+        amps=st.lists(
+            st.tuples(st.floats(0.1, 1.0), st.floats(-math.pi, math.pi)),
+            min_size=3, max_size=3,
+        ),
+        lorentzian=st.booleans(),
+        strength=st.floats(0.0, 1.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_two_time_pipeline(self, gaps, amps, lorentzian, strength, seed):
+        # physical slots conj(A[m,k]) A[n,j] from a lowering matrix A,
+        # strictly upper triangular with sum |A| = 0.7
+        energies = np.concatenate([[0.0], np.cumsum(gaps)])
+        dim = energies.size
+        A = np.zeros((dim, dim), dtype=complex)
+        for (m, k), (mag, phase) in zip(zip(*np.triu_indices(dim, 1)), amps):
+            A[m, k] = mag * np.exp(1j * phase)
+        A *= 0.7 / np.sum(np.abs(A))
+        rule = {}
+        for k, m, n, j in np.ndindex(dim, dim, dim, dim):
+            if A[m, k] != 0 and A[n, j] != 0:
+                rule[(k + 1, m + 1, n + 1, j + 1)] = np.conj(A[m, k]) * A[n, j]
+        if lorentzian:
+            sd = rv.SpectralDensity.lorentzian(0.2 + 0.4 * strength, 3.0, 1.0)
+        else:
+            sd = rv.SpectralDensity.flat_window(0.02 + 0.06 * strength, 1.5, 4.5)
+        sys = kr.SystemSpec(tuple(energies), rv.kernel_table(sd, rule))
+        rng = np.random.default_rng(seed)
+        g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+        rho0 = g @ g.conj().T
+        rho0 = 0.5 * (rho0 + rho0.conj().T) / np.trace(rho0).real
+        drifts = []
+        for dt in (0.04, 0.02):
+            W = kr.solve_time_domain(sys, 2.0, dt)
+            traj = dy.extract_density(dy.solve_bitemporal(sys, W, rho0, 2.0, dt))
+            drifts.append(np.max(traj.trace_errors()))
+            assert traj.herm_residual <= 1e-12
+            assert np.min(traj.min_eigenvalues()) >= -1e-10
+        assert 3.5 <= drifts[0] / drifts[1] <= 4.5
+
+
 class TestMarkovianLimit:
     def test_sweep_approaches_channel(self):
         # scaled coupling: deviation from the damping channel shrinks

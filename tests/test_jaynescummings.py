@@ -9,6 +9,7 @@ import warnings
 import numpy as np
 import pytest
 
+import ladder_reference
 import recursion_reference
 import series_reference
 import nmkraus.dynamics as dy
@@ -350,6 +351,48 @@ class TestInitialState:
             jc.JCInitialState(RHO_A, -1)
         with pytest.raises(ValueError):
             jc.JCInitialState(RHO_A, 1.5)
+
+
+def _random_density(rng, dim, batch=()):
+    g = rng.normal(size=batch + (dim, dim)) + 1j * rng.normal(size=batch + (dim, dim))
+    rho = g @ np.conj(np.swapaxes(g, -1, -2))
+    return rho / np.trace(rho, axis1=-2, axis2=-1).real[..., None, None]
+
+
+class TestLadderAgreement:
+    """The amplitude-table ladder against the per-state loop reference."""
+
+    @pytest.mark.parametrize("n_max", [1, 2, 7, 20])
+    def test_slots_and_weights_byte_identical(self, n_max):
+        basis = jc.DressedBasis(0.0, W_F, COUPLING, n_max)
+        new = jc.build_dressed_system(basis, window_sd())
+        ref = ladder_reference.build_dressed_system(basis, window_sd())
+        assert new.energies == ref.energies
+        assert new.kernel.beta_inv == ref.kernel.beta_inv
+        for a, b in ((new.kernel.slots, ref.kernel.slots),
+                     (new.kernel.weights, ref.kernel.weights)):
+            assert a.shape == b.shape and a.dtype == b.dtype
+            assert a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("n_max", [1, 2, 3, 4, 5])
+    def test_initial_state_byte_identical(self, n_max):
+        basis = jc.DressedBasis(0.0, W_F, COUPLING, n_max)
+        rng = np.random.default_rng(n_max)
+        for p in range(n_max + 1):
+            init = jc.JCInitialState(_random_density(rng, 2), p)
+            new = jc.dressed_initial_state(basis, init)
+            ref = ladder_reference.dressed_initial_state(basis, init)
+            assert new.dtype == ref.dtype
+            assert new.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("n_max", [1, 3, 20])
+    def test_reduction_matches_to_rounding(self, n_max):
+        basis = jc.DressedBasis(0.0, W_F, COUPLING, n_max)
+        rho = _random_density(np.random.default_rng(n_max), basis.dim, (3, 4))
+        new = jc.reduce_atomic(basis, rho)
+        ref = ladder_reference.reduce_atomic(basis, rho)
+        assert new.shape == ref.shape == (3, 4, 2, 2)
+        assert np.max(np.abs(new - ref)) <= 1e-15 * np.max(np.abs(ref))
 
 
 class TestSeries:

@@ -87,11 +87,11 @@ class TestTimeDomain:
     def test_lorentzian_matches_two_pole_closure(self):
         sol = far_resonant_solution()
         ref = two_pole_reference(sol.grid, 0.5, 1.0)
-        assert np.max(np.abs(sol.entry(2, 2) - ref)) < 1e-4
+        assert np.max(np.abs(sol.values[:, 1, 1] - ref)) < 1e-4
         # single raising-lowering slot leaves the rest of the matrix free
-        assert np.max(np.abs(sol.entry(1, 1) - 1.0)) == 0
-        assert np.max(np.abs(sol.entry(1, 2))) == 0
-        assert np.max(np.abs(sol.entry(2, 1))) == 0
+        assert np.max(np.abs(sol.values[:, 0, 0] - 1.0)) == 0
+        assert np.max(np.abs(sol.values[:, 0, 1])) == 0
+        assert np.max(np.abs(sol.values[:, 1, 0])) == 0
 
     def test_step_halving_is_second_order(self):
         # self-convergence against a fine grid; the closed-form reference
@@ -102,8 +102,8 @@ class TestTimeDomain:
         for dt in (8e-3, 4e-3):
             sol = kr.solve_time_domain(sys, 5.0, dt)
             stride = round(dt / 1e-3)
-            ref = fine.entry(2, 2)[::stride]
-            errs.append(np.max(np.abs(sol.entry(2, 2) - ref)))
+            ref = fine.values[::stride, 1, 1]
+            errs.append(np.max(np.abs(sol.values[:, 1, 1] - ref)))
         assert 3.0 < errs[0] / errs[1] < 5.5
 
     def test_wideband_exponential_decay(self):
@@ -114,7 +114,7 @@ class TestTimeDomain:
         sol = kr.solve_time_domain(sys, 3.0 / gam, 3.0 / gam / 6000)
         mask = sol.grid > 0
         ref = np.exp(-gam * sol.grid[mask])
-        dev = np.abs(np.abs(sol.entry(2, 2)[mask]) - ref) / ref
+        dev = np.abs(np.abs(sol.values[mask, 1, 1]) - ref) / ref
         assert np.max(dev) < 0.05
 
     def test_solver_diagnostics(self):
@@ -257,7 +257,7 @@ class TestLaplaceDomain:
         rng = np.random.default_rng(20240817)
         for _ in range(10):
             z = (195.0 + 10.0 * rng.random()) + 1j * (1.0 + 2.0 * rng.random())
-            ft = lp.forward_transform(sol.entry(2, 2), 200.0, z, t=sol.grid)
+            ft = lp.forward_transform(sol.values[:, 1, 1], 200.0, z, t=sol.grid)
             wz = lk.evaluate(z)[1, 1]
             assert abs(ft - wz) / abs(wz) < 1e-3
 
@@ -544,7 +544,7 @@ class TestThermal:
         sol = kr.solve_time_domain(sys, 6.0, 2.5e-3)
         z = 6.0 + 3.5j
         lk = kr.solve_continued_fraction(sys, 48, [z])
-        ft = lp.forward_transform(sol.entry(2, 2), 6.0, z, t=sol.grid)
+        ft = lp.forward_transform(sol.values[:, 1, 1], 6.0, z, t=sol.grid)
         wz = lk.evaluate(z)[1, 1]
         assert abs(ft - wz) / abs(wz) < 1e-5
         ident = kr.laplace_inverse_identity(sys, lk, z)
