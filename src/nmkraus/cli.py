@@ -78,6 +78,8 @@ def _num(cfg, path, default=_MISSING):
     v = _fetch(cfg, path, default)
     if isinstance(v, bool) or not isinstance(v, (int, float)):
         raise ConfigError(f"{path} must be a number")
+    if not math.isfinite(v):
+        raise ConfigError(f"{path} must be finite")
     return float(v)
 
 
@@ -120,9 +122,12 @@ def _list(cfg, path):
 
 def _floats(cfg, path):
     try:
-        return [float(x) for x in _list(cfg, path)]
+        vals = [float(x) for x in _list(cfg, path)]
     except (TypeError, ValueError):
         raise ConfigError(f"{path} must be numbers") from None
+    if not all(map(math.isfinite, vals)):
+        raise ConfigError(f"{path} must be finite")
+    return vals
 
 
 def _build_spectral(cfg, base, scale2=1.0):
@@ -273,15 +278,18 @@ def _finish(outdir, kind, artifact, table, checks):
 # scenarios: each runner maps (cfg, base) to (artifact, {column: values}, checks)
 
 
+def _whole_steps(span, step, span_path, step_path):
+    """Refuse a grid whose final point is not a whole number of steps."""
+    if abs(round(span / step) * step - span) > 1e-9 * max(span, 1.0):
+        raise ConfigError(f"{span_path} must be an integer multiple of {step_path}")
+
+
 def _time_grid(cfg):
     dt = _pos(cfg, "numerics.dt_time")
     T = _pos(cfg, "numerics.t_final_time")
     if T <= dt:
         raise ConfigError("numerics.t_final_time must exceed numerics.dt_time")
-    if abs(round(T / dt) * dt - T) > 1e-9 * max(T, 1.0):
-        raise ConfigError(
-            "numerics.t_final_time must be an integer multiple of numerics.dt_time"
-        )
+    _whole_steps(T, dt, "numerics.t_final_time", "numerics.dt_time")
     return T, dt
 
 
@@ -289,7 +297,7 @@ def _two_time(sys_, rho0, T, dt):
     """Two-time trajectory and its solver residuals, after the field-size guard."""
     dy.check_field_size(sys_, T, dt)
     W = kr.solve_time_domain(sys_, T, dt)
-    xi = dy.solve_bitemporal(sys_, W, rho0, T, dt)
+    xi = dy.solve_bitemporal(sys_, W, rho0)
     return dy.extract_density(xi), {
         "volterra_residual": W.max_residual,
         "bitemporal_residual": xi.max_residual,
@@ -440,6 +448,7 @@ def _run_plateau_figure(cfg, base):
         raise ConfigError("initial populations must sum to 1")
     tau_max = _pos(cfg, "grid.tau_max", 160.0)
     dtau = _pos(cfg, "grid.dtau", 0.1)
+    _whole_steps(tau_max, dtau, "grid.tau_max", "grid.dtau")
     taus = np.arange(0.0, tau_max + 0.5 * dtau, dtau)
     plateau_tol = _pos(cfg, "audit.plateau_tol", 1e-2)
     tail_tol = _pos(cfg, "audit.tail_tol", 1e-2)
@@ -452,7 +461,7 @@ def _run_plateau_figure(cfg, base):
                 f"grid.tau_max must reach p + 5 sqrt(p) + 1 = {tail_start + 1.0:.1f} "
                 f"for photon_numbers entry {p}"
             )
-        F = jc.plateau_oracle(jc.PlateauParams(taus, p, r11, r22))
+        F = jc.plateau_oracle(taus, p, r11, r22)
         table[f"F_p{p}"] = F
         # settled stretch starts past the first few scaled lifetimes; the
         # onset analysis lives with the acceptance records
@@ -477,18 +486,16 @@ def _run_entropy_scan(cfg, base):
     if _fetch(cfg, "initial", None) is not None:
         rho_a = _initial_two_level(cfg)
     try:
-        rows = jc.entropy_limit_scan(
+        table = jc.entropy_limit_scan(
             basis, sd, alpha, beta, lams, p_tilde=p_tilde, t_tilde=t_tilde, rho_a=rho_a
         )
     except jc.EntropyScalingError as e:
         raise ConfigError(f"exponents: {e}") from e
     except ValueError as e:
         raise ConfigError(f"couplings: {e}") from e
-    cols = ("lam", "photon_number", "tau", "excited", "distance", "coherence_bound")
-    table = {c: [getattr(r, c) for r in rows] for c in cols}
     checks = []
-    if len(rows) >= 2:
-        drop = min(a.distance - b.distance for a, b in zip(rows, rows[1:]))
+    if table["lam"].size >= 2:
+        drop = np.min(-np.diff(table["distance"]))
         checks.append(_check("min_distance_drop", drop, 1e-12, ">="))
     return "scan", table, checks
 

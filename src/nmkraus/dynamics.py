@@ -24,7 +24,6 @@ __all__ = [
     "ConservationReport",
     "DensityTrajectory",
     "FieldSizeError",
-    "GridMismatchError",
     "StateValidationError",
     "audit_conservation",
     "channel_pair",
@@ -36,10 +35,6 @@ __all__ = [
     "validate_density",
     "wigner_weisskopf",
 ]
-
-
-class GridMismatchError(ValueError):
-    """Propagator samples do not line up with the requested time grid."""
 
 
 class StateValidationError(ValueError):
@@ -57,12 +52,14 @@ class FieldSizeError(MemoryError):
 def validate_density(rho0, dim):
     """Return ``rho0`` as a complex ``dim x dim`` density matrix.
 
-    Raises StateValidationError unless it is Hermitian, of unit trace
-    and positive semidefinite.
+    Raises StateValidationError unless it is finite, Hermitian, of unit
+    trace and positive semidefinite.
     """
     rho0 = np.asarray(rho0, dtype=complex)
     if rho0.shape != (dim, dim):
         raise StateValidationError(f"initial state must be {dim}x{dim}")
+    if not np.all(np.isfinite(rho0)):
+        raise StateValidationError("initial state has a non-finite entry")
     scale = max(1.0, float(np.max(np.abs(rho0))))
     if np.max(np.abs(rho0 - rho0.conj().T)) > 1e-12 * scale:
         raise StateValidationError("initial state is not Hermitian")
@@ -245,8 +242,8 @@ class _CausalSolver:
         return u @ self.U.T, worst
 
 
-def solve_bitemporal(sys: SystemSpec, W: KrausZero, rho0, T, dt) -> BitemporalState:
-    """Integrate the two-time equation column by column.
+def solve_bitemporal(sys: SystemSpec, W: KrausZero, rho0) -> BitemporalState:
+    """Integrate the two-time equation column by column on ``W.grid``.
 
     The explicit free phases are absorbed into the propagator columns
     ``B(t) = e^{-iHt} W(t)``, which turns the memory term into causal
@@ -269,13 +266,12 @@ def solve_bitemporal(sys: SystemSpec, W: KrausZero, rho0, T, dt) -> BitemporalSt
     With ``G = sum_e P_e`` the work is O(n^3 G dim) for the products
     plus O(n^2 log^2 n P^2) for the column solves.  Besides the field,
     ``(n+1)^2 dim^2`` complex numbers, the solve stores the kernel-weighted
-    read entries, ``(n+1)^2 G`` more.  ``W.values[0]`` must be the
-    identity, as :func:`kraus.solve_time_domain` returns it.
+    read entries, ``(n+1)^2 G`` more.  The ``n`` steps and their size
+    are those of ``W.grid``, and ``W.values[0]`` must be the identity,
+    as :func:`kraus.solve_time_domain` returns it.
 
     Raises
     ------
-    GridMismatchError
-        If ``W`` is not sampled with step ``dt`` on at least ``[0, T]``.
     StateValidationError
         If ``rho0`` is not a density matrix.
     FieldSizeError
@@ -286,23 +282,16 @@ def solve_bitemporal(sys: SystemSpec, W: KrausZero, rho0, T, dt) -> BitemporalSt
     """
     dim = sys.dim
     rho0 = validate_density(rho0, dim)
-    if dt <= 0 or T <= 0:
-        raise ValueError("need T > 0 and dt > 0")
-    n = int(round(T / dt))
-    if abs(n * dt - T) > 1e-9 * max(T, 1.0):
-        raise GridMismatchError("T must be an integer multiple of dt")
-    if W.grid.shape[0] < n + 1:
-        raise GridMismatchError("propagator grid does not reach T")
-    tg = W.grid[: n + 1]
-    if np.max(np.abs(tg - np.arange(n + 1) * dt)) > 1e-9 * (T + dt):
-        raise GridMismatchError("propagator grid step differs from dt")
-    check_field_size(sys, T, dt)
+    tg = W.grid
+    n = tg.shape[0] - 1
+    dt = tg[1] - tg[0]
+    check_field_size(sys, tg[-1], dt)
     pd, pa, Wsl = _slot_pairs(sys)
     P = pd.size
     feeds = _feeds(Wsl)
 
     en = np.asarray(sys.energies, dtype=float)
-    B = np.exp(-1j * np.outer(tg, en))[:, :, None] * W.values[: n + 1]
+    B = np.exp(-1j * np.outer(tg, en))[:, :, None] * W.values
     line = sys.kernel.on_grid(np.arange(-n, n + 1) * dt)
     # KD[s, sp] = kernel((sp - s) dt); a reversed sliding view, no copy
     KD = np.lib.stride_tricks.sliding_window_view(line, n + 1)[::-1]
@@ -476,8 +465,13 @@ def audit_conservation(traj: DensityTrajectory) -> ConservationReport:
     )
 
 
-def wigner_weisskopf(sd: rv.SpectralDensity, omega1, omega2, t, *,
-                     n_points=30001, im_offset=1e-6):
+# contour nodes at least, and their height above the axis, of the
+# numeric two-level inversion
+_WW_POINTS = 30001
+_WW_IM_OFFSET = 1e-6
+
+
+def wigner_weisskopf(sd: rv.SpectralDensity, omega1, omega2, t):
     """Excited-state population of the zero-temperature two-level atom.
 
     For a Lorentzian profile the Laplace image closes into a rational
@@ -506,7 +500,7 @@ def wigner_weisskopf(sd: rv.SpectralDensity, omega1, omega2, t, *,
 
     gamma_est = max(-rv.correlation_boundary(sd, w21).imag, 1e-6 * sd.frequency_scale())
     span = 1500.0 * gamma_est + 20.0 * sd.frequency_scale()
-    npts = max(n_points, int(16.0 * span / gamma_est) | 1)
+    npts = max(_WW_POINTS, int(16.0 * span / gamma_est) | 1)
     # the weight jumps at its support edges, which puts log branch
     # points of the image just below the contour; a node near one
     # spoils the trapezoid sum, so the step is shortened until it
@@ -515,9 +509,9 @@ def wigner_weisskopf(sd: rv.SpectralDensity, omega1, omega2, t, *,
     lo, hi = (omega1 + x for x in sd.support())
     step = (hi - lo) / math.ceil((hi - lo) * (npts - 1) / (2.0 * span))
     start = lo - step * (round((lo - omega2 + span) / step - 0.5) + 0.5)
-    grid = lp.ContourGrid(start, start + (npts - 1) * step, npts, im_offset)
+    grid = lp.ContourGrid(start, start + (npts - 1) * step, npts, _WW_IM_OFFSET)
     omega = grid.nodes()
-    zline = omega + 1j * im_offset
+    zline = omega + 1j * _WW_IM_OFFSET
     image = 1.0 / (zline - omega2 - rv.correlation_laplace(sd, zline - omega1))
     # the 1/z asymptote carries the t=0 jump; peel off a reference pole
     # with the same asymptote, pushed below the axis so the contour

@@ -24,11 +24,9 @@ from . import reservoir as rv
 __all__ = [
     "DressedBasis",
     "DressedSystem",
-    "EntropyRow",
     "EntropyScalingError",
     "JCInitialState",
     "PhotonCutoffError",
-    "PlateauParams",
     "SeriesResult",
     "SingularBlockError",
     "adjoint_recursion",
@@ -227,8 +225,6 @@ def _comb(sd, h):
     lo, hi = sd.support()
     q0 = max(0, math.ceil(lo / h - 1e-9))
     q1 = math.floor(hi / h + 1e-9)
-    if q1 - q0 < 8:
-        raise ValueError("frequency comb under-resolves the coupling window")
     wq = sd.weight(np.arange(q0, q1 + 1) * h) * h
     wq[0] *= 0.5
     wq[-1] *= 0.5
@@ -296,21 +292,25 @@ def _line_blocks(basis, sd, x0, h, n_vis, eta, top_level):
     return out
 
 
-def kraus_recursion(sys: DressedSystem, z, *, n_modes=1500):
+# comb steps across the spectral support of a point evaluation
+_RECURSION_MODES = 1500
+
+
+def kraus_recursion(sys: DressedSystem, z):
     """Blockwise damping-amplitude image at one point, ``Im z > 0``.
 
     Evaluates the finite photon-level recursion down to the ground rung
     and returns the full matrix over the basis, block diagonal with
     exact zeros elsewhere.  The coupling integral runs on a uniform
-    comb over the spectral support, so families with slow tails are
-    truncated at their support radius.
+    comb of at least 1,500 steps over the spectral support, so families
+    with slow tails are truncated at their support radius.
     """
     z = complex(z)
     if z.imag <= 0:
         raise rv.LaplaceDomainError("kraus_recursion requires Im z > 0")
     basis, sd = sys.basis, sys.kernel.sd
     lo, hi = sd.support()
-    h = min((hi - lo) / n_modes, z.imag / 4.0)
+    h = min((hi - lo) / _RECURSION_MODES, z.imag / 4.0)
     blocks = _line_blocks(basis, sd, z.real, h, 1, z.imag, basis.n_max)
     out = np.zeros((basis.dim, basis.dim), dtype=complex)
     out[0, 0] = blocks[-1][0]
@@ -320,9 +320,9 @@ def kraus_recursion(sys: DressedSystem, z, *, n_modes=1500):
     return out
 
 
-def adjoint_recursion(sys: DressedSystem, z, *, n_modes=1500):
+def adjoint_recursion(sys: DressedSystem, z):
     """Image of the conjugate-branch amplitude, ``Im z < 0``."""
-    return np.conj(kraus_recursion(sys, np.conj(complex(z)), n_modes=n_modes))
+    return np.conj(kraus_recursion(sys, np.conj(complex(z))))
 
 
 # ---------------------------------------------------------------------------
@@ -532,56 +532,31 @@ def _sum_orders(Q, inner, ow, oidx, base=0, gpart=1.0):
 # long-time references
 
 
-@dataclass(frozen=True)
-class PlateauParams:
-    """Scaled-time evolution parameters for the large-p shape."""
-
-    tau: object
-    p: int
-    rho_a11: float
-    rho_a22: float
-
-    def __post_init__(self):
-        tau = np.asarray(self.tau, dtype=float)
-        if np.any(tau < 0):
-            raise ValueError("tau must be >= 0")
-        object.__setattr__(self, "tau", tau)
-        if int(self.p) != self.p or self.p < 1:
-            raise ValueError("p must be an integer >= 1")
-        if self.rho_a11 < -1e-12 or self.rho_a22 < -1e-12:
-            raise ValueError("atomic populations must be nonnegative")
-
-
-def plateau_oracle(params: PlateauParams):
+def plateau_oracle(tau, p, rho_a11, rho_a22):
     """Closed-form excited population at large photon number.
 
     Evaluates ``rho22 e^-tau + (e^-tau / 2) * sum_{r=1..p}
-    (1 - rho11 delta_{r p}) tau^r / r!`` with log-stable terms; the sum
-    holds near 1/2 from tau of a few until tau approaches p.
+    (1 - rho11 delta_{r p}) tau^r / r!`` with log-stable terms at the
+    scaled time(s) ``tau >= 0``, for ``p >= 1`` photons and atomic
+    populations ``rho_a11``, ``rho_a22``; the sum holds near 1/2 from
+    tau of a few until tau approaches p.
     """
-    tau = params.tau
-    p = params.p
-    out = params.rho_a22 * np.exp(-tau)
+    tau = np.asarray(tau, dtype=float)
+    if np.any(tau < 0):
+        raise ValueError("tau must be >= 0")
+    if int(p) != p or p < 1:
+        raise ValueError("p must be an integer >= 1")
+    if rho_a11 < -1e-12 or rho_a22 < -1e-12:
+        raise ValueError("atomic populations must be nonnegative")
+    out = rho_a22 * np.exp(-tau)
     rr = np.arange(1, p + 1)
     with np.errstate(divide="ignore"):
         logt = np.where(tau > 0, np.log(np.maximum(tau, 1e-300)), -np.inf)
     logterm = -tau[..., None] + rr * logt[..., None] - gammaln(rr + 1)
     fac = np.ones(p)
-    fac[-1] = 1.0 - params.rho_a11
+    fac[-1] = 1.0 - rho_a11
     out = out + 0.5 * (np.exp(logterm) * fac).sum(axis=-1)
     return out
-
-
-@dataclass(frozen=True)
-class EntropyRow:
-    """One coupling value of the maximum-entropy scaling scan."""
-
-    lam: float
-    photon_number: int
-    tau: float
-    excited: float
-    distance: float
-    coherence_bound: float
 
 
 def entropy_limit_scan(
@@ -601,9 +576,11 @@ def entropy_limit_scan(
     ``p_tilde / lam**beta`` and time as ``t_tilde / lam**alpha``.  The
     admissible wedge ``2 < alpha < beta + 2``, ``0 < beta < 4/3`` is
     enforced by named rejections, and scaled photon numbers must come
-    out integer.  Rows report the plateau value, its distance from the
-    balanced point, and the decay envelope of the initial atomic
-    coherence.
+    out integer.  Returns ``{column: array}`` with one entry per
+    coupling: ``lam``, the ``photon_number``, the scaled time ``tau``,
+    the plateau value ``excited``, its ``distance`` from the balanced
+    point, and the ``coherence_bound``, the decay envelope of the
+    initial atomic coherence.
     """
     if alpha <= 2:
         raise EntropyScalingError("alpha must exceed 2")
@@ -622,6 +599,7 @@ def entropy_limit_scan(
         rho_a = np.array([[0.0, 0.0], [0.0, 1.0]])
     ra = np.asarray(rho_a, dtype=complex)
     dy.validate_density(ra, 2)
+    r11, r22 = float(ra[0, 0].real), float(ra[1, 1].real)
     gf2 = float(sd.weight(basis.omega_f))
     rows = []
     for lam in lams:
@@ -632,19 +610,10 @@ def entropy_limit_scan(
                 f"p_tilde / lam**beta = {praw} is not an integer at lam = {lam}"
             )
         tau = float(lam ** (2.0 - alpha) * 0.5 * np.pi * gf2 * t_tilde)
-        exc = float(
-            plateau_oracle(
-                PlateauParams(tau, pint, float(ra[0, 0].real), float(ra[1, 1].real))
-            )
-        )
+        exc = float(plateau_oracle(tau, pint, r11, r22))
         rows.append(
-            EntropyRow(
-                lam,
-                int(pint),
-                tau,
-                exc,
-                abs(exc - 0.5),
-                float(abs(ra[1, 0]) * math.exp(-0.5 * tau)),
-            )
+            (lam, int(pint), tau, exc, abs(exc - 0.5),
+             float(abs(ra[1, 0]) * math.exp(-0.5 * tau)))
         )
-    return rows
+    cols = ("lam", "photon_number", "tau", "excited", "distance", "coherence_bound")
+    return {c: np.array(v) for c, v in zip(cols, zip(*rows))}

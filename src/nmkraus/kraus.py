@@ -117,17 +117,32 @@ class SystemSpec:
 class KrausZero:
     """Time-sampled propagator amplitude with solver diagnostics.
 
-    ``max_residual`` is the worst scaled residual of the exact step
-    solves of :func:`solve_time_domain`.  ``picard_iters`` is always 0,
-    since no step iterates; the field stays because benchmark tracing
-    reads it.
+    ``grid`` is uniform, starts at 0 and has at least one step, to
+    1e-9 of its final time; the solvers that read the amplitude take
+    their step from it.  ``max_residual`` is the worst scaled residual
+    of the exact step solves of :func:`solve_time_domain`.
+    ``picard_iters`` is always 0, since no step iterates; the field
+    stays because benchmark tracing reads it.
+
+    Raises
+    ------
+    ValueError
+        If the grid is not uniform from 0 with at least one step.
     """
 
     grid: np.ndarray
     values: np.ndarray
     max_residual: float
-    lipschitz: float
     picard_iters: int
+
+    def __post_init__(self):
+        t = np.asarray(self.grid, dtype=float)
+        n = t.size - 1
+        if t.ndim != 1 or n < 1 or not t[-1] > 0:
+            raise ValueError("propagator grid needs at least one positive step")
+        dev = np.max(np.abs(t - np.arange(n + 1) * (t[-1] / n)))
+        if not dev <= 1e-9 * t[-1]:
+            raise ValueError("propagator grid must be uniform and start at 0")
 
 
 def _step_inverses(A, first, t):
@@ -154,7 +169,10 @@ def _step_inverses(A, first, t):
     return inv
 
 
-def solve_time_domain(sys: SystemSpec, T, dt, *, max_steps=2_000_000) -> KrausZero:
+_MAX_STEPS = 2_000_000
+
+
+def solve_time_domain(sys: SystemSpec, T, dt) -> KrausZero:
     """Product-trapezoid Volterra integration of the amplitude equation.
 
     Since ``W[0] = I``, the implicit trapezoid update of step ``i`` is
@@ -179,7 +197,7 @@ def solve_time_domain(sys: SystemSpec, T, dt, *, max_steps=2_000_000) -> KrausZe
     T : float
         Final time.
     dt : float
-        Uniform step; T/dt must not exceed ``max_steps``.
+        Uniform step; T/dt must not exceed 2,000,000.
 
     Returns
     -------
@@ -198,8 +216,8 @@ def solve_time_domain(sys: SystemSpec, T, dt, *, max_steps=2_000_000) -> KrausZe
     n = int(round(T / dt))
     if n < 1:
         raise ValueError("T must cover at least one step")
-    if n > max_steps:
-        raise ValueError(f"T/dt = {n} exceeds max_steps = {max_steps}")
+    if n > _MAX_STEPS:
+        raise ValueError(f"T/dt = {n} exceeds the cap of {_MAX_STEPS} steps")
     dim = sys.dim
     d2 = dim * dim
     en = np.asarray(sys.energies)
@@ -269,8 +287,7 @@ def solve_time_domain(sys: SystemSpec, T, dt, *, max_steps=2_000_000) -> KrausZe
         resid = np.abs(np.einsum("bpq,bq->bp", A, x) - F).max(axis=1)
         worst = max(worst, float(np.max(resid / np.maximum(1.0, np.abs(F).max(axis=1)))))
 
-    lips = float(np.abs(w).sum() * np.trapezoid(np.abs(kappa), t))
-    return KrausZero(t, W, worst, lips, 0)
+    return KrausZero(t, W, worst, 0)
 
 
 # ---------------------------------------------------------------------------

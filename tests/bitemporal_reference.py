@@ -9,8 +9,12 @@ with it to rounding.
 
 import numpy as np
 
-from nmkraus.dynamics import BitemporalState, GridMismatchError, validate_density
+from nmkraus.dynamics import BitemporalState, validate_density
 from nmkraus.kraus import SystemSpec, KrausZero
+
+
+class GridMismatchError(ValueError):
+    """Propagator samples do not line up with the requested time grid."""
 
 
 class ConvergenceError(ArithmeticError):

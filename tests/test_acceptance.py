@@ -102,7 +102,7 @@ def jc_reference():
     start = time.perf_counter()
     sys = jc.build_dressed_system(basis, sd)
     W = kr.solve_time_domain(sys, T, T / n)
-    xi = dy.solve_bitemporal(sys, W, jc.dressed_initial_state(basis, init), T, T / n)
+    xi = dy.solve_bitemporal(sys, W, jc.dressed_initial_state(basis, init))
     traj = dy.extract_density(xi)
     reduced = jc.reduce_atomic(basis, traj.matrices)
     series = jc.atomic_population_series(basis, sd, init, traj.times, 2)
@@ -231,7 +231,7 @@ def test_criterion_06_plateau_literal_window():
     taus = np.arange(0.0, 160.0 + 0.05, 0.1)
     worst = 0.0
     for p in (20, 50, 100):
-        F = jc.plateau_oracle(jc.PlateauParams(taus, p, 0.0, 1.0))
+        F = jc.plateau_oracle(taus, p, 0.0, 1.0)
         window = (taus >= 3.0) & (taus <= p - 3.0 * math.sqrt(p))
         worst = max(worst, float(np.max(np.abs(F[window] - 0.5))))
     print(
@@ -246,7 +246,7 @@ def test_criterion_06_plateau_figure(tmp_path):
     start = time.perf_counter()
     plateau_dev, tail_max = 0.0, 0.0
     for p in (20, 50, 100):
-        F = jc.plateau_oracle(jc.PlateauParams(taus, p, 0.0, 1.0))
+        F = jc.plateau_oracle(taus, p, 0.0, 1.0)
         window = (taus >= 5.5) & (taus <= p - 3.0 * math.sqrt(p))
         plateau_dev = max(plateau_dev, float(np.max(np.abs(F[window] - 0.5))))
         tail_max = max(tail_max, float(np.max(F[taus >= p + 5.0 * math.sqrt(p)])))
@@ -353,7 +353,7 @@ def test_criterion_10_entropy_scaling():
     rows = jc.entropy_limit_scan(
         basis, sd, 2.5, 1.0, [0.4, 0.2, 0.1], p_tilde=2.0, t_tilde=40.0
     )
-    dists = [r.distance for r in rows]
+    dists = list(rows["distance"])
     ok = dists[0] > dists[1] > dists[2]
     _report(
         10,

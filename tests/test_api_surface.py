@@ -24,6 +24,18 @@ def test_exports_resolve(name):
     assert not missing, f"{name}.__all__ names what it does not define: {missing}"
 
 
+@pytest.mark.parametrize("name", [m for m in MODULES if m not in ("nmkraus", "nmkraus.cli")])
+def test_public_definitions_are_exported(name):
+    # the reverse of test_exports_resolve, for the solver modules
+    mod = importlib.import_module(name)
+    tree = ast.parse(Path(mod.__file__).read_text())
+    public = [node.name for node in tree.body
+              if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+              and not _private(node.name)]
+    unlisted = [x for x in public if x not in mod.__all__]
+    assert not unlisted, f"{name} defines public names its __all__ leaves out: {unlisted}"
+
+
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_no_private_reads_across_modules(path):
     tree = ast.parse(path.read_text(), filename=str(path))

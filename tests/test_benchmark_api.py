@@ -39,7 +39,7 @@ SCRIPT = textwrap.dedent(
     ladder = jc.build_dressed_system(basis, rv.SpectralDensity.flat_window(0.03, 18.0, 22.0))
     W = kr.solve_time_domain(ladder, 0.5, 0.05)
     rho0 = jc.dressed_initial_state(basis, jc.JCInitialState(np.diag([0.0, 1.0]), 1))
-    dy.solve_bitemporal(ladder, W, rho0, 0.5, 0.05)
+    dy.solve_bitemporal(ladder, W, rho0)
     assert tr.sizes["dynamics.bitemporal_slots"] == 36
     assert tr.self_times()["dynamics.bitemporal"] > 0
     print("ok")

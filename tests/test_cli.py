@@ -167,6 +167,20 @@ def test_module_entry_runs_once():
     assert res.returncode == 0, res.stderr
 
 
+@pytest.mark.parametrize("text, path", [
+    (WW_BODY.format(height=0.0318, dt=0.01, T=5.0) + "initial:\n  rho11: .nan\n",
+     "initial.rho11"),
+    (WW_BODY.format(height=".inf", dt=0.01, T=5.0), "spectral.height_per_time"),
+    (GENERIC_BODY.format(row=2, extra="").replace("[0.0, 3.0]", "[0.0, .nan]"),
+     "system.energies_per_time"),
+], ids=["nan_rho11", "inf_height", "nan_energy"])
+def test_non_finite_number_names_the_field(tmp_path, capsys, text, path):
+    rc, outdir = _run(tmp_path, "bad.yaml", text, "out")
+    assert rc == 2
+    assert f"{path} must be finite" in capsys.readouterr().err
+    assert not outdir.exists()
+
+
 class TestTwoLevelRuns:
     def test_trajectory_artifacts_and_audits(self, tmp_path):
         text = WW_BODY.format(height=0.0318, dt=0.01, T=20.0)
@@ -314,7 +328,7 @@ class TestGenericRuns:
         _assert_refused_at_once(tmp_path, capsys, text)
 
     def test_off_grid_final_time_names_both_fields(self, tmp_path, capsys):
-        # was a solver error (GridMismatchError), exit 3
+        # used to reach the two-time solver and exit 3
         text = GENERIC_BODY.format(row=2, extra="").replace(
             "dt_time: 0.05\n  t_final_time: 10.0", "dt_time: 0.3\n  t_final_time: 1.0")
         rc, outdir = _run(tmp_path, "gen.yaml", text, "out")
@@ -407,6 +421,15 @@ class TestPlateauRuns:
         rc, _ = _run(tmp_path, "fig.yaml", text, "out")
         assert rc == 2
         assert "grid.tau_max" in capsys.readouterr().err
+
+    def test_off_grid_tau_max_names_both_fields(self, tmp_path, capsys):
+        # tau_max = 50.0 on dtau = 0.3 used to end the figure at tau = 50.1
+        text = PLATEAU_BODY.format(plist="20", tau_max=50.0, dtau=0.3)
+        rc, outdir = _run(tmp_path, "fig.yaml", text, "out")
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "grid.tau_max" in err and "grid.dtau" in err
+        assert not outdir.exists()
 
 
 class TestEntropyScanRuns:

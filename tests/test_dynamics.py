@@ -38,7 +38,7 @@ def far_propagator():
 
 @functools.cache
 def far_bitemporal():
-    return dy.solve_bitemporal(far_system(), far_propagator(), RHO, 2.0, 0.01)
+    return dy.solve_bitemporal(far_system(), far_propagator(), RHO)
 
 
 @functools.cache
@@ -46,7 +46,7 @@ def zero_kernel_state():
     sys = kr.SystemSpec((0.0, 3.0), rv.kernel_table(
         rv.SpectralDensity.flat_window(0.1, 1.0, 2.0), {}))
     W = kr.solve_time_domain(sys, 1.0, 0.05)
-    return dy.solve_bitemporal(sys, W, RHO, 1.0, 0.05)
+    return dy.solve_bitemporal(sys, W, RHO)
 
 
 class TestValidation:
@@ -54,12 +54,16 @@ class TestValidation:
         sys, W = far_system(), far_propagator()
         bad = np.array([[0.5, 0.2], [0.3, 0.5]])
         with pytest.raises(dy.StateValidationError):
-            dy.solve_bitemporal(sys, W, bad, 1.0, 0.01)
+            dy.solve_bitemporal(sys, W, bad)
         with pytest.raises(dy.StateValidationError):
-            dy.solve_bitemporal(sys, W, 2.0 * RHO, 1.0, 0.01)
+            dy.solve_bitemporal(sys, W, 2.0 * RHO)
         neg = np.array([[1.5, 0.0], [0.0, -0.5]])
         with pytest.raises(dy.StateValidationError):
-            dy.solve_bitemporal(sys, W, neg, 1.0, 0.01)
+            dy.solve_bitemporal(sys, W, neg)
+        nan = RHO.copy()
+        nan[0, 0] = np.nan
+        with pytest.raises(dy.StateValidationError, match="non-finite"):
+            dy.validate_density(nan, 2)
 
     def test_field_size_guard(self):
         # a stand-in identity propagator on 10^5 steps asks for a field
@@ -69,9 +73,9 @@ class TestValidation:
         n, dt = max(10**5, math.isqrt(phys)), 0.01
         W = kr.KrausZero(np.arange(n + 1) * dt,
                          np.broadcast_to(np.eye(2, dtype=complex), (n + 1, 2, 2)),
-                         0.0, 0.0, 0)
+                         0.0, 0)
         with pytest.raises(dy.FieldSizeError) as err:
-            dy.solve_bitemporal(far_system(), W, RHO, n * dt, dt)
+            dy.solve_bitemporal(far_system(), W, RHO)
         assert err.value.nbytes > phys
         assert "GiB" in str(err.value)
 
@@ -85,18 +89,9 @@ class TestValidation:
             sd, {(1, 1, 1, 1): 4.0 / (dt * dt * kappa0)}))
         W = kr.KrausZero(np.arange(3) * dt,
                          np.broadcast_to(np.eye(2, dtype=complex), (3, 2, 2)),
-                         0.0, 0.0, 0)
+                         0.0, 0)
         with pytest.raises(kr.SingularOperatorError, match=r"rows j\+0, j = 1\.\.2"):
-            dy.solve_bitemporal(sys, W, RHO, 2 * dt, dt)
-
-    def test_grid_checks(self):
-        sys, W = far_system(), far_propagator()
-        with pytest.raises(dy.GridMismatchError):
-            dy.solve_bitemporal(sys, W, RHO, 1.0, 0.02)
-        with pytest.raises(dy.GridMismatchError):
-            dy.solve_bitemporal(sys, W, RHO, 5.0, 0.01)
-        with pytest.raises(dy.GridMismatchError):
-            dy.solve_bitemporal(sys, W, RHO, 1.0035, 0.01)
+            dy.solve_bitemporal(sys, W, RHO)
 
 
 class TestBitemporal:
@@ -134,7 +129,7 @@ class TestBitemporal:
         drifts = []
         for dt in (0.02, 0.01):
             W = kr.solve_time_domain(sys, 2.0, dt)
-            traj = dy.extract_density(dy.solve_bitemporal(sys, W, RHO, 2.0, dt))
+            traj = dy.extract_density(dy.solve_bitemporal(sys, W, RHO))
             drifts.append(np.max(traj.trace_errors()))
         assert 2.5 < drifts[0] / drifts[1] < 6.0
 
@@ -148,7 +143,7 @@ class TestBitemporal:
         sd = rv.SpectralDensity.flat_window(0.04, 4.0, 8.0)
         sys = radiative(sd, 6.0, beta_inv=2.0)
         W = kr.solve_time_domain(sys, 2.0, 0.01)
-        traj = dy.extract_density(dy.solve_bitemporal(sys, W, EXCITED, 2.0, 0.01))
+        traj = dy.extract_density(dy.solve_bitemporal(sys, W, EXCITED))
         assert np.max(traj.trace_errors()) < 1e-4
         assert np.min(traj.min_eigenvalues()) > -1e-10
 
@@ -162,7 +157,7 @@ def _assert_matches_reference(sys, rho0, T, n, *, physical=True):
     """
     dt = T / n
     W = kr.solve_time_domain(sys, T, dt)
-    new = dy.solve_bitemporal(sys, W, rho0, T, dt)
+    new = dy.solve_bitemporal(sys, W, rho0)
     ref = bitemporal_reference.solve_bitemporal(sys, W, rho0, T, dt)
     assert np.max(np.abs(new.values - ref.values)) <= 1e-12
     swapped = np.conj(np.swapaxes(np.swapaxes(new.values, 0, 1), 2, 3))
@@ -439,7 +434,7 @@ class TestGeneratedInvariants:
         drifts = []
         for dt in (0.04, 0.02):
             W = kr.solve_time_domain(sys, 2.0, dt)
-            traj = dy.extract_density(dy.solve_bitemporal(sys, W, rho0, 2.0, dt))
+            traj = dy.extract_density(dy.solve_bitemporal(sys, W, rho0))
             drifts.append(np.max(traj.trace_errors()))
             assert traj.herm_residual <= 1e-12
             assert np.min(traj.min_eigenvalues()) >= -1e-10
