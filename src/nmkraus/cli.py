@@ -75,12 +75,20 @@ def _fetch(cfg, path, default=_MISSING):
 
 
 def _num(cfg, path, default=_MISSING):
-    v = _fetch(cfg, path, default)
+    return _entry(_fetch(cfg, path, default), path)
+
+
+def _entry(v, path):
+    """``v`` as a finite float, else a ConfigError that names ``path``."""
     if isinstance(v, bool) or not isinstance(v, (int, float)):
         raise ConfigError(f"{path} must be a number")
+    try:
+        v = float(v)
+    except OverflowError:
+        raise ConfigError(f"{path} is beyond float range") from None
     if not math.isfinite(v):
         raise ConfigError(f"{path} must be finite")
-    return float(v)
+    return v
 
 
 def _pos(cfg, path, default=_MISSING):
@@ -121,13 +129,7 @@ def _list(cfg, path):
 
 
 def _floats(cfg, path):
-    try:
-        vals = [float(x) for x in _list(cfg, path)]
-    except (TypeError, ValueError):
-        raise ConfigError(f"{path} must be numbers") from None
-    if not all(map(math.isfinite, vals)):
-        raise ConfigError(f"{path} must be finite")
-    return vals
+    return [_entry(x, f"{path}[{i}]") for i, x in enumerate(_list(cfg, path))]
 
 
 def _build_spectral(cfg, base, scale2=1.0):
@@ -184,16 +186,18 @@ def _initial_two_level(cfg):
         raise ConfigError(f"initial: {e}") from e
 
 
+def _matrix(cfg, path, dim, default=_MISSING):
+    rows = _fetch(cfg, path, default)
+    if not (isinstance(rows, list) and len(rows) == dim
+            and all(isinstance(r, list) and len(r) == dim for r in rows)):
+        raise ConfigError(f"{path} must be a {dim}x{dim} matrix")
+    return np.array([[_entry(x, f"{path}[{i}][{j}]") for j, x in enumerate(r)]
+                     for i, r in enumerate(rows)])
+
+
 def _initial_matrix(cfg, dim):
-    re = _list(cfg, "initial.rho_re")
-    im = _fetch(cfg, "initial.rho_im", None)
-    try:
-        re = np.asarray(re, dtype=float)
-        im = np.zeros_like(re) if im is None else np.asarray(im, dtype=float)
-    except (TypeError, ValueError):
-        raise ConfigError("initial.rho_re and initial.rho_im must hold numbers") from None
-    if re.shape != (dim, dim) or im.shape != (dim, dim):
-        raise ConfigError(f"initial.rho_re must be a {dim}x{dim} matrix")
+    re = _matrix(cfg, "initial.rho_re", dim)
+    im = _matrix(cfg, "initial.rho_im", dim, [[0.0] * dim] * dim)
     try:
         return dy.validate_density(re + 1j * im, dim)
     except dy.StateValidationError as e:

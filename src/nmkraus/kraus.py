@@ -43,7 +43,6 @@ __all__ = [
     "KrausZero",
     "LaplaceKraus",
     "SingularOperatorError",
-    "ContourOrderingError",
     "LineResolutionError",
     "solve_time_domain",
     "laplace_inverse_identity",
@@ -54,10 +53,6 @@ __all__ = [
 
 class SingularOperatorError(ArithmeticError):
     """Raised when a linear solve is ill-conditioned (cond > 1e12)."""
-
-
-class ContourOrderingError(ValueError):
-    """Raised when Im z does not clear the internal contour height."""
 
 
 class LineResolutionError(ValueError):
@@ -313,6 +308,14 @@ def _cubic_interp(xg, yg, x):
 _MAX_LINE_POINTS = 400_000
 
 
+def _upper(z):
+    """``complex(z)``; raises reservoir.LaplaceDomainError if ``Im z <= 0``."""
+    z = complex(z)
+    if z.imag <= 0:
+        raise rv.LaplaceDomainError("Laplace-domain evaluators require Im z > 0")
+    return z
+
+
 class LaplaceKraus:
     """Laplace-domain propagator with cached contour-line solves.
 
@@ -485,9 +488,7 @@ class LaplaceKraus:
 
     def evaluate(self, z):
         """Dim x dim matrix value at a single z with Im z > 0."""
-        z = complex(z)
-        if z.imag <= 0:
-            raise ContourOrderingError("evaluator requires Im z > 0")
+        z = _upper(z)
         if self.system.kernel.weights.size:
             xg, W, _ = self._line(z.imag)
             if xg[0] <= z.real <= xg[-1]:
@@ -498,7 +499,7 @@ class LaplaceKraus:
 
     def cauchy_at(self, z):
         """Final iteration update size on the line through z."""
-        return self._line(complex(z).imag)[2]
+        return self._line(_upper(z).imag)[2]
 
     def _line(self, imz):
         if imz not in self._lines:
@@ -506,7 +507,7 @@ class LaplaceKraus:
         return self._lines[imz]
 
 
-def laplace_inverse_identity(sys: SystemSpec, W: LaplaceKraus, z, *, y_height=0.0):
+def laplace_inverse_identity(sys: SystemSpec, W: LaplaceKraus, z):
     """Matrix I(z) with I(z) W(z) = identity for the converged image.
 
     Entry (k, l) is ``(z - w_k) delta_kl`` minus the slot-weighted
@@ -523,20 +524,14 @@ def laplace_inverse_identity(sys: SystemSpec, W: LaplaceKraus, z, *, y_height=0.
     W : LaplaceKraus
         Laplace-domain propagator whose values enter the integral.
     z : complex
-        Must satisfy ``Im z > y_height``.
-    y_height : float, optional
-        Height of the internal contour the integral was collapsed over.
+        Must satisfy ``Im z > 0``.
 
     Raises
     ------
-    ContourOrderingError
-        If ``Im z <= y_height``.
+    reservoir.LaplaceDomainError
+        If ``Im z <= 0``.
     """
-    z = complex(z)
-    if z.imag <= y_height:
-        raise ContourOrderingError(
-            f"need Im z > internal contour height {y_height:g}, got {z.imag:g}"
-        )
+    z = _upper(z)
     dim = sys.dim
     en = np.asarray(sys.energies)
     out = np.diag(z - en).astype(complex)
@@ -544,8 +539,6 @@ def laplace_inverse_identity(sys: SystemSpec, W: LaplaceKraus, z, *, y_height=0.
     om, wq = rv.discrete_modes(kern.sd, 4096, kern.beta_inv)
     dev = np.zeros((om.size, dim, dim), dtype=complex)
     if W.system.kernel.weights.size:
-        if z.imag <= 0:
-            raise ContourOrderingError("evaluator requires Im z > 0")
         xg, line, _ = W._line(z.imag)
         x = z.real - om
         a = np.flatnonzero((xg[0] <= x) & (x <= xg[-1]))
@@ -583,8 +576,6 @@ def solve_continued_fraction(sys: SystemSpec, depth, z_set) -> LaplaceKraus:
     lk = LaplaceKraus(sys, depth)
     for z in z_set:
         z = complex(z)
-        if z.imag <= 0:
-            raise ContourOrderingError("z_set entries need Im z > 0")
         lk.evaluate(z)
         lk.cauchy[z] = lk.cauchy_at(z)
     return lk
@@ -609,7 +600,8 @@ def weak_coupling_limit(sys: SystemSpec, lam, omega_tilde, *, anchor=None, eps_t
     anchor : int, optional
         1-based level whose energy anchors the window (default: top).
     eps_tilde : float, optional
-        Rescaled positive imaginary offset.
+        Rescaled imaginary offset; ``Im z > 0`` needs it positive, else
+        reservoir.LaplaceDomainError.
 
     Returns
     -------
@@ -619,8 +611,6 @@ def weak_coupling_limit(sys: SystemSpec, lam, omega_tilde, *, anchor=None, eps_t
     """
     if not 0 < lam <= 1:
         raise ValueError("lam must be in (0, 1]")
-    if eps_tilde <= 0:
-        raise ValueError("eps_tilde must be > 0")
     dim = sys.dim
     if anchor is None:
         anchor = dim

@@ -71,7 +71,7 @@ class ContourGrid:
         if self.n_points < 16:
             raise ValueError("need n_points >= 16")
         if self.im_offset <= 0:
-            raise ValueError("im_offset must be > 0")
+            raise LaplaceDomainError("im_offset must be > 0")
 
     def nodes(self):
         """Contour abscissas (real parts)."""

@@ -206,32 +206,20 @@ def _exp1_halfline(z, tau):
     return val
 
 
-def _kappa_zero_temp(sd: SpectralDensity, tau):
-    """Closed zero-temperature kernel kappa(tau) of a Lorentzian or flat window."""
-    tau = np.asarray(tau, dtype=float)
-    scalar = tau.ndim == 0
-    tau = np.atleast_1d(tau)
-    out = np.empty(tau.shape, dtype=complex)
-    # kappa(-tau) = conj(kappa(tau)): evaluate on |tau| and conjugate back
-    neg = tau < 0
-    at = np.abs(tau)
+def _kappa_zero_temp(sd: SpectralDensity, at):
+    """Closed zero-temperature kernel of a Lorentzian or flat window on ``at = |tau|``."""
+    out = np.full(at.shape, sd.total_strength(), dtype=complex)
     pos = at > 0
+    tp = at[pos]
     if sd.family == "Lorentzian":
         g0, wc, lam = sd.params
-        zp, zm = wc + 1j * lam, wc - 1j * lam
-        tp = at[pos]
-        if tp.size:
-            ip = _exp1_halfline(zp, tp)
-            im = _exp1_halfline(zm, tp)
-            out[pos] = (g0 / (2j * np.pi)) * (ip - im)
+        ip = _exp1_halfline(wc + 1j * lam, tp)
+        im = _exp1_halfline(wc - 1j * lam, tp)
+        out[pos] = (g0 / (2j * np.pi)) * (ip - im)
     else:
         h, lo, hi = sd.params
-        tp = at[pos]
-        if tp.size:
-            out[pos] = h * (np.exp(-1j * lo * tp) - np.exp(-1j * hi * tp)) / (1j * tp)
-    out[~pos] = sd.total_strength()
-    out[neg] = np.conj(out[neg])
-    return out[0] if scalar else out
+        out[pos] = h * (np.exp(-1j * lo * tp) - np.exp(-1j * hi * tp)) / (1j * tp)
+    return out
 
 
 def _check_thermal_convergent(sd: SpectralDensity, beta_inv):
@@ -295,10 +283,12 @@ def _mode_sum(f, x, omega, wq):
 def kernel_samples(sd: SpectralDensity, tau, beta_inv=0.0):
     """Kernel ``kappa`` on an array of time differences.
 
+    The kernel is evaluated on ``|tau|`` and conjugated back for
+    ``tau < 0``, since ``kappa(-tau) = conj(kappa(tau))``; the result has
+    the shape of ``tau``, a numpy complex scalar for a scalar ``tau``.
     A zero-temperature Lorentzian or flat window uses its closed form.
     Otherwise the kernel is the sum over the modes of
-    :func:`discrete_modes`, evaluated on ``|tau|`` and conjugated back
-    for ``tau < 0``: a tabulated density keeps its table nodes; a
+    :func:`discrete_modes`: a tabulated density keeps its table nodes; a
     thermal flat window gets whole 32-node Gauss panels, each at most
     ``40 / max|tau|`` wide and graded geometrically toward omega = 0.
 
@@ -310,13 +300,14 @@ def kernel_samples(sd: SpectralDensity, tau, beta_inv=0.0):
     """
     if beta_inv < 0:
         raise ValueError("beta_inv must be >= 0")
-    if beta_inv == 0 and sd.family != "Tabulated":
-        return _kappa_zero_temp(sd, tau)
     tau = np.asarray(tau, dtype=float)
     at = np.abs(tau).ravel()
-    reach = float(at.max(initial=0.0))
-    omega, wq = _kernel_modes(sd, beta_inv, _TIME_SPAN / reach if reach else math.inf)
-    out = _mode_sum(lambda x, w: np.exp(-1j * x * w), at, omega, wq)
+    if beta_inv == 0 and sd.family != "Tabulated":
+        out = _kappa_zero_temp(sd, at)
+    else:
+        reach = float(at.max(initial=0.0))
+        omega, wq = _kernel_modes(sd, beta_inv, _TIME_SPAN / reach if reach else math.inf)
+        out = _mode_sum(lambda x, w: np.exp(-1j * x * w), at, omega, wq)
     out = np.where(tau.ravel() < 0, out.conj(), out).reshape(tau.shape)
     return out if out.ndim else out[()]
 
@@ -420,30 +411,18 @@ def _laplace_zero_temp(sd: SpectralDensity, y):
             n2 = (-1.0 / zp**2) / a - 2.0 * (1.0 / zp) / a**2 + 2.0 * np.log(-zp) / a**3
             taylor = rm * np.log(-zm) + n1 + 0.5 * d * n2
             acc = np.where(near, taylor, acc)
-        out = (g0 * lam / np.pi) * acc
-        return out if out.ndim else complex(out)
+        return (g0 * lam / np.pi) * acc
     h, lo, hi = sd.params
     return h * np.log((y - lo) / (y - hi))
 
 
-def correlation_boundary(sd: SpectralDensity, omega, eps_imag=None):
+def correlation_boundary(sd: SpectralDensity, omega):
     """Boundary value of the zero-temperature Laplace image just above the real axis.
 
-    Realizes the ``omega + i0`` prescription with a small positive
-    imaginary part.
-
-    Parameters
-    ----------
-    omega : float
-        Real evaluation frequency.
-    eps_imag : float, optional
-        Contour height; defaults to ``1e-6 * frequency_scale``.
+    Realizes the ``omega + i0`` prescription at the height
+    ``1e-6 * frequency_scale`` above the real frequency ``omega``.
     """
-    if eps_imag is None:
-        eps_imag = 1e-6 * sd.frequency_scale()
-    if eps_imag <= 0:
-        raise ValueError("eps_imag must be > 0")
-    return correlation_laplace(sd, omega + 1j * eps_imag)
+    return correlation_laplace(sd, omega + 1j * (1e-6 * sd.frequency_scale()))
 
 
 # ---------------------------------------------------------------------------

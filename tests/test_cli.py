@@ -172,12 +172,35 @@ def test_module_entry_runs_once():
      "initial.rho11"),
     (WW_BODY.format(height=".inf", dt=0.01, T=5.0), "spectral.height_per_time"),
     (GENERIC_BODY.format(row=2, extra="").replace("[0.0, 3.0]", "[0.0, .nan]"),
-     "system.energies_per_time"),
+     "system.energies_per_time[1]"),
 ], ids=["nan_rho11", "inf_height", "nan_energy"])
 def test_non_finite_number_names_the_field(tmp_path, capsys, text, path):
     rc, outdir = _run(tmp_path, "bad.yaml", text, "out")
     assert rc == 2
     assert f"{path} must be finite" in capsys.readouterr().err
+    assert not outdir.exists()
+
+
+@pytest.mark.parametrize("text, message", [
+    (GENERIC_BODY.format(row=2, extra="").replace("[0.0, 3.0]", "[false, 3.0]"),
+     "system.energies_per_time[0] must be a number"),
+    (GENERIC_BODY.format(row=2, extra="").replace("[[0.2, 0.1]", '[[0.2, "0.1"]'),
+     "initial.rho_re[0][1] must be a number"),
+    (GENERIC_BODY.format(row=2, extra="").replace(
+        "initial:\n", "initial:\n  rho_im: [[0.0, 0.0], [true, 0.0]]\n"),
+     "initial.rho_im[1][0] must be a number"),
+    (SCAN_BODY.format(alpha=2.5).replace("[0.4, 0.2, 0.1]", "[0.4, true, 0.1]"),
+     "couplings[1] must be a number"),
+    (SCAN_BODY.format(alpha=2.5).replace("[0.4, 0.2, 0.1]", "[0.4, abc, 0.1]"),
+     "couplings[1] must be a number"),
+    (WW_BODY.format(height="1" + "0" * 400, dt=0.01, T=5.0),
+     "spectral.height_per_time is beyond float range"),
+], ids=["bool_energy", "string_rho_re", "bool_rho_im", "bool_coupling", "string_coupling",
+        "huge_height"])
+def test_rejected_entry_is_named(tmp_path, capsys, text, message):
+    rc, outdir = _run(tmp_path, "bad.yaml", text, "out")
+    assert rc == 2
+    assert message in capsys.readouterr().err
     assert not outdir.exists()
 
 
@@ -449,7 +472,6 @@ class TestEntropyScanRuns:
         assert "alpha must exceed 2" in capsys.readouterr().err
 
     @pytest.mark.parametrize("entries, message", [
-        ("abc, 0.1]", "couplings must be numbers"),
         ("0.1, 0.2]", "couplings: lams must be strictly decreasing"),
     ])
     def test_bad_coupling_names_the_field(self, tmp_path, capsys, entries, message):
