@@ -12,8 +12,6 @@ import os
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import fft as sfft
-from scipy import linalg as sla
 
 from . import laplace as lp
 from . import reservoir as rv
@@ -179,6 +177,9 @@ class _CausalSolver:
     """
 
     def __init__(self, K, h, leaf=None):
+        # imported here: only the two-time solve needs scipy.linalg
+        from scipy import linalg as sla
+
         T, U = sla.schur(K[0], output="complex")
         self.U = U[:, ::-1]
         self.K = self.U.conj().T @ K @ self.U
@@ -215,9 +216,9 @@ class _CausalSolver:
         """Couplings of the rows ``src`` into the same number of next rows."""
         span = src.shape[0]
         if span not in self._spectra:
-            self._spectra[span] = sfft.fft(self.K[: 2 * span], 2 * span, axis=0)
-        fu = sfft.fft(src, 2 * span, axis=0)
-        return sfft.ifft(np.einsum("kpq,kq->kp", self._spectra[span], fu), axis=0)[span:]
+            self._spectra[span] = np.fft.fft(self.K[: 2 * span], 2 * span, axis=0)
+        fu = np.fft.fft(src, 2 * span, axis=0)
+        return np.fft.ifft(np.einsum("kpq,kq->kp", self._spectra[span], fu), axis=0)[span:]
 
     def solve(self, g):
         """Return ``u_e = h_e p_e`` and the worst scaled leaf residual."""
@@ -323,8 +324,8 @@ def solve_bitemporal(sys: SystemSpec, W: KrausZero, rho0) -> BitemporalState:
     K = np.einsum("mpc,qcp->mpq", Bp, Wsl[:, :, pa])
     column = _CausalSolver(K, 0.5 * dt * dt * line[n:0:-1]) if P else None
 
-    nfft = sfft.next_fast_len(2 * n + 1)
-    fB = sfft.fft(B, nfft, axis=0)
+    nfft = rv.next_fast_len(2 * n + 1)
+    fB = np.fft.fft(B, nfft, axis=0)
     fBp = fB[:, pd, :]
     max_resid = 0.0
     for j in range(1, n + 1):
@@ -343,8 +344,8 @@ def solve_bitemporal(sys: SystemSpec, W: KrausZero, rho0) -> BitemporalState:
             # same-column sum; the solve needs only read entries of B * Q
             Q = dt * R
             Q[:j] += ((hk[:, None] * xi[:j, j, pd, pa]) @ Wflat).reshape(j, dim, dim)
-            fQ = sfft.fft(Q, nfft, axis=0)
-            BQ = sfft.ifft(np.einsum("kpc,kcp->kp", fBp, fQ[:, :, pa]), axis=0)
+            fQ = np.fft.fft(Q, nfft, axis=0)
+            BQ = np.fft.ifft(np.einsum("kpc,kcp->kp", fBp, fQ[:, :, pa]), axis=0)
             g = BQ[j : n + 1] + np.einsum("ipc,cp->ip", Bp[j:], M0[:, pa])
             g -= 0.5 * dt * R[j:, pd, pa]
             u = np.zeros((n + 1, P), dtype=complex)
@@ -353,8 +354,8 @@ def solve_bitemporal(sys: SystemSpec, W: KrausZero, rho0) -> BitemporalState:
             # the unknown rows' V[r] = sum_q Wsl[q] h_r p_r[q] join the
             # spectrum; B[0] = I, so the convolution counts V[i] once in
             # full where the trapezoid wants it halved
-            fQ += (sfft.fft(u, nfft, axis=0) @ Wflat).reshape(nfft, dim, dim)
-            xj = sfft.ifft(fB @ fQ, axis=0)[j : n + 1]
+            fQ += (np.fft.fft(u, nfft, axis=0) @ Wflat).reshape(nfft, dim, dim)
+            xj = np.fft.ifft(fB @ fQ, axis=0)[j : n + 1]
             xj += B[j:] @ M0 - 0.5 * dt * R[j:]
             xj -= 0.5 * (u[j:] @ Wflat).reshape(-1, dim, dim)
         xi[j:, j] = xj
@@ -420,8 +421,8 @@ def two_level_trajectory(sys: SystemSpec, W: KrausZero, rho0) -> DensityTrajecto
     a = dt * w22 * np.exp(-1j * w21 * tg)
     at = a.copy()
     at[0] *= 0.5
-    nfft = sfft.next_fast_len(2 * n)
-    C = sfft.ifft(sfft.fft(at[:n], nfft) * sfft.fft(kappa, nfft))[: n + 1]
+    nfft = rv.next_fast_len(2 * n)
+    C = np.fft.ifft(np.fft.fft(at[:n], nfft) * np.fft.fft(kappa, nfft))[: n + 1]
     # Q_i: the form over the nodes r < i at full weight (at_0 halved)
     inc = np.abs(at) ** 2 * k0 + 2.0 * (np.conj(at) * C).real
     refill = np.concatenate([[0.0], np.cumsum(inc[:-1])])

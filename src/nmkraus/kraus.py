@@ -34,7 +34,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy import fft as sfft
 
 from . import reservoir as rv
 
@@ -308,6 +307,31 @@ def _cubic_interp(xg, yg, x):
 _MAX_LINE_POINTS = 400_000
 
 
+def _inverse_blocks(blk):
+    """Inverses of a stack of square blocks ``(..., s, s)``.
+
+    1x1 and 2x2 blocks are inverted in closed form (reciprocal, and
+    adjugate over determinant): a batched ``np.linalg.inv`` calls LAPACK
+    once per matrix, which dominates a line of tiny blocks.  Raises
+    ``np.linalg.LinAlgError`` on an exactly zero determinant, as
+    ``np.linalg.inv`` does on an exactly zero pivot.
+    """
+    s = blk.shape[-1]
+    if s > 2:
+        return np.linalg.inv(blk)
+    a = blk[..., 0, 0]
+    if s == 2:
+        b, c, d = blk[..., 0, 1], blk[..., 1, 0], blk[..., 1, 1]
+        det = a * d - b * c
+    else:
+        det = a
+    if not np.all(det):
+        raise np.linalg.LinAlgError("Singular matrix")
+    if s == 1:
+        return 1.0 / blk
+    return np.stack([d, -b, -c, a], axis=-1).reshape(blk.shape) / det[..., None, None]
+
+
 def _upper(z):
     """``complex(z)``; raises reservoir.LaplaceDomainError if ``Im z <= 0``."""
     z = complex(z)
@@ -339,7 +363,7 @@ class LaplaceKraus:
     (the line plus the span of the binned mode offsets), taken in
     batches of columns of at most 4 MiB; builds the block entries of
     the inverse by one product with the summed slot weights; and
-    inverts each group of equal-size blocks in one batched call.
+    inverts each group of equal-size blocks at once (``_inverse_blocks``).
     """
 
     def __init__(self, sys: SystemSpec, depth):
@@ -405,7 +429,8 @@ class LaplaceKraus:
         Shifts beyond the window are dropped; their window lookups land
         on the zero padding anyway.  The FFT length covers the line plus
         the range of the offsets and of 0, so the circular convolution
-        does not wrap around onto the line.
+        does not wrap around onto the line.  The weights are real: one
+        half-length ``rfft`` and its conjugate mirror give the spectrum.
         """
         om, wq = self._modes
         pos = om / h
@@ -414,11 +439,12 @@ class LaplaceKraus:
         i0 = np.floor(pos).astype(int)
         frac = pos - i0
         span = max(i0.max(initial=-1) + 1, 0) - min(i0.min(initial=0), 0)
-        nfft = sfft.next_fast_len(npts + span + 1)
+        nfft = rv.next_fast_len(npts + span + 1)
         A = np.zeros(nfft)
         np.add.at(A, i0 % nfft, (1.0 - frac) * ww)
         np.add.at(A, (i0 + 1) % nfft, frac * ww)
-        return sfft.fft(A)
+        half = np.fft.rfft(A)
+        return np.concatenate([half, np.conj(half[nfft % 2 - 2 : 0 : -1])])
 
     def _solve_line(self, imz):
         xg = self._line_points(imz)
@@ -452,9 +478,9 @@ class LaplaceKraus:
                 for c in range(0, pm.size, cols):
                     # M[i, q] = sum_r A_r corr[i - r, q]; the zero padding
                     # stands in for the negligible deviation outside the window
-                    cf = sfft.fft(corr[:, c : c + cols], nfft, axis=0)
+                    cf = np.fft.fft(corr[:, c : c + cols], nfft, axis=0)
                     cf *= A[:, None]
-                    M[:, c : c + cols] = sfft.ifft(cf, axis=0)[:npts]
+                    M[:, c : c + cols] = np.fft.ifft(cf, axis=0)[:npts]
                 M += chat
             B = base - M @ self._G
             Wnew = np.empty_like(B)
@@ -462,7 +488,7 @@ class LaplaceKraus:
                 for e0, cnt, s in self._groups:
                     e1 = e0 + cnt * s * s
                     blk = B[:, e0:e1].reshape(npts, cnt, s, s)
-                    Wnew[:, e0:e1] = np.linalg.inv(blk).reshape(npts, -1)
+                    Wnew[:, e0:e1] = _inverse_blocks(blk).reshape(npts, -1)
             except np.linalg.LinAlgError as exc:
                 raise SingularOperatorError(
                     f"singular inversion on line Im z = {imz:g}"

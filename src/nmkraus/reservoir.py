@@ -36,7 +36,6 @@ from dataclasses import dataclass, field
 from typing import Mapping
 
 import numpy as np
-from scipy import special
 
 __all__ = [
     "SpectralDensity",
@@ -51,6 +50,7 @@ __all__ = [
     "kernel_samples",
     "discrete_modes",
     "gauss_legendre",
+    "next_fast_len",
     "thermal_occupation",
 ]
 
@@ -199,6 +199,9 @@ def _exp1_halfline(z, tau):
     # int_0^inf e^{-i w tau} / (w - z) dw for tau > 0, z off the positive axis.
     # The contour closes through the lower half-plane; a pole with Im z < 0
     # is encircled clockwise, hence the -2*pi*i residue term.
+    # imported here: only the zero-temperature Lorentzian needs scipy
+    from scipy import special
+
     arg = -1j * z * tau
     val = np.exp(arg) * special.exp1(arg)
     if z.imag < 0:
@@ -441,6 +444,50 @@ def gauss_legendre(n):
     return x, w
 
 
+def next_fast_len(n):
+    """Smallest 11-smooth integer ``>= n``: a fast complex FFT length.
+
+    Every length ``2^a 3^b 5^c 7^d 11^e`` below the next power of two
+    is tried, each odd part raised to the least power-of-two multiple
+    that reaches ``n`` (the lengths ``scipy.fft.next_fast_len`` returns
+    for complex input).
+    """
+    n = int(n)
+    if n < 1:
+        raise ValueError("FFT length must be >= 1")
+    best = 1 << (n - 1).bit_length()
+    p11 = 1
+    while p11 < best:
+        p7 = p11
+        while p7 < best:
+            p5 = p7
+            while p5 < best:
+                p3 = p5
+                while p3 < best:
+                    best = min(best, p3 if p3 >= n else p3 << (-(-n // p3) - 1).bit_length())
+                    p3 *= 3
+                p5 *= 5
+            p7 *= 7
+        p11 *= 11
+    return best
+
+
+def _wright_omega(y):
+    """Root ``x > 0`` of ``x + log x = y`` for real ``y``, elementwise.
+
+    Six Newton steps in the form ``x <- x (1 + y - log x) / (1 + x)``
+    from ``exp(y)`` (``y <= 1``) or ``y - log y`` (``y > 1``), both below
+    ``exp(1 + y)``, where a step would turn negative.  ``x + log x`` is
+    concave, so after the first step the iterates lie below the root and
+    rise monotonically to it; six steps settle to rounding.
+    """
+    y = np.asarray(y, dtype=float)
+    x = np.where(y > 1.0, y - np.log(np.maximum(y, 1.0)), np.exp(np.minimum(y, 1.0)))
+    for _ in range(6):
+        x = x * (1.0 + y - np.log(x)) / (1.0 + x)
+    return x
+
+
 def _panel_edges(lo, hi, n_panels):
     """Edges of ``n_panels`` quadrature panels on ``[lo, hi]``.
 
@@ -455,7 +502,7 @@ def _panel_edges(lo, hi, n_panels):
     b = (hi - lo) / max(_GRADE * n_panels - lam, _GRADE)
     phi = np.linspace(0.0, hi - lo + b * lam, n_panels + 1)
     # x + log x = (phi + lo)/b + log(lo/b) at x = w/b: Wright's omega
-    edges = b * special.wrightomega((phi + lo) / b + math.log(lo / b))
+    edges = b * _wright_omega((phi + lo) / b + math.log(lo / b))
     edges[0], edges[-1] = lo, hi
     return edges
 

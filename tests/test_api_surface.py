@@ -54,3 +54,20 @@ def test_no_private_reads_across_modules(path):
                 and node.value.id in aliases and _private(node.attr)):
             bad.append(f"line {node.lineno}: reads {node.value.id}.{node.attr}")
     assert not bad, f"{path.name} reads private names of other modules: {bad}"
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_module_level_scipy_import(path):
+    # scipy's shared start-up costs about as much as numpy's; a module
+    # that needs scipy imports it where it is used
+    tree = ast.parse(path.read_text(), filename=str(path))
+    bad = []
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            names = [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            names = [node.module or ""]
+        else:
+            continue
+        bad += [f"line {node.lineno}: {n}" for n in names if n.split(".")[0] == "scipy"]
+    assert not bad, f"{path.name} imports scipy at module level: {bad}"

@@ -167,6 +167,22 @@ def test_module_entry_runs_once():
     assert res.returncode == 0, res.stderr
 
 
+@pytest.mark.parametrize("name", ["jc_series", "two_level_ww"])
+def test_fresh_run_loads_no_scipy(tmp_path, name):
+    # a shipped config that needs no Schur step and no Lorentzian exp1
+    env = dict(os.environ)
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    args = ["run", str(CONFIG_DIR / f"{name}.yaml"), "--out", str(tmp_path / "out")]
+    code = ("import sys\nfrom nmkraus import cli\n"
+            f"rc = cli.main({args!r})\n"
+            "print(rc, sorted(m for m in sys.modules if m.startswith('scipy')))\n")
+    res = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=120)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.splitlines()[-1] == "0 []"
+
+
 @pytest.mark.parametrize("text, path", [
     (WW_BODY.format(height=0.0318, dt=0.01, T=5.0) + "initial:\n  rho11: .nan\n",
      "initial.rho11"),

@@ -162,6 +162,29 @@ class TestRecursion:
                              text=True, check=True)
         assert out.stdout.strip() == "False"
 
+    def test_cli_import_loads_no_scipy(self):
+        code = "import sys, nmkraus.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                             text=True, check=True)
+        assert out.stdout.strip() == "[]"
+
+    def test_flat_window_laplace_side_loads_no_scipy(self):
+        # the Laplace-side path on a flat window with lo > 0: the ladder,
+        # the recursion's comb FFTs, and a continued-fraction line whose
+        # 4,096 modes sit on graded panels
+        code = (
+            "import sys\n"
+            "import nmkraus.jaynescummings as jc, nmkraus.kraus as kr, nmkraus.reservoir as rv\n"
+            "sd = rv.SpectralDensity.flat_window(0.0318, 18.0, 22.0)\n"
+            "ds = jc.build_dressed_system(jc.DressedBasis(0.0, 20.0, 0.3, 1), sd)\n"
+            "jc.kraus_recursion(ds, 19.5 + 1.5j)\n"
+            "kr.solve_continued_fraction(ds, 8, [19.5 + 1.5j])\n"
+            "print(sorted(m for m in sys.modules if m.startswith('scipy')))\n"
+        )
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                             text=True, check=True)
+        assert out.stdout.strip() == "[]"
+
     @pytest.mark.parametrize("sizes", [(16501, 1501), (193601, 1501), (7, 3)])
     def test_overlap_save_matches_fftconvolve(self, sizes):
         from scipy import fft as sfft
@@ -530,6 +553,14 @@ class TestPlateauOracle:
             assert np.max(np.abs(F[mid] - 0.5)) < 1e-2
             assert np.max(F[late]) < 1e-2
             assert np.all(np.isfinite(F))
+
+    def test_log_factorial_matches_gammaln(self):
+        from scipy.special import gammaln
+
+        ref = gammaln(np.arange(2.0, 202.0))
+        # gammaln is itself up to 2 ulp from log r! here (2.3e-13 at
+        # r = 182), so the bound allows those 2 ulp beyond 1e-13
+        assert np.all(np.abs(jc._log_factorial(200) - ref) <= 1e-13 + 2 * np.spacing(ref))
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):

@@ -443,6 +443,42 @@ class TestLaplaceDomain:
         with pytest.raises(kr.SingularOperatorError):
             lk.evaluate(5.0 + 1e-13j)
 
+    def test_singular_block_on_the_line(self, monkeypatch):
+        # an image chat(y) = y - 1 cancels entry (1, 1) of the two-level
+        # line exactly: B = (z - 1) - chat(z - 0) = 0 at every point
+        sys = kr.SystemSpec((0.0, 1.0), rv.kernel_table(
+            rv.SpectralDensity.flat_window(0.05, 1.0, 2.0), {(2, 1, 1, 2): 1.0}))
+        monkeypatch.setattr(rv, "correlation_laplace", lambda sd, y, beta_inv=0.0: y - 1.0)
+        with pytest.raises(kr.SingularOperatorError, match="singular inversion"):
+            kr.LaplaceKraus(sys, 1).evaluate(0.5 + 1.0j)
+
+    @pytest.mark.parametrize("size", [1, 2, 3])
+    def test_block_inverses_match_linalg(self, size):
+        rng = np.random.default_rng(size)
+        blk = rng.normal(size=(500, 3, size, size)) + 1j * rng.normal(size=(500, 3, size, size))
+        got = kr._inverse_blocks(blk)
+        ref = np.linalg.inv(blk)
+        assert np.max(np.abs(got - ref) / np.max(np.abs(ref), axis=(-2, -1), keepdims=True)) < 1e-12
+        # an exactly zero determinant raises as np.linalg.inv does: a
+        # zero block, or for size >= 2 a block of equal rows
+        blk[7, 1] = 0.0 if size == 1 else np.arange(1.0, size + 1.0)
+        with pytest.raises(np.linalg.LinAlgError):
+            kr._inverse_blocks(blk)
+
+    def test_fold_spectrum_matches_scipy_fft(self):
+        # the half-length real FFT plus its mirror is scipy.fft's full
+        # spectrum of the binned weights, bit for bit
+        from scipy import fft as sfft
+
+        lk = kr.LaplaceKraus(dressed_ladder(1), 8)
+        for imz in (0.5, 1.5):
+            xg = lk._line_points(imz)
+            npts = xg.size
+            h = (xg[-1] - xg[0]) / (npts - 1)
+            got = lk._fold_weights(h, npts)
+            ref = sfft.fft(line_reference.binned_weights(lk, h, npts, got.size))
+            assert np.array_equal(got, ref)
+
     def test_poles_stay_on_real_axis(self):
         # off the support of the shifted levels the boundary values are
         # insensitive to the approach distance

@@ -414,3 +414,50 @@ class TestKernelTable:
         # a table without the partner slot fails the check
         with pytest.raises(AssertionError):
             assert_weight_symmetry(rv.kernel_table(LOR, {(2, 1, 1, 1): 1.0}))
+
+
+class TestScipyFreeRules:
+    """The numpy-only rules agree with the scipy functions they replace."""
+
+    def test_next_fast_len_matches_scipy(self):
+        from scipy.fft import next_fast_len
+
+        assert [rv.next_fast_len(n) for n in range(1, 20000)] == [
+            next_fast_len(n) for n in range(1, 20000)
+        ]
+        with pytest.raises(ValueError):
+            rv.next_fast_len(0)
+
+    def test_wright_omega_matches_scipy_on_panel_edges(self, monkeypatch):
+        from scipy.special import wrightomega
+
+        # every argument _panel_edges hands to the solve, up to the
+        # 2,048 panels of the 65,536-node cap
+        args = []
+        solve = rv._wright_omega
+        monkeypatch.setattr(rv, "_wright_omega", lambda y: args.append(y) or solve(y))
+        for lo in np.geomspace(1e-4, 20.0, 25):
+            for width in np.geomspace(0.1, 10.0, 12):
+                for n_panels in (2, 3, 8, 40, 300, 2048):
+                    rv._panel_edges(lo, lo + width, n_panels)
+        y = np.concatenate(args)
+        ref = wrightomega(y)
+        assert np.max(np.abs(solve(y) - ref) / ref) <= 4e-15
+
+    @pytest.mark.parametrize("shape, n, axis", [
+        ((12, 16384), None, -1),  # jaynescummings._overlap_save blocks
+        ((25133, 10), 25725, 0),  # LaplaceKraus._solve_line fold, Im z 1.5
+        ((75395, 3), 77175, 0),  # the same at Im z 0.5
+        ((128, 6, 6), None, 0),  # dynamics._CausalSolver._push spectra
+        ((64, 6), 128, 0),  # the rows it pushes
+        ((3500,), 7000, -1),  # dynamics.two_level_trajectory refill
+        ((65, 5, 5), 132, 0),  # dynamics.solve_bitemporal columns
+    ])
+    def test_numpy_fft_matches_scipy_bit_for_bit(self, shape, n, axis):
+        from scipy import fft as sfft
+
+        rng = np.random.default_rng(sum(shape))
+        x = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        f = np.fft.fft(x, n, axis=axis)
+        assert np.array_equal(f, sfft.fft(x, n, axis=axis))
+        assert np.array_equal(np.fft.ifft(f, axis=axis), sfft.ifft(f, axis=axis))
