@@ -48,6 +48,7 @@ from . import kraus as kr
 from . import reservoir as rv
 
 _FMT = "%.16e"
+_CSV_ROWS = 2048
 _MISSING = object()
 
 
@@ -251,10 +252,14 @@ def _audits(cfg, traj, **residuals):
 def _finish(outdir, kind, artifact, table, checks):
     fname = f"{artifact}.csv"
     data = np.column_stack([np.asarray(a, dtype=float) for a in table.values()])
-    np.savetxt(
-        outdir / fname, data, fmt=_FMT, delimiter=",", header=",".join(table),
-        comments="",
-    )
+    # the bytes of np.savetxt(fmt=_FMT, delimiter=",", comments=""), with
+    # one %-format per chunk of rows instead of one per row
+    row = ",".join([_FMT] * data.shape[1]) + "\n"
+    with open(outdir / fname, "w") as fh:
+        fh.write(",".join(table) + "\n")
+        for a in range(0, len(data), _CSV_ROWS):
+            chunk = data[a : a + _CSV_ROWS]
+            fh.write(row * len(chunk) % tuple(chunk.ravel().tolist()))
     summary = {
         "kind": kind,
         "artifacts": {artifact: fname},

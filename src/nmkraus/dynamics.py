@@ -392,7 +392,8 @@ def two_level_trajectory(sys: SystemSpec, W: KrausZero, rho0) -> DensityTrajecto
         refill_i = sum_{r,s<=i} c_r c_s a_r conj(a_s) kappa(t_s - t_r),
 
     with ``a_r = dt W22(t_r) e^{-i w21 t_r}``, ``c`` the trapezoid
-    weights of ``[0, t_i]`` and ``kappa`` the kernel on the grid.  The
+    weights of ``[0, t_i]`` and ``kappa`` the kernel samples ``W.kappa``
+    that the Volterra solve of ``sys`` integrated on the grid.  The
     sums ``C_i = sum_{r<i} at_r kappa(t_i - t_r)``, where ``at`` is ``a``
     with its first entry halved, are one causal FFT convolution, and
     every prefix then follows from one cumulative sum: O(n log n) work,
@@ -415,7 +416,7 @@ def two_level_trajectory(sys: SystemSpec, W: KrausZero, rho0) -> DensityTrajecto
     dt = tg[1] - tg[0]
     w22 = W.values[:, 1, 1]
     w21 = sys.energies[1] - sys.energies[0]
-    kappa = kern.on_grid(tg)
+    kappa = W.kappa.copy()
     k0 = kappa[0].real
     kappa[0] = 0.0  # C_i sums the nodes r < i only
     a = dt * w22 * np.exp(-1j * w21 * tg)

@@ -116,18 +116,23 @@ class KrausZero:
     their step from it.  ``max_residual`` is the worst scaled residual
     of the exact step solves of :func:`solve_time_domain`.
     ``picard_iters`` is always 0, since no step iterates; the field
-    stays because benchmark tracing reads it.
+    stays because benchmark tracing reads it.  ``kappa`` holds the
+    scalar kernel samples ``kernel.on_grid(grid)`` that the solve
+    integrated, so that the two-level refill does not sample the same
+    kernel again.
 
     Raises
     ------
     ValueError
-        If the grid is not uniform from 0 with at least one step.
+        If the grid is not uniform from 0 with at least one step, or
+        ``kappa`` does not hold one sample per grid point.
     """
 
     grid: np.ndarray
     values: np.ndarray
     max_residual: float
     picard_iters: int
+    kappa: np.ndarray
 
     def __post_init__(self):
         t = np.asarray(self.grid, dtype=float)
@@ -137,6 +142,8 @@ class KrausZero:
         dev = np.max(np.abs(t - np.arange(n + 1) * (t[-1] / n)))
         if not dev <= 1e-9 * t[-1]:
             raise ValueError("propagator grid must be uniform and start at 0")
+        if np.shape(self.kappa) != t.shape:
+            raise ValueError("kappa must hold one kernel sample per grid point")
 
 
 def _step_inverses(A, first, t):
@@ -175,15 +182,24 @@ def solve_time_domain(sys: SystemSpec, T, dt) -> KrausZero:
     and the node ``r = 0`` puts ``delta_mn a[0] X[j, :]`` into row
     ``k``.  So every step solves ``(I + L_i) vec X = vec F_i`` exactly,
     with a ``dim^2 x dim^2`` operator that depends on ``i`` but not on
-    the solution.  The operators of a block of steps are built and
-    inverted in one batched call, so a step costs one product with its
-    inverse.  The right side ``F_i`` holds the outer accumulator and the
-    history ``sum_{r=1}^{i-1} a[i-r] W[i-r]_mn W[r]_j,:`` of every slot,
-    one batched product over stored slot arrays per step.
+    the solution.  The operators of a batch of steps are built and
+    inverted in one batched call.  The right side is ``F_i = Rk R_i``:
+    ``R_i`` holds, slot by slot, the outer accumulator plus the history
+    ``sum_{r=1}^{i-1} a[i-r] W[i-r]_mn W[r]_j,:``, then the slots'
+    ``c1`` terms and a trailing 1, and the fixed 0/-1 matrix ``Rk``
+    adds each slot into its row ``k`` (its ``c1`` term into entry
+    ``(k, j)``) and supplies the identity.
+
+    A step makes eight numpy calls on preallocated buffers, apart from
+    two slice writes: the history (one batched product over stored slot
+    arrays), ``R_i``, ``F_i``, ``vec X`` (one product each), what ``X``
+    adds to ``R`` and to the stored slot arrays (one gather, one
+    product), and two sums for the accumulator.  The residuals are
+    checked for a whole batch after its steps.
 
     The work is O(n^2 S dim) for the history sums, with S the slot
-    count, plus O(n dim^4) for the step products and O(n dim^6) for the
-    batched inverses.
+    count, plus O(n S dim^3 + n dim^4) for the step products and
+    O(n dim^6) for the batched inverses.
 
     Parameters
     ----------
@@ -198,7 +214,7 @@ def solve_time_domain(sys: SystemSpec, T, dt) -> KrausZero:
     KrausZero
         ``max_residual`` is the worst ``max |A x - b| / max(1, max |b|)``
         over the step solves; ``picard_iters`` is 0, since no step
-        iterates.
+        iterates; ``kappa`` is the kernel on the grid.
 
     Raises
     ------
@@ -222,12 +238,14 @@ def solve_time_domain(sys: SystemSpec, T, dt) -> KrausZero:
     S = w.size
 
     # a[r] = e^{i(w_j - w_m) tau_r} kappa[r] pairs in the inner trapezoid
-    # with W_mn[r] W_jl[i - r]; g[i] = dt^2 w e^{i(w_k - w_j) t_i} / 2
-    # weighs the inner integral at t_i in the outer trapezoid
-    aph = np.exp(1j * np.outer(t, en[j] - en[m])) * kappa[:, None]
-    g = 0.5 * dt * dt * w * np.exp(1j * np.outer(t, en[k] - en[j]))
-    c1 = g * aph
-    c0 = g * aph[0] * (m == n_)
+    # with W_mn[r] W_jl[i - r]; g[i] = dt^2 w ph[i] / 2, with
+    # ph[i] = e^{i(w_k - w_j) t_i}, weighs the inner integral at t_i in
+    # the outer trapezoid.  c1 = g a and c0 = g a[0] delta_mn, built in
+    # place so that a and g are not kept.
+    ph = np.exp(1j * np.outer(t, en[k] - en[j]))
+    c1 = 0.5 * dt * dt * w * ph
+    c0 = c1 * kappa[0] * (m == n_)
+    c1 *= np.exp(1j * np.outer(t, en[j] - en[m])) * kappa[:, None]
     # entries of L_i: c1/2 at ((k, j), (m, n)), c0/2 at ((k, l), (j, l))
     lane = np.arange(dim)
     ent = np.concatenate([
@@ -238,23 +256,37 @@ def solve_time_domain(sys: SystemSpec, T, dt) -> KrausZero:
     place = np.zeros((2 * S, pos.size), dtype=complex)
     place[np.concatenate([np.arange(S), np.repeat(np.arange(S, 2 * S), dim)]), col] = 1.0
     coef = 0.5 * np.concatenate([c1, c0], axis=1)
-    rows = np.zeros((dim, S), dtype=complex)
-    rows[k, np.arange(S)] = 1.0
 
     W = np.empty((n + 1, dim, dim), dtype=complex)
     W[0] = np.eye(dim)
-    eye = W[0].ravel()
+    Wf = W.reshape(n + 1, d2)
+    SD = S * dim
+    jl = ((j * dim)[:, None] + lane).ravel()
     mn = m * dim + n_
-    jl = (j * dim)[:, None] + lane
-    sj = (np.arange(S), j)
-    # U[s, 0, n - r] = a[r] W[r]_mn and V[s, r] = W[r]_j,: for slot s,
-    # so that step i's history is one batched product of the contiguous
-    # slices U[:, :, n-i+1:n] and V[:, 1:i]; E is the outer accumulator,
-    # times w, carried from step to step
-    U = np.zeros((S, 1, n + 1), dtype=complex)
-    V = np.zeros((S, n + 1, dim), dtype=complex)
-    E = np.zeros((S, dim), dtype=complex)
-    g, c0 = g[:, :, None], c0[:, :, None]
+    # R = [slot rows (s, :), S*dim entries; c1 terms; 1]; F = Rk @ R
+    Rk = np.zeros((d2, SD + S + 1), dtype=complex)
+    Rk[np.concatenate([((k * dim)[:, None] + lane).ravel(), k * dim + j]),
+       np.arange(SD + S)] = -1.0
+    Rk[:, -1] = Wf[0]
+    # Y = cy[i] * x[iy], for step i's solution x = vec W[i], is what node
+    # i adds to R's slot rows (c0 W_j,:) and c1 terms (c1 W_mn), then the
+    # VT entries (ph W_j,:); the c1 terms are also the UT entries.
+    # UT[s, n - r] = c1[r] W[r]_mn and VT[s, :, r] = ph[r] W[r]_j,: split
+    # g[i] = g[i - r] ph[r] between the factors, so that step i's history
+    # g[i] sum_{r=1}^{i-1} a[i-r] W[i-r]_mn W[r]_j,: of every slot is one
+    # batched product of the contiguous slices VT[:, :, 1:i] and
+    # UT[:, n-i+1:n].  E is the outer accumulator, times w, carried from
+    # step to step in R's layout.
+    iy = np.concatenate([jl, mn, jl])
+    UT = np.zeros((S, n + 1, 1), dtype=complex)
+    VT = np.zeros((S, dim, n + 1), dtype=complex)
+    E = np.zeros(SD + S + 1, dtype=complex)
+    E[-1] = 1.0
+    hist = np.zeros(SD + S + 1, dtype=complex)
+    H = hist[:SD].reshape(S, dim, 1)
+    Y = np.empty(2 * SD + S, dtype=complex)
+    Ev, yE = E[: SD + S], Y[: SD + S]
+    yU, yV = Y[SD : SD + S], Y[SD + S :].reshape(S, dim)
     # steps per batch of operators: at most 16 MiB of them
     block = max(1, (16 << 20) // (d2 * d2 * 16))
     worst = 0.0
@@ -265,23 +297,22 @@ def solve_time_domain(sys: SystemSpec, T, dt) -> KrausZero:
         A[:, :: d2 + 1] += 1.0
         A = A.reshape(-1, d2, d2)
         inv = _step_inverses(A, i0, t)
+        cy = np.concatenate([np.repeat(c0[i0:i1], dim, axis=1), c1[i0:i1],
+                             np.repeat(ph[i0:i1], dim, axis=1)], axis=1)
         F = np.empty((i1 - i0, d2), dtype=complex)
-        for i in range(i0, i1):
-            hist = g[i] * (U[:, :, n - i + 1 : n] @ V[:, 1:i])[:, 0]
-            R = E + hist
-            F[i - i0] = f = eye - (rows @ R).ravel()
-            x = inv[i - i0] @ f
-            W[i] = x.reshape(dim, dim)
-            u = x[mn]
-            V[:, i] = v = x[jl]
-            U[:, 0, n - i] = aph[i] * u
-            E = R + hist + c0[i] * v
-            E[sj] += c1[i] * u
-        x = W[i0:i1].reshape(-1, d2)
-        resid = np.abs(np.einsum("bpq,bq->bp", A, x) - F).max(axis=1)
+        for b, i in enumerate(range(i0, i1)):
+            np.matmul(VT[:, :, 1:i], UT[:, n - i + 1 : n], out=H)
+            E += hist  # now R
+            x = np.matmul(inv[b], np.matmul(Rk, E, out=F[b]), out=Wf[i])
+            np.multiply(cy[b], x[iy], out=Y)
+            UT[:, n - i, 0] = yU
+            VT[:, :, i] = yV
+            E += hist
+            Ev += yE
+        resid = np.abs(np.einsum("bpq,bq->bp", A, Wf[i0:i1]) - F).max(axis=1)
         worst = max(worst, float(np.max(resid / np.maximum(1.0, np.abs(F).max(axis=1)))))
 
-    return KrausZero(t, W, worst, 0)
+    return KrausZero(t, W, worst, 0, kappa)
 
 
 # ---------------------------------------------------------------------------

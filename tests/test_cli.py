@@ -32,6 +32,26 @@ numerics:
   t_final_time: {T}
 """
 
+# A wide Lorentzian line: width * tau passes 709 at tau = 35.45, where
+# exp(width * tau) alone overflows, so the kernel must come from
+# e^z E1(z) as one quantity.  The trapezoid trace drift of a width-20
+# line at dt 0.01 is 6.2e-6, so the audit takes 1e-5.
+LORENTZ_WW_BODY = """\
+kind: TwoLevelWW
+spectral:
+  family: lorentzian
+  strength_per_time2: 0.5
+  center_per_time: 5.0
+  width_per_time: 20.0
+system:
+  omega_2_per_time: 5.0
+numerics:
+  dt_time: 0.01
+  t_final_time: 40.0
+audit:
+  trace_tol: 1.0e-5
+"""
+
 JC_BODY = """\
 kind: JaynesCummings
 spectral:
@@ -167,13 +187,22 @@ def test_module_entry_runs_once():
     assert res.returncode == 0, res.stderr
 
 
-@pytest.mark.parametrize("name", ["jc_series", "two_level_ww"])
-def test_fresh_run_loads_no_scipy(tmp_path, name):
-    # a shipped config that needs no Schur step and no Lorentzian exp1
+@pytest.mark.parametrize("name, body", [
+    ("jc_series", None),
+    ("two_level_ww", None),
+    ("lorentzian_ww", LORENTZ_WW_BODY),
+], ids=["jc_series", "two_level_ww", "lorentzian_ww"])
+def test_fresh_run_loads_no_scipy(tmp_path, name, body):
+    # shipped configs that need no Schur step, and a Lorentzian
+    # two-level run, whose kernel is evaluated on numpy
+    config = CONFIG_DIR / f"{name}.yaml"
+    if body is not None:
+        config = tmp_path / f"{name}.yaml"
+        config.write_text(body)
     env = dict(os.environ)
     src = str(Path(cli.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    args = ["run", str(CONFIG_DIR / f"{name}.yaml"), "--out", str(tmp_path / "out")]
+    args = ["run", str(config), "--out", str(tmp_path / "out")]
     code = ("import sys\nfrom nmkraus import cli\n"
             f"rc = cli.main({args!r})\n"
             "print(rc, sorted(m for m in sys.modules if m.startswith('scipy')))\n")
@@ -181,6 +210,42 @@ def test_fresh_run_loads_no_scipy(tmp_path, name):
                          text=True, timeout=120)
     assert res.returncode == 0, res.stderr
     assert res.stdout.splitlines()[-1] == "0 []"
+
+
+def test_lorentzian_kernel_past_exp_overflow(tmp_path):
+    # a NaN kernel would stop the run at step 3549 with a singular step
+    # operator (exit 3)
+    rc, outdir = _run(tmp_path, "lor.yaml", LORENTZ_WW_BODY, "out")
+    assert rc == 0
+    data = np.loadtxt(outdir / "trajectory.csv", delimiter=",", skiprows=1)
+    assert data.shape == (4001, 5) and np.all(np.isfinite(data))
+
+
+def test_two_level_run_samples_the_kernel_once(tmp_path, monkeypatch):
+    # the refill reads the samples the Volterra solve integrated
+    calls = []
+    on_grid = rv.CorrelationKernel.on_grid
+    monkeypatch.setattr(rv.CorrelationKernel, "on_grid",
+                        lambda self, t: calls.append(len(t)) or on_grid(self, t))
+    rc, _ = _run(tmp_path, "ww.yaml", WW_BODY.format(height=0.0318, dt=0.01, T=5.0), "out")
+    assert rc == 0
+    assert calls == [501]
+
+
+def test_csv_bytes_match_savetxt(tmp_path, capsys):
+    # more rows than one write chunk, and every kind of float
+    rng = np.random.default_rng(7)
+    n = 2 * cli._CSV_ROWS + 3
+    table = {name: rng.normal(size=n) * 10.0 ** rng.integers(-300, 300, n)
+             for name in ("t_time", "a", "b", "c")}
+    special = [-0.0, 5e-324, -2.5e-310, np.inf, -np.inf, np.nan, 1.0, -1.0]
+    table["a"][: len(special)] = special
+    table["b"][-len(special):] = special[::-1]
+    assert cli._finish(tmp_path, "Kind", "trajectory", table, []) == 0
+    ref = tmp_path / "ref.csv"
+    np.savetxt(ref, np.column_stack(list(table.values())), fmt=cli._FMT,
+               delimiter=",", header=",".join(table), comments="")
+    assert (tmp_path / "trajectory.csv").read_bytes() == ref.read_bytes()
 
 
 @pytest.mark.parametrize("text, path", [

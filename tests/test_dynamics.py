@@ -3,6 +3,7 @@
 import functools
 import math
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -73,7 +74,7 @@ class TestValidation:
         n, dt = max(10**5, math.isqrt(phys)), 0.01
         W = kr.KrausZero(np.arange(n + 1) * dt,
                          np.broadcast_to(np.eye(2, dtype=complex), (n + 1, 2, 2)),
-                         0.0, 0)
+                         0.0, 0, np.zeros(n + 1, dtype=complex))
         with pytest.raises(dy.FieldSizeError) as err:
             dy.solve_bitemporal(far_system(), W, RHO)
         assert err.value.nbytes > phys
@@ -89,7 +90,7 @@ class TestValidation:
             sd, {(1, 1, 1, 1): 4.0 / (dt * dt * kappa0)}))
         W = kr.KrausZero(np.arange(3) * dt,
                          np.broadcast_to(np.eye(2, dtype=complex), (3, 2, 2)),
-                         0.0, 0)
+                         0.0, 0, np.zeros(3, dtype=complex))
         with pytest.raises(kr.SingularOperatorError, match=r"rows j\+0, j = 1\.\.2"):
             dy.solve_bitemporal(sys, W, RHO)
 
@@ -350,6 +351,22 @@ class TestRefill:
         assert refill[0] == 0.0 and np.min(refill[1:]) >= 0.0
         direct = direct_refill(sys, W, prefixes)
         assert np.max(np.abs(refill[prefixes] - direct)) <= 1e-13 * np.max(refill)
+
+    @pytest.mark.parametrize("sd, w21, beta_inv", [
+        (rv.SpectralDensity.flat_window(0.05, 3.0, 7.0), 5.0, 0.0),
+        (rv.SpectralDensity.flat_window(0.04, 4.0, 8.0), 6.0, 2.0),
+        (rv.SpectralDensity.lorentzian(0.5, 200.0, 1.0), 200.0, 0.0),
+    ], ids=["flat", "thermal_flat", "lorentzian"])
+    def test_carried_samples_match_a_fresh_sample(self, sd, w21, beta_inv):
+        # the refill reads W.kappa instead of sampling the kernel again
+        sys = radiative(sd, w21, beta_inv)
+        W = kr.solve_time_domain(sys, 2.0, 4e-3)
+        fresh = replace(W, kappa=sys.kernel.on_grid(W.grid))
+        assert np.array_equal(W.kappa, fresh.kappa)
+        carried = dy.two_level_trajectory(sys, W, RHO).matrices
+        assert np.array_equal(carried, dy.two_level_trajectory(sys, fresh, RHO).matrices)
+        # and leaves the carried samples as they were
+        assert np.array_equal(W.kappa, fresh.kappa)
 
     def test_exactly_positive(self):
         fast = dy.two_level_trajectory(far_system(), far_propagator(), RHO)

@@ -131,7 +131,9 @@ class TestTimeDomain:
         eye = np.broadcast_to(np.eye(2, dtype=complex), (4, 2, 2))
         for grid in ([0.0, 0.1, 0.25, 0.3], [0.1, 0.2, 0.3, 0.4], [0.0, 0.0, 0.0, 0.0]):
             with pytest.raises(ValueError, match="propagator grid"):
-                kr.KrausZero(np.array(grid), eye, 0.0, 0)
+                kr.KrausZero(np.array(grid), eye, 0.0, 0, np.zeros(4, dtype=complex))
+        with pytest.raises(ValueError, match="one kernel sample per grid point"):
+            kr.KrausZero(np.arange(4) * 0.1, eye, 0.0, 0, np.zeros(3, dtype=complex))
 
 
 def _assert_matches_reference(sys, T, n):

@@ -444,6 +444,55 @@ class TestScipyFreeRules:
         ref = wrightomega(y)
         assert np.max(np.abs(solve(y) - ref) / ref) <= 4e-15
 
+    def test_exp_e1_matches_mpmath_and_scipy(self):
+        import mpmath
+        from scipy.special import exp1
+
+        # kernel arguments +-lam tau - i w_c tau over six decades each,
+        # and points close to the negative real axis
+        rng = np.random.default_rng(11)
+        wc = 10 ** rng.uniform(-3, 3, 1500) * rng.choice([-1, 1], 1500)
+        lam = 10 ** rng.uniform(-3, 3, 1500)
+        tau = 10 ** rng.uniform(-4, 2, 1500)
+        near = (-10 ** rng.uniform(-3, 3, 500)
+                + 1j * rng.choice([-1, 1], 500) * 10 ** rng.uniform(-8, 1.5, 500))
+        z = np.concatenate([rng.choice([-1, 1], 1500) * lam * tau - 1j * wc * tau, near])
+        with mpmath.workdps(30):
+            ref = np.array([complex(mpmath.exp(mpmath.mpc(q)) * mpmath.e1(mpmath.mpc(q)))
+                            for q in z])
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            val = rv._exp_e1(z)
+        assert np.max(np.abs(val - ref) / np.abs(ref)) <= 1e-14
+        # where scipy's product is finite it agrees to within its own error
+        with np.errstate(all="ignore"):
+            sp = np.exp(z) * exp1(z)
+        ok = np.isfinite(sp)
+        assert np.count_nonzero(~ok) > 0
+        own = np.abs(sp[ok] - ref[ok]) / np.abs(ref[ok])
+        assert np.all(np.abs(val[ok] - sp[ok]) / np.abs(ref[ok]) <= own + 1e-14)
+
+    @pytest.mark.parametrize("sd, tau", [
+        (rv.SpectralDensity.lorentzian(0.5, 200.0, 1.0), [700.0, 710.0, 800.0, 1000.0]),
+        (rv.SpectralDensity.lorentzian(0.5, 5.0, 20.0), [35.0, 36.0, 40.0, 50.0]),
+    ], ids=["narrow", "wide"])
+    def test_lorentzian_kernel_past_exp_overflow(self, sd, tau):
+        # width * tau reaches 1,000; exp(width * tau) alone overflows
+        # past 709
+        import mpmath
+
+        g0, wc, lam = sd.params
+        with mpmath.workdps(40):
+            def half(z, t):
+                a = -1j * mpmath.mpc(z) * t
+                v = mpmath.exp(a) * mpmath.e1(a)
+                return v - 2j * mpmath.pi * mpmath.exp(a) if z.imag < 0 else v
+            ref = np.array([complex(g0 / (2j * mpmath.pi)
+                                    * (half(wc + 1j * lam, t) - half(wc - 1j * lam, t)))
+                            for t in tau])
+        val = rv.kernel_samples(sd, np.array(tau))
+        assert np.all(np.isfinite(val))
+        assert np.max(np.abs(val - ref)) <= 1e-12 * np.max(np.abs(ref))
+
     @pytest.mark.parametrize("shape, n, axis", [
         ((12, 16384), None, -1),  # jaynescummings._overlap_save blocks
         ((25133, 10), 25725, 0),  # LaplaceKraus._solve_line fold, Im z 1.5

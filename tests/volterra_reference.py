@@ -113,4 +113,4 @@ def solve_time_domain(
                 phase[s][i - 1] * G[s][i - 1] + phase[s][i] * G[s][i]
             )
 
-    return KrausZero(t, W, worst_resid, worst_iters)
+    return KrausZero(t, W, worst_resid, worst_iters, kappa)
