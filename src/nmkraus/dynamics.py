@@ -74,10 +74,10 @@ class BitemporalState:
 
     ``values[i, j]`` holds the matrix at ``(t_i, t_j)``; the field is
     Hermitian under exchange of its two times and ``values[0, 0]`` is the
-    initial state.  ``max_residual`` is the worst residual of the
-    triangular block solves that settle each column's same-column
-    couplings, ``max |A x - b| / max(1, max |b|)`` over all blocks; it
-    sits at rounding level unless a block is close to singular.
+    initial state.  ``max_residual`` is the worst residual of the leaf
+    solves that settle each column's same-column couplings,
+    ``max |A x - b| / max(1, max |b|)`` over all leaves; it sits at
+    rounding level unless a leaf is close to singular.
     """
 
     grid: np.ndarray
@@ -161,10 +161,11 @@ class _CausalSolver:
     the read entries ``p_e`` of a column's unknown rows ``e = 0..m-1``
     (counted from the diagonal node).  The weights ``h`` depend only on
     ``e``, so every column shares one matrix, truncated to its ``m``
-    rows.  In the basis of the complex Schur form of ``K[0]``, with its
-    entries in reverse order, the self-couplings are lower triangular,
-    and so is the matrix of a leaf of ``leaf`` rows: it is inverted once,
-    and a leaf solve is one product with that inverse.  When a leaf ends
+    rows.  The matrix of a leaf of ``leaf`` rows is block lower
+    triangular in its ``P x P`` row blocks, and so is its inverse; a
+    ragged leaf is cut on a block boundary, so the leading block of the
+    full leaf's inverse inverts it too.  Each leaf is inverted once, and
+    a leaf solve is one product with that inverse.  When a leaf ends
     the left half of a node in the implicit binary split of the rows,
     that half is pushed into the right half at once by one FFT
     convolution (Hairer, Lubich & Schlichte, SIAM J. Sci. Stat. Comput. 6
@@ -177,39 +178,26 @@ class _CausalSolver:
     """
 
     def __init__(self, K, h, leaf=None):
-        # imported here: only the two-time solve needs scipy.linalg
-        from scipy import linalg as sla
-
-        T, U = sla.schur(K[0], output="complex")
-        self.U = U[:, ::-1]
-        self.K = self.U.conj().T @ K @ self.U
-        self.K[0] = T[::-1, ::-1]
+        self.K = K
         P = K.shape[1]
         self.leaf = L = leaf or max(4, 128 // P)
-        hu = np.repeat(h, P)
-        diag = 1.0 - 0.5 * hu * np.tile(np.diagonal(self.K[0]), h.size)
-        bad = np.flatnonzero(np.abs(diag) <= 1e-12)
+        diag = 1.0 - 0.5 * np.outer(h, np.linalg.eigvals(K[0]))
+        bad = np.flatnonzero(np.any(np.abs(diag) <= 1e-12, axis=1))
         if bad.size:
-            e = bad[0] // P
             raise SingularOperatorError(
-                f"same-column self-coupling is singular at rows j+{e}, "
-                f"j = 1..{K.shape[0] - 1 - e}"
+                f"same-column self-coupling is singular at rows j+{bad[0]}, "
+                f"j = 1..{K.shape[0] - 1 - bad[0]}"
             )
         # C[(l, q'), (l', q)] = K[l - l'] below the diagonal blocks and
         # K[0]/2 on them; a leaf's matrix is I - C scaled by h per column
         lag = np.subtract.outer(np.arange(L), np.arange(L))
         C = np.where((lag >= 0)[:, :, None, None],
-                     self.K[np.clip(lag, 0, K.shape[0] - 1)], 0.0)
+                     K[np.clip(lag, 0, K.shape[0] - 1)], 0.0)
         C[np.arange(L), np.arange(L)] *= 0.5
         C = C.transpose(0, 2, 1, 3).reshape(L * P, L * P)
-        self.hu = [hu[e0 * P : (e0 + L) * P] for e0 in range(0, h.size, L)]
+        self.hu = [np.repeat(h[e0 : e0 + L], P) for e0 in range(0, h.size, L)]
         self.blocks = [np.eye(w.size) - C[: w.size, : w.size] * w for w in self.hu]
-        # the inverse of a lower triangular matrix is lower triangular, so
-        # its leading block inverts the leading block of a ragged leaf
-        self.inverses = [
-            sla.solve_triangular(A, np.eye(A.shape[0]), lower=True, check_finite=False)
-            for A in self.blocks
-        ]
+        self.inverses = [np.linalg.inv(A) for A in self.blocks]
         self._spectra = {}
 
     def _push(self, src):
@@ -224,23 +212,22 @@ class _CausalSolver:
         """Return ``u_e = h_e p_e`` and the worst scaled leaf residual."""
         m, P = g.shape
         L = self.leaf
-        acc = g @ self.U.conj()
+        acc = g.copy()
         u = np.empty_like(acc)
         worst = 0.0
         for b, e0 in enumerate(range(0, m, L)):
             e1 = min(e0 + L, m)
             k = (e1 - e0) * P
-            A = self.blocks[b][:k, :k]
             rhs = acc[e0:e1].reshape(-1)
             x = self.inverses[b][:k, :k] @ rhs
-            resid = np.max(np.abs(A @ x - rhs)) / max(1.0, np.max(np.abs(rhs)))
+            resid = np.abs(self.blocks[b][:k, :k] @ x - rhs).max() / max(1.0, np.abs(rhs).max())
             worst = max(worst, float(resid))
             u[e0:e1] = (self.hu[b][:k] * x).reshape(-1, P)
             if e1 < m:
                 span = ((b + 1) & -(b + 1)) * L
                 t1 = min(e1 + span, m)
                 acc[e1:t1] += self._push(u[e1 - span : e1])[: t1 - e1]
-        return u @ self.U.T, worst
+        return u, worst
 
 
 def solve_bitemporal(sys: SystemSpec, W: KrausZero, rho0) -> BitemporalState:

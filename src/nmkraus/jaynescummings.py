@@ -207,10 +207,20 @@ def reduce_atomic(basis: DressedBasis, rho):
 
     ``out[..., a, b] = sum_{s, t, m} U[s, a, m] rho[..., s, t] U[t, b, m]``
     with the amplitude table ``U[s, a, m] = <s | a, m>``; rows are
-    ordered (ground, excited), matching JCInitialState.
+    ordered (ground, excited), matching JCInitialState.  Each ``(a, m)``
+    reaches at most two states ``S[k, a, m]`` (amplitude ``C[k, a, m]``,
+    zero where padded), so the sum is one gather of the entries
+    ``rho[..., S[k, a, m], S[l, b, m]]`` and one weighted sum of them.
     """
     U = _amplitudes(basis)
-    return np.einsum("sam,...st,tbm->...ab", U, rho, U, optimize=True)
+    S = np.argsort(U == 0, axis=0, kind="stable")[:2]
+    C = np.take_along_axis(U, S, axis=0)
+    entries = (S[:, :, None, None] * basis.dim + S).transpose(1, 3, 0, 2, 4).reshape(4, -1)
+    weights = (C[:, :, None, None] * C).transpose(1, 3, 0, 2, 4).reshape(4, -1)
+    lead = np.shape(rho)[:-2]
+    band = np.take(np.reshape(rho, lead + (-1,)), entries, axis=-1)
+    # a pairwise sum: np.einsum's running sum drifts past 1e-15 of the peak
+    return (band * weights).sum(axis=-1).reshape(lead + (2, 2))
 
 
 # ---------------------------------------------------------------------------

@@ -105,12 +105,15 @@ def forward_transform(f, shift, z, *, t, tail_tol=1e-6):
     z : complex
         Transform variable, ``Im z > 0``.
     t : ndarray
-        Uniform sample grid starting at 0; ``T = t[-1]``.
+        Uniform grid of at least three points from 0; ``T = t[-1]``.
     tail_tol : float, optional
         Bound on the neglected ``[T, inf)`` tail.
 
     Raises
     ------
+    ValueError
+        If ``f`` and ``t`` differ in length, or ``t`` is not uniform with
+        at least three points.
     LaplaceDomainError
         If ``Im z <= 0``.
     TailTruncationError
@@ -123,17 +126,24 @@ def forward_transform(f, shift, z, *, t, tail_tol=1e-6):
     if len(t) != len(fvals):
         raise ValueError("samples of f must match the time grid")
     t = np.asarray(t, dtype=float)
+    n = t.size - 1
+    dx = (t[-1] - t[0]) / n if n >= 2 else 0.0
+    if not (dx > 0 and
+            np.max(np.abs(t - t[0] - dx * np.arange(n + 1))) <= 1e-9 * n * dx):
+        raise ValueError("Simpson's rule needs t uniform, increasing, of at least three points")
     est = _tail_estimate(fvals, t, z.imag)
     if est > tail_tol:
         raise TailTruncationError(
             f"tail estimate {est:.3e} exceeds {tail_tol:.1e}; "
             f"extend T (T*Im z = {t[-1] * z.imag:.2f}, want >= 30 for plain tails)"
         )
-    # imported here: scipy.integrate loads scipy.optimize and scipy.sparse
-    from scipy import integrate
-
-    integrand = np.exp((1j * z - 1j * shift) * t) * fvals
-    return -1j * integrate.simpson(integrand, x=t)
+    y = np.exp((1j * z - 1j * shift) * t) * fvals
+    # composite Simpson; an odd step count adds Cartwright's parabolic last step
+    m = n - n % 2
+    total = np.sum(y[0 : m - 1 : 2] + 4.0 * y[1:m:2] + y[2 : m + 1 : 2]) * (dx / 3.0)
+    if m < n:
+        total += (5.0 * y[-1] + 8.0 * y[-2] - y[-3]) * (dx / 12.0)
+    return -1j * total
 
 
 def _filon_weights(theta):

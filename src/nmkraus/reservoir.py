@@ -496,21 +496,13 @@ def next_fast_len(n):
     n = int(n)
     if n < 1:
         raise ValueError("FFT length must be >= 1")
-    best = 1 << (n - 1).bit_length()
-    p11 = 1
-    while p11 < best:
-        p7 = p11
-        while p7 < best:
-            p5 = p7
-            while p5 < best:
-                p3 = p5
-                while p3 < best:
-                    best = min(best, p3 if p3 >= n else p3 << (-(-n // p3) - 1).bit_length())
-                    p3 *= 3
-                p5 *= 5
-            p7 *= 7
-        p11 *= 11
-    return best
+    top = 1 << (n - 1).bit_length()
+    odds = [1]
+    for p in (3, 5, 7, 11):
+        for o in odds[:]:
+            while (o := o * p) < top:
+                odds.append(o)
+    return min(o << (-(-n // o) - 1).bit_length() for o in odds)
 
 
 def _wright_omega(y):

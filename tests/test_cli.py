@@ -187,14 +187,14 @@ def test_module_entry_runs_once():
     assert res.returncode == 0, res.stderr
 
 
-@pytest.mark.parametrize("name, body", [
-    ("jc_series", None),
-    ("two_level_ww", None),
-    ("lorentzian_ww", LORENTZ_WW_BODY),
-], ids=["jc_series", "two_level_ww", "lorentzian_ww"])
+FRESH_RUNS = [(p.stem, None) for p in sorted(CONFIG_DIR.glob("*.yaml"))]
+FRESH_RUNS.append(("lorentzian_ww", LORENTZ_WW_BODY))
+
+
+@pytest.mark.parametrize("name, body", FRESH_RUNS, ids=[name for name, _ in FRESH_RUNS])
 def test_fresh_run_loads_no_scipy(tmp_path, name, body):
-    # shipped configs that need no Schur step, and a Lorentzian
-    # two-level run, whose kernel is evaluated on numpy
+    # every shipped config, and a Lorentzian two-level run, whose kernel
+    # is evaluated on numpy
     config = CONFIG_DIR / f"{name}.yaml"
     if body is not None:
         config = tmp_path / f"{name}.yaml"

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from scipy import linalg as sla
 
 import bitemporal_reference
+import causal_reference
 import refill_reference
 from nmkraus import dynamics as dy
 from nmkraus import jaynescummings as jc
@@ -256,6 +257,61 @@ def test_causal_solver_matches_dense_solve(P, m, leaf, seed):
     p = np.linalg.solve(A.reshape(m * P, m * P), g.reshape(-1)).reshape(m, P)
     assert np.max(np.abs(u - h[:, None] * p)) <= 1e-12 * max(1.0, np.max(np.abs(p)))
     assert resid <= 1e-13
+
+
+def _causal_case(kind, P, m, seed):
+    """Kernel, weights and right side for a same-column solve of ``kind``.
+
+    ``random``: O(1) complex lags; ``jordan``: ``K[0]`` a Jordan-like
+    block scaled by 1e3 (far from normal), with weights small enough to
+    keep the rows nonsingular; ``near``: one row's self-coupling
+    ``1 - h_e lambda/2`` set to ``delta`` in [1e-2, 1e-1], returned as
+    the condition scale ``1/delta`` (1 for the others).
+    """
+    rng = np.random.default_rng(seed)
+    K = 0.3 * (rng.normal(size=(m + 1, P, P)) + 1j * rng.normal(size=(m + 1, P, P)))
+    h = rng.uniform(0.0, 0.1, size=m).astype(complex)
+    g = rng.normal(size=(m, P)) + 1j * rng.normal(size=(m, P))
+    scale = 1.0
+    if kind == "jordan":
+        lam = 0.3 * (rng.normal(size=P) + 1j * rng.normal(size=P))
+        K[0] = 1e3 * (np.diag(lam) + np.diag(np.ones(P - 1), 1))
+        h *= 1e-2
+    elif kind == "near":
+        delta = 10.0 ** rng.uniform(-2.0, -1.0)
+        h[rng.integers(0, m)] = 2.0 * (1.0 - delta) / np.linalg.eigvals(K[0])[0]
+        scale = 1.0 / delta
+    return K, h, g, scale
+
+
+@settings(max_examples=60, deadline=None)
+@given(kind=st.sampled_from(["random", "jordan", "near"]), P=st.integers(1, 4),
+       m=st.integers(1, 60), leaf=st.integers(1, 7), seed=st.integers(0, 2**32 - 1))
+def test_causal_solver_matches_schur_reference(kind, P, m, leaf, seed):
+    # the block-triangular inverse against the Schur-basis triangular one
+    K, h, g, scale = _causal_case(kind, P, m, seed)
+    u, resid = dy._CausalSolver(K, h, leaf).solve(g)
+    ref, ref_resid = causal_reference.CausalSolver(K, h, leaf).solve(g)
+    assert np.max(np.abs(u - ref)) <= 1e-12 * np.max(np.abs(ref))
+    assert resid <= 1e-13 * scale and ref_resid <= 1e-13 * scale
+
+
+@pytest.mark.parametrize("delta, singular", [(0.5e-12, True), (2e-12, False)])
+def test_causal_solver_singular_threshold_matches_schur_reference(delta, singular):
+    # a row whose self-coupling 1 - h_e lambda/2 sits just either side of
+    # the 1e-12 threshold: both solvers raise the same error, or neither
+    K, h, _, _ = _causal_case("random", 3, 9, 7)
+    h[4] = 2.0 * (1.0 - delta) / np.linalg.eigvals(K[0])[1]
+    outcomes = []
+    for solver in (dy._CausalSolver, causal_reference.CausalSolver):
+        try:
+            solver(K, h)
+            outcomes.append(None)
+        except kr.SingularOperatorError as err:
+            outcomes.append(str(err))
+    assert outcomes[0] == outcomes[1]
+    assert (outcomes[0] == "same-column self-coupling is singular at rows j+4, "
+            "j = 1..5") == singular
 
 
 def direct_refill(sys, W, prefixes):

@@ -86,6 +86,33 @@ class TestForwardTransform:
         vc = lp.forward_transform(a * f + b * g, 0.0, z, t=t)
         assert abs(vc - a * va - b * vb) < 1e-12
 
+    def test_non_uniform_grid_is_refused(self):
+        # Simpson's weights assume equal steps; a stretched grid must not
+        # silently get a worse rule
+        t = _simpson_grid(10.0) ** 1.01
+        with pytest.raises(ValueError, match="needs t uniform, increasing"):
+            lp.forward_transform(np.exp(-t), 0.0, 1.0 + 1.0j, t=t)
+        with pytest.raises(ValueError, match="at least three points"):
+            lp.forward_transform(np.ones(2), 0.0, 1.0 + 1.0j, t=np.arange(2.0))
+
+    @pytest.mark.parametrize("npts", [3, 4, 5, 6, 7, 400, 401, 2000, 2001])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_matches_scipy_simpson(self, npts, seed):
+        # odd counts are composite Simpson; even ones add Cartwright's
+        # last-interval correction, as scipy >= 1.11 does
+        from scipy import integrate
+
+        rng = np.random.default_rng(seed)
+        T = rng.uniform(0.5, 30.0)
+        t = np.linspace(0.0, T, npts)
+        w, rate = rng.uniform(-8.0, 8.0, 2), rng.uniform(0.0, 1.0)
+        f = np.exp(-rate * t) * (np.exp(1j * w[0] * t) + 0.5j * np.cos(w[1] * t))
+        z = complex(rng.uniform(-5.0, 5.0), rng.uniform(0.2, 3.0))
+        shift = rng.uniform(-3.0, 3.0)
+        got = lp.forward_transform(f, shift, z, t=t, tail_tol=np.inf)
+        ref = -1j * integrate.simpson(np.exp(1j * (z - shift) * t) * f, x=t)
+        assert abs(got - ref) <= 1e-13 * abs(ref)
+
 
 def _on(grid, F):
     # samples of F on the contour nodes
