@@ -10,7 +10,8 @@ columns in order, and its audits in print order; it never touches the
 output directory.  ``_cmd_run`` creates that directory only after the
 runner returns, and ``_finish`` writes ``<artifact>.csv`` and
 ``summary.json``, a machine-readable audit report, so a run that stops
-on a config or solver error writes nothing.  Dimensionful config keys
+on a config or solver error writes nothing, and neither does a config
+holding a key its runner never read.  Dimensionful config keys
 carry their unit in the name (``dt_time``, ``center_per_time``) so
 rescaled inputs cannot be mixed up silently.
 
@@ -50,6 +51,8 @@ from . import reservoir as rv
 _FMT = "%.16e"
 _CSV_ROWS = 2048
 _MISSING = object()
+# (id(mapping), key) of every config entry _fetch looked up in this run
+_READ = set()
 
 
 class ConfigError(ValueError):
@@ -71,8 +74,27 @@ def _fetch(cfg, path, default=_MISSING):
             if default is _MISSING:
                 raise ConfigError(f"{path} is required")
             return default
+        _READ.add((id(node), part))
         node = node[part]
     return node
+
+
+def _unread(node, prefix=""):
+    """Paths of the entries under ``node`` that no ``_fetch`` looked up.
+
+    Mappings are walked; a leaf or a list is read once its key is, and
+    a mapping inside a read list (a slot) is walked on its own.
+    """
+    for key, value in node.items():
+        path = f"{prefix}{key}"
+        if isinstance(value, dict):
+            yield from _unread(value, path + ".")
+        elif (id(node), key) not in _READ:
+            yield path
+        elif isinstance(value, list):
+            for i, item in enumerate(value):
+                if isinstance(item, dict):
+                    yield from _unread(item, f"{path}[{i}].")
 
 
 def _num(cfg, path, default=_MISSING):
@@ -611,17 +633,16 @@ def _cmd_run(args):
         raise ConfigError(f"config does not parse: {e}") from e
     if not isinstance(cfg, dict):
         raise ConfigError("config top level must be a mapping")
+    _READ.clear()
     kind = _str(cfg, "kind")
     runner = _SCENARIOS.get(kind)
     if runner is None:
         raise ConfigError(
             f"kind must be one of {', '.join(sorted(_SCENARIOS))}; got {kind}"
         )
-    outdir = Path(
-        args.out
-        if args.out is not None
-        else _str(cfg, "output.directory", f"runs/{kind}")
-    )
+    outdir = Path(_str(cfg, "output.directory", f"runs/{kind}"))
+    if args.out is not None:
+        outdir = Path(args.out)
     try:
         artifact, table, checks = runner(cfg, path.parent)
     except ConfigError:
@@ -631,6 +652,9 @@ def _cmd_run(args):
     except (ValueError, ArithmeticError, RuntimeError) as e:
         print(f"solver error in {kind} ({type(e).__name__}): {e}", file=sys.stderr)
         return 3
+    unread = list(_unread(cfg))
+    if unread:
+        raise ConfigError(f"{', '.join(unread)}: not read by {kind}")
     outdir.mkdir(parents=True, exist_ok=True)
     return _finish(outdir, kind, artifact, table, checks)
 

@@ -233,9 +233,8 @@ def _comb(sd, h):
     lo, hi = sd.support()
     q0 = max(0, math.ceil(lo / h - 1e-9))
     q1 = math.floor(hi / h + 1e-9)
-    wq = sd.weight(np.arange(q0, q1 + 1) * h) * h
-    wq[0] *= 0.5
-    wq[-1] *= 0.5
+    q = np.arange(q0, q1 + 1)
+    wq = sd.weight(q * h) * rv.trapezoid_weights(np.diff(q) * h)
     return q0, q1, wq.astype(complex)
 
 
@@ -311,11 +310,15 @@ def kraus_recursion(sys: DressedSystem, z):
     and returns the full matrix over the basis, block diagonal with
     exact zeros elsewhere.  The coupling integral runs on a uniform
     comb of at least 1,500 steps over the spectral support, so families
-    with slow tails are truncated at their support radius.
+    with slow tails are truncated at their support radius.  The comb
+    carries no occupation factors, so a thermal kernel is refused.
     """
     z = complex(z)
     if z.imag <= 0:
         raise rv.LaplaceDomainError("kraus_recursion requires Im z > 0")
+    beta_inv = sys.kernel.beta_inv
+    if beta_inv > 0:
+        raise ValueError(f"kraus_recursion needs zero temperature; beta_inv = {beta_inv}")
     basis, sd = sys.basis, sys.kernel.sd
     lo, hi = sd.support()
     h = min((hi - lo) / _RECURSION_MODES, z.imag / 4.0)
@@ -403,10 +406,11 @@ def atomic_population_series(
     if (
         times.ndim != 1
         or times.size < 2
+        or not np.all(np.isfinite(times))
         or times[0] < 0
         or np.any(np.diff(times) <= 0)
     ):
-        raise ValueError("times must be ascending and nonnegative")
+        raise ValueError("times must be finite, ascending and nonnegative")
     if int(r_max) != r_max or r_max < 0:
         raise ValueError("r_max must be an integer >= 0")
     p = init.p
@@ -415,8 +419,6 @@ def atomic_population_series(
             f"photon number {p} exceeds the basis cutoff {basis.n_max}"
         )
     T = float(times[-1])
-    if T <= 0:
-        raise ValueError("the final time must be positive")
     eta = 2.0 / T
     lo, hi = sd.support()
     h = min(eta / 4.0, (hi - lo) / 400.0)
@@ -455,12 +457,7 @@ def atomic_population_series(
     oidx = np.arange(q0, q1 + 1, stride)
     if oidx[-1] != q1:
         oidx = np.append(oidx, q1)
-    gaps = np.diff(oidx) * h
-    trap = np.empty(oidx.size)
-    trap[0] = 0.5 * gaps[0]
-    trap[-1] = 0.5 * gaps[-1]
-    trap[1:-1] = 0.5 * (gaps[:-1] + gaps[1:])
-    ow = sd.weight(oidx * h) * trap
+    ow = sd.weight(oidx * h) * rv.trapezoid_weights(np.diff(oidx) * h)
 
     # per term: the line factor of its first level (for r = 0 with the
     # two poles taken out, their part inverts in closed form), the
@@ -483,8 +480,7 @@ def atomic_population_series(
         ]
         parts.append((r, diag_weight / 4.0 ** (r + 1), rows, inner, u0, omegas))
 
-    wts = np.full(n_line, h / (2.0 * np.pi))
-    wts[[0, -1]] *= 0.5
+    wts = rv.trapezoid_weights(np.full(n_line - 1, h / (2.0 * np.pi)))
     nb = max(1, _PHASE_BYTES // (16 * n_line))
     total = np.zeros(times.size)
     peak = np.zeros(len(parts))

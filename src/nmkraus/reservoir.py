@@ -17,7 +17,8 @@ acquires the standard bosonic occupation factors,
     kappa_th(tau) = int_0^inf domega |g|^2 [ (nbar+1) e^{-i omega tau}
                                              + nbar e^{+i omega tau} ],
 
-with ``nbar(omega) = 1/(exp(beta*omega)-1)``.  This thermal form is
+with ``nbar(omega) = 1/(exp(beta*omega)-1)``, which converges exactly
+when ``|g(0)|^2 = 0``.  This thermal form is
 standard open-system physics; it is documented here because the
 zero-temperature kernel alone does not determine it.
 
@@ -49,6 +50,7 @@ __all__ = [
     "kernel_table",
     "kernel_samples",
     "discrete_modes",
+    "trapezoid_weights",
     "gauss_legendre",
     "next_fast_len",
     "thermal_occupation",
@@ -134,15 +136,14 @@ class SpectralDensity:
         g2 = np.asarray(g2, dtype=float)
         if omega.ndim != 1 or omega.shape != g2.shape or omega.size < 2:
             raise ValueError("omega and g2 must be matching 1-d arrays, length >= 2")
+        if not (np.all(np.isfinite(omega)) and np.all(np.isfinite(g2))):
+            raise ValueError("omega and g2 must be finite")
         if np.any(np.diff(omega) <= 0):
             raise ValueError("omega grid must be strictly increasing")
         if omega[0] < 0:
             raise ValueError("support must lie in [0, inf)")
         if np.any(g2 < 0):
             raise ValueError("|g|^2 must be >= 0")
-        total = np.trapezoid(g2, omega)
-        if not np.isfinite(total):
-            raise DivergentIntegralError("tabulated weight has non-finite integral")
         return cls("Tabulated", (), (omega, g2))
 
     # -- pointwise weight and summary scales --------------------------
@@ -266,16 +267,15 @@ def _kappa_zero_temp(sd: SpectralDensity, at):
     return out
 
 
-def _check_thermal_convergent(sd: SpectralDensity, beta_inv):
-    if beta_inv == 0:
-        return
-    # nbar ~ 1/(beta*omega) near zero: the thermal integral diverges
-    # whenever the weight does not vanish at omega = 0.
-    beta = 1.0 / beta_inv
-    w_probe = 1e-9 * max(sd.frequency_scale(), 1.0)
-    if sd.weight(w_probe) * thermal_occupation(w_probe, beta) * w_probe > 1e-12 * max(
-        sd.total_strength(), 1e-300
-    ):
+def _thermal_gate(sd: SpectralDensity, beta_inv):
+    """Refuse a negative temperature, or a thermal sum that diverges.
+
+    ``nbar ~ 1/(beta omega)`` near zero, so the thermal integral diverges
+    exactly when the weight does not vanish at omega = 0.
+    """
+    if beta_inv < 0:
+        raise ValueError("beta_inv must be >= 0")
+    if beta_inv > 0 and sd.weight(0.0) > 0:
         raise DivergentIntegralError(
             "thermal kernel diverges: |g(0)|^2 > 0 gives a non-integrable "
             "1/omega occupation tail"
@@ -339,11 +339,11 @@ def kernel_samples(sd: SpectralDensity, tau, beta_inv=0.0):
     Raises
     ------
     DivergentIntegralError
-        If the thermal integral diverges, or the rule would need more
+        If the weight is nonzero at omega = 0 at positive temperature,
+        where the thermal integral diverges, or the rule would need more
         than 65536 nodes.
     """
-    if beta_inv < 0:
-        raise ValueError("beta_inv must be >= 0")
+    _thermal_gate(sd, beta_inv)
     tau = np.asarray(tau, dtype=float)
     at = np.abs(tau).ravel()
     if beta_inv == 0 and sd.family != "Tabulated":
@@ -379,7 +379,7 @@ def correlation_time(sd: SpectralDensity, t, s, beta_inv=0.0):
     Raises
     ------
     DivergentIntegralError
-        If the thermal weight is finite at omega = 0, or the node rule
+        If the thermal weight is nonzero at omega = 0, or the node rule
         exceeds its cap.
     """
     return complex(kernel_samples(sd, float(t) - float(s), beta_inv))
@@ -413,15 +413,14 @@ def correlation_laplace(sd: SpectralDensity, y, beta_inv=0.0):
     LaplaceDomainError
         If any ``Im y <= 0``.
     DivergentIntegralError
-        If the thermal weight is finite at omega = 0, or the node rule
+        If the thermal weight is nonzero at omega = 0, or the node rule
         would need more than 65536 nodes.
     """
+    _thermal_gate(sd, beta_inv)
     scalar = np.ndim(y) == 0
     y = complex(y) if scalar else np.asarray(y, dtype=complex)
     if np.any(np.imag(y) <= 0):
         raise LaplaceDomainError("correlation_laplace requires Im y > 0")
-    if beta_inv < 0:
-        raise ValueError("beta_inv must be >= 0")
     if beta_inv == 0 and sd.family != "Tabulated":
         out = _laplace_zero_temp(sd, y)
         return complex(out) if scalar else out
@@ -540,6 +539,16 @@ def _panel_edges(lo, hi, n_panels):
     return edges
 
 
+def trapezoid_weights(gaps):
+    """Trapezoid weights of the nodes that bound the intervals ``gaps``.
+
+    Node ``k`` gets half of each interval it closes: ``gaps[0] / 2`` and
+    ``gaps[-1] / 2`` at the ends, ``(gaps[k - 1] + gaps[k]) / 2`` inside.
+    """
+    half = 0.5 * np.asarray(gaps, dtype=float)
+    return np.append(half, 0.0) + np.append(0.0, half)
+
+
 def discrete_modes(sd: SpectralDensity, n_modes, beta_inv=0.0):
     """Discretize the reservoir into weighted oscillator modes.
 
@@ -547,7 +556,10 @@ def discrete_modes(sd: SpectralDensity, n_modes, beta_inv=0.0):
     that ``kappa(tau) ~= sum_q w_q exp(-i omega_q tau)``.  At positive
     temperature each positive-frequency node splits into an emission
     branch with weight ``(nbar+1) w_q`` and a mirrored absorption
-    branch at ``-omega_q`` with weight ``nbar w_q``.
+    branch at ``-omega_q`` with weight ``nbar w_q``.  A table that
+    starts at omega = 0 (where the thermal gate requires ``g2 = 0``)
+    keeps its omega = 0 node at positive temperature, with the limit
+    weight ``w_0 * 2 (g2[1] / omega[1]) / beta`` of ``|g|^2 (2 nbar + 1)``.
 
     Parameters
     ----------
@@ -555,7 +567,8 @@ def discrete_modes(sd: SpectralDensity, n_modes, beta_inv=0.0):
     n_modes : int
         Number of quadrature nodes on the positive axis.  A flat window
         rounds it up to whole Gauss panels of 32 nodes, graded toward
-        omega = 0 (see ``_panel_edges``).
+        omega = 0 (see ``_panel_edges``).  A table gets the trapezoid
+        rule on its own nodes, or on ``n_modes`` uniform ones.
     beta_inv : float, optional
 
     Returns
@@ -563,8 +576,10 @@ def discrete_modes(sd: SpectralDensity, n_modes, beta_inv=0.0):
     (ndarray, ndarray)
         Frequencies and weights; all weights are positive.
     """
+    _thermal_gate(sd, beta_inv)
     if n_modes < 2:
         raise ValueError("need at least 2 modes")
+    zero_node = 0.0
     if sd.family == "Lorentzian":
         g0, wc, lam = sd.params
         # tangent map concentrates nodes around the line center and
@@ -588,23 +603,20 @@ def discrete_modes(sd: SpectralDensity, n_modes, beta_inv=0.0):
             g2 = np.interp(omega, grid, g2)
         else:
             omega = grid
-        wq = np.empty(omega.size)
-        d = np.diff(omega)
-        wq[0] = 0.5 * d[0]
-        wq[-1] = 0.5 * d[-1]
-        wq[1:-1] = 0.5 * (d[:-1] + d[1:])
-        wq = wq * g2
+        trap = trapezoid_weights(np.diff(omega))
+        wq = trap * g2
+        if beta_inv > 0 and omega[0] == 0:
+            zero_node = trap[0] * 2 * g2[1] / omega[1] * beta_inv
         keep = wq > 0
         omega, wq = omega[keep], wq[keep]
     if beta_inv == 0:
         return omega, wq
-    _check_thermal_convergent(sd, beta_inv)
-    beta = 1.0 / beta_inv
-    nb = thermal_occupation(omega, beta)
-    return (
-        np.concatenate([omega, -omega]),
-        np.concatenate([(nb + 1.0) * wq, nb * wq]),
-    )
+    nb = thermal_occupation(omega, 1.0 / beta_inv)
+    omega = np.concatenate([omega, -omega])
+    wq = np.concatenate([(nb + 1.0) * wq, nb * wq])
+    if zero_node > 0:
+        return np.append(omega, 0.0), np.append(wq, zero_node)
+    return omega, wq
 
 
 # ---------------------------------------------------------------------------

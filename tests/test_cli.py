@@ -285,6 +285,75 @@ def test_rejected_entry_is_named(tmp_path, capsys, text, message):
     assert not outdir.exists()
 
 
+_WW = WW_BODY.format(height=0.0318, dt=0.01, T=5.0)
+
+
+@pytest.mark.parametrize("text, path", [
+    (_WW.replace("  omega_hi_per_time: 5.5\n",
+                 "  omega_hi_per_time: 5.5\n  temperature_per_time: 0.5\n"),
+     "spectral.temperature_per_time"),
+    (_WW + "initial:\n  rho21_imag: 0.4\n", "initial.rho21_imag"),
+    (_WW + "audit:\n  trace_tl: 1.0e-30\n", "audit.trace_tl"),
+    (GENERIC_BODY.format(row=2, extra="").replace("weight_re: 1.0}",
+                                                  "weight_re: 1.0, weight_imag: 0.5}"),
+     "system.slots[0].weight_imag"),
+], ids=["temperature", "misspelt_coherence", "misspelt_audit", "slot_field"])
+def test_unread_key_is_refused(tmp_path, capsys, text, path):
+    # an ignored key would run at its default instead: zero temperature,
+    # zero coherence, the default trace gate or a real slot weight
+    rc, outdir = _run(tmp_path, "typo.yaml", text, "out")
+    assert rc == 2
+    assert f"config error: {path}: not read by" in capsys.readouterr().err
+    assert not outdir.exists()
+
+
+TABLE_WW_BODY = """\
+kind: TwoLevelWW
+spectral:
+  family: tabulated
+  table_path: {table}
+system:
+  omega_2_per_time: 5.0
+numerics:
+  dt_time: 0.01
+  t_final_time: 5.0
+"""
+
+
+def _table_run(tmp_path, rows, header="omega,g2"):
+    (tmp_path / "g2.csv").write_text(header + "\n" + "".join(r + "\n" for r in rows))
+    return _run(tmp_path, "table.yaml", TABLE_WW_BODY.format(table="g2.csv"), "out")
+
+
+class TestTableRuns:
+    def test_table_run_passes_its_audits(self, tmp_path):
+        omega = np.linspace(4.5, 5.5, 101)
+        rc, outdir = _table_run(tmp_path, [f"{w:.17g},0.0318" for w in omega])
+        assert rc == 0
+        s = _summary(outdir)
+        assert s["passed"] is True and all(a["passed"] for a in s["audits"].values())
+        t = _table(outdir)
+        assert t["rho22"][0] == 1.0 and t["rho22"][-1] < t["rho22"][0]
+
+    @pytest.mark.parametrize("rows, header, message", [
+        (["4.5,0.0318", "5.0,nan", "5.5,0.0318"], "omega,g2",
+         "spectral: omega and g2 must be finite"),
+        (["4.5,0.0318,1", "5.5,0.0318,1"], "omega,g2,x", "must hold two columns"),
+    ], ids=["nan_entry", "three_columns"])
+    def test_bad_table_is_a_config_error(self, tmp_path, capsys, rows, header, message):
+        rc, outdir = _table_run(tmp_path, rows, header)
+        assert rc == 2
+        assert message in capsys.readouterr().err
+        assert not outdir.exists()
+
+    def test_missing_table_is_a_config_error(self, tmp_path, capsys):
+        text = TABLE_WW_BODY.format(table="absent.csv")
+        rc, outdir = _run(tmp_path, "table.yaml", text, "out")
+        assert rc == 2
+        assert "spectral.table_path: no file at" in capsys.readouterr().err
+        assert not outdir.exists()
+
+
 class TestTwoLevelRuns:
     def test_trajectory_artifacts_and_audits(self, tmp_path):
         text = WW_BODY.format(height=0.0318, dt=0.01, T=20.0)

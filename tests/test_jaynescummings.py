@@ -5,6 +5,7 @@ import math
 import subprocess
 import sys
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -246,6 +247,16 @@ class TestRecursion:
         with pytest.raises(rv.LaplaceDomainError):
             jc.kraus_recursion(small_system(), 20.0)
 
+    def test_thermal_kernel_refused(self):
+        # the comb has no occupation factors, so a thermal ladder would
+        # get the zero-temperature matrix back
+        sys = small_system()
+        hot = replace(sys, kernel=replace(sys.kernel, beta_inv=5.0))
+        with pytest.raises(ValueError, match="beta_inv = 5.0"):
+            jc.kraus_recursion(hot, 19.5 + 1.5j)
+        with pytest.raises(ValueError, match="beta_inv"):
+            jc.adjoint_recursion(hot, 19.5 - 1.5j)
+
     def test_singular_block_error_payload(self):
         err = jc.SingularBlockError(3, 20.0 + 0.1j)
         assert err.level == 3
@@ -466,6 +477,27 @@ class TestSeries:
             warnings.simplefilter("error")
             full = jc.atomic_population_series(basis, window_sd(), init, t, 2)
         assert full.truncation_estimate == 0.0
+
+    def test_ground_state_without_photons_has_no_terms(self):
+        # no order contributes: the excited population is exactly zero
+        t = np.linspace(0.0, 10.0, 41)
+        ground = np.array([[1.0, 0.0], [0.0, 0.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = jc.atomic_population_series(
+                small_basis(), window_sd(), jc.JCInitialState(ground, 0), t, 2
+            )
+        assert np.all(res.excited == 0.0)
+        assert res.truncation_estimate == 0.0
+        assert res.term_peaks == ()
+
+    def test_non_finite_time_refused(self):
+        init = jc.JCInitialState(EXCITED_A, 1)
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="finite"):
+                jc.atomic_population_series(
+                    small_basis(), window_sd(), init, np.array([0.0, 0.5, bad]), 1
+                )
 
     def test_argument_validation(self):
         init = jc.JCInitialState(EXCITED_A, 1)

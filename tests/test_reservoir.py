@@ -197,6 +197,90 @@ class TestThermal:
             rv.correlation_laplace(sd, 1.0 + 1.0j, beta_inv=0.3)
 
 
+# an Ohmic bath, |g|^2 = omega e^-omega: it vanishes linearly at omega = 0,
+# so every thermal sum converges
+_W = np.linspace(0.0, 4.0, 401)
+OHMIC_0 = rv.SpectralDensity.tabulated(_W, _W * np.exp(-_W))
+GATE_DENSITIES = {
+    "lorentzian": (LOR, rv.DivergentIntegralError),
+    "flat_from_0": (rv.SpectralDensity.flat_window(0.2, 0.0, 3.0), rv.DivergentIntegralError),
+    "flat_from_1": (rv.SpectralDensity.flat_window(0.2, 1.0, 3.0), None),
+    "table_from_0_g2_0": (OHMIC_0, None),
+    "table_from_0_g2_pos": (rv.SpectralDensity.tabulated([0.0, 1.0, 2.0], [0.3, 0.4, 0.0]),
+                            rv.DivergentIntegralError),
+    "table_from_half": (rv.SpectralDensity.tabulated([0.5, 1.0, 2.0], [0.3, 0.4, 0.0]), None),
+}
+
+
+def _raised(f):
+    try:
+        f()
+    except Exception as e:
+        return type(e)
+    return None
+
+
+@pytest.mark.parametrize("beta_inv", [-0.5, 0.0, 0.5])
+@pytest.mark.parametrize("name", list(GATE_DENSITIES))
+def test_thermal_gate_is_the_same_on_every_route(name, beta_inv):
+    # the sum diverges exactly when |g(0)|^2 > 0, and a negative
+    # temperature is a ValueError, on all three routes alike
+    sd, thermal_error = GATE_DENSITIES[name]
+    expected = ValueError if beta_inv < 0 else thermal_error if beta_inv > 0 else None
+    routes = [
+        lambda: rv.kernel_samples(sd, np.array([0.0, 0.7, -2.0]), beta_inv),
+        lambda: rv.correlation_laplace(sd, np.array([1.0 + 1.0j, 2.5 + 0.3j]), beta_inv),
+        lambda: rv.discrete_modes(sd, 64, beta_inv),
+    ]
+    assert [_raised(f) for f in routes] == [expected] * 3
+
+
+def _ohmic_kappa(beta_inv, tau, top=12.0):
+    # omega e^-omega coth(beta omega / 2) tends to 2 beta_inv at omega = 0
+    def g2_coth(w):
+        return w * np.exp(-w) / np.tanh(w / (2.0 * beta_inv)) if w > 0 else 2.0 * beta_inv
+
+    tol = dict(epsabs=1e-13, epsrel=1e-12, limit=400)
+    if tau == 0:
+        return integrate.quad(g2_coth, 0.0, top, **tol)[0] + 0j
+    re = integrate.quad(g2_coth, 0.0, top, weight="cos", wvar=tau, **tol)[0]
+    im = integrate.quad(lambda w: -w * np.exp(-w), 0.0, top, weight="sin", wvar=tau, **tol)[0]
+    return re + 1j * im
+
+
+@pytest.mark.parametrize("beta_inv", [0.5, 2.0])
+def test_ohmic_table_kernel_converges_at_second_order(beta_inv):
+    # the omega = 0 node keeps the limit of |g|^2 (2 nbar + 1); dropping
+    # it misses by 1.7e-3 (beta_inv 0.5) and 2.4e-3 (2) at 2,401 nodes
+    taus = np.array([0.0, 0.5, 2.0, 5.0, -3.0])
+    ref = np.array([_ohmic_kappa(beta_inv, t) for t in taus])
+    errs = []
+    for n in (2401, 4801):
+        omega = np.linspace(0.0, 12.0, n)
+        sd = rv.SpectralDensity.tabulated(omega, omega * np.exp(-omega))
+        got = rv.kernel_samples(sd, taus, beta_inv)
+        errs.append(np.max(np.abs(got - ref)) / ref[0].real)
+        om, wq = rv.discrete_modes(sd, n, beta_inv)
+        assert np.all(wq > 0) and np.count_nonzero(om == 0) == 1
+    assert errs[0] < 2e-5
+    assert errs[1] < errs[0] / 3.0
+
+
+def test_trapezoid_weights():
+    assert rv.trapezoid_weights([1.0, 2.0, 3.0]).tolist() == [0.5, 1.5, 2.5, 1.5]
+    assert rv.trapezoid_weights(np.full(4, 0.25)).tolist() == [0.125, 0.25, 0.25, 0.25, 0.125]
+
+
+@pytest.mark.parametrize("omega, g2", [
+    ([0.0, 1.0, np.nan], [0.1, 0.2, 0.3]),
+    ([0.0, 1.0, 2.0], [0.1, np.inf, 0.3]),
+    ([0.0, 1.0, np.inf], [0.1, 0.2, 0.3]),
+], ids=["nan_omega", "inf_g2", "inf_omega"])
+def test_non_finite_table_is_a_value_error(omega, g2):
+    with pytest.raises(ValueError, match="finite"):
+        rv.SpectralDensity.tabulated(omega, g2)
+
+
 class TestThermalModeRule:
     """Thermal mode sums against quad restricted to the window."""
 
