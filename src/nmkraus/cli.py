@@ -7,11 +7,13 @@ EntropyScan}.  Every kind has a runner, a function
 parsed config and the config's directory (``base`` resolves relative
 table paths).  It returns the name of its one table, the table's
 columns in order, and its audits in print order; it never touches the
-output directory.  ``_cmd_run`` creates that directory only after the
-runner returns, and ``_finish`` writes ``<artifact>.csv`` and
+output directory.  A runner reads every key it needs before its first
+solver call and there calls ``_all_read``, which refuses a config
+holding a key it never read, so a misspelt key costs no solve.
+``_cmd_run`` creates the output directory only after the runner
+returns, and ``_finish`` writes ``<artifact>.csv`` and
 ``summary.json``, a machine-readable audit report, so a run that stops
-on a config or solver error writes nothing, and neither does a config
-holding a key its runner never read.  Dimensionful config keys
+on a config or solver error writes nothing.  Dimensionful config keys
 carry their unit in the name (``dt_time``, ``center_per_time``) so
 rescaled inputs cannot be mixed up silently.
 
@@ -77,6 +79,13 @@ def _fetch(cfg, path, default=_MISSING):
         _READ.add((id(node), part))
         node = node[part]
     return node
+
+
+def _all_read(cfg):
+    """Refuse the config if ``_fetch`` has not looked up each of its keys."""
+    unread = list(_unread(cfg))
+    if unread:
+        raise ConfigError(f"{', '.join(unread)}: not read by {cfg['kind']}")
 
 
 def _unread(node, prefix=""):
@@ -256,19 +265,24 @@ def _check(name, value, limit, sense="<="):
     }
 
 
-def _audits(cfg, traj, **residuals):
-    """Trace and positivity checks of ``traj``, then each solver residual."""
+def _audits(cfg, residuals=True):
+    """Read the audit tolerances; returns ``audit(traj, **residuals)``.
+
+    ``audit`` checks the trace and positivity of ``traj``, then each
+    solver residual; ``audit.solver_tol`` is read only if ``residuals``.
+    """
     trace_tol = _pos(cfg, "audit.trace_tol", 1e-6)
     eig_tol = _pos(cfg, "audit.eig_tol", 1e-10)
-    rep = dy.audit_conservation(traj)
-    checks = [
-        _check("trace_max_error", rep.max_trace_error, trace_tol),
-        _check("min_eigenvalue", rep.min_eigenvalue, -eig_tol, ">="),
-    ]
-    if residuals:
-        solver_tol = _pos(cfg, "audit.solver_tol", 1e-8)
-        checks += [_check(name, v, solver_tol) for name, v in residuals.items()]
-    return checks
+    solver_tol = _pos(cfg, "audit.solver_tol", 1e-8) if residuals else None
+
+    def audit(traj, **resid):
+        rep = dy.audit_conservation(traj)
+        return [
+            _check("trace_max_error", rep.max_trace_error, trace_tol),
+            _check("min_eigenvalue", rep.min_eigenvalue, -eig_tol, ">="),
+        ] + [_check(name, v, solver_tol) for name, v in resid.items()]
+
+    return audit
 
 
 def _finish(outdir, kind, artifact, table, checks):
@@ -324,9 +338,14 @@ def _time_grid(cfg):
     return T, dt
 
 
-def _two_time(sys_, rho0, T, dt):
-    """Two-time trajectory and its solver residuals, after the field-size guard."""
+def _two_time(cfg, sys_, rho0, T, dt):
+    """Two-time trajectory and its solver residuals.
+
+    The field-size guard and then the unread-key check run first, so the
+    caller reads all its keys before it calls this.
+    """
     dy.check_field_size(sys_, T, dt)
+    _all_read(cfg)
     W = kr.solve_time_domain(sys_, T, dt)
     xi = dy.solve_bitemporal(sys_, W, rho0)
     return dy.extract_density(xi), {
@@ -336,7 +355,11 @@ def _two_time(sys_, rho0, T, dt):
 
 
 def _two_level(cfg, sd):
-    """System, Volterra solution and refill trajectory of a two-level run."""
+    """System, Volterra solution and refill trajectory of a two-level run.
+
+    The unread-key check runs before the solve, so the caller reads all
+    its keys before it calls this.
+    """
     w1 = _num(cfg, "system.omega_1_per_time", 0.0)
     w2 = _num(cfg, "system.omega_2_per_time")
     if w2 <= w1:
@@ -344,6 +367,7 @@ def _two_level(cfg, sd):
     rho0 = _initial_two_level(cfg)
     T, dt = _time_grid(cfg)
     sys_ = kr.SystemSpec((w1, w2), rv.kernel_table(sd, {(2, 1, 1, 2): 1.0}))
+    _all_read(cfg)
     W = kr.solve_time_domain(sys_, T, dt)
     return sys_, W, dy.two_level_trajectory(sys_, W, rho0)
 
@@ -360,20 +384,25 @@ def _two_level_columns(traj):
 
 
 def _run_two_level_ww(cfg, base):
+    audit = _audits(cfg)
     _, W, traj = _two_level(cfg, _build_spectral(cfg, base))
-    checks = _audits(cfg, traj, volterra_residual=W.max_residual)
-    return "trajectory", _two_level_columns(traj), checks
+    return "trajectory", _two_level_columns(traj), audit(
+        traj, volterra_residual=W.max_residual)
 
 
 def _run_markov_limit(cfg, base):
     lam = _pos(cfg, "coupling.scale")
     sd = _build_spectral(cfg, base, scale2=lam * lam)
+    obar = _num(cfg, "channel.omega_bar_per_time", 0.0)
+    audit = _audits(cfg, residuals=False)
+    rate_tol = _pos(cfg, "audit.rate_rel_tol", 0.05)
+    dev_tol = _pos(cfg, "audit.channel_dev_tol", 0.05)
+    ident_tol = _pos(cfg, "audit.identity_tol", 1e-12)
     sys_, _, traj = _two_level(cfg, sd)
     w21 = sys_.energies[1] - sys_.energies[0]
     gamma = math.pi * float(sd.weight(w21))
     if gamma <= 0:
         raise ConfigError("spectral weight vanishes at the transition frequency")
-    obar = _num(cfg, "channel.omega_bar_per_time", 0.0)
     # the channel starts from the run's own initial state
     chan = dy.markovian_channel(gamma, obar, traj.matrices[0], traj.times)
     chan_dev = float(np.max(np.abs(traj.matrices - chan)))
@@ -393,10 +422,10 @@ def _run_markov_limit(cfg, base):
 
     table = _two_level_columns(traj)
     table["channel_rho22"] = chan[:, 1, 1].real
-    checks = _audits(cfg, traj) + [
-        _check("rate_rel_error", rate_err, _pos(cfg, "audit.rate_rel_tol", 0.05)),
-        _check("channel_max_dev", chan_dev, _pos(cfg, "audit.channel_dev_tol", 0.05)),
-        _check("channel_identity", ident, _pos(cfg, "audit.identity_tol", 1e-12)),
+    checks = audit(traj) + [
+        _check("rate_rel_error", rate_err, rate_tol),
+        _check("channel_max_dev", chan_dev, dev_tol),
+        _check("channel_identity", ident, ident_tol),
     ]
     return "trajectory", table, checks
 
@@ -422,14 +451,15 @@ def _run_generic_system(cfg, base):
     except (ValueError, rv.IndexCollisionError) as e:
         raise ConfigError(f"system: {e}") from e
     rho0 = _initial_matrix(cfg, sys_.dim)
-    traj, resid = _two_time(sys_, rho0, *_time_grid(cfg))
+    audit = _audits(cfg)
+    traj, resid = _two_time(cfg, sys_, rho0, *_time_grid(cfg))
     m = traj.matrices
     table = {"t_time": traj.times}
     for k in range(sys_.dim):
         table[f"pop_{k + 1}"] = m[:, k, k].real
     table["trace_re"] = np.trace(m, axis1=1, axis2=2).real
     table["min_eigenvalue"] = traj.min_eigenvalues()
-    checks = _audits(cfg, traj, **resid)
+    checks = audit(traj, **resid)
     checks.append(_check("hermiticity_residual", traj.herm_residual, 1e-10))
     return "trajectory", table, checks
 
@@ -450,11 +480,12 @@ def _run_jaynes_cummings(cfg, base):
 
     if solver == "series":
         r_max = _int(cfg, "numerics.r_max", minimum=0)
+        trunc_tol = _pos(cfg, "audit.truncation_tol", 2e-2)
+        _all_read(cfg)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             res = jc.atomic_population_series(basis, sd, init, times, r_max)
         excited, ground = res.excited, res.ground
-        trunc_tol = _pos(cfg, "audit.truncation_tol", 2e-2)
         checks = [
             _check("truncation_estimate", res.truncation_estimate, trunc_tol),
             _check("population_bound", float(np.max(excited)), 1.0 + 1e-9),
@@ -462,10 +493,11 @@ def _run_jaynes_cummings(cfg, base):
     else:
         sysj = jc.build_dressed_system(basis, sd)
         rho0 = jc.dressed_initial_state(basis, init)
-        traj, resid = _two_time(sysj, rho0, T, T / (n_times - 1))
+        audit = _audits(cfg)
+        traj, resid = _two_time(cfg, sysj, rho0, T, T / (n_times - 1))
         red = jc.reduce_atomic(basis, traj.matrices)
         excited, ground = red[:, 1, 1].real, red[:, 0, 0].real
-        checks = _audits(cfg, traj, **resid)
+        checks = audit(traj, **resid)
     return "trajectory", {"t_time": times, "excited": excited, "ground": ground}, checks
 
 
@@ -483,6 +515,7 @@ def _run_plateau_figure(cfg, base):
     taus = np.arange(0.0, tau_max + 0.5 * dtau, dtau)
     plateau_tol = _pos(cfg, "audit.plateau_tol", 1e-2)
     tail_tol = _pos(cfg, "audit.tail_tol", 1e-2)
+    _all_read(cfg)
 
     table, checks = {"tau": taus}, []
     for p in ps:
@@ -516,6 +549,7 @@ def _run_entropy_scan(cfg, base):
     rho_a = None
     if _fetch(cfg, "initial", None) is not None:
         rho_a = _initial_two_level(cfg)
+    _all_read(cfg)
     try:
         table = jc.entropy_limit_scan(
             basis, sd, alpha, beta, lams, p_tilde=p_tilde, t_tilde=t_tilde, rho_a=rho_a
@@ -652,9 +686,7 @@ def _cmd_run(args):
     except (ValueError, ArithmeticError, RuntimeError) as e:
         print(f"solver error in {kind} ({type(e).__name__}): {e}", file=sys.stderr)
         return 3
-    unread = list(_unread(cfg))
-    if unread:
-        raise ConfigError(f"{', '.join(unread)}: not read by {kind}")
+    _all_read(cfg)  # a runner that skipped the check still writes nothing
     outdir.mkdir(parents=True, exist_ok=True)
     return _finish(outdir, kind, artifact, table, checks)
 

@@ -255,8 +255,11 @@ def solve_bitemporal(sys: SystemSpec, W: KrausZero, rho0) -> BitemporalState:
     plus O(n^2 log^2 n P^2) for the column solves.  Besides the field,
     ``(n+1)^2 dim^2`` complex numbers, the solve stores the kernel-weighted
     read entries, ``(n+1)^2 G`` more.  The ``n`` steps and their size
-    are those of ``W.grid``, and ``W.values[0]`` must be the identity,
-    as :func:`kraus.solve_time_domain` returns it.
+    are those of ``W.grid``.  ``W`` must be the propagator of ``sys``,
+    as :func:`kraus.solve_time_domain` returns it: ``W.values[0]`` is
+    the identity, and the lag line ``kappa(m dt)``, ``|m| <= n``, is
+    read from its kernel samples ``W.kappa`` (``kappa(-tau)`` is
+    ``conj kappa(tau)``), not sampled again.
 
     Raises
     ------
@@ -280,7 +283,7 @@ def solve_bitemporal(sys: SystemSpec, W: KrausZero, rho0) -> BitemporalState:
 
     en = np.asarray(sys.energies, dtype=float)
     B = np.exp(-1j * np.outer(tg, en))[:, :, None] * W.values
-    line = sys.kernel.on_grid(np.arange(-n, n + 1) * dt)
+    line = np.concatenate([np.conj(W.kappa[:0:-1]), W.kappa])
     # KD[s, sp] = kernel((sp - s) dt); a reversed sliding view, no copy
     KD = np.lib.stride_tricks.sliding_window_view(line, n + 1)[::-1]
     Wflat = Wsl.reshape(P, dim * dim)

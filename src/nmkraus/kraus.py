@@ -118,8 +118,8 @@ class KrausZero:
     ``picard_iters`` is always 0, since no step iterates; the field
     stays because benchmark tracing reads it.  ``kappa`` holds the
     scalar kernel samples ``kernel.on_grid(grid)`` that the solve
-    integrated, so that the two-level refill does not sample the same
-    kernel again.
+    integrated, so that neither the two-level refill nor the two-time
+    solve samples the same kernel again.
 
     Raises
     ------
@@ -336,6 +336,8 @@ def _cubic_interp(xg, yg, x):
 
 
 _MAX_LINE_POINTS = 400_000
+# widest mode panel folded onto a line, in line steps: about one mode a step
+_FOLD_STEPS = 32
 
 
 def _inverse_blocks(blk):
@@ -379,9 +381,11 @@ class LaplaceKraus:
     is stored through its deviation from the free resolvent, so the
     free part of the collapsed integral uses the reservoir image
     ``correlation_laplace`` and rows without feedback are exact at any
-    depth; the deviation is folded over 4,096 modes of
-    ``reservoir.discrete_modes``.  A line that would need more than
-    400,000 points raises LineResolutionError.
+    depth; the deviation is folded over the modes of
+    ``reservoir.discrete_modes`` with panels at most 32 line steps wide.
+    A line that would need more than 400,000 points raises
+    LineResolutionError, and a fold of more than 65,536 modes
+    reservoir.DivergentIntegralError.
 
     A line is solved on the diagonal blocks the slots can reach.  Every
     state starts in its own block, and a slot ``(k, m, n, j)`` whose
@@ -404,7 +408,6 @@ class LaplaceKraus:
         self.depth = depth
         self._lines = {}
         self.cauchy = {}
-        self._modes = rv.discrete_modes(sys.kernel.sd, 4096, sys.kernel.beta_inv)
         dim = sys.dim
         k, m, n, j = sys.kernel.slots.T
         label = np.arange(dim)
@@ -463,7 +466,8 @@ class LaplaceKraus:
         does not wrap around onto the line.  The weights are real: one
         half-length ``rfft`` and its conjugate mirror give the spectrum.
         """
-        om, wq = self._modes
+        kern = self.system.kernel
+        om, wq = rv.discrete_modes(kern.sd, _FOLD_STEPS * h, kern.beta_inv)
         pos = om / h
         keep = np.abs(pos) < npts - 1
         pos, ww = pos[keep], wq[keep]
@@ -570,9 +574,10 @@ def laplace_inverse_identity(sys: SystemSpec, W: LaplaceKraus, z):
     Entry (k, l) is ``(z - w_k) delta_kl`` minus the slot-weighted
     collapsed integral of W over the reservoir spectrum; the free part
     of W collapses through the reservoir image ``correlation_laplace``,
-    the deviation through the discrete mode expansion.  Every shifted
-    point ``z - omega_a`` lies on W's stored line at ``Im z``, so the
-    deviation at all modes is one interpolation along that line, read
+    the deviation through the modes of ``reservoir.discrete_modes``,
+    with panels at most 32 steps of W's line at ``Im z`` wide, as W's
+    own fold.  Every shifted point ``z - omega_a`` lies on that line,
+    so the deviation at all modes is one interpolation along it, read
     as zero outside its window as :meth:`LaplaceKraus.evaluate` does.
 
     Parameters
@@ -593,10 +598,12 @@ def laplace_inverse_identity(sys: SystemSpec, W: LaplaceKraus, z):
     en = np.asarray(sys.energies)
     out = np.diag(z - en).astype(complex)
     kern = sys.kernel
-    om, wq = rv.discrete_modes(kern.sd, 4096, kern.beta_inv)
-    dev = np.zeros((om.size, dim, dim), dtype=complex)
+    wq, dev = np.zeros(0), np.zeros((0, dim, dim))
     if W.system.kernel.weights.size:
         xg, line, _ = W._line(z.imag)
+        h = (xg[-1] - xg[0]) / (xg.size - 1)
+        om, wq = rv.discrete_modes(kern.sd, _FOLD_STEPS * h, kern.beta_inv)
+        dev = np.zeros((om.size, dim, dim), dtype=complex)
         x = z.real - om
         a = np.flatnonzero((xg[0] <= x) & (x <= xg[-1]))
         dev[a] = _cubic_interp(xg, line, x[a])

@@ -282,16 +282,17 @@ def _thermal_gate(sd: SpectralDensity, beta_inv):
         )
 
 
-# Mode sums run over discrete_modes.  Away from a table the modes come
-# from whole Gauss panels of _PANEL nodes.  Each panel is at most
-# _TIME_SPAN / max|tau| wide for the time kernel, or _IMAGE_SPAN times
-# the least distance from +-y to the support for the Laplace image.
-# Toward omega = 0 the panels shrink geometrically, adjacent edges at
-# most a factor exp(_GRADE) apart, so the occupation pole there costs
-# log(hi/lo)/_GRADE more panels.
+# Every mode sum runs over discrete_modes(sd, span), whose panels are
+# at most span wide: _TIME_SPAN / max|tau| for the time kernel, or
+# _IMAGE_SPAN times the least distance from +-y to the support for the
+# Laplace image.  Away from a table the modes come from whole Gauss
+# panels of _PANEL nodes.  Toward omega = 0 the panels shrink
+# geometrically, adjacent edges at most a factor exp(_GRADE) apart, so
+# the occupation pole there costs log(hi/lo)/_GRADE more panels.  A
+# table splits each interval into equal parts at most span/_PANEL wide.
 # Against quadrature on the support this keeps a thermal flat window
 # within 3e-13 of its peak, and each constant has a 2-3x margin before
-# the error grows.  A request for more than _MAX_MODES nodes raises
+# the error grows.  A rule of more than _MAX_MODES nodes raises
 # DivergentIntegralError.
 _PANEL = 32
 _GRADE = 1.0
@@ -299,20 +300,6 @@ _TIME_SPAN = 40.0
 _IMAGE_SPAN = 2.0
 _MAX_MODES = 1 << 16
 _BLOCK = 1 << 20
-
-
-def _kernel_modes(sd: SpectralDensity, beta_inv, span):
-    """Modes of a mode sum whose panels are at most ``span`` wide."""
-    if sd.family == "Tabulated":
-        return discrete_modes(sd, sd.table[0].size, beta_inv)
-    lo, hi = sd.support()
-    grading = math.log(hi / lo) / _GRADE if lo > 0 else 0.0
-    n_modes = _PANEL * (grading + (hi - lo) / span + 1)
-    if n_modes > _MAX_MODES:
-        raise DivergentIntegralError(
-            f"thermal kernel needs {n_modes:.0f} modes, above the cap of {_MAX_MODES}"
-        )
-    return discrete_modes(sd, math.ceil(n_modes), beta_inv)
 
 
 def _mode_sum(f, x, omega, wq):
@@ -332,16 +319,16 @@ def kernel_samples(sd: SpectralDensity, tau, beta_inv=0.0):
     the shape of ``tau``, a numpy complex scalar for a scalar ``tau``.
     A zero-temperature Lorentzian or flat window uses its closed form.
     Otherwise the kernel is the sum over the modes of
-    :func:`discrete_modes`: a tabulated density keeps its table nodes; a
-    thermal flat window gets whole 32-node Gauss panels, each at most
-    ``40 / max|tau|`` wide and graded geometrically toward omega = 0.
+    :func:`discrete_modes` with panels at most ``40 / max|tau|`` wide:
+    a table splits its intervals to that resolution, a thermal flat
+    window gets whole 32-node Gauss panels graded toward omega = 0.
 
     Raises
     ------
     DivergentIntegralError
         If the weight is nonzero at omega = 0 at positive temperature,
-        where the thermal integral diverges, or the rule would need more
-        than 65536 nodes.
+        where the thermal integral diverges, or the mode rule would need
+        more than 65536 nodes.
     """
     _thermal_gate(sd, beta_inv)
     tau = np.asarray(tau, dtype=float)
@@ -350,7 +337,7 @@ def kernel_samples(sd: SpectralDensity, tau, beta_inv=0.0):
         out = _kappa_zero_temp(sd, at)
     else:
         reach = float(at.max(initial=0.0))
-        omega, wq = _kernel_modes(sd, beta_inv, _TIME_SPAN / reach if reach else math.inf)
+        omega, wq = discrete_modes(sd, _TIME_SPAN / reach if reach else math.inf, beta_inv)
         out = _mode_sum(lambda x, w: np.exp(-1j * x * w), at, omega, wq)
     out = np.where(tau.ravel() < 0, out.conj(), out).reshape(tau.shape)
     return out if out.ndim else out[()]
@@ -379,7 +366,7 @@ def correlation_time(sd: SpectralDensity, t, s, beta_inv=0.0):
     Raises
     ------
     DivergentIntegralError
-        If the thermal weight is nonzero at omega = 0, or the node rule
+        If the thermal weight is nonzero at omega = 0, or the mode rule
         exceeds its cap.
     """
     return complex(kernel_samples(sd, float(t) - float(s), beta_inv))
@@ -392,10 +379,10 @@ def correlation_laplace(sd: SpectralDensity, y, beta_inv=0.0):
     branch ``int_0^inf |g|^2 nbar(omega) [1/(y-omega) + 1/(y+omega)]``.
     A zero-temperature Lorentzian or flat window uses its closed form.
     Otherwise the image is the sum over the modes of
-    :func:`discrete_modes`: a tabulated density keeps its table nodes;
-    a thermal flat window gets whole 32-node Gauss panels, each at most
-    twice the least distance from ``+-y`` to its support wide and
-    graded geometrically toward omega = 0.
+    :func:`discrete_modes` with panels at most twice the least distance
+    from ``+-y`` to the support wide: a table splits its intervals to
+    that resolution, a thermal flat window gets whole 32-node Gauss
+    panels graded toward omega = 0.
 
     Parameters
     ----------
@@ -413,7 +400,7 @@ def correlation_laplace(sd: SpectralDensity, y, beta_inv=0.0):
     LaplaceDomainError
         If any ``Im y <= 0``.
     DivergentIntegralError
-        If the thermal weight is nonzero at omega = 0, or the node rule
+        If the thermal weight is nonzero at omega = 0, or the mode rule
         would need more than 65536 nodes.
     """
     _thermal_gate(sd, beta_inv)
@@ -427,7 +414,7 @@ def correlation_laplace(sd: SpectralDensity, y, beta_inv=0.0):
     yv = np.ravel(y)
     lo, hi = sd.support()
     gap = min(np.abs(v - np.clip(v.real, lo, hi)).min() for v in (yv, -yv))
-    omega, wq = _kernel_modes(sd, beta_inv, _IMAGE_SPAN * gap)
+    omega, wq = discrete_modes(sd, _IMAGE_SPAN * gap, beta_inv)
     out = _mode_sum(lambda x, w: 1.0 / (x - w), yv, omega, wq)
     return complex(out[0]) if scalar else out.reshape(y.shape)
 
@@ -463,7 +450,9 @@ def correlation_boundary(sd: SpectralDensity, omega):
     """Boundary value of the zero-temperature Laplace image just above the real axis.
 
     Realizes the ``omega + i0`` prescription at the height
-    ``1e-6 * frequency_scale`` above the real frequency ``omega``.
+    ``1e-6 * frequency_scale`` above the real frequency ``omega``.  A
+    table resolves that height only with more modes than the cap
+    allows, so near its support it raises DivergentIntegralError.
     """
     return correlation_laplace(sd, omega + 1j * (1e-6 * sd.frequency_scale()))
 
@@ -549,7 +538,7 @@ def trapezoid_weights(gaps):
     return np.append(half, 0.0) + np.append(0.0, half)
 
 
-def discrete_modes(sd: SpectralDensity, n_modes, beta_inv=0.0):
+def discrete_modes(sd: SpectralDensity, span, beta_inv=0.0):
     """Discretize the reservoir into weighted oscillator modes.
 
     Returns frequencies ``omega_q`` and positive weights ``w_q`` such
@@ -564,21 +553,44 @@ def discrete_modes(sd: SpectralDensity, n_modes, beta_inv=0.0):
     Parameters
     ----------
     sd : SpectralDensity
-    n_modes : int
-        Number of quadrature nodes on the positive axis.  A flat window
-        rounds it up to whole Gauss panels of 32 nodes, graded toward
-        omega = 0 (see ``_panel_edges``).  A table gets the trapezoid
-        rule on its own nodes, or on ``n_modes`` uniform ones.
+    span : float
+        Widest panel the request allows (``inf`` for any).  A flat
+        window gets ``32 (log(hi/lo) + (hi - lo)/span + 1)`` nodes,
+        rounded up to whole 32-node Gauss panels graded toward omega = 0
+        (see ``_panel_edges``); a Lorentzian as many nodes of a tangent
+        map, with ``(lo, hi)`` its support.  A table gets the trapezoid
+        rule on its nodes, each interval split into equal parts at most
+        ``span / 32`` wide, with ``g2`` interpolated linearly as the
+        table itself is.
     beta_inv : float, optional
 
     Returns
     -------
     (ndarray, ndarray)
         Frequencies and weights; all weights are positive.
+
+    Raises
+    ------
+    DivergentIntegralError
+        If the weight is nonzero at omega = 0 at positive temperature,
+        or the rule would need more than 65536 nodes.
     """
     _thermal_gate(sd, beta_inv)
-    if n_modes < 2:
-        raise ValueError("need at least 2 modes")
+    if not span > 0:
+        raise ValueError("span must be > 0")
+    if sd.family == "Tabulated":
+        grid, g2 = sd.table
+        parts = np.maximum(np.ceil(np.diff(grid) * _PANEL / span), 1.0)
+        n_modes = parts.sum() + 1
+    else:
+        lo, hi = sd.support()
+        grading = math.log(hi / lo) / _GRADE if lo > 0 else 0.0
+        n_modes = _PANEL * (grading + (hi - lo) / span + 1)
+    if n_modes > _MAX_MODES:
+        raise DivergentIntegralError(
+            f"mode rule needs {n_modes:.0f} modes, above the cap of {_MAX_MODES}"
+        )
+    n_modes = math.ceil(n_modes)
     zero_node = 0.0
     if sd.family == "Lorentzian":
         g0, wc, lam = sd.params
@@ -591,18 +603,16 @@ def discrete_modes(sd: SpectralDensity, n_modes, beta_inv=0.0):
         wq = np.full(n_modes, g0 / math.pi * du)
     elif sd.family == "FlatWindow":
         h, lo, hi = sd.params
-        x, gw = gauss_legendre(min(n_modes, _PANEL))
-        edges = _panel_edges(lo, hi, -(-n_modes // x.size))
+        x, gw = gauss_legendre(_PANEL)
+        edges = _panel_edges(lo, hi, -(-n_modes // _PANEL))
         half = 0.5 * np.diff(edges)[:, None]
         omega = (edges[:-1, None] + half * (1.0 + x)).ravel()
         wq = h * (half * gw).ravel()
     else:
-        grid, g2 = sd.table
-        if n_modes != grid.size:
-            omega = np.linspace(grid[0], grid[-1], n_modes)
-            g2 = np.interp(omega, grid, g2)
-        else:
-            omega = grid
+        # node k of interval i sits at the fraction k / parts[i] of it
+        i = np.repeat(np.arange(parts.size), parts.astype(int))
+        frac = (np.arange(i.size) - (np.cumsum(parts) - parts)[i]) / parts[i]
+        omega, g2 = (np.append(v[i] + frac * np.diff(v)[i], v[-1]) for v in (grid, g2))
         trap = trapezoid_weights(np.diff(omega))
         wq = trap * g2
         if beta_inv > 0 and omega[0] == 0:
@@ -650,9 +660,8 @@ class CorrelationKernel:
     def on_grid(self, t):
         """Scalar kernel ``kappa`` at the times ``t``, by :func:`kernel_samples`.
 
-        A thermal kernel sums whole 32-node Gauss panels, each at most
-        ``40 / max|t|`` wide, and raises DivergentIntegralError above
-        65536 nodes.
+        A mode sum has panels at most ``40 / max|t|`` wide, and raises
+        DivergentIntegralError above 65536 nodes.
         """
         return kernel_samples(self.sd, t, self.beta_inv)
 

@@ -16,7 +16,9 @@ def laplace_inverse_identity(sys, W, z):
     en = np.asarray(sys.energies)
     out = np.diag(z - en).astype(complex)
     kern = sys.kernel
-    om, wq = rv.discrete_modes(kern.sd, 4096, kern.beta_inv)
+    # the modes of W's own fold: panels at most 32 steps of its line
+    xg = W._line(z.imag)[0]
+    om, wq = rv.discrete_modes(kern.sd, 32 * (xg[-1] - xg[0]) / (xg.size - 1), kern.beta_inv)
     cache = {}
 
     def deviation(zz):

@@ -14,8 +14,13 @@ from nmkraus import reservoir as rv
 
 
 def binned_weights(lk, h, npts, nfft):
-    """Mode weights split linearly onto integer grid offsets mod ``nfft``."""
-    om, wq = lk._modes
+    """Mode weights split linearly onto integer grid offsets mod ``nfft``.
+
+    The modes are those of ``reservoir.discrete_modes`` with panels at
+    most 32 line steps ``h`` wide.
+    """
+    kern = lk.system.kernel
+    om, wq = rv.discrete_modes(kern.sd, 32 * h, kern.beta_inv)
     pos = om / h
     keep = np.abs(pos) < npts - 1
     pos, ww = pos[keep], wq[keep]

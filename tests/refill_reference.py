@@ -1,8 +1,10 @@
 """Mode-fold two-level refill, kept as the reference for the convolution one.
 
 This is the original refill of ``dynamics.two_level_trajectory``: the
-reservoir is folded into 4096 modes (uniform midpoint nodes on a flat
-window, ``reservoir.discrete_modes`` otherwise), and the refill is the
+reservoir is folded into modes no wider apart than 1/4096 of its
+support (uniform midpoint nodes on a flat window, the modes of
+``reservoir.discrete_modes`` with panels of 1/128 of the support
+otherwise), and the refill is the
 mode-weighted sum of squared trapezoid prefix integrals.  It differs
 from the convolution refill by the fold's own discretisation error.
 """
@@ -12,11 +14,15 @@ import numpy as np
 from nmkraus import reservoir as rv
 
 
-def fold_modes(sd, n_modes, beta_inv):
-    """Midpoint modes on a flat window, ``discrete_modes`` on the rest."""
+def fold_modes(sd, span, beta_inv):
+    """Midpoint modes on a flat window, ``discrete_modes`` on the rest.
+
+    Panels are at most ``span`` wide; the midpoints are ``span / 32`` apart.
+    """
     if sd.family != "FlatWindow":
-        return rv.discrete_modes(sd, n_modes, beta_inv=beta_inv)
+        return rv.discrete_modes(sd, span, beta_inv=beta_inv)
     h, lo, hi = sd.params
+    n_modes = int(np.ceil(32 * (hi - lo) / span))
     d = (hi - lo) / n_modes
     omega = lo + (np.arange(n_modes) + 0.5) * d
     wq = np.full(n_modes, h * d)
@@ -29,10 +35,11 @@ def fold_modes(sd, n_modes, beta_inv):
     )
 
 
-def refill(sys, W, n_modes=4096):
+def refill(sys, W, panels=128):
     """``sum_q w_q |dt sum_r c_r W22(t_r) e^{i t_r (nu_q - w21)}|^2`` per prefix."""
     kern = sys.kernel
-    nu, mw = fold_modes(kern.sd, n_modes, kern.beta_inv)
+    lo, hi = kern.sd.support()
+    nu, mw = fold_modes(kern.sd, (hi - lo) / panels, kern.beta_inv)
     tg = W.grid
     dt = tg[1] - tg[0]
     w22 = W.values[:, 1, 1]

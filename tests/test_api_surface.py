@@ -98,3 +98,33 @@ def test_no_module_level_scipy_import(path):
     # the allow-list names no place that has stopped importing scipy
     listed = {scope for mod, scope in SCIPY_IMPORTS if mod == path.stem}
     assert listed <= {scope for scope, _ in found}, f"{path.name}: stale SCIPY_IMPORTS entries"
+
+
+def _literal_number(node):
+    """Whether ``node`` is a numeric literal, signed or not."""
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.UAdd, ast.USub)):
+        node = node.operand
+    return (isinstance(node, ast.Constant) and isinstance(node.value, (int, float))
+            and not isinstance(node.value, bool))
+
+
+def test_mode_rule_takes_no_fixed_count():
+    # every mode sum asks discrete_modes for the widest panel it can
+    # use, worked out from its own request; a literal would fix the
+    # resolution whatever the request needs
+    calls, bad = 0, []
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+            if name != "discrete_modes":
+                continue
+            calls += 1
+            span = node.args[1] if len(node.args) > 1 else next(
+                (k.value for k in node.keywords if k.arg == "span"), None)
+            if span is None or _literal_number(span):
+                bad.append(f"{path.name} line {node.lineno}")
+    assert calls >= 3, "expected the kernel, image and fold calls of discrete_modes"
+    assert not bad, f"discrete_modes called with a literal or no resolution: {bad}"

@@ -13,6 +13,7 @@ import pytest
 import yaml
 
 import nmkraus.cli as cli
+import nmkraus.jaynescummings as jc
 import nmkraus.kraus as kr
 import nmkraus.reservoir as rv
 
@@ -222,14 +223,23 @@ def test_lorentzian_kernel_past_exp_overflow(tmp_path):
 
 
 def test_two_level_run_samples_the_kernel_once(tmp_path, monkeypatch):
-    # the refill reads the samples the Volterra solve integrated
+    # the refill, and the two-time solve of a GenericSystem or a
+    # bitemporal JaynesCummings run, read the samples the Volterra solve
+    # integrated
     calls = []
     on_grid = rv.CorrelationKernel.on_grid
     monkeypatch.setattr(rv.CorrelationKernel, "on_grid",
                         lambda self, t: calls.append(len(t)) or on_grid(self, t))
-    rc, _ = _run(tmp_path, "ww.yaml", WW_BODY.format(height=0.0318, dt=0.01, T=5.0), "out")
-    assert rc == 0
-    assert calls == [501]
+    runs = [
+        (WW_BODY.format(height=0.0318, dt=0.01, T=5.0), 501),
+        (GENERIC_BODY.format(row=2, extra="audit:\n  trace_tol: 1.0e-2\n"), 201),
+        (JC_BODY.format(p=1, solver="bitemporal", extra="audit:\n  trace_tol: 5.0e-3\n"), 65),
+    ]
+    for i, (text, points) in enumerate(runs):
+        calls.clear()
+        rc, _ = _run(tmp_path, f"run{i}.yaml", text, f"out{i}")
+        assert rc == 0
+        assert calls == [points]
 
 
 def test_csv_bytes_match_savetxt(tmp_path, capsys):
@@ -304,6 +314,29 @@ def test_unread_key_is_refused(tmp_path, capsys, text, path):
     rc, outdir = _run(tmp_path, "typo.yaml", text, "out")
     assert rc == 2
     assert f"config error: {path}: not read by" in capsys.readouterr().err
+    assert not outdir.exists()
+
+
+@pytest.mark.parametrize("text, module, solver", [
+    (_WW, kr, "solve_time_domain"),
+    (MARKOV_BODY.format(rho11=0.0, rho22=1.0), kr, "solve_time_domain"),
+    (GENERIC_BODY.format(row=2, extra=""), kr, "solve_time_domain"),
+    (JC_BODY.format(p=1, solver="series", extra="  r_max: 2\n"), jc, "atomic_population_series"),
+    (PLATEAU_BODY.format(plist="20", tau_max=90.0, dtau=0.1), jc, "plateau_oracle"),
+    (SCAN_BODY.format(alpha=2.5), jc, "entropy_limit_scan"),
+], ids=["TwoLevelWW", "MarkovLimit", "GenericSystem", "JaynesCummings", "PlateauFigure",
+        "EntropyScan"])
+def test_unread_key_is_refused_before_the_solve(tmp_path, capsys, monkeypatch,
+                                                text, module, solver):
+    # every key is read before the first solver call, so a misspelt one
+    # costs no solve
+    def refuse(*args, **kwargs):
+        raise AssertionError(f"{solver} called")
+
+    monkeypatch.setattr(module, solver, refuse)
+    rc, outdir = _run(tmp_path, "typo.yaml", text + "audit2:\n  trace_tol: 1.0e-6\n", "out")
+    assert rc == 2
+    assert "config error: audit2.trace_tol: not read by" in capsys.readouterr().err
     assert not outdir.exists()
 
 
@@ -616,6 +649,17 @@ class TestEntropyScanRuns:
         assert np.all(np.diff(t["distance"]) < 0)
         assert _summary(outdir)["audits"]["min_distance_drop"]["passed"] is True
 
+    def test_initial_coherence_sets_the_bound(self, tmp_path):
+        text = SCAN_BODY.format(alpha=2.5) + (
+            "initial:\n  rho11: 0.5\n  rho22: 0.5\n  rho21_re: 0.3\n  rho21_im: 0.4\n")
+        rc, outdir = _run(tmp_path, "scan.yaml", text, "out")
+        assert rc == 0
+        t = _table(outdir, "scan.csv")
+        # |rho21| e^(-tau/2) on every row
+        ref = 0.5 * np.exp(-0.5 * t["tau"])
+        assert np.all(t["tau"] > 0)
+        assert np.max(np.abs(t["coherence_bound"] - ref) / ref) <= 1e-15
+
     def test_bad_exponent(self, tmp_path, capsys):
         rc, _ = _run(tmp_path, "scan.yaml", SCAN_BODY.format(alpha=2.0), "out")
         assert rc == 2
@@ -674,6 +718,19 @@ class TestCompare:
         assert cols_ab["rho21_re"]["max_rel"] == 1.0
         for col in cols_ab.values():
             assert (col["max_rel"] > 0) == (col["max_abs"] > 0)
+
+    def test_finer_run_first_reports_the_same(self, tmp_path, capsys):
+        # the coarse grid nests in the fine one whichever run comes first
+        coarse, _, fine = self._halving_runs(tmp_path)
+        rc, fc, _ = _compare(capsys, fine, coarse)
+        assert rc == 0
+        rc, cf, _ = _compare(capsys, coarse, fine)
+        assert rc == 0
+        fc, cf = fc["artifacts"]["trajectory"], cf["artifacts"]["trajectory"]
+        assert (fc["rows_a"], fc["rows_b"]) == (cf["rows_b"], cf["rows_a"]) == (2001, 501)
+        assert fc["columns"] == cf["columns"]
+        assert fc["columns"]["t_time"]["max_abs"] == 0.0
+        assert fc["columns"]["rho22"]["max_abs"] > 0.0
 
     def test_step_halving_contracts_fourfold(self, tmp_path, capsys):
         coarse, mid, fine = self._halving_runs(tmp_path)

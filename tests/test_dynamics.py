@@ -91,7 +91,7 @@ class TestValidation:
             sd, {(1, 1, 1, 1): 4.0 / (dt * dt * kappa0)}))
         W = kr.KrausZero(np.arange(3) * dt,
                          np.broadcast_to(np.eye(2, dtype=complex), (3, 2, 2)),
-                         0.0, 0, np.zeros(3, dtype=complex))
+                         0.0, 0, sys.kernel.on_grid(np.arange(3) * dt))
         with pytest.raises(kr.SingularOperatorError, match=r"rows j\+0, j = 1\.\.2"):
             dy.solve_bitemporal(sys, W, RHO)
 
@@ -538,6 +538,14 @@ class TestWignerWeisskopf:
         sd = rv.SpectralDensity.flat_window(0.0, 1.0, 2.0)
         t = np.linspace(0, 10, 50)
         assert np.all(dy.wigner_weisskopf(sd, 0.0, 5.0, t) == 1.0)
+
+    def test_table_needs_more_modes_than_the_cap(self):
+        # the contour runs 1e-6 above the axis, far below a table's node
+        # spacing; on the nodes alone the population was off by 0.93
+        # against the flat window the table equals
+        sd = rv.SpectralDensity.tabulated(np.linspace(3.0, 7.0, 401), np.full(401, 0.05))
+        with pytest.raises(rv.DivergentIntegralError, match="above the cap"):
+            dy.wigner_weisskopf(sd, 0.0, 5.0, np.array([1.0, 10.0]))
 
     def test_negative_times_rejected(self):
         sd = rv.SpectralDensity.lorentzian(0.5, 5.0, 1.0)

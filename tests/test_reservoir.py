@@ -176,7 +176,7 @@ class TestThermal:
         # emission branch carries (nbar+1), absorption branch nbar
         sd = rv.SpectralDensity.flat_window(0.2, 1.0, 3.0)
         binv = 0.8
-        om, wq = rv.discrete_modes(sd, 2000, beta_inv=binv)
+        om, wq = rv.discrete_modes(sd, 1 / 32, beta_inv=binv)
         assert np.all(wq > 0)
         for tau in (0.4, 2.3):
             ref = rv.correlation_time(sd, tau, 0.0, beta_inv=binv)
@@ -230,7 +230,7 @@ def test_thermal_gate_is_the_same_on_every_route(name, beta_inv):
     routes = [
         lambda: rv.kernel_samples(sd, np.array([0.0, 0.7, -2.0]), beta_inv),
         lambda: rv.correlation_laplace(sd, np.array([1.0 + 1.0j, 2.5 + 0.3j]), beta_inv),
-        lambda: rv.discrete_modes(sd, 64, beta_inv),
+        lambda: rv.discrete_modes(sd, 1.0, beta_inv),
     ]
     assert [_raised(f) for f in routes] == [expected] * 3
 
@@ -260,7 +260,7 @@ def test_ohmic_table_kernel_converges_at_second_order(beta_inv):
         sd = rv.SpectralDensity.tabulated(omega, omega * np.exp(-omega))
         got = rv.kernel_samples(sd, taus, beta_inv)
         errs.append(np.max(np.abs(got - ref)) / ref[0].real)
-        om, wq = rv.discrete_modes(sd, n, beta_inv)
+        om, wq = rv.discrete_modes(sd, np.inf, beta_inv)
         assert np.all(wq > 0) and np.count_nonzero(om == 0) == 1
     assert errs[0] < 2e-5
     assert errs[1] < errs[0] / 3.0
@@ -356,19 +356,92 @@ def test_thermal_flat_window_invariants(lo, width, beta_inv, tau, rise):
        beta_inv=st.floats(0.05, 5.0), tau=st.floats(-40.0, 40.0),
        g2=st.lists(st.integers(0, 100), min_size=2, max_size=8))
 def test_thermal_table_invariants(lo, width, beta_inv, tau, g2):
-    # a table keeps its nodes: the trapezoid rule with occupation factors
+    # the trapezoid rule with occupation factors on the table's nodes,
+    # each interval split into equal parts at most (40 / |tau|) / 32 wide
     omega = np.linspace(lo, lo + width, len(g2))
     g2 = np.array(g2) / 100.0
     sd = rv.SpectralDensity.tabulated(omega, g2)
-    coth = 1.0 / np.tanh(omega / (2.0 * beta_inv))
-    ref = np.trapezoid(g2 * (coth * np.cos(omega * tau) - 1j * np.sin(omega * tau)), omega)
-    ref0 = np.trapezoid(g2 * coth, omega)
+    step = 40.0 / abs(tau) / 32 if tau else np.inf
+    fine = np.concatenate([
+        np.linspace(a, b, max(1, int(np.ceil((b - a) / step))) + 1)[:-1]
+        for a, b in zip(omega[:-1], omega[1:])
+    ] + [omega[-1:]])
+    fine_g2 = np.interp(fine, omega, g2)
+
+    def trapezoid(f, x):
+        return np.sum(0.5 * (f[1:] + f[:-1]) * np.diff(x))
+
+    coth = 1.0 / np.tanh(fine / (2.0 * beta_inv))
+    ref = trapezoid(fine_g2 * (coth * np.cos(fine * tau) - 1j * np.sin(fine * tau)), fine)
+    ref0 = trapezoid(fine_g2 * coth, fine)
     k, k_neg, k0 = rv.kernel_samples(sd, np.array([tau, -tau, 0.0]), beta_inv)
     assert abs(k0 - ref0) <= 1e-12 * ref0
     assert abs(k - ref) <= 1e-12 * ref0
     assert k_neg == np.conj(k)
+    # far from the support the image needs no split: the table's own nodes
     far = 1e8j * omega[-1]
-    assert abs(far * rv.correlation_laplace(sd, far, beta_inv) - ref0) <= 1e-6 * ref0
+    table0 = np.trapezoid(g2 / np.tanh(omega / (2.0 * beta_inv)), omega)
+    assert abs(far * rv.correlation_laplace(sd, far, beta_inv) - table0) <= 1e-6 * table0
+
+
+FLAT_37 = rv.SpectralDensity.flat_window(0.05, 3.0, 7.0)
+
+
+def flat_table(n):
+    """``n`` nodes of FLAT_37: the same weight, interpolated linearly."""
+    return rv.SpectralDensity.tabulated(np.linspace(3.0, 7.0, n), np.full(n, 0.05))
+
+
+class TestTableResolution:
+    """A table is split as finely as each request needs, then summed by trapezoid."""
+
+    @pytest.mark.parametrize("n, reach", [(401, 1000.0), (41, 100.0)])
+    def test_kernel_past_the_node_spacing(self, n, reach):
+        # tau times the node spacing passes 2 pi: the table's nodes alone
+        # alias, missing by 98% (401 nodes) and 100% (41 nodes) of kappa(0)
+        taus = np.linspace(0.0, reach, 2001)
+        got = rv.kernel_samples(flat_table(n), taus)
+        ref = rv.kernel_samples(FLAT_37, taus)
+        assert np.max(np.abs(got - ref)) <= 1e-3 * ref[0].real
+
+    def test_image_below_the_node_spacing(self):
+        # heights at and below the spacing 0.01: the nodes alone miss by 3.8e-3
+        ys = np.array([5.0 + 0.01j, 2.0 + 0.003j, 8.0 + 0.005j, 4.0 + 0.1j])
+        got = rv.correlation_laplace(flat_table(401), ys)
+        ref = rv.correlation_laplace(FLAT_37, ys)
+        assert np.max(np.abs(got - ref) / np.abs(ref)) <= 1e-5
+
+    def test_unresolvable_request_raises(self):
+        # at height 1e-6 the nodes alone returned -500i for -0.157i
+        sd = flat_table(401)
+        with pytest.raises(rv.DivergentIntegralError, match="mode rule needs"):
+            rv.correlation_laplace(sd, 5.0 + 1e-6j)
+        with pytest.raises(rv.DivergentIntegralError, match="mode rule needs"):
+            rv.correlation_boundary(sd, 5.0)
+        # the cap counts the added nodes: 400 intervals of 151 parts are
+        # 60,401 nodes, of 171 parts 68,401
+        om, _ = rv.discrete_modes(sd, 0.32 / 150.5)
+        assert om.size == 60401
+        with pytest.raises(rv.DivergentIntegralError, match="above the cap of 65536"):
+            rv.discrete_modes(sd, 0.32 / 170.5)
+
+    def test_split_is_even_and_interpolates(self):
+        sd = rv.SpectralDensity.tabulated([0.5, 1.0, 2.0, 3.5], [0.0, 0.4, 0.2, 0.0])
+        grid, g2 = sd.table
+        # a request coarser than every interval keeps the nodes bit for bit
+        om, wq = rv.discrete_modes(sd, 32 * 1.5)
+        assert np.array_equal(om, grid[1:3])
+        assert np.array_equal(wq, (rv.trapezoid_weights(np.diff(grid)) * g2)[1:3])
+        # span / 32 = 0.35 splits the intervals into 2, 3 and 5 parts
+        om, wq = rv.discrete_modes(sd, 32 * 0.35)
+        fine = np.concatenate([np.linspace(0.5, 1.0, 3)[:-1], np.linspace(1.0, 2.0, 4)[:-1],
+                               np.linspace(2.0, 3.5, 6)])
+        keep = np.interp(fine, grid, g2) > 0
+        assert np.allclose(om, fine[keep], rtol=0, atol=1e-15)
+        ref = rv.trapezoid_weights(np.diff(fine)) * np.interp(fine, grid, g2)
+        assert np.allclose(wq, ref[keep], rtol=1e-14, atol=0)
+        # the trapezoid rule is exact on the linearly interpolated weight
+        assert abs(np.sum(wq) - sd.total_strength()) <= 1e-14
 
 
 TABLE = rv.SpectralDensity.tabulated([0.5, 1.0, 2.0, 3.5], [0.0, 0.4, 0.2, 0.0])
@@ -395,7 +468,7 @@ class TestDiscreteModes:
     def test_mode_sum_reproduces_kernel(self):
         taus = np.linspace(-4.0, 4.0, 41)
         ref = rv.kernel_samples(FLAT, taus)
-        om, wq = rv.discrete_modes(FLAT, 400)
+        om, wq = rv.discrete_modes(FLAT, 0.33)
         assert np.all(wq > 0)
         got = np.exp(-1j * np.outer(taus, om)) @ wq
         assert np.max(np.abs(got - ref)) < 1e-12
@@ -406,8 +479,8 @@ class TestDiscreteModes:
         taus = np.linspace(-4.0, 4.0, 41)
         ref = rv.kernel_samples(LOR, taus)
         errs = []
-        for n in (4000, 8000):
-            om, wq = rv.discrete_modes(LOR, n)
+        for span in (0.088, 0.044):  # 4,032 and 8,032 nodes
+            om, wq = rv.discrete_modes(LOR, span)
             assert np.all(wq > 0)
             got = np.exp(-1j * np.outer(taus, om)) @ wq
             errs.append(np.max(np.abs(got - ref)))
@@ -426,7 +499,7 @@ class TestDiscreteModes:
 
     def test_weights_sum_to_strength(self):
         for sd in (LOR, FLAT):
-            _, wq = rv.discrete_modes(sd, 3000)
+            _, wq = rv.discrete_modes(sd, 0.1)
             assert abs(np.sum(wq) - sd.total_strength()) < 1e-3
 
 
