@@ -354,22 +354,26 @@ def _two_time(cfg, sys_, rho0, T, dt):
     }
 
 
-def _two_level(cfg, sd):
-    """System, Volterra solution and refill trajectory of a two-level run.
-
-    The unread-key check runs before the solve, so the caller reads all
-    its keys before it calls this.
-    """
+def _two_level_energies(cfg):
     w1 = _num(cfg, "system.omega_1_per_time", 0.0)
     w2 = _num(cfg, "system.omega_2_per_time")
     if w2 <= w1:
         raise ConfigError("system.omega_2_per_time must exceed system.omega_1_per_time")
+    return w1, w2
+
+
+def _two_level(cfg, sd, energies):
+    """Volterra solution and refill trajectory of a two-level run.
+
+    The unread-key check runs before the solve, so the caller reads all
+    its keys before it calls this.
+    """
     rho0 = _initial_two_level(cfg)
     T, dt = _time_grid(cfg)
-    sys_ = kr.SystemSpec((w1, w2), rv.kernel_table(sd, {(2, 1, 1, 2): 1.0}))
+    sys_ = kr.SystemSpec(energies, rv.kernel_table(sd, {(2, 1, 1, 2): 1.0}))
     _all_read(cfg)
     W = kr.solve_time_domain(sys_, T, dt)
-    return sys_, W, dy.two_level_trajectory(sys_, W, rho0)
+    return W, dy.two_level_trajectory(sys_, W, rho0)
 
 
 def _two_level_columns(traj):
@@ -385,7 +389,7 @@ def _two_level_columns(traj):
 
 def _run_two_level_ww(cfg, base):
     audit = _audits(cfg)
-    _, W, traj = _two_level(cfg, _build_spectral(cfg, base))
+    W, traj = _two_level(cfg, _build_spectral(cfg, base), _two_level_energies(cfg))
     return "trajectory", _two_level_columns(traj), audit(
         traj, volterra_residual=W.max_residual)
 
@@ -398,11 +402,13 @@ def _run_markov_limit(cfg, base):
     rate_tol = _pos(cfg, "audit.rate_rel_tol", 0.05)
     dev_tol = _pos(cfg, "audit.channel_dev_tol", 0.05)
     ident_tol = _pos(cfg, "audit.identity_tol", 1e-12)
-    sys_, _, traj = _two_level(cfg, sd)
-    w21 = sys_.energies[1] - sys_.energies[0]
-    gamma = math.pi * float(sd.weight(w21))
+    w1, w2 = _two_level_energies(cfg)
+    gamma = math.pi * float(sd.weight(w2 - w1))
     if gamma <= 0:
-        raise ConfigError("spectral weight vanishes at the transition frequency")
+        raise ConfigError(
+            f"spectral weight vanishes at the transition frequency {w2 - w1}"
+        )
+    _, traj = _two_level(cfg, sd, (w1, w2))
     # the channel starts from the run's own initial state
     chan = dy.markovian_channel(gamma, obar, traj.matrices[0], traj.times)
     chan_dev = float(np.max(np.abs(traj.matrices - chan)))

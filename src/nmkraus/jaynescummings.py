@@ -227,14 +227,48 @@ def reduce_atomic(basis: DressedBasis, rho):
 # photon-block continued fraction on uniform frequency combs
 
 
+def _end_corrected(sd):
+    # a closed-form weight is smooth inside its support, so the comb's
+    # error sits at the support ends, where end corrections remove it; a
+    # table's interpolation kinks keep any uniform comb at O(h^2), so a
+    # table keeps the plain trapezoid rule and twice the recursion steps
+    return sd.family != "Tabulated"
+
+
+def _end_weights(theta):
+    """Euler-Maclaurin weights added to the trapezoid's four nodes nearest an end.
+
+    The end lies ``theta`` steps outside the first node; node ``j`` steps
+    further in gets ``delta_j``, where ``sum_j delta_j j^k = m_k`` for
+    ``k = 0..3`` with ``m = (theta, 1/12 - theta^2/2, theta^3/3,
+    -theta^4/4 - 1/120)``.  With them the comb integrates cubics exactly
+    from the end itself.  Near an end that falls between nodes a weight
+    may come out negative.
+    """
+    j = np.arange(4.0)
+    m = [theta, 1.0 / 12.0 - theta**2 / 2.0, theta**3 / 3.0, -(theta**4) / 4.0 - 1.0 / 120.0]
+    return np.linalg.solve(j ** np.arange(4)[:, None], m)
+
+
 def _comb(sd, h):
-    # integer-aligned uniform quadrature of int dw |g|^2 f(z - w);
-    # alignment keeps every shifted argument on one master line
+    # integer-aligned uniform quadrature of int dw |g|^2 f(z - w) over the
+    # support [lo, hi]; alignment keeps every shifted argument on one
+    # master line.  The weight is read at the nodes clipped into [lo, hi],
+    # so rounding cannot push an end node out of a flat window.
     lo, hi = sd.support()
     q0 = max(0, math.ceil(lo / h - 1e-9))
     q1 = math.floor(hi / h + 1e-9)
+    if q1 - q0 < 7:
+        raise ValueError(
+            f"comb step {h} leaves {max(q1 - q0 + 1, 0)} nodes on the support "
+            f"[{lo}, {hi}]; it needs at least 8"
+        )
     q = np.arange(q0, q1 + 1)
-    wq = sd.weight(q * h) * rv.trapezoid_weights(np.diff(q) * h)
+    tw = rv.trapezoid_weights(np.full(q.size - 1, h))
+    if _end_corrected(sd):
+        tw[:4] += h * _end_weights(q0 - lo / h)
+        tw[-4:] += h * _end_weights(hi / h - q1)[::-1]
+    wq = sd.weight(np.clip(q * h, lo, hi)) * tw
     return q0, q1, wq.astype(complex)
 
 
@@ -299,8 +333,9 @@ def _line_blocks(basis, sd, x0, h, n_vis, eta, top_level):
     return out
 
 
-# comb steps across the spectral support of a point evaluation
-_RECURSION_MODES = 1500
+# comb steps across the spectral support of a point evaluation; a
+# table's plain trapezoid comb takes twice as many
+_RECURSION_MODES = 750
 
 
 def kraus_recursion(sys: DressedSystem, z):
@@ -309,9 +344,15 @@ def kraus_recursion(sys: DressedSystem, z):
     Evaluates the finite photon-level recursion down to the ground rung
     and returns the full matrix over the basis, block diagonal with
     exact zeros elsewhere.  The coupling integral runs on a uniform
-    comb of at least 1,500 steps over the spectral support, so families
-    with slow tails are truncated at their support radius.  The comb
-    carries no occupation factors, so a thermal kernel is refused.
+    comb of 750 steps (1,500 on a table) over the spectral support,
+    each at most ``Im z / 4`` wide, so families with slow tails are
+    truncated at their support radius.  On a closed-form weight the
+    comb carries Euler-Maclaurin end corrections on the four nodes
+    nearest each support end, which make it exact for cubics wherever
+    the ends fall between nodes; a table, whose interpolation kinks
+    keep any uniform comb at second order, keeps the plain trapezoid
+    rule.  The comb carries no occupation factors, so a thermal kernel
+    is refused.
     """
     z = complex(z)
     if z.imag <= 0:
@@ -321,7 +362,8 @@ def kraus_recursion(sys: DressedSystem, z):
         raise ValueError(f"kraus_recursion needs zero temperature; beta_inv = {beta_inv}")
     basis, sd = sys.basis, sys.kernel.sd
     lo, hi = sd.support()
-    h = min((hi - lo) / _RECURSION_MODES, z.imag / 4.0)
+    steps = _RECURSION_MODES if _end_corrected(sd) else 2 * _RECURSION_MODES
+    h = min((hi - lo) / steps, z.imag / 4.0)
     blocks = _line_blocks(basis, sd, z.real, h, 1, z.imag, basis.n_max)
     out = np.zeros((basis.dim, basis.dim), dtype=complex)
     out[0, 0] = blocks[-1][0]
@@ -457,7 +499,7 @@ def atomic_population_series(
     oidx = np.arange(q0, q1 + 1, stride)
     if oidx[-1] != q1:
         oidx = np.append(oidx, q1)
-    ow = sd.weight(oidx * h) * rv.trapezoid_weights(np.diff(oidx) * h)
+    ow = sd.weight(np.clip(oidx * h, lo, hi)) * rv.trapezoid_weights(np.diff(oidx) * h)
 
     # per term: the line factor of its first level (for r = 0 with the
     # two poles taken out, their part inverts in closed form), the

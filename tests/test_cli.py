@@ -340,6 +340,21 @@ def test_unread_key_is_refused_before_the_solve(tmp_path, capsys, monkeypatch,
     assert not outdir.exists()
 
 
+def test_markov_transition_outside_the_support_is_refused_before_the_solve(
+        tmp_path, capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("solve_time_domain called")
+
+    monkeypatch.setattr(kr, "solve_time_domain", refuse)
+    text = MARKOV_BODY.format(rho11=0.0, rho22=1.0).replace(
+        "omega_2_per_time: 5.0", "omega_2_per_time: 9.0")
+    rc, outdir = _run(tmp_path, "off.yaml", text, "out")
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "spectral weight vanishes at the transition frequency 9.0" in err
+    assert not outdir.exists()
+
+
 TABLE_WW_BODY = """\
 kind: TwoLevelWW
 spectral:

@@ -318,6 +318,132 @@ class TestOverlapSaveAgreement:
         assert np.allclose(got.term_peaks, ref.term_peaks, rtol=1e-12, atol=0.0)
 
 
+def _misaligned_points():
+    # small_system's points on windows whose ends fall between comb nodes
+    for lo, hi in ((18.3, 21.7), (17.9, 22.05)):
+        sys = jc.build_dressed_system(
+            small_basis(), rv.SpectralDensity.flat_window(HEIGHT, lo, hi)
+        )
+        for _, z in _small_points():
+            yield sys, z
+        yield sys, 19.0 + 0.5j
+
+
+def _blocks_up_to(sys, z, h, top):
+    # the kraus_recursion matrix at comb step h, through photon level top
+    basis = sys.basis
+    blocks = jc._line_blocks(basis, sys.kernel.sd, z.real, h, 1, z.imag, top)
+    out = np.zeros((2 * top + 3, 2 * top + 3), dtype=complex)
+    out[0, 0] = blocks[-1][0]
+    for lev in range(top + 1):
+        i = basis.index(-1, lev)
+        out[i : i + 2, i : i + 2] = blocks[lev][0]
+    return out
+
+
+class TestEndCorrectedComb:
+    """Euler-Maclaurin end corrections on the closed-form recursion comb."""
+
+    @pytest.mark.parametrize("theta_hi", [0.0, 0.3, 0.99])
+    @pytest.mark.parametrize("theta_lo", [0.0, 0.3, 0.99])
+    def test_cubics_are_exact_wherever_the_ends_fall(self, theta_lo, theta_hi):
+        h = 0.01
+        lo, hi = (1800 - theta_lo) * h, (2200 + theta_hi) * h
+        q0, q1, wq = jc._comb(rv.SpectralDensity.flat_window(1.0, lo, hi), h)
+        assert (q0, q1) == (1800, 2200)
+        w = np.arange(q0, q1 + 1) * h
+        for k in range(4):
+            exact = (hi ** (k + 1) - lo ** (k + 1)) / (k + 1)
+            assert abs(np.sum(wq * w**k) - exact) <= 1e-13 * exact
+
+    def test_end_weights_on_aligned_ends(self):
+        # the trapezoid's half weight plus the correction, node by node
+        got = 0.5 * (np.arange(4) == 0) + jc._end_weights(0.0)
+        assert np.allclose(got, [0.3486, 1.2458 - 1, 0.8792 - 1, 1.0264 - 1], atol=1e-4)
+
+    def test_fourth_order_on_a_misaligned_window(self):
+        # the plain comb drops the partial end panels there: first order
+        lo, hi, c = 18.3, 21.7, 20.5 + 0.3j
+        sd = rv.SpectralDensity.flat_window(1.0, lo, hi)
+        exact = np.log(c - lo) - np.log(c - hi)
+        errs = []
+        for h in ((hi - lo) / 750, (hi - lo) / 1500):
+            q0, q1, wq = jc._comb(sd, h)
+            errs.append(abs(np.sum(wq / (c - np.arange(q0, q1 + 1) * h)) - exact))
+        assert errs[0] >= 12.0 * errs[1]
+
+    @pytest.mark.parametrize(
+        "k", range(6), ids=[f"lam{lam}_eps{e}" for lam in (0.4, 0.2, 0.1) for e in (-1, 1)]
+    )
+    def test_criterion_09_points_against_a_finer_step(self, k):
+        sys, z = list(_sweep_points())[k]
+        p = (5, 10, 20)[k // 2]
+        h = min(4.0 / 750, z.imag / 4.0)
+        got = jc.kraus_recursion(sys, z)[: 2 * p + 3, : 2 * p + 3]
+        assert _rel_dev(got, _blocks_up_to(sys, z, h / 12, p)) <= 1e-7
+
+    def test_misaligned_windows_against_a_finer_step(self):
+        for sys, z in _misaligned_points():
+            lo, hi = sys.kernel.sd.support()
+            h = min((hi - lo) / 750, z.imag / 4.0)
+            got = jc.kraus_recursion(sys, z)
+            assert _rel_dev(got, _blocks_up_to(sys, z, h / 12, 1)) <= 1e-11
+
+    def test_recursion_step_follows_the_weight(self, monkeypatch):
+        # a table's interpolation kinks keep it at second order, so it
+        # keeps the plain trapezoid comb at twice the steps
+        steps = []
+        line_blocks = jc._line_blocks
+
+        def spy(basis, sd, x0, h, *rest):
+            steps.append(h)
+            return line_blocks(basis, sd, x0, h, *rest)
+
+        monkeypatch.setattr(jc, "_line_blocks", spy)
+        omega = np.linspace(18.0, 22.0, 41)
+        table = rv.SpectralDensity.tabulated(omega, np.full(41, HEIGHT))
+        for sd in (window_sd(), table):
+            jc.kraus_recursion(jc.build_dressed_system(small_basis(), sd), 20.5 + 1.0j)
+        assert steps == [4.0 / 750, 4.0 / 1500]
+
+    @pytest.mark.parametrize("h", [4.0 / 1500, 0.0123, 1.0 / 105])
+    def test_table_keeps_the_trapezoid_weights(self, h):
+        # bit for bit, with the nodes clipped into the support (a no-op
+        # except at h = 1/105, see the next test)
+        omega = np.linspace(18.0, 22.0, 41)
+        sd = rv.SpectralDensity.tabulated(omega, HEIGHT * (1.0 + 0.1 * np.sin(omega)))
+        q0, q1, wq = jc._comb(sd, h)
+        q = np.arange(q0, q1 + 1)
+        trap = rv.trapezoid_weights(np.diff(q) * h)
+        assert np.array_equal(wq, sd.weight(np.clip(q * h, 18.0, 22.0)) * trap)
+
+    def test_too_few_nodes_raise(self):
+        with pytest.raises(ValueError, match="leaves 7 nodes .* at least 8"):
+            jc._comb(window_sd(), 0.6)
+
+    def test_series_end_nodes_keep_their_weight(self, monkeypatch):
+        # at T = 52.5 the step is 1/105, and q1 h = 2310 / 105 rounds past
+        # the window's upper end 22
+        weights = []
+        sum_orders = jc._sum_orders
+
+        def spy(Q, inner, ow, *rest):
+            weights.append(ow)
+            return sum_orders(Q, inner, ow, *rest)
+
+        monkeypatch.setattr(jc, "_sum_orders", spy)
+        init = jc.JCInitialState(EXCITED_A, 1)
+        t = np.linspace(0.0, 52.5, 5)
+        jc.atomic_population_series(small_basis(), window_sd(), init, t, 1)
+        assert weights[0][0] != 0.0 and weights[0][-1] != 0.0
+        h = min(2.0 / 52.5 / 4.0, 4.0 / 400)
+        table = rv.SpectralDensity.tabulated(np.linspace(18.0, 22.0, 41), np.full(41, HEIGHT))
+        for sd in (window_sd(), table):
+            q0, q1, wq = jc._comb(sd, h)
+            assert q1 * h > 22.0
+            assert wq[0] != 0.0 and wq[-1] != 0.0
+
+
 class TestWeakCoupling:
     # scaled-argument convergence of the image blocks to the one-pole
     # form, coupling scaled down while the photon number scales up
