@@ -154,6 +154,28 @@ def _feeds(Wsl):
     return [(e, qs) for e, qs in feeds if qs.size]
 
 
+def _block_lower_inverse(A, P):
+    """Inverse of a block lower triangular ``A`` with ``P x P`` blocks.
+
+    The diagonal blocks are inverted in one batched call, and each block
+    row ``l`` of the inverse is ``-D_l^{-1} A[l, :l] X[:l, :l]``, one
+    product over the rows above it (block forward substitution).  The
+    blocks above the diagonal stay exactly zero, so the leading
+    ``k x k`` part of the result, ``k`` a multiple of ``P``, is the
+    inverse of the leading part of ``A``.
+    """
+    L = A.shape[0] // P
+    idx = np.arange(L)
+    Dinv = np.linalg.inv(A.reshape(L, P, L, P)[idx, :, idx])
+    X = np.zeros_like(A)
+    X[:P, :P] = Dinv[0]
+    for l in range(1, L):
+        e0, e1 = l * P, (l + 1) * P
+        X[e0:e1, :e0] = -Dinv[l] @ (A[e0:e1, :e0] @ X[:e0, :e0])
+        X[e0:e1, e0:e1] = Dinv[l]
+    return X
+
+
 class _CausalSolver:
     """Exact blocked solve of the same-column couplings of a column.
 
@@ -162,14 +184,16 @@ class _CausalSolver:
     (counted from the diagonal node).  The weights ``h`` depend only on
     ``e``, so every column shares one matrix, truncated to its ``m``
     rows.  The matrix of a leaf of ``leaf`` rows is block lower
-    triangular in its ``P x P`` row blocks, and so is its inverse; a
-    ragged leaf is cut on a block boundary, so the leading block of the
-    full leaf's inverse inverts it too.  Each leaf is inverted once, and
-    a leaf solve is one product with that inverse.  When a leaf ends
-    the left half of a node in the implicit binary split of the rows,
-    that half is pushed into the right half at once by one FFT
-    convolution (Hairer, Lubich & Schlichte, SIAM J. Sci. Stat. Comput. 6
-    (1985) 532), so every pair of rows is coupled exactly once.
+    triangular in its ``P x P`` row blocks.  Each leaf is inverted once
+    by block forward substitution (:func:`_block_lower_inverse`), which
+    keeps the inverse exactly block lower triangular; a ragged leaf is
+    cut on a block boundary, so the leading block of the full leaf's
+    inverse inverts it exactly too.  A leaf solve is one product with
+    that inverse.  When a leaf ends the left half of a node in the
+    implicit binary split of the rows, that half is pushed into the
+    right half at once by one FFT convolution of its ``P`` read entries
+    (Hairer, Lubich & Schlichte, SIAM J. Sci. Stat. Comput. 6 (1985)
+    532), so every pair of rows is coupled exactly once.
 
     Raises
     ------
@@ -197,7 +221,7 @@ class _CausalSolver:
         C = C.transpose(0, 2, 1, 3).reshape(L * P, L * P)
         self.hu = [np.repeat(h[e0 : e0 + L], P) for e0 in range(0, h.size, L)]
         self.blocks = [np.eye(w.size) - C[: w.size, : w.size] * w for w in self.hu]
-        self.inverses = [np.linalg.inv(A) for A in self.blocks]
+        self.inverses = [_block_lower_inverse(A, P) for A in self.blocks]
         self._spectra = {}
 
     def _push(self, src):
@@ -251,8 +275,13 @@ def solve_bitemporal(sys: SystemSpec, W: KrausZero, rho0) -> BitemporalState:
       joins the spectrum before one inverse FFT fills the column and its
       conjugate row.
 
-    With ``G = sum_e P_e`` the work is O(n^3 G dim) for the products
-    plus O(n^2 log^2 n P^2) for the column solves.  Besides the field,
+    Only the ``nr`` written rows of the memory term are nonzero, so a
+    column's forward FFT carries ``nr dim`` channels, its frequency
+    product is ``(dim x nr)`` by ``(nr x dim)``, and only the inverse
+    FFT that fills the column carries all ``dim^2``.  With ``G = sum_e
+    P_e`` the work is O(n^3 G dim) for the products, O(n^2 log n (nr dim
+    + dim^2 + P)) for the column FFTs and O(n^2 log^2 n P^2) for the
+    column solves.  Besides the field,
     ``(n+1)^2 dim^2`` complex numbers, the solve stores the kernel-weighted
     read entries, ``(n+1)^2 G`` more.  The ``n`` steps and their size
     are those of ``W.grid``.  ``W`` must be the propagator of ``sys``,
@@ -280,13 +309,17 @@ def solve_bitemporal(sys: SystemSpec, W: KrausZero, rho0) -> BitemporalState:
     pd, pa, Wsl = _slot_pairs(sys)
     P = pd.size
     feeds = _feeds(Wsl)
+    rows = [e for e, _ in feeds]
+    nr = len(rows)
 
     en = np.asarray(sys.energies, dtype=float)
     B = np.exp(-1j * np.outer(tg, en))[:, :, None] * W.values
     line = np.concatenate([np.conj(W.kappa[:0:-1]), W.kappa])
     # KD[s, sp] = kernel((sp - s) dt); a reversed sliding view, no copy
     KD = np.lib.stride_tricks.sliding_window_view(line, n + 1)[::-1]
-    Wflat = Wsl.reshape(P, dim * dim)
+    # the slot weights into the written rows only: every other row of
+    # the memory term is zero
+    Wr = Wsl[:, rows, :].reshape(P, nr * dim)
 
     xi = np.zeros((n + 1, n + 1, dim, dim), dtype=complex)
     base0 = B @ rho0
@@ -298,24 +331,23 @@ def solve_bitemporal(sys: SystemSpec, W: KrausZero, rho0) -> BitemporalState:
     # sum_b Wsl[qs[k], e, b] conj(B[m, c, b]), so that a column's lags
     # m = j..1 are the contiguous block Zrev[n - j : n]
     cross = [
-        (e, pd[qs], pa[qs], np.empty((n + 1, n + 1, qs.size), dtype=complex),
+        (pd[qs], pa[qs], np.empty((n + 1, n + 1, qs.size), dtype=complex),
          np.einsum("kb,mcb->mkc", Wsl[qs, e], np.conj(B[::-1])))
         for e, qs in feeds
     ]
 
     def store(r, weight):
-        for _, d, a, Y, _ in cross:
+        for d, a, Y, _ in cross:
             Y[:, r] = weight[:, None] * xi[:, r, d, a]
 
     store(0, 0.5 * dt * KD[:, 0])
     # K[m, q', q]: weight of read entry q at lag m in read entry q';
     # h[e]: trapezoid weight of same-column row j + e, for every column j
-    Bp = B[:, pd, :]
-    K = np.einsum("mpc,qcp->mpq", Bp, Wsl[:, :, pa])
+    K = np.einsum("mpc,qcp->mpq", B[:, pd, :], Wsl[:, :, pa])
     column = _CausalSolver(K, 0.5 * dt * dt * line[n:0:-1]) if P else None
 
     nfft = rv.next_fast_len(2 * n + 1)
-    fB = np.fft.fft(B, nfft, axis=0)
+    fB = np.fft.fft(B[:, :, rows], nfft, axis=0)
     fBp = fB[:, pd, :]
     max_resid = 0.0
     for j in range(1, n + 1):
@@ -326,28 +358,32 @@ def solve_bitemporal(sys: SystemSpec, W: KrausZero, rho0) -> BitemporalState:
             # trapezoid weights of the known rows r < j of this column
             hk = 0.5 * dt * dt * KD[:j, j]
             hk[0] *= 0.5
-            R = np.zeros((n + 1, dim, dim), dtype=complex)
-            for e, _, _, Y, Zrev in cross:
-                R[:, e] = Y[:, :j].reshape(n + 1, -1) @ Zrev[n - j : n].reshape(-1, dim)
-            M0 -= 0.5 * dt * R[0]
+            # R, Q and fQ hold the written rows only
+            R = np.empty((n + 1, nr, dim), dtype=complex)
+            for k, (_, _, Y, Zrev) in enumerate(cross):
+                R[:, k] = Y[:, :j].reshape(n + 1, -1) @ Zrev[n - j : n].reshape(-1, dim)
+            M0[rows] -= 0.5 * dt * R[0]
             # Q: the cross-time rows plus the known rows r < j of the
             # same-column sum; the solve needs only read entries of B * Q
             Q = dt * R
-            Q[:j] += ((hk[:, None] * xi[:j, j, pd, pa]) @ Wflat).reshape(j, dim, dim)
+            Q[:j] += ((hk[:, None] * xi[:j, j, pd, pa]) @ Wr).reshape(j, nr, dim)
             fQ = np.fft.fft(Q, nfft, axis=0)
             BQ = np.fft.ifft(np.einsum("kpc,kcp->kp", fBp, fQ[:, :, pa]), axis=0)
-            g = BQ[j : n + 1] + np.einsum("ipc,cp->ip", Bp[j:], M0[:, pa])
-            g -= 0.5 * dt * R[j:, pd, pa]
+            # the free part, with the trapezoid's halved end node r = i
+            # of the cross-time rows
+            F = (B[j:].reshape(-1, dim) @ M0).reshape(-1, dim, dim)
+            F[:, rows] -= 0.5 * dt * R[j:]
+            g = BQ[j : n + 1] + F[:, pd, pa]
             u = np.zeros((n + 1, P), dtype=complex)
             u[j:], resid = column.solve(g)
             max_resid = max(max_resid, resid)
             # the unknown rows' V[r] = sum_q Wsl[q] h_r p_r[q] join the
             # spectrum; B[0] = I, so the convolution counts V[i] once in
             # full where the trapezoid wants it halved
-            fQ += (np.fft.fft(u, nfft, axis=0) @ Wflat).reshape(nfft, dim, dim)
+            fQ += (np.fft.fft(u, nfft, axis=0) @ Wr).reshape(nfft, nr, dim)
             xj = np.fft.ifft(fB @ fQ, axis=0)[j : n + 1]
-            xj += B[j:] @ M0 - 0.5 * dt * R[j:]
-            xj -= 0.5 * (u[j:] @ Wflat).reshape(-1, dim, dim)
+            xj += F
+            xj[:, rows] -= 0.5 * (u[j:] @ Wr).reshape(-1, nr, dim)
         xi[j:, j] = xj
         xi[j, j + 1 :] = np.conj(np.swapaxes(xj[1:], 1, 2))
         store(j, dt * KD[:, j])

@@ -176,6 +176,17 @@ def _decay_system(energies, weights):
     return kr.SystemSpec(tuple(energies), rv.kernel_table(sd, rule))
 
 
+def _written_rows(sys):
+    return [e for e, _ in dy._feeds(dy._slot_pairs(sys)[2])]
+
+
+def _random_density(dim, seed):
+    rng = np.random.default_rng(seed)
+    g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    rho0 = g @ g.conj().T
+    return 0.5 * (rho0 + rho0.conj().T) / np.trace(rho0).real
+
+
 class TestColumnSolverAgreement:
     """The column solver against the node-by-node reference solver."""
 
@@ -202,6 +213,39 @@ class TestColumnSolverAgreement:
     def test_thermal_two_level(self):
         sd = rv.SpectralDensity.flat_window(0.04, 4.0, 8.0)
         _assert_matches_reference(radiative(sd, 6.0, beta_inv=2.0), EXCITED, 2.0, 200)
+
+    # the solve keeps only the rows the slots write; these cases place
+    # the written rows and the read entries every way that can differ
+
+    def test_written_rows_not_leading(self):
+        sd = rv.SpectralDensity.flat_window(0.05, 2.0, 4.0)
+        sys = kr.SystemSpec((0.0, 3.0, 4.0, 7.5), rv.kernel_table(
+            sd, {(2, 1, 1, 2): 1.0, (4, 3, 3, 4): 0.5}))
+        assert _written_rows(sys) == [0, 2]
+        rho0 = np.array([[0.1, 0.0, 0.05, 0.0], [0.0, 0.3, 0.1, 0.0],
+                         [0.05, 0.1, 0.3, 0.05], [0.0, 0.0, 0.05, 0.3]])
+        _assert_matches_reference(sys, rho0, 2.0, 100)
+
+    def test_read_entry_outside_written_rows(self):
+        sd = rv.SpectralDensity.flat_window(0.05, 2.0, 4.0)
+        sys = kr.SystemSpec((0.0, 3.0, 7.5), rv.kernel_table(
+            sd, {(1, 2, 2, 3): 0.8, (3, 1, 2, 2): 0.4j}))
+        pd = dy._slot_pairs(sys)[0]
+        rows = _written_rows(sys)
+        assert rows == [1]
+        assert set(pd) - set(rows) and set(pd) & set(rows)
+        _assert_matches_reference(sys, _random_density(3, 11), 2.0, 100,
+                                  physical=False)
+
+    def test_every_row_written(self):
+        sd = rv.SpectralDensity.flat_window(0.05, 2.0, 4.0)
+        phases = np.random.default_rng(5).uniform(-math.pi, math.pi, size=16)
+        rule = {(k, 1 + k % 4, c, 1 + (k + c) % 4): 0.3 * np.exp(1j * phases[4 * c + k - 5])
+                for c in range(1, 5) for k in range(1, 5)}
+        sys = kr.SystemSpec((0.0, 3.0, 5.5, 7.5), rv.kernel_table(sd, rule))
+        assert _written_rows(sys) == [0, 1, 2, 3]
+        _assert_matches_reference(sys, _random_density(4, 12), 2.0, 50,
+                                  physical=False)
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -312,6 +356,22 @@ def test_causal_solver_singular_threshold_matches_schur_reference(delta, singula
     assert outcomes[0] == outcomes[1]
     assert (outcomes[0] == "same-column self-coupling is singular at rows j+4, "
             "j = 1..5") == singular
+
+
+@pytest.mark.parametrize("kind", ["random", "jordan", "near"])
+@pytest.mark.parametrize("P, leaf", [(1, 16), (2, 7), (3, 5), (4, 4)])
+def test_leaf_inverse_is_block_lower_triangular(kind, P, leaf):
+    # m = 2 leaf + 3 rows: two full leaves and a ragged one
+    K, h, _, scale = _causal_case(kind, P, 2 * leaf + 3, 3)
+    solver = dy._CausalSolver(K, h, leaf)
+    for A, X in zip(solver.blocks, solver.inverses):
+        L = A.shape[0] // P
+        above = np.kron(np.triu(np.ones((L, L)), 1), np.ones((P, P))).astype(bool)
+        assert not X[above].any()
+        for k in range(P, A.shape[0] + 1, P):
+            assert np.max(np.abs(A[:k, :k] @ X[:k, :k] - np.eye(k))) <= 1e-13 * scale
+        ref = np.linalg.inv(A)
+        assert np.max(np.abs(X - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 def direct_refill(sys, W, prefixes):
