@@ -352,38 +352,36 @@ def solve_bitemporal(sys: SystemSpec, W: KrausZero, rho0) -> BitemporalState:
     max_resid = 0.0
     for j in range(1, n + 1):
         M0 = rho0 @ B[j].conj().T
-        if not P:
-            xj = B[j:] @ M0
-        else:
-            # trapezoid weights of the known rows r < j of this column
-            hk = 0.5 * dt * dt * KD[:j, j]
-            hk[0] *= 0.5
-            # R, Q and fQ hold the written rows only
-            R = np.empty((n + 1, nr, dim), dtype=complex)
-            for k, (_, _, Y, Zrev) in enumerate(cross):
-                R[:, k] = Y[:, :j].reshape(n + 1, -1) @ Zrev[n - j : n].reshape(-1, dim)
-            M0[rows] -= 0.5 * dt * R[0]
-            # Q: the cross-time rows plus the known rows r < j of the
-            # same-column sum; the solve needs only read entries of B * Q
-            Q = dt * R
-            Q[:j] += ((hk[:, None] * xi[:j, j, pd, pa]) @ Wr).reshape(j, nr, dim)
-            fQ = np.fft.fft(Q, nfft, axis=0)
-            BQ = np.fft.ifft(np.einsum("kpc,kcp->kp", fBp, fQ[:, :, pa]), axis=0)
-            # the free part, with the trapezoid's halved end node r = i
-            # of the cross-time rows
-            F = (B[j:].reshape(-1, dim) @ M0).reshape(-1, dim, dim)
-            F[:, rows] -= 0.5 * dt * R[j:]
-            g = BQ[j : n + 1] + F[:, pd, pa]
-            u = np.zeros((n + 1, P), dtype=complex)
+        # trapezoid weights of the known rows r < j of this column
+        hk = 0.5 * dt * dt * KD[:j, j]
+        hk[0] *= 0.5
+        # R, Q and fQ hold the written rows only
+        R = np.empty((n + 1, nr, dim), dtype=complex)
+        for k, (_, _, Y, Zrev) in enumerate(cross):
+            R[:, k] = Y[:, :j].reshape(n + 1, -1) @ Zrev[n - j : n].reshape(-1, dim)
+        M0[rows] -= 0.5 * dt * R[0]
+        # Q: the cross-time rows plus the known rows r < j of the
+        # same-column sum; the solve needs only read entries of B * Q
+        Q = dt * R
+        Q[:j] += ((hk[:, None] * xi[:j, j, pd, pa]) @ Wr).reshape(j, nr, dim)
+        fQ = np.fft.fft(Q, nfft, axis=0)
+        BQ = np.fft.ifft(np.einsum("kpc,kcp->kp", fBp, fQ[:, :, pa]), axis=0)
+        # the free part, with the trapezoid's halved end node r = i
+        # of the cross-time rows
+        F = (B[j:].reshape(-1, dim) @ M0).reshape(-1, dim, dim)
+        F[:, rows] -= 0.5 * dt * R[j:]
+        g = BQ[j : n + 1] + F[:, pd, pa]
+        u = np.zeros((n + 1, P), dtype=complex)
+        if P:
             u[j:], resid = column.solve(g)
             max_resid = max(max_resid, resid)
-            # the unknown rows' V[r] = sum_q Wsl[q] h_r p_r[q] join the
-            # spectrum; B[0] = I, so the convolution counts V[i] once in
-            # full where the trapezoid wants it halved
-            fQ += (np.fft.fft(u, nfft, axis=0) @ Wr).reshape(nfft, nr, dim)
-            xj = np.fft.ifft(fB @ fQ, axis=0)[j : n + 1]
-            xj += F
-            xj[:, rows] -= 0.5 * (u[j:] @ Wr).reshape(-1, nr, dim)
+        # the unknown rows' V[r] = sum_q Wsl[q] h_r p_r[q] join the
+        # spectrum; B[0] = I, so the convolution counts V[i] once in
+        # full where the trapezoid wants it halved
+        fQ += (np.fft.fft(u, nfft, axis=0) @ Wr).reshape(nfft, nr, dim)
+        xj = np.fft.ifft(fB @ fQ, axis=0)[j : n + 1]
+        xj += F
+        xj[:, rows] -= 0.5 * (u[j:] @ Wr).reshape(n + 1 - j, nr, dim)
         xi[j:, j] = xj
         xi[j, j + 1 :] = np.conj(np.swapaxes(xj[1:], 1, 2))
         store(j, dt * KD[:, j])

@@ -227,47 +227,40 @@ def reduce_atomic(basis: DressedBasis, rho):
 # photon-block continued fraction on uniform frequency combs
 
 
-def _end_corrected(sd):
-    # a closed-form weight is smooth inside its support, so the comb's
-    # error sits at the support ends, where end corrections remove it; a
-    # table's interpolation kinks keep any uniform comb at O(h^2), so a
-    # table keeps the plain trapezoid rule and twice the recursion steps
-    return sd.family != "Tabulated"
-
-
-def _end_weights(theta):
-    """Euler-Maclaurin weights added to the trapezoid's four nodes nearest an end.
+def _end_weights(theta, k=4):
+    """Euler-Maclaurin weights added to the trapezoid's ``k`` nodes nearest an end.
 
     The end lies ``theta`` steps outside the first node; node ``j`` steps
-    further in gets ``delta_j``, where ``sum_j delta_j j^k = m_k`` for
-    ``k = 0..3`` with ``m = (theta, 1/12 - theta^2/2, theta^3/3,
-    -theta^4/4 - 1/120)``.  With them the comb integrates cubics exactly
-    from the end itself.  Near an end that falls between nodes a weight
-    may come out negative.
+    further in gets ``delta_j``, where ``sum_j delta_j j^p = m_p`` for
+    ``p < k`` with ``m = (theta, 1/12 - theta^2/2, theta^3/3,
+    -theta^4/4 - 1/120)`` (Davis & Rabinowitz, sec. 2.9).  With ``k = 4``
+    the comb integrates cubics exactly from the end itself, but a weight
+    may come out negative; with ``k = 2`` it integrates linear functions
+    exactly, and both end weights stay in [5/12, 23/12].
     """
-    j = np.arange(4.0)
+    j = np.arange(float(k))
     m = [theta, 1.0 / 12.0 - theta**2 / 2.0, theta**3 / 3.0, -(theta**4) / 4.0 - 1.0 / 120.0]
-    return np.linalg.solve(j ** np.arange(4)[:, None], m)
+    return np.linalg.solve(j ** np.arange(k)[:, None], m[:k])
 
 
-def _comb(sd, h):
+def _comb(sd, h, k=4):
     # integer-aligned uniform quadrature of int dw |g|^2 f(z - w) over the
     # support [lo, hi]; alignment keeps every shifted argument on one
-    # master line.  The weight is read at the nodes clipped into [lo, hi],
-    # so rounding cannot push an end node out of a flat window.
+    # master line.  The k nodes nearest each support end carry end
+    # corrections, and the weight is read at the nodes clipped into
+    # [lo, hi], so rounding cannot push an end node out of a flat window.
     lo, hi = sd.support()
     q0 = max(0, math.ceil(lo / h - 1e-9))
     q1 = math.floor(hi / h + 1e-9)
-    if q1 - q0 < 7:
+    if q1 - q0 + 1 < 2 * k:
         raise ValueError(
             f"comb step {h} leaves {max(q1 - q0 + 1, 0)} nodes on the support "
-            f"[{lo}, {hi}]; it needs at least 8"
+            f"[{lo}, {hi}]; it needs at least {2 * k}"
         )
     q = np.arange(q0, q1 + 1)
     tw = rv.trapezoid_weights(np.full(q.size - 1, h))
-    if _end_corrected(sd):
-        tw[:4] += h * _end_weights(q0 - lo / h)
-        tw[-4:] += h * _end_weights(hi / h - q1)[::-1]
+    tw[:k] += h * _end_weights(q0 - lo / h, k)
+    tw[-k:] += h * _end_weights(hi / h - q1, k)[::-1]
     wq = sd.weight(np.clip(q * h, lo, hi)) * tw
     return q0, q1, wq.astype(complex)
 
@@ -333,8 +326,7 @@ def _line_blocks(basis, sd, x0, h, n_vis, eta, top_level):
     return out
 
 
-# comb steps across the spectral support of a point evaluation; a
-# table's plain trapezoid comb takes twice as many
+# comb steps across the spectral support of a point evaluation
 _RECURSION_MODES = 750
 
 
@@ -346,13 +338,10 @@ def kraus_recursion(sys: DressedSystem, z):
     exact zeros elsewhere.  The coupling integral runs on a uniform
     comb of 750 steps (1,500 on a table) over the spectral support,
     each at most ``Im z / 4`` wide, so families with slow tails are
-    truncated at their support radius.  On a closed-form weight the
-    comb carries Euler-Maclaurin end corrections on the four nodes
-    nearest each support end, which make it exact for cubics wherever
-    the ends fall between nodes; a table, whose interpolation kinks
-    keep any uniform comb at second order, keeps the plain trapezoid
-    rule.  The comb carries no occupation factors, so a thermal kernel
-    is refused.
+    truncated at their support radius.  Euler-Maclaurin corrections on
+    the four nodes nearest each support end make the comb exact for
+    cubics wherever the ends fall between nodes.  The comb carries no
+    occupation factors, so a thermal kernel is refused.
     """
     z = complex(z)
     if z.imag <= 0:
@@ -362,7 +351,9 @@ def kraus_recursion(sys: DressedSystem, z):
         raise ValueError(f"kraus_recursion needs zero temperature; beta_inv = {beta_inv}")
     basis, sd = sys.basis, sys.kernel.sd
     lo, hi = sd.support()
-    steps = _RECURSION_MODES if _end_corrected(sd) else 2 * _RECURSION_MODES
+    # a table's interpolation kinks inside the support keep its comb at
+    # second order, so it takes twice the steps
+    steps = 2 * _RECURSION_MODES if sd.family == "Tabulated" else _RECURSION_MODES
     h = min((hi - lo) / steps, z.imag / 4.0)
     blocks = _line_blocks(basis, sd, z.real, h, 1, z.imag, basis.n_max)
     out = np.zeros((basis.dim, basis.dim), dtype=complex)
@@ -413,7 +404,8 @@ def atomic_population_series(
     identical photon labels, so every term is a nonnegative frequency
     average of a squared amplitude; orders beyond the initial photon
     number vanish identically.  Order ``r`` costs one nested comb sum
-    per extra exchanged quantum.
+    per extra exchanged quantum.  Their outer comb's end corrections are
+    exact for linear functions and keep every weight positive.
 
     Every line is inverted at the requested times themselves: on the
     line nodes ``x_j = wlo + j h`` the amplitude at ``t_k`` is a product
@@ -492,14 +484,7 @@ def atomic_population_series(
     n_vis = n_line + r_cap * q1
     blocks = _line_blocks(basis, sd, wlo, h, n_vis, eta, top)
 
-    # outer comb for the order >= 1 sums; multiples of h keep every
-    # shifted factor argument on the master line
-    step = max(2.0 * h, np.pi / (2.0 * T))
-    stride = max(1, min(int(round(step / h)), (q1 - q0) // 8))
-    oidx = np.arange(q0, q1 + 1, stride)
-    if oidx[-1] != q1:
-        oidx = np.append(oidx, q1)
-    ow = sd.weight(np.clip(oidx * h, lo, hi)) * rv.trapezoid_weights(np.diff(oidx) * h)
+    oidx, ow = _outer_comb(sd, h, q0, q1, T)
 
     # per term: the line factor of its first level (for r = 0 with the
     # two poles taken out, their part inverts in closed form), the
@@ -552,6 +537,16 @@ def atomic_population_series(
     return SeriesResult(
         times, total, tuple(peaks[r] for r in sorted(peaks)), last_peak
     )
+
+
+def _outer_comb(sd, h, q0, q1, T):
+    # node indices on the line step h, whose multiples keep every shifted
+    # factor argument on the master line, and positive weights of the
+    # outer comb of the order >= 1 sums
+    step = max(2.0 * h, np.pi / (2.0 * T))
+    stride = max(1, min(int(round(step / h)), (q1 - q0) // 8))
+    o0, o1, ow = _comb(sd, stride * h, 2)
+    return stride * np.arange(o0, o1 + 1), ow.real
 
 
 def _sum_orders(Q, inner, ow, oidx, base=0, gpart=1.0):

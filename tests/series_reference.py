@@ -14,7 +14,7 @@ import math
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from nmkraus.jaynescummings import _ONES, _SIGN, _comb, _line_blocks
+from nmkraus.jaynescummings import _ONES, _SIGN, _comb, _line_blocks, _outer_comb
 
 
 def _line_invert(gline, x0, h, eta, nfft, n_t):
@@ -34,7 +34,8 @@ def dense_series(basis, sd, init, times, r_max):
     Returns ``(tk, total, peaks)``: the grid, the excited population on
     it, and ``{r: peak}`` with each order's peak over the grid.  The
     contour height, line step and comb step follow the final entry of
-    ``times`` exactly as in the original.
+    ``times`` exactly as in the original; the outer comb's nodes and
+    weights are the package's own (``_outer_comb``).
     """
     times = np.asarray(times, dtype=float)
     p = init.p
@@ -80,17 +81,7 @@ def dense_series(basis, sd, init, times, r_max):
         n_t = int(T / dt_out) + 2
     tk = dt_out * np.arange(n_t)
 
-    step_req = max(2.0 * h, np.pi / (2.0 * T))
-    stride = max(1, min(int(round(step_req / h)), (q1 - q0) // 8))
-    oidx = np.arange(q0, q1 + 1, stride)
-    if oidx[-1] != q1:
-        oidx = np.append(oidx, q1)
-    gaps = np.diff(oidx) * h
-    trap = np.empty(oidx.size)
-    trap[0] = 0.5 * gaps[0]
-    trap[-1] = 0.5 * gaps[-1]
-    trap[1:-1] = 0.5 * (gaps[:-1] + gaps[1:])
-    ow = sd.weight(oidx * h) * trap
+    oidx, ow = _outer_comb(sd, h, q0, q1, T)
 
     total = np.zeros(n_t)
     peaks = {}

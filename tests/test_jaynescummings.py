@@ -342,7 +342,7 @@ def _blocks_up_to(sys, z, h, top):
 
 
 class TestEndCorrectedComb:
-    """Euler-Maclaurin end corrections on the closed-form recursion comb."""
+    """Euler-Maclaurin end corrections on every comb: recursion, table, series."""
 
     @pytest.mark.parametrize("theta_hi", [0.0, 0.3, 0.99])
     @pytest.mark.parametrize("theta_lo", [0.0, 0.3, 0.99])
@@ -390,8 +390,8 @@ class TestEndCorrectedComb:
             assert _rel_dev(got, _blocks_up_to(sys, z, h / 12, 1)) <= 1e-11
 
     def test_recursion_step_follows_the_weight(self, monkeypatch):
-        # a table's interpolation kinks keep it at second order, so it
-        # keeps the plain trapezoid comb at twice the steps
+        # a table's interpolation kinks keep its comb at second order,
+        # so it takes twice the steps
         steps = []
         line_blocks = jc._line_blocks
 
@@ -407,15 +407,72 @@ class TestEndCorrectedComb:
         assert steps == [4.0 / 750, 4.0 / 1500]
 
     @pytest.mark.parametrize("h", [4.0 / 1500, 0.0123, 1.0 / 105])
-    def test_table_keeps_the_trapezoid_weights(self, h):
-        # bit for bit, with the nodes clipped into the support (a no-op
-        # except at h = 1/105, see the next test)
+    def test_linear_table_is_integrated_exactly(self, h):
+        # a table gets the end corrections too: a linear table times a
+        # quadratic is a cubic, exact wherever the ends fall (h = 1/105
+        # puts q1 h just past the upper end)
         omega = np.linspace(18.0, 22.0, 41)
-        sd = rv.SpectralDensity.tabulated(omega, HEIGHT * (1.0 + 0.1 * np.sin(omega)))
+        sd = rv.SpectralDensity.tabulated(omega, HEIGHT * (1.0 + 0.05 * (omega - 20.0)))
         q0, q1, wq = jc._comb(sd, h)
-        q = np.arange(q0, q1 + 1)
-        trap = rv.trapezoid_weights(np.diff(q) * h)
-        assert np.array_equal(wq, sd.weight(np.clip(q * h, 18.0, 22.0)) * trap)
+        w = np.arange(q0, q1 + 1) * h
+        for k in range(3):
+            m = [(22.0 ** (k + j) - 18.0 ** (k + j)) / (k + j) for j in (1, 2)]
+            exact = HEIGHT * ((1.0 - 0.05 * 20.0) * m[0] + 0.05 * m[1])
+            assert abs(np.sum(wq * w**k) - exact) <= 1e-13 * exact
+
+    def test_table_comb_is_second_order_at_misaligned_ends(self):
+        # the interior table nodes sit on the comb at both steps, so their
+        # kinks add a clean second-order error; the ends fall between
+        # nodes, where a plain trapezoid is first order
+        omega = np.concatenate([[18.33], np.arange(184, 217) / 10.0, [21.67]])
+        sd = rv.SpectralDensity.tabulated(omega, HEIGHT * (1.0 + 0.3 * np.sin(2.0 * omega)))
+        c = 20.5 + 0.3j
+        x, gw = np.polynomial.legendre.leggauss(20)
+        a, b = omega[:-1, None], omega[1:, None]
+        nodes = 0.5 * (b - a) * x + 0.5 * (a + b)
+        exact = np.sum(0.5 * (b - a) * gw * sd.weight(nodes) / (c - nodes))
+        errs = []
+        for h in (0.1 / 32, 0.1 / 64):
+            q0, q1, wq = jc._comb(sd, h)
+            errs.append(abs(np.sum(wq / (c - np.arange(q0, q1 + 1) * h)) - exact))
+        assert errs[0] >= 3.5 * errs[1]
+
+    def test_smooth_table_against_a_finer_step(self):
+        # at the table's 1,500 steps, against 24 times finer
+        omega = np.linspace(18.3, 21.7, 41)
+        sd = rv.SpectralDensity.tabulated(omega, HEIGHT * (1.0 + 0.3 * np.sin(2.0 * omega)))
+        sys = jc.build_dressed_system(small_basis(), sd)
+        for z in (20.5 + 1.0j, 19.7 + 0.3j, 21.2 + 2.0j):
+            h = min(3.4 / 1500, z.imag / 4.0)
+            got = jc.kraus_recursion(sys, z)
+            assert _rel_dev(got, _blocks_up_to(sys, z, h / 24, 1)) <= 1e-7
+
+    def test_linear_end_weights_stay_positive(self):
+        theta = np.linspace(0.0, 1.0, 2001)[:-1]
+        w = np.array([[0.5, 1.0] + jc._end_weights(t, 2) for t in theta])
+        assert np.all(w[:, 0] >= 5.0 / 12.0 - 1e-15) and np.all(w[:, 0] <= 23.0 / 12.0)
+        assert np.all(w[:, 1] >= 7.0 / 12.0) and np.all(w[:, 1] <= 13.0 / 12.0 + 1e-15)
+
+    @pytest.mark.parametrize("T", [12.0, 24.0, 48.0])
+    def test_series_outer_weights_sum_to_the_window(self, monkeypatch, T):
+        # on a window whose ends fall between the outer nodes, no partial
+        # end panel is dropped, and every weight stays positive
+        combs = []
+        sum_orders = jc._sum_orders
+
+        def spy(Q, inner, ow, oidx, *rest):
+            combs.append((ow, oidx))
+            return sum_orders(Q, inner, ow, oidx, *rest)
+
+        monkeypatch.setattr(jc, "_sum_orders", spy)
+        sd = rv.SpectralDensity.flat_window(HEIGHT, 18.3, 21.7)
+        init = jc.JCInitialState(EXCITED_A, 1)
+        jc.atomic_population_series(small_basis(), sd, init, np.linspace(0.0, T, 5), 1)
+        ow, oidx = combs[0]
+        assert abs(np.sum(ow) - HEIGHT * 3.4) <= 1e-13 * HEIGHT * 3.4
+        assert np.all(ow > 0)
+        q0, q1, _ = jc._comb(sd, min(2.0 / T / 4.0, 3.4 / 400))
+        assert q0 <= oidx[0] and oidx[-1] <= q1
 
     def test_too_few_nodes_raise(self):
         with pytest.raises(ValueError, match="leaves 7 nodes .* at least 8"):
