@@ -75,9 +75,11 @@ class BitemporalState:
     ``values[i, j]`` holds the matrix at ``(t_i, t_j)``; the field is
     Hermitian under exchange of its two times and ``values[0, 0]`` is the
     initial state.  ``max_residual`` is the worst residual of the leaf
-    solves that settle each column's same-column couplings,
-    ``max |A x - b| / max(1, max |b|)`` over all leaves; it sits at
-    rounding level unless a leaf is close to singular.
+    solves that settle the coupled core of each column's same-column
+    couplings, ``max |A x - b| / max(1, max |b|)`` over all leaves; it
+    sits at rounding level unless a leaf is close to singular, and it is
+    exactly 0.0 when the core is empty, since substitution leaves no
+    residual.
     """
 
     grid: np.ndarray
@@ -176,10 +178,35 @@ def _block_lower_inverse(A, P):
     return X
 
 
+def _column_groups(K):
+    """Order the read entries of a column by the zero pattern of ``K``.
+
+    Entry ``q'`` depends on ``q`` where ``K[m, q', q]`` is nonzero at
+    some lag ``m``.  Level 0 holds the entries that depend on none, and
+    each later level the entries whose dependencies all lie in earlier
+    levels.  Returns ``(levels, core)``: the levels as index arrays, and
+    the entries left over, the cycles plus every entry they feed.  Only
+    exact zeros count, so an entry is ordered only where its remaining
+    coupling is exactly zero.
+    """
+    dep = np.any(K != 0, axis=0)
+    core = np.arange(dep.shape[0])
+    levels = []
+    while core.size:
+        free = ~np.any(dep[np.ix_(core, core)], axis=1)
+        if not free.any():
+            break
+        levels.append(core[free])
+        core = core[~free]
+    return levels, core
+
+
 class _CausalSolver:
     """Exact blocked solve of the same-column couplings of a column.
 
-    Solves ``(I - h_e K[0]/2) p_e - sum_{r<e} K[e-r] h_r p_r = g_e`` for
+    :func:`solve_bitemporal` builds one only for the coupled core of
+    :func:`_column_groups` and substitutes the ordered entries.  Solves
+    ``(I - h_e K[0]/2) p_e - sum_{r<e} K[e-r] h_r p_r = g_e`` for
     the read entries ``p_e`` of a column's unknown rows ``e = 0..m-1``
     (counted from the diagonal node).  The weights ``h`` depend only on
     ``e``, so every column shares one matrix, truncated to its ``m``
@@ -270,18 +297,26 @@ def solve_bitemporal(sys: SystemSpec, W: KrausZero, rho0) -> BitemporalState:
       convolution with ``B``;
     - the same-column part is linear in the read entries of the column's
       unknown rows ``i >= j``; the known rows ``r < j`` ride along in the
-      same FFT, :class:`_CausalSolver` solves the unknown ones exactly,
-      including each node's coupling to itself, and their contribution
-      joins the spectrum before one inverse FFT fills the column and its
-      conjugate row.
+      same FFT.  Once per solve, :func:`_column_groups` orders the read
+      entries by the exact zeros of their couplings ``K``.  Each column
+      substitutes the ordered entries level by level: a level reads the
+      read entries of ``B * Q`` (none where its propagator rows miss the
+      written rows) and is then explicit, and its contribution joins the
+      spectrum, so the next level's pass reads it too, less the half of
+      its diagonal node.  Only the coupled core, if any, goes through
+      :class:`_CausalSolver`, which solves it exactly, including each
+      node's coupling to itself.  One inverse FFT of the full spectrum
+      then fills the column and its conjugate row.
 
     Only the ``nr`` written rows of the memory term are nonzero, so a
     column's forward FFT carries ``nr dim`` channels, its frequency
     product is ``(dim x nr)`` by ``(nr x dim)``, and only the inverse
-    FFT that fills the column carries all ``dim^2``.  With ``G = sum_e
-    P_e`` the work is O(n^3 G dim) for the products, O(n^2 log n (nr dim
-    + dim^2 + P)) for the column FFTs and O(n^2 log^2 n P^2) for the
-    column solves.  Besides the field,
+    FFT that fills the column carries all ``dim^2``; the read-entry
+    passes carry one channel per entry whose propagator row meets a
+    written row, one pass per group.  With ``G = sum_e P_e`` and
+    ``P_core`` core entries the work is O(n^3 G dim) for the products,
+    O(n^2 log n (nr dim + dim^2 + P)) for the column FFTs and
+    O(n^2 log^2 n P_core^2) for the column solves.  Besides the field,
     ``(n+1)^2 dim^2`` complex numbers, the solve stores the kernel-weighted
     read entries, ``(n+1)^2 G`` more.  The ``n`` steps and their size
     are those of ``W.grid``.  ``W`` must be the propagator of ``sys``,
@@ -344,11 +379,20 @@ def solve_bitemporal(sys: SystemSpec, W: KrausZero, rho0) -> BitemporalState:
     # K[m, q', q]: weight of read entry q at lag m in read entry q';
     # h[e]: trapezoid weight of same-column row j + e, for every column j
     K = np.einsum("mpc,qcp->mpq", B[:, pd, :], Wsl[:, :, pa])
-    column = _CausalSolver(K, 0.5 * dt * dt * line[n:0:-1]) if P else None
+    h = 0.5 * dt * dt * line[n:0:-1]
+    levels, core = _column_groups(K)
+    column = _CausalSolver(K[:, core][:, :, core], h) if core.size else None
+    # B[0] = I, so the convolution counts V[i] at row i in full where
+    # the trapezoid wants it halved; half[q', q] takes that half back
+    half = 0.5 * K[0]
 
     nfft = rv.next_fast_len(2 * n + 1)
     fB = np.fft.fft(B[:, :, rows], nfft, axis=0)
-    fBp = fB[:, pd, :]
+    # per group: its entries, and those whose propagator row meets a
+    # written row with their spectra (B * Q is exactly zero elsewhere)
+    live = np.any(B[:, pd][:, :, rows] != 0, axis=(0, 2))
+    groups = [(q, live[q], fB[:, pd[q[live[q]]], :], pa[q[live[q]]])
+              for q in levels + [core] if q.size]
     max_resid = 0.0
     for j in range(1, n + 1):
         M0 = rho0 @ B[j].conj().T
@@ -365,22 +409,28 @@ def solve_bitemporal(sys: SystemSpec, W: KrausZero, rho0) -> BitemporalState:
         Q = dt * R
         Q[:j] += ((hk[:, None] * xi[:j, j, pd, pa]) @ Wr).reshape(j, nr, dim)
         fQ = np.fft.fft(Q, nfft, axis=0)
-        BQ = np.fft.ifft(np.einsum("kpc,kcp->kp", fBp, fQ[:, :, pa]), axis=0)
         # the free part, with the trapezoid's halved end node r = i
         # of the cross-time rows
         F = (B[j:].reshape(-1, dim) @ M0).reshape(-1, dim, dim)
         F[:, rows] -= 0.5 * dt * R[j:]
-        g = BQ[j : n + 1] + F[:, pd, pa]
         u = np.zeros((n + 1, P), dtype=complex)
-        if P:
-            u[j:], resid = column.solve(g)
-            max_resid = max(max_resid, resid)
-        # the unknown rows' V[r] = sum_q Wsl[q] h_r p_r[q] join the
-        # spectrum; B[0] = I, so the convolution counts V[i] once in
-        # full where the trapezoid wants it halved
-        fQ += (np.fft.fft(u, nfft, axis=0) @ Wr).reshape(nfft, nr, dim)
+        for k, (q, sel, fBq, aq) in enumerate(groups):
+            g = F[:, pd[q], pa[q]]
+            if aq.size:
+                g[:, sel] += np.fft.ifft(np.einsum("kpc,kcp->kp", fBq, fQ[:, :, aq]),
+                                         axis=0)[j : n + 1]
+            if k:  # fQ counts the earlier groups' own nodes in full
+                g -= u[j:] @ half[q].T
+            if q is core:
+                u[j:, q], resid = column.solve(g)
+                max_resid = max(max_resid, resid)
+            else:
+                u[j:, q] = h[: n + 1 - j, None] * g
+            # the group's V[r] = sum_q Wsl[q] h_r p_r[q] joins the spectrum
+            fQ += (np.fft.fft(u[:, q], nfft, axis=0) @ Wr[q]).reshape(nfft, nr, dim)
         xj = np.fft.ifft(fB @ fQ, axis=0)[j : n + 1]
         xj += F
+        # every unknown row's own node, halved as in the groups
         xj[:, rows] -= 0.5 * (u[j:] @ Wr).reshape(n + 1 - j, nr, dim)
         xi[j:, j] = xj
         xi[j, j + 1 :] = np.conj(np.swapaxes(xj[1:], 1, 2))

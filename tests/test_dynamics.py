@@ -21,6 +21,7 @@ from nmkraus import reservoir as rv
 
 RHO = np.array([[0.3, 0.35 - 0.1j], [0.35 + 0.1j, 0.7]])
 EXCITED = np.array([[0.0, 0.0], [0.0, 1.0]])
+RHO3 = np.array([[0.1, 0.0, 0.0], [0.0, 0.4, 0.1], [0.0, 0.1, 0.5]])
 
 
 def radiative(sd, w21, beta_inv=0.0):
@@ -281,6 +282,123 @@ class TestColumnSolverAgreement:
         rho0 = g @ g.conj().T
         rho0 = 0.5 * (rho0 + rho0.conj().T) / np.trace(rho0).real
         _assert_matches_reference(sys, rho0, n * dt, n, physical=False)
+
+
+def _column_groups(sys, W):
+    """The ordering of a solve's read entries, from its coupling ``K``."""
+    pd, pa, Wsl = dy._slot_pairs(sys)
+    B = np.exp(-1j * np.outer(W.grid, sys.energies))[:, :, None] * W.values
+    K = np.einsum("mpc,qcp->mpq", B[:, pd, :], Wsl[:, :, pa])
+    return dy._column_groups(K)
+
+
+def _thermal_system(rule):
+    sd = rv.SpectralDensity.flat_window(0.04, 4.0, 8.0)
+    energies = (0.0, 6.0, 9.0)[: max(max(idx) for idx in rule)]
+    return kr.SystemSpec(energies, rv.kernel_table(sd, rule, beta_inv=2.0))
+
+
+THERMAL_PAIR = {(2, 1, 1, 2): 1.0, (1, 2, 2, 1): 1.0}
+# the thermal pair plus a decay of level 3 into level 1: its read entry
+# (2, 2), counted from 0, feeds the pair's cycle and depends on nothing
+THERMAL_PAIR_AND_DECAY = {**THERMAL_PAIR, (3, 1, 1, 3): 0.5}
+
+
+class TestColumnGroups:
+    """The same-column ordering: explicit levels, then the coupled core."""
+
+    def test_generic_systems_are_one_level(self):
+        for energies, weights in [((0.0, 3.0, 7.5), [(2, 1.0), (3, 0.5)]),
+                                  ((0.0, 3.0, 5.5, 7.5), [(2, 1.0), (3, 0.5), (4, 0.5)])]:
+            sys = _decay_system(energies, weights)
+            levels, core = _column_groups(sys, kr.solve_time_domain(sys, 1.0, 0.02))
+            assert [lv.tolist() for lv in levels] == [list(range(len(weights)))]
+            assert core.size == 0
+
+    def test_dressed_ladder_is_two_levels(self):
+        basis = jc.DressedBasis(0.0, 20.0, 0.3, 1)
+        sys = jc.build_dressed_system(
+            basis, rv.SpectralDensity.flat_window(0.0318, 18.0, 22.0))
+        levels, core = _column_groups(sys, kr.solve_time_domain(sys, 12.0, 12.0 / 64))
+        assert [lv.size for lv in levels] == [12, 4]
+        assert core.size == 0
+
+    def test_two_slot_thermal_is_a_core(self):
+        sys = _thermal_system(THERMAL_PAIR)
+        levels, core = _column_groups(sys, kr.solve_time_domain(sys, 1.0, 0.01))
+        assert levels == [] and core.tolist() == [0, 1]
+
+    def test_cycle_feeds_a_downstream_entry(self):
+        # 0 is free and feeds 1; 1 and 2 form a cycle that feeds 3
+        K = np.zeros((5, 4, 4), dtype=complex)
+        K[2, 1, 0] = 0.3
+        K[1, 1, 2] = K[3, 2, 1] = 1j
+        K[4, 3, 2] = -0.2
+        levels, core = dy._column_groups(K)
+        assert [lv.tolist() for lv in levels] == [[0]]
+        assert core.tolist() == [1, 2, 3]
+
+    def test_chain_is_one_level_per_link(self):
+        K = np.zeros((3, 3, 3))
+        K[1, 0, 1] = K[2, 1, 2] = 1.0
+        levels, core = dy._column_groups(K)
+        assert [lv.tolist() for lv in levels] == [[2], [1], [0]]
+        assert core.size == 0
+
+    def test_two_slot_thermal_matches_reference(self):
+        _assert_matches_reference(_thermal_system(THERMAL_PAIR), EXCITED, 2.0, 200)
+
+    def test_level_feeding_a_core_matches_reference(self):
+        sys = _thermal_system(THERMAL_PAIR_AND_DECAY)
+        levels, core = _column_groups(sys, kr.solve_time_domain(sys, 1.0, 0.01))
+        pd, pa, _ = dy._slot_pairs(sys)
+        assert [list(zip(pd[lv], pa[lv])) for lv in levels] == [[(2, 2)]]
+        assert list(zip(pd[core], pa[core])) == [(0, 0), (1, 1)]
+        rho0 = np.diag([0.0, 0.4, 0.6])
+        _assert_matches_reference(sys, rho0, 2.0, 200)
+        _assert_matches_reference(sys, _random_density(3, 21), 1.0, 100, physical=False)
+
+    def test_no_solver_without_a_core(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a solve with no core built a causal solver")
+
+        sys = _decay_system((0.0, 3.0, 7.5), [(2, 1.0), (3, 0.5)])
+        W = kr.solve_time_domain(sys, 1.0, 0.02)
+        ref = dy.solve_bitemporal(sys, W, RHO3)
+        monkeypatch.setattr(dy, "_CausalSolver", refuse)
+        xi = dy.solve_bitemporal(sys, W, RHO3)
+        assert np.array_equal(xi.values, ref.values)
+        assert xi.max_residual == 0.0
+
+    def test_solver_sees_only_the_core(self, monkeypatch):
+        built = []
+
+        class Spy(dy._CausalSolver):
+            def __init__(self, K, h, leaf=None):
+                built.append(K.shape[1:])
+                super().__init__(K, h, leaf)
+
+        monkeypatch.setattr(dy, "_CausalSolver", Spy)
+        sys = _thermal_system(THERMAL_PAIR_AND_DECAY)
+        dy.solve_bitemporal(sys, kr.solve_time_domain(sys, 1.0, 0.02),
+                            np.diag([0.0, 0.4, 0.6]))
+        assert built == [(2, 2)]
+
+    def test_singular_core_beside_a_level_names_its_rows(self):
+        # the self-cancelling slot of test_singular_block_names_its_rows
+        # plus a decay slot whose read entry (1, 1) depends on nothing
+        sd = rv.SpectralDensity.flat_window(0.05, 1.0, 2.0)
+        dt = 0.5
+        kappa0 = rv.kernel_samples(sd, np.zeros(1))[0].real
+        sys = kr.SystemSpec((0.0, 1.0), rv.kernel_table(
+            sd, {(1, 1, 1, 1): 4.0 / (dt * dt * kappa0), (2, 1, 1, 2): 1.0}))
+        W = kr.KrausZero(np.arange(3) * dt,
+                         np.broadcast_to(np.eye(2, dtype=complex), (3, 2, 2)),
+                         0.0, 0, sys.kernel.on_grid(np.arange(3) * dt))
+        levels, core = _column_groups(sys, W)
+        assert [lv.tolist() for lv in levels] == [[1]] and core.tolist() == [0]
+        with pytest.raises(kr.SingularOperatorError, match=r"rows j\+0, j = 1\.\.2"):
+            dy.solve_bitemporal(sys, W, RHO)
 
 
 @settings(max_examples=60, deadline=None)
