@@ -156,28 +156,6 @@ def _feeds(Wsl):
     return [(e, qs) for e, qs in feeds if qs.size]
 
 
-def _block_lower_inverse(A, P):
-    """Inverse of a block lower triangular ``A`` with ``P x P`` blocks.
-
-    The diagonal blocks are inverted in one batched call, and each block
-    row ``l`` of the inverse is ``-D_l^{-1} A[l, :l] X[:l, :l]``, one
-    product over the rows above it (block forward substitution).  The
-    blocks above the diagonal stay exactly zero, so the leading
-    ``k x k`` part of the result, ``k`` a multiple of ``P``, is the
-    inverse of the leading part of ``A``.
-    """
-    L = A.shape[0] // P
-    idx = np.arange(L)
-    Dinv = np.linalg.inv(A.reshape(L, P, L, P)[idx, :, idx])
-    X = np.zeros_like(A)
-    X[:P, :P] = Dinv[0]
-    for l in range(1, L):
-        e0, e1 = l * P, (l + 1) * P
-        X[e0:e1, :e0] = -Dinv[l] @ (A[e0:e1, :e0] @ X[:e0, :e0])
-        X[e0:e1, e0:e1] = Dinv[l]
-    return X
-
-
 def _column_groups(K):
     """Order the read entries of a column by the zero pattern of ``K``.
 
@@ -212,15 +190,15 @@ class _CausalSolver:
     ``e``, so every column shares one matrix, truncated to its ``m``
     rows.  The matrix of a leaf of ``leaf`` rows is block lower
     triangular in its ``P x P`` row blocks.  Each leaf is inverted once
-    by block forward substitution (:func:`_block_lower_inverse`), which
-    keeps the inverse exactly block lower triangular; a ragged leaf is
-    cut on a block boundary, so the leading block of the full leaf's
-    inverse inverts it exactly too.  A leaf solve is one product with
-    that inverse.  When a leaf ends the left half of a node in the
-    implicit binary split of the rows, that half is pushed into the
-    right half at once by one FFT convolution of its ``P`` read entries
-    (Hairer, Lubich & Schlichte, SIAM J. Sci. Stat. Comput. 6 (1985)
-    532), so every pair of rows is coupled exactly once.
+    by one LAPACK call, with the entries above its diagonal blocks then
+    set to exactly zero, so the inverse is exactly block lower
+    triangular; a ragged leaf is cut on a block boundary, so the leading
+    block of the full leaf's inverse inverts it too.  A leaf solve is
+    one product with that inverse.  When a leaf ends the left half of a
+    node in the implicit binary split of the rows, that half is pushed
+    into the right half at once by one FFT convolution of its ``P`` read
+    entries (Hairer, Lubich & Schlichte, SIAM J. Sci. Stat. Comput. 6
+    (1985) 532), so every pair of rows is coupled exactly once.
 
     Raises
     ------
@@ -248,7 +226,9 @@ class _CausalSolver:
         C = C.transpose(0, 2, 1, 3).reshape(L * P, L * P)
         self.hu = [np.repeat(h[e0 : e0 + L], P) for e0 in range(0, h.size, L)]
         self.blocks = [np.eye(w.size) - C[: w.size, : w.size] * w for w in self.hu]
-        self.inverses = [_block_lower_inverse(A, P) for A in self.blocks]
+        upper = np.repeat(np.repeat(lag < 0, P, axis=0), P, axis=1)
+        self.inverses = [np.where(upper[: A.shape[0], : A.shape[0]], 0.0, np.linalg.inv(A))
+                         for A in self.blocks]
         self._spectra = {}
 
     def _push(self, src):

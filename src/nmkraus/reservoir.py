@@ -174,7 +174,18 @@ class SpectralDensity:
         return float(np.trapezoid(g2, grid))
 
     def support(self):
-        """Frequency interval ``(lo, hi)`` outside which the weight is negligible."""
+        """Frequency interval ``(lo, hi)`` that the combs integrate over.
+
+        A flat window and a table have no weight outside it.  A
+        Lorentzian's is its center +- 10 widths, cut at 0, and leaves out
+        a few percent of ``total_strength``: 4.8% for ``lorentzian(0.5,
+        20, 1)``, 3.4% for ``(1, 5, 1)`` and 6.2% for ``(0.5, 200, 1)``.
+        The combs over this interval drop that weight:
+        ``jaynescummings.kraus_recursion`` and both combs of
+        ``atomic_population_series``.  The time kernel, the Laplace image
+        and the mode rule (:func:`discrete_modes`) cover the whole
+        half-line.
+        """
         if self.family == "Lorentzian":
             g0, wc, lam = self.params
             return max(0.0, wc - 10.0 * lam), wc + 10.0 * lam

@@ -128,3 +128,31 @@ def test_mode_rule_takes_no_fixed_count():
                 bad.append(f"{path.name} line {node.lineno}")
     assert calls >= 3, "expected the kernel, image and fold calls of discrete_modes"
     assert not bad, f"discrete_modes called with a literal or no resolution: {bad}"
+
+
+def _private_definitions(tree):
+    """(name, statement) of each module-level private def, class or assignment."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+        else:
+            continue
+        yield from ((name, node) for name in names if _private(name))
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_private_definitions_have_a_caller(path):
+    # code with no caller gets deleted: every private module-level name
+    # is read somewhere in its module outside its own definition (no
+    # other module may read it, see test_no_private_reads_across_modules)
+    tree = ast.parse(path.read_text(), filename=str(path))
+    loads = [n for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)]
+    unread = []
+    for name, stmt in _private_definitions(tree):
+        own = {id(n) for n in ast.walk(stmt)}
+        if not any(n.id == name and id(n) not in own for n in loads):
+            unread.append(name)
+    assert not unread, f"{path.name} defines private names nothing reads: {unread}"

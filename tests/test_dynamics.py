@@ -82,6 +82,28 @@ class TestValidation:
         assert err.value.nbytes > phys
         assert "GiB" in str(err.value)
 
+    def test_field_size_guard_counts_bytes(self, monkeypatch):
+        # the field plus G kernel-weighted read entries per node, one for
+        # each (written row, read entry) pair: 24 on the dressed ladder
+        # (16 read entries), 3 on the four-level decay
+        ladder = jc.build_dressed_system(jc.DressedBasis(0.0, 20.0, 0.3, 1),
+                                         rv.SpectralDensity.flat_window(0.0318, 18.0, 22.0))
+        four = _decay_system((0.0, 3.0, 5.5, 7.5), [(2, 1.0), (3, 0.5), (4, 0.5)])
+        n = 64
+        monkeypatch.setattr(dy.os, "sysconf", lambda name: 1)
+        for sys, dim, G in [(ladder, 5, 24), (four, 4, 3)]:
+            assert sys.dim == dim
+            with pytest.raises(dy.FieldSizeError) as err:
+                dy.check_field_size(sys, 12.0, 12.0 / n)
+            assert err.value.nbytes == (n + 1) ** 2 * (dim ** 2 + G) * 16
+
+        def unreadable(name):
+            raise OSError(name)
+
+        # no memory figure, no refusal
+        monkeypatch.setattr(dy.os, "sysconf", unreadable)
+        assert dy.check_field_size(ladder, 12.0, 12.0 / n) is None
+
     def test_singular_block_names_its_rows(self):
         # a slot that writes the entry it reads, weighted so that node
         # (1, 1) cancels its own coupling exactly

@@ -1,0 +1,56 @@
+"""Input checks of the solver modules: each refuses a bad argument by name."""
+
+import numpy as np
+import pytest
+
+from nmkraus import dynamics as dy
+from nmkraus import jaynescummings as jc
+from nmkraus import kraus as kr
+from nmkraus import reservoir as rv
+
+SD = rv.SpectralDensity.flat_window(0.05, 3.0, 7.0)
+
+
+def _two_level(weight=1.0):
+    return kr.SystemSpec((0.0, 5.0), rv.kernel_table(SD, {(2, 1, 1, 2): weight}))
+
+
+def _complex_refill():
+    sys = _two_level(1j)
+    dy.two_level_trajectory(sys, kr.solve_time_domain(sys, 0.1, 0.05), np.diag([0.0, 1.0]))
+
+
+CASES = {
+    "empty_energies": (lambda: kr.SystemSpec((), _two_level().kernel),
+                       ValueError, "energies must be a nonempty vector"),
+    "no_whole_step": (lambda: kr.solve_time_domain(_two_level(), 0.004, 0.01),
+                      ValueError, "T must cover at least one step"),
+    "zero_depth": (lambda: kr.LaplaceKraus(_two_level(), 0),
+                   ValueError, "depth must be >= 1"),
+    # LAPACK refuses the exact zero, so the condition estimate takes over
+    "singular_step": (lambda: kr._step_inverses(np.zeros((1, 2, 2), complex), 1,
+                                                np.arange(2) * 0.1),
+                      kr.SingularOperatorError, "singular at step 1"),
+    "negative_height": (lambda: rv.SpectralDensity.flat_window(-1.0, 1.0, 2.0),
+                        ValueError, "height must be >= 0"),
+    "table_lengths": (lambda: rv.SpectralDensity.tabulated([0.0, 1.0, 2.0], [1.0, 1.0]),
+                      ValueError, "matching 1-d arrays"),
+    "table_decreasing": (lambda: rv.SpectralDensity.tabulated([0.0, 2.0, 1.0], [1.0] * 3),
+                         ValueError, "strictly increasing"),
+    "table_below_zero": (lambda: rv.SpectralDensity.tabulated([-1.0, 0.0, 1.0], [1.0] * 3),
+                         ValueError, r"support must lie in \[0, inf\)"),
+    "zero_span": (lambda: rv.discrete_modes(SD, 0.0), ValueError, "span must be > 0"),
+    "state_shape": (lambda: dy.validate_density(np.eye(3) / 3, 2),
+                    dy.StateValidationError, "must be 2x2"),
+    "complex_refill_weight": (_complex_refill, ValueError, "real and nonnegative"),
+    "negative_lam": (lambda: jc.entropy_limit_scan(
+        jc.DressedBasis(0.0, 20.0, 0.3, 1), rv.SpectralDensity.flat_window(0.0318, 18.0, 22.0),
+        2.5, 1.0, [-0.1], p_tilde=2.0), ValueError, "lams must be positive"),
+}
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_bad_input_is_refused(case):
+    call, error, message = CASES[case]
+    with pytest.raises(error, match=message):
+        call()
