@@ -282,11 +282,13 @@ def solve_bitemporal(sys: SystemSpec, W: KrausZero, rho0) -> BitemporalState:
       substitutes the ordered entries level by level: a level reads the
       read entries of ``B * Q`` (none where its propagator rows miss the
       written rows) and is then explicit, and its contribution joins the
-      spectrum, so the next level's pass reads it too, less the half of
-      its diagonal node.  Only the coupled core, if any, goes through
-      :class:`_CausalSolver`, which solves it exactly, including each
-      node's coupling to itself.  One inverse FFT of the full spectrum
-      then fills the column and its conjugate row.
+      spectrum, so the next level's pass reads it too.  Only the coupled
+      core, if any, goes through :class:`_CausalSolver`, which solves it
+      exactly, including each node's coupling to itself.  The column is
+      then its free part ``B[i] rho0 B[j]^dagger`` plus one inverse FFT
+      of the full spectrum, which also fills its conjugate row.  The
+      outer trapezoid's end weights are the halved source row ``r = 0``
+      and the propagator's halved lag 0.
 
     Only the ``nr`` written rows of the memory term are nonzero, so a
     column's forward FFT carries ``nr dim`` channels, its frequency
@@ -362,12 +364,12 @@ def solve_bitemporal(sys: SystemSpec, W: KrausZero, rho0) -> BitemporalState:
     h = 0.5 * dt * dt * line[n:0:-1]
     levels, core = _column_groups(K)
     column = _CausalSolver(K[:, core][:, :, core], h) if core.size else None
-    # B[0] = I, so the convolution counts V[i] at row i in full where
-    # the trapezoid wants it halved; half[q', q] takes that half back
-    half = 0.5 * K[0]
 
     nfft = rv.next_fast_len(2 * n + 1)
-    fB = np.fft.fft(B[:, :, rows], nfft, axis=0)
+    # lag 0 halved: the trapezoid's end node r = i of every source row
+    Bh = B[:, :, rows]
+    Bh[0] *= 0.5
+    fB = np.fft.fft(Bh, nfft, axis=0)
     # per group: its entries, and those whose propagator row meets a
     # written row with their spectra (B * Q is exactly zero elsewhere)
     live = np.any(B[:, pd][:, :, rows] != 0, axis=(0, 2))
@@ -375,32 +377,26 @@ def solve_bitemporal(sys: SystemSpec, W: KrausZero, rho0) -> BitemporalState:
               for q in levels + [core] if q.size]
     max_resid = 0.0
     for j in range(1, n + 1):
-        M0 = rho0 @ B[j].conj().T
         # trapezoid weights of the known rows r < j of this column
         hk = 0.5 * dt * dt * KD[:j, j]
-        hk[0] *= 0.5
         # R, Q and fQ hold the written rows only
         R = np.empty((n + 1, nr, dim), dtype=complex)
         for k, (_, _, Y, Zrev) in enumerate(cross):
             R[:, k] = Y[:, :j].reshape(n + 1, -1) @ Zrev[n - j : n].reshape(-1, dim)
-        M0[rows] -= 0.5 * dt * R[0]
         # Q: the cross-time rows plus the known rows r < j of the
-        # same-column sum; the solve needs only read entries of B * Q
+        # same-column sum, with the trapezoid's start node r = 0 halved;
+        # the solve needs only read entries of B * Q
         Q = dt * R
         Q[:j] += ((hk[:, None] * xi[:j, j, pd, pa]) @ Wr).reshape(j, nr, dim)
+        Q[0] *= 0.5
         fQ = np.fft.fft(Q, nfft, axis=0)
-        # the free part, with the trapezoid's halved end node r = i
-        # of the cross-time rows
-        F = (B[j:].reshape(-1, dim) @ M0).reshape(-1, dim, dim)
-        F[:, rows] -= 0.5 * dt * R[j:]
+        F = (B[j:].reshape(-1, dim) @ (rho0 @ B[j].conj().T)).reshape(-1, dim, dim)
         u = np.zeros((n + 1, P), dtype=complex)
-        for k, (q, sel, fBq, aq) in enumerate(groups):
+        for q, sel, fBq, aq in groups:
             g = F[:, pd[q], pa[q]]
             if aq.size:
                 g[:, sel] += np.fft.ifft(np.einsum("kpc,kcp->kp", fBq, fQ[:, :, aq]),
                                          axis=0)[j : n + 1]
-            if k:  # fQ counts the earlier groups' own nodes in full
-                g -= u[j:] @ half[q].T
             if q is core:
                 u[j:, q], resid = column.solve(g)
                 max_resid = max(max_resid, resid)
@@ -410,8 +406,6 @@ def solve_bitemporal(sys: SystemSpec, W: KrausZero, rho0) -> BitemporalState:
             fQ += (np.fft.fft(u[:, q], nfft, axis=0) @ Wr[q]).reshape(nfft, nr, dim)
         xj = np.fft.ifft(fB @ fQ, axis=0)[j : n + 1]
         xj += F
-        # every unknown row's own node, halved as in the groups
-        xj[:, rows] -= 0.5 * (u[j:] @ Wr).reshape(n + 1 - j, nr, dim)
         xi[j:, j] = xj
         xi[j, j + 1 :] = np.conj(np.swapaxes(xj[1:], 1, 2))
         store(j, dt * KD[:, j])

@@ -296,10 +296,13 @@ def _line_blocks(basis, sd, x0, h, n_vis, eta, top_level):
     passes upward, so 2x2 blocks are built on the visible range alone.
     """
     q0, q1, wq = _comb(sd, h)
-    nw = wq.size
-    wf = np.fft.fft(wq, rv.next_fast_len(max(16384, 4 * nw)))
     ext = (top_level + 2) * q1
     n_int = n_vis + ext
+    if n_int > _MAX_LADDER_POINTS:
+        raise kr.LineResolutionError(
+            f"ladder line at step {h:.3g} needs {n_int} points (limit {_MAX_LADDER_POINTS})", n_int)
+    nw = wq.size
+    wf = np.fft.fft(wq, rv.next_fast_len(max(16384, 4 * nw)))
     x = x0 - ext * h + h * np.arange(n_int) + 1j * eta
     gnd = basis.energy(1, -1)
     ssum = 1.0 / (x[q1:] - gnd)
@@ -326,8 +329,10 @@ def _line_blocks(basis, sd, x0, h, n_vis, eta, top_level):
     return out
 
 
-# comb steps across the spectral support of a point evaluation
+# comb steps across the spectral support of a point evaluation, and the
+# most points of one ladder line (128 MiB per complex array)
 _RECURSION_MODES = 750
+_MAX_LADDER_POINTS = 1 << 23
 
 
 def kraus_recursion(sys: DressedSystem, z):

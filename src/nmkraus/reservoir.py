@@ -650,9 +650,9 @@ class CorrelationKernel:
 
     For linear coupling to one bath every nonzero slot is a fixed weight
     times the one scalar kernel of ``sd`` at ``beta_inv``.  Row ``s`` of
-    ``slots`` holds the 0-based state indices ``(k, l, m, n)`` of a slot
-    and ``weights[s]`` its weight; both arrays are read-only and keep
-    the order of the index rule.  A zero kernel has no slots.
+    ``slots`` holds the 0-based indices ``(k, m, n, l)`` of a slot (row
+    k, inner pair (m, n), column l), ``weights[s]`` its weight; both are
+    read-only, in rule order.  A zero kernel has no slots.
     """
 
     sd: SpectralDensity
@@ -684,9 +684,9 @@ def kernel_table(sd: SpectralDensity, index_rule, beta_inv=0.0) -> CorrelationKe
     ----------
     sd : SpectralDensity
     index_rule : mapping or iterable
-        Either ``{(k,l,m,n): weight}`` or an iterable of
-        ``((k,l,m,n), weight)`` pairs naming the nonzero slots; state
-        labels count from 1.
+        Either ``{(k,m,n,l): weight}`` or an iterable of
+        ``((k,m,n,l), weight)`` pairs naming the nonzero slots (row k,
+        inner pair (m, n), column l); state labels count from 1.
     beta_inv : float, optional
 
     Returns

@@ -619,6 +619,17 @@ class TestJaynesCummingsRuns:
         assert cols["t_time"]["max_abs"] == 0.0
         assert cols["excited"]["max_abs"] < 1e-2
 
+    def test_oversized_ladder_line_is_a_solver_error(self, tmp_path, capsys):
+        # T = 1e5 sets the line step to 5e-6, which would take the
+        # series' ladder line to 23,769,707 points
+        text = JC_BODY.format(p=1, solver="series", extra="  r_max: 2\n").replace(
+            "t_final_time: 12.0", "t_final_time: 100000.0")
+        rc, outdir = _run(tmp_path, "jcs.yaml", text, "out")
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert "LineResolutionError" in err and "23769707 points" in err
+        assert not outdir.exists()
+
     def test_photon_number_above_cutoff(self, tmp_path, capsys):
         text = JC_BODY.format(p=2, solver="series", extra="  r_max: 2\n")
         rc, _ = _run(tmp_path, "jc.yaml", text, "out")
