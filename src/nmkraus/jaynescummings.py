@@ -243,12 +243,8 @@ def _end_weights(theta, k=4):
     return np.linalg.solve(j ** np.arange(k)[:, None], m[:k])
 
 
-def _comb(sd, h, k=4):
-    # integer-aligned uniform quadrature of int dw |g|^2 f(z - w) over the
-    # support [lo, hi]; alignment keeps every shifted argument on one
-    # master line.  The k nodes nearest each support end carry end
-    # corrections, and the weight is read at the nodes clipped into
-    # [lo, hi], so rounding cannot push an end node out of a flat window.
+def _comb_range(sd, h, k=4):
+    # first and last comb node on step h, known before any array is built
     lo, hi = sd.support()
     q0 = max(0, math.ceil(lo / h - 1e-9))
     q1 = math.floor(hi / h + 1e-9)
@@ -257,6 +253,17 @@ def _comb(sd, h, k=4):
             f"comb step {h} leaves {max(q1 - q0 + 1, 0)} nodes on the support "
             f"[{lo}, {hi}]; it needs at least {2 * k}"
         )
+    return q0, q1
+
+
+def _comb(sd, h, k=4):
+    # integer-aligned uniform quadrature of int dw |g|^2 f(z - w) over the
+    # support [lo, hi]; alignment keeps every shifted argument on one
+    # master line.  The k nodes nearest each support end carry end
+    # corrections, and the weight is read at the nodes clipped into
+    # [lo, hi], so rounding cannot push an end node out of a flat window.
+    lo, hi = sd.support()
+    q0, q1 = _comb_range(sd, h, k)
     q = np.arange(q0, q1 + 1)
     tw = rv.trapezoid_weights(np.full(q.size - 1, h))
     tw[:k] += h * _end_weights(q0 - lo / h, k)
@@ -295,12 +302,13 @@ def _line_blocks(basis, sd, x0, h, n_vis, eta, top_level):
     it read, and only its level sum ``(dp + dm - 2 a conv) / det``
     passes upward, so 2x2 blocks are built on the visible range alone.
     """
-    q0, q1, wq = _comb(sd, h)
+    q0, q1 = _comb_range(sd, h)
     ext = (top_level + 2) * q1
     n_int = n_vis + ext
     if n_int > _MAX_LADDER_POINTS:
         raise kr.LineResolutionError(
             f"ladder line at step {h:.3g} needs {n_int} points (limit {_MAX_LADDER_POINTS})", n_int)
+    _, _, wq = _comb(sd, h)
     nw = wq.size
     wf = np.fft.fft(wq, rv.next_fast_len(max(16384, 4 * nw)))
     x = x0 - ext * h + h * np.arange(n_int) + 1j * eta
@@ -461,7 +469,7 @@ def atomic_population_series(
     eta = 2.0 / T
     lo, hi = sd.support()
     h = min(eta / 4.0, (hi - lo) / 400.0)
-    q0, q1, _ = _comb(sd, h)
+    q0, q1 = _comb_range(sd, h)
 
     r_cap = int(min(r_max, p))
     ra = init.rho_a

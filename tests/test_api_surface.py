@@ -3,6 +3,7 @@
 import ast
 import importlib
 import pkgutil
+import re
 from pathlib import Path
 
 import pytest
@@ -156,3 +157,28 @@ def test_private_definitions_have_a_caller(path):
         if not any(n.id == name and id(n) not in own for n in loads):
             unread.append(name)
     assert not unread, f"{path.name} defines private names nothing reads: {unread}"
+
+
+_CONFIG_READERS = {"_num", "_pos", "_nonneg", "_int", "_str", "_list", "_floats", "_matrix",
+                   "_fetch"}
+
+
+def test_config_keys_have_a_setter():
+    # a config key that no shipped config, test or benchmark workload
+    # sets is an option nothing exercises: each literal path the CLI
+    # reads must end in a key that one of them writes
+    root = Path(nmkraus.__file__).resolve().parents[2]
+    cli = Path(nmkraus.__file__).parent / "cli.py"
+    paths = set()
+    for node in ast.walk(ast.parse(cli.read_text(), filename=str(cli))):
+        if (isinstance(node, ast.Call) and getattr(node.func, "id", None) in _CONFIG_READERS
+                and len(node.args) > 1 and isinstance(node.args[1], ast.Constant)
+                and isinstance(node.args[1].value, str)):
+            paths.add(node.args[1].value)
+    assert len(paths) > 30, "expected the CLI's config reads"
+    files = [*sorted((root / "configs").glob("*.yaml")), *sorted((root / "tests").glob("*.py")),
+             root / "benchmarks" / "workloads.py"]
+    text = "\n".join(f.read_text() for f in files)
+    unset = sorted(p for p in paths
+                   if not re.search(rf'\b{p.rsplit(".", 1)[-1]}:|"{p.rsplit(".", 1)[-1]}"', text))
+    assert not unset, f"cli.py reads config keys nothing sets: {unset}"

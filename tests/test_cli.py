@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -340,6 +341,75 @@ def test_unread_key_is_refused_before_the_solve(tmp_path, capsys, monkeypatch,
     assert not outdir.exists()
 
 
+_RUN_BODIES = {
+    "TwoLevelWW": _WW,
+    "MarkovLimit": MARKOV_BODY.format(rho11=0.0, rho22=1.0),
+    "GenericSystem": GENERIC_BODY.format(row=2, extra=""),
+    "JaynesCummings-series": JC_BODY.format(p=1, solver="series", extra="  r_max: 2\n"),
+    "JaynesCummings-bitemporal": JC_BODY.format(p=1, solver="bitemporal", extra=""),
+    "PlateauFigure": PLATEAU_BODY.format(plist="20", tau_max=90.0, dtau=0.1),
+    "EntropyScan": SCAN_BODY.format(alpha=2.5),
+}
+# each key that no config sets, with the runs that used to read it: the
+# audit limits are fixed at their checks, and the ground energy is 0
+# (only energy differences reach a solver)
+_RETIRED_KEYS = [
+    ("audit.eig_tol",
+     ["TwoLevelWW", "MarkovLimit", "GenericSystem", "JaynesCummings-bitemporal"]),
+    ("audit.solver_tol", ["TwoLevelWW", "GenericSystem", "JaynesCummings-bitemporal"]),
+    ("audit.rate_rel_tol", ["MarkovLimit"]),
+    ("audit.channel_dev_tol", ["MarkovLimit"]),
+    ("audit.identity_tol", ["MarkovLimit"]),
+    ("audit.truncation_tol", ["JaynesCummings-series"]),
+    ("audit.plateau_tol", ["PlateauFigure"]),
+    ("audit.tail_tol", ["PlateauFigure"]),
+    ("channel.omega_bar_per_time", ["MarkovLimit"]),
+    ("system.omega_1_per_time", ["TwoLevelWW", "MarkovLimit"]),
+    ("system.atom_omega_1_per_time",
+     ["JaynesCummings-series", "JaynesCummings-bitemporal", "EntropyScan"]),
+]
+RETIRED_RUNS = [pytest.param(key, _RUN_BODIES[run], id=f"{key}-{run}")
+                for key, runs in _RETIRED_KEYS for run in runs]
+
+
+@pytest.mark.parametrize("key, body", RETIRED_RUNS)
+def test_retired_key_is_refused(tmp_path, capsys, key, body):
+    cfg = yaml.safe_load(body)
+    section, name = key.split(".")
+    cfg.setdefault(section, {})[name] = 1.0
+    rc, outdir = _run(tmp_path, "retired.yaml", yaml.safe_dump(cfg), "out")
+    assert rc == 2
+    assert f"config error: {key}: not read by {cfg['kind']}" in capsys.readouterr().err
+    assert not outdir.exists()
+
+
+def test_exponent_numbers_load_as_floats(tmp_path):
+    # YAML 1.1 floats need a dot and a signed exponent; 1e-2 and 2e1
+    # load as the numbers they spell, and the run matches the shipped one
+    text = (CONFIG_DIR / "two_level_ww.yaml").read_text()
+    edited = text.replace("dt_time: 0.01", "dt_time: 1e-2").replace(
+        "t_final_time: 20.0", "t_final_time: 2e1")
+    assert edited.count("e-2") == edited.count("2e1") == 1
+    rc, out = _run(tmp_path, "exp.yaml", edited, "exp")
+    assert rc == 0
+    assert cli.main(["run", str(CONFIG_DIR / "two_level_ww.yaml"), "--out",
+                     str(tmp_path / "ref")]) == 0
+    assert (out / "trajectory.csv").read_bytes() == (
+        tmp_path / "ref" / "trajectory.csv").read_bytes()
+
+
+def test_loader_number_forms():
+    text = ("[1e-3, 2e5, 1.0e5, -1E+2, .5e1, 1_0e1, 1.0e-3, 1.5, 7, "
+            "1e, e5, 1e5x, .nan, .inf, true, abc]")
+    got = yaml.load(text, Loader=cli._Loader)
+    assert got[:8] == [1e-3, 2e5, 1e5, -100.0, 5.0, 100.0, 1e-3, 1.5]
+    assert all(type(v) is float for v in got[:8])
+    assert got[8] == 7 and type(got[8]) is int
+    assert got[9:12] == ["1e", "e5", "1e5x"]
+    assert np.isnan(got[12]) and got[13] == np.inf
+    assert got[14:] == [True, "abc"]
+
+
 def test_markov_transition_outside_the_support_is_refused_before_the_solve(
         tmp_path, capsys, monkeypatch):
     def refuse(*args, **kwargs):
@@ -490,6 +560,15 @@ class TestTwoLevelRuns:
         assert "Traceback" in err
         assert "KeyError: 'missing'" in err
 
+    def test_output_directory_key_yields_to_out(self, tmp_path):
+        path = tmp_path / "ww.yaml"
+        path.write_text(_WW + f"output:\n  directory: {tmp_path / 'from_config'}\n")
+        assert cli.main(["run", str(path), "--out", str(tmp_path / "from_flag")]) == 0
+        assert (tmp_path / "from_flag" / "summary.json").is_file()
+        assert not (tmp_path / "from_config").exists()
+        assert cli.main(["run", str(path)]) == 0
+        assert (tmp_path / "from_config" / "summary.json").is_file()
+
     def test_missing_config_file(self, tmp_path, capsys):
         rc = cli.main(["run", str(tmp_path / "nope.yaml"), "--out", str(tmp_path)])
         assert rc == 2
@@ -535,6 +614,17 @@ class TestGenericRuns:
         assert s["passed"] is False
         assert s["audits"]["trace_max_error"]["passed"] is False
         assert s["audits"]["min_eigenvalue"]["passed"] is True
+
+    def test_imaginary_slot_weight_reaches_the_kernel(self, tmp_path):
+        # slot (2, 1, 1, 2) is its own Hermitian partner, so its weight
+        # must be real: weight_im = 0.5 breaks Hermiticity, and the
+        # fixed 1e-10 hermiticity audit fails the run
+        text = GENERIC_BODY.format(row=2, extra="audit:\n  trace_tol: 1.0e-2\n").replace(
+            "weight_re: 1.0}", "weight_re: 1.0, weight_im: 0.5}")
+        rc, outdir = _run(tmp_path, "gen.yaml", text, "out")
+        assert rc == 1
+        herm = _summary(outdir)["audits"]["hermiticity_residual"]
+        assert herm["limit"] == 1e-10 and herm["passed"] is False
 
     def test_non_numeric_initial_state(self, tmp_path, capsys):
         text = GENERIC_BODY.format(row=2, extra="").replace(
@@ -823,6 +913,24 @@ def _expected_header(cfg):
     }[kind]
 
 
+# every audit limit but the trace's is fixed at its check; plateau_dev
+# and tail_max carry a _p<photon number> suffix
+FIXED_LIMITS = {
+    "min_eigenvalue": -1e-10,
+    "volterra_residual": 1e-8,
+    "bitemporal_residual": 1e-8,
+    "hermiticity_residual": 1e-10,
+    "rate_rel_error": 0.05,
+    "channel_max_dev": 0.05,
+    "channel_identity": 1e-12,
+    "truncation_estimate": 2e-2,
+    "population_bound": 1.0 + 1e-9,
+    "plateau_dev": 1e-2,
+    "tail_max": 1e-2,
+    "min_distance_drop": 1e-12,
+}
+
+
 @pytest.mark.parametrize(
     "config", sorted(CONFIG_DIR.glob("*.yaml")), ids=lambda p: p.stem
 )
@@ -837,3 +945,8 @@ def test_shipped_config_writes_its_artifact(config, tmp_path):
     assert sorted(p.name for p in outdir.iterdir()) == sorted([fname, "summary.json"])
     header = (outdir / fname).read_text().splitlines()[0]
     assert header.split(",") == _expected_header(cfg)
+    trace_tol = cfg.get("audit", {}).get("trace_tol", 1e-6)
+    for name, audit in s["audits"].items():
+        limit = trace_tol if name == "trace_max_error" else FIXED_LIMITS[
+            re.sub(r"_p\d+$", "", name)]
+        assert audit["limit"] == limit, name

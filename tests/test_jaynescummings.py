@@ -235,7 +235,9 @@ class TestRecursion:
         pytest.param(rv.SpectralDensity.lorentzian(0.5, 20.0, 1.0), marks=pytest.mark.xfail(
             strict=True, raises=AssertionError,
             reason="ROADMAP item 6: on a Lorentzian the recursion and the "
-            "continued fraction differ by 2.5e-5 to 1.2e-4 relative")),
+            "continued fraction differ by 2.5e-5 to 1.2e-4 relative, because the "
+            "recursion's comb stops at the support cut (center +- 10 widths) while "
+            "the continued fraction's modes cover the whole half-line")),
     ], ids=["flat_window", "lorentzian"])
     def test_matches_generic_continued_fraction(self, sd):
         sys = jc.build_dressed_system(small_basis(), sd)
@@ -283,6 +285,29 @@ class TestRecursion:
             tracemalloc.stop()
         assert info.value.npts == 26_400_001 > jc._MAX_LADDER_POINTS
         assert peak < 16 * jc._MAX_LADDER_POINTS
+
+    @pytest.mark.parametrize("call, npts", [
+        (lambda: jc.kraus_recursion(small_system(), 21.0 + 1e-4j), 2_640_001),
+        (lambda: jc.atomic_population_series(
+            small_basis(), window_sd(), jc.JCInitialState(EXCITED_A, 1),
+            np.linspace(0.0, 1e4, 5), 2), 2_376_972),
+    ], ids=["recursion", "series"])
+    def test_oversized_ladder_line_raises_before_building_its_comb(self, monkeypatch,
+                                                                  call, npts):
+        # with the cap at 65,536 points the combs over [18, 22] (160,001
+        # and 80,001 nodes) outgrow the cap themselves; the line size
+        # follows from the comb's node range alone, so the refusal comes
+        # before the comb is built, which used to peak at 6.3 and 3.1 MiB
+        monkeypatch.setattr(jc, "_MAX_LADDER_POINTS", 1 << 16)
+        tracemalloc.start()
+        try:
+            with pytest.raises(kr.LineResolutionError) as info:
+                call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert info.value.npts == npts
+        assert peak < 1 << 20
 
     def test_singular_block_error_payload(self):
         err = jc.SingularBlockError(3, 20.0 + 0.1j)
