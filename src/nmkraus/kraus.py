@@ -21,12 +21,17 @@ iteration starting from the free resolvent.  Both solvers are exposed
 and cross-checked against each other.
 
 The time-domain solver integrates with the product trapezoid rule.
-Because W(0) = I, the implicit update of each step is linear in the new
-sample, so a step is one exact dim^2 x dim^2 linear solve (operators
-inverted in batches ahead of the steps) instead of a fixed-point loop,
-and the memory sum over earlier samples is formed once per step as one
-batched product over stored slot arrays: O(n^2 S dim) for the memory
-sums with S slots, plus O(n dim^6) for the step operators.
+When no slot reads a row that a slot writes, the equation is linear
+and its discretisation is one lower-triangular block-Toeplitz system,
+solved for all steps at once by a division of matrix power series
+(Newton iteration on FFT products): O(n log n nr^3) for nr written
+rows.  Otherwise, because W(0) = I, the implicit update of each step
+is linear in the new sample, so a step is one exact dim^2 x dim^2
+linear solve (operators inverted in batches ahead of the steps) instead
+of a fixed-point loop, and the memory sum over earlier samples is
+formed once per step as one batched product over stored slot arrays:
+O(n^2 S dim) for the memory sums with S slots, plus O(n dim^6) for the
+step operators.
 """
 
 from __future__ import annotations
@@ -113,8 +118,10 @@ class KrausZero:
 
     ``grid`` is uniform, starts at 0 and has at least one step, to
     1e-9 of its final time; the solvers that read the amplitude take
-    their step from it.  ``max_residual`` is the worst scaled residual
-    of the exact step solves of :func:`solve_time_domain`.
+    their step from it.  ``max_residual`` is the scaled residual
+    ``max |A x - b| / max(1, max |b|)`` of :func:`solve_time_domain`:
+    on the linear route that of the whole power-series system
+    ``D V = N``, on the step loop the worst over the step solves.
     ``picard_iters`` is always 0, since no step iterates; the field
     stays because benchmark tracing reads it.  ``kappa`` holds the
     scalar kernel samples ``kernel.on_grid(grid)`` that the solve
@@ -176,6 +183,167 @@ _MAX_STEPS = 2_000_000
 def solve_time_domain(sys: SystemSpec, T, dt) -> KrausZero:
     """Product-trapezoid Volterra integration of the amplitude equation.
 
+    The slot table selects one of two routes, which solve the same
+    discrete equations.
+
+    *Linear route*, when no slot reads a row ``m`` that a slot writes:
+    the read entries stay ``W_mn = delta_mn``, the equation is linear,
+    and all steps are solved at once as one division of matrix power
+    series over the written rows (``_linear_solve``): O(n log n nr^3)
+    for nr written rows, with no per-step Python work.
+    ``max_residual`` is the scaled residual of that whole system.
+
+    *Step loop* otherwise (``_step_loop``): O(n^2 S dim) for the history
+    sums, plus n steps of eight numpy calls each.  ``max_residual`` is
+    the worst scaled residual of the step solves.
+
+    Parameters
+    ----------
+    sys : SystemSpec
+    T : float
+        Final time, a whole number of steps to 1e-9 of ``max(T, 1)``.
+    dt : float
+        Uniform step; T/dt must not exceed 2,000,000.
+
+    Returns
+    -------
+    KrausZero
+        ``max_residual`` is the worst ``max |A x - b| / max(1, max |b|)``
+        over the route's linear systems; ``picard_iters`` is 0, since
+        nothing iterates to a fixed point; ``kappa`` is the kernel on
+        the grid.
+
+    Raises
+    ------
+    ValueError
+        If ``dt <= 0``, T covers no step or no whole number of steps,
+        or T/dt exceeds the cap.
+    SingularOperatorError
+        If a step operator is singular; the message names the step
+        (always step 1 on the linear route, whose step operator does
+        not depend on the step).
+    """
+    if dt <= 0:
+        raise ValueError("dt must be > 0")
+    n = int(round(T / dt))
+    if n < 1:
+        raise ValueError("T must cover at least one step")
+    if n > _MAX_STEPS:
+        raise ValueError(f"T/dt = {n} exceeds the cap of {_MAX_STEPS} steps")
+    if abs(n * dt - T) > 1e-9 * max(T, 1.0):
+        raise ValueError(f"T = {T:g} is not a whole number of steps dt = {dt:g}")
+    t = np.arange(n + 1) * dt
+    kappa = sys.kernel.on_grid(t)
+    k, m = sys.kernel.slots.T[:2]
+    solve = _step_loop if np.isin(m, k).any() else _linear_solve
+    W, worst = solve(sys, t, kappa)
+    return KrausZero(t, W, worst, 0, kappa)
+
+
+def _series_product(a, b, size, nfft=None):
+    """First ``size`` coefficients of the product of matrix power series.
+
+    ``a`` is ``(la, p, q)`` and ``b`` is ``(lb, q, r)``, coefficients
+    along axis 0; the product is one batched matmul of their FFTs.  The
+    default FFT length wraps nothing around.  A series whose
+    coefficients are all exactly zero has an exactly zero FFT, so an
+    entry that only such series reach stays exactly zero.
+    """
+    if nfft is None:
+        nfft = rv.next_fast_len(len(a) + len(b) - 1)
+    fa = np.fft.fft(a, nfft, axis=0)
+    fb = np.fft.fft(b, nfft, axis=0)
+    return np.fft.ifft(fa @ fb, axis=0)[:size]
+
+
+def _series_inverse(D, t):
+    """Inverse of the matrix power series ``D`` to ``len(D)`` coefficients.
+
+    Newton iteration ``g <- g - g (D g - I)`` doubles the number of
+    correct coefficients each pass, about log2 n passes of two FFT
+    products; the known coefficients of ``g`` are never rewritten.
+    ``D[0]`` is inverted by :func:`_step_inverses` as step 1.
+    """
+    g = _step_inverses(D[:1], 1, t)
+    size = 1
+    while size < len(D):
+        new = min(2 * size, len(D))
+        # D g - I vanishes below z^size: only coefficients size..new-1 of
+        # D[:new] g are read, and a length-new FFT wraps the product's
+        # tail onto the unread ones
+        e = _series_product(D[:new], g, new, rv.next_fast_len(new))[size:]
+        g = np.concatenate([g, -_series_product(g[: new - size], e, new - size)])
+        size = new
+    return g
+
+
+def _linear_solve(sys, t, kappa):
+    """All steps of a slot set that reads no written row, at once.
+
+    The read entries stay ``W_mn = delta_mn``, so slots with ``m != n``
+    drop out and the product trapezoid is linear in the written rows.
+    In the gauge ``B = e^{-iHt} W`` write ``W = I + e^{iHt} V`` with
+    ``V[0] = 0``; the generating function ``V(z)`` over the nr written
+    rows then solves ``D(z) V(z) = N(z)`` with, for ``q_k = e^{-i w_k dt}``
+    and ``a_s[r] = e^{-i w_m t_r} kappa[r]``:
+
+    - ``D[k, k] += 2 (1 - q_k z)``;
+    - each slot ``(k, m, m, j)`` adds
+      ``f_s(z) = dt^2 w_s (1 + q_k z) (a_s(z) - a_s[0] / 2)`` to
+      ``D[k, j]`` when row ``j`` is written,
+    - and ``dt^2 w_s (1 + q_k z) a_s(z) e_j / 2 - f_s(z) e_j / (1 - q_j z)``
+      to ``N[k]``.
+
+    ``V = D^{-1} N`` is one Newton series inverse and one product.
+    Returns ``W`` and the residual ``max |D V - N| / max(1, max |N|)``
+    over the first n + 1 coefficients.  ``W[0]`` and the unwritten rows
+    are exact, and so is every column that no slot's ``j`` names: its
+    column of ``N`` is exactly zero, and so is its product.
+    """
+    n = t.size - 1
+    dim = sys.dim
+    k, m, n_, j = sys.kernel.slots.T
+    live = m == n_
+    k, m, j = k[live], m[live], j[live]
+    c = t[1] * t[1] * sys.kernel.weights[live]
+    W = np.empty((n + 1, dim, dim), dtype=complex)
+    W[:] = np.eye(dim)
+    rows = np.unique(k)
+    if not rows.size:
+        return W, 0.0
+    nr = rows.size
+    rk = np.searchsorted(rows, k)
+    E = np.exp(-1j * np.outer(t, sys.energies))  # E[r, k] = q_k^r
+
+    def plus(x, qk):
+        # (1 + q_k z) x, coefficients along axis 0
+        y = x.copy()
+        y[1:] += qk * x[:-1]
+        return y
+
+    a = E[:, m] * kappa[:, None]
+    h = a.copy()
+    h[0] *= 0.5
+    f = c * plus(h, E[1, k])
+    D = np.zeros((n + 1, nr, nr), dtype=complex)
+    diag = np.arange(nr)
+    D[0, diag, diag] = 2.0
+    D[1, diag, diag] = -2.0 * E[1, rows]
+    inner = np.isin(j, rows)
+    np.add.at(D, (slice(None), rk[inner], np.searchsorted(rows, j[inner])), f[:, inner])
+    # f / (1 - q_j z) as e^{-i w_j t_r} sum_{p <= r} e^{i w_j t_p} f[p]
+    N = np.zeros((n + 1, nr, dim), dtype=complex)
+    np.add.at(N, (slice(None), rk, j), 0.5 * c * plus(a, E[1, k])
+              - E[:, j] * np.cumsum(E[:, j].conj() * f, axis=0))
+    V = _series_product(_series_inverse(D, t), N, n + 1)
+    resid = np.max(np.abs(_series_product(D, V, n + 1) - N))
+    W[1:, rows] += E[1:, rows, None].conj() * V[1:]
+    return W, float(resid / max(1.0, np.max(np.abs(N))))
+
+
+def _step_loop(sys, t, kappa):
+    """Step-by-step solve of a slot set that reads a written row.
+
     Since ``W[0] = I``, the implicit trapezoid update of step ``i`` is
     linear in its unknown ``X = W[i]``: the inner node ``r = i`` puts
     ``a[i] X[m, n]`` into entry ``(k, j)`` of a slot ``(k, m, n, j)``,
@@ -199,40 +367,14 @@ def solve_time_domain(sys: SystemSpec, T, dt) -> KrausZero:
 
     The work is O(n^2 S dim) for the history sums, with S the slot
     count, plus O(n S dim^3 + n dim^4) for the step products and
-    O(n dim^6) for the batched inverses.
-
-    Parameters
-    ----------
-    sys : SystemSpec
-    T : float
-        Final time.
-    dt : float
-        Uniform step; T/dt must not exceed 2,000,000.
-
-    Returns
-    -------
-    KrausZero
-        ``max_residual`` is the worst ``max |A x - b| / max(1, max |b|)``
-        over the step solves; ``picard_iters`` is 0, since no step
-        iterates; ``kappa`` is the kernel on the grid.
-
-    Raises
-    ------
-    SingularOperatorError
-        If a step operator is singular; the message names the step.
+    O(n dim^6) for the batched inverses.  Returns ``W`` and the worst
+    scaled step residual.
     """
-    if dt <= 0:
-        raise ValueError("dt must be > 0")
-    n = int(round(T / dt))
-    if n < 1:
-        raise ValueError("T must cover at least one step")
-    if n > _MAX_STEPS:
-        raise ValueError(f"T/dt = {n} exceeds the cap of {_MAX_STEPS} steps")
+    n = t.size - 1
+    dt = t[1]
     dim = sys.dim
     d2 = dim * dim
     en = np.asarray(sys.energies)
-    t = np.arange(n + 1) * dt
-    kappa = sys.kernel.on_grid(t)
     k, m, n_, j = sys.kernel.slots.T
     w = sys.kernel.weights
     S = w.size
@@ -312,7 +454,7 @@ def solve_time_domain(sys: SystemSpec, T, dt) -> KrausZero:
         resid = np.abs(np.einsum("bpq,bq->bp", A, Wf[i0:i1]) - F).max(axis=1)
         worst = max(worst, float(np.max(resid / np.maximum(1.0, np.abs(F).max(axis=1)))))
 
-    return KrausZero(t, W, worst, 0, kappa)
+    return W, worst
 
 
 # ---------------------------------------------------------------------------

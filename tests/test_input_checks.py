@@ -25,6 +25,8 @@ CASES = {
                        ValueError, "energies must be a nonempty vector"),
     "no_whole_step": (lambda: kr.solve_time_domain(_two_level(), 0.004, 0.01),
                       ValueError, "T must cover at least one step"),
+    "fractional_steps": (lambda: kr.solve_time_domain(_two_level(), 1.0, 0.3),
+                         ValueError, "not a whole number of steps"),
     "zero_depth": (lambda: kr.LaplaceKraus(_two_level(), 0),
                    ValueError, "depth must be >= 1"),
     # LAPACK refuses the exact zero, so the condition estimate takes over

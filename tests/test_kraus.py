@@ -144,7 +144,11 @@ def _assert_matches_reference(sys, T, n):
 
 
 class TestExactStepAgreement:
-    """The exact step solve against the fixed-point reference solver."""
+    """Both routes of the time-domain solve against the fixed-point reference.
+
+    A slot set that reads no written row takes the linear route (one
+    power-series division); any other takes the step loop.
+    """
 
     def test_dressed_jaynes_cummings(self):
         basis = jc.DressedBasis(0.0, 20.0, 0.3, 1)
@@ -162,13 +166,51 @@ class TestExactStepAgreement:
         rule = {(k, 1, 1, k): w for k, w in weights}
         _assert_matches_reference(kr.SystemSpec(energies, rv.kernel_table(sd, rule)), 4.0, 200)
 
-    @pytest.mark.parametrize("sd, w21, beta_inv, T, n", [
-        (rv.SpectralDensity.flat_window(2.0 / (40.0 * np.pi), 3.0, 7.0), 5.0, 0.0, 15.0, 3000),
-        (rv.SpectralDensity.lorentzian(0.5, 200.0, 1.0), 200.0, 0.0, 7.0, 3500),
-        (rv.SpectralDensity.flat_window(0.04, 4.0, 8.0), 6.0, 2.0, 2.0, 200),
-    ], ids=["flat", "lorentzian", "thermal"])
-    def test_two_level(self, sd, w21, beta_inv, T, n):
-        _assert_matches_reference(two_level(sd, beta_inv, w21), T, n)
+    @pytest.mark.parametrize("sd, w21, beta_inv, T, n, rule", [
+        (rv.SpectralDensity.flat_window(2.0 / (40.0 * np.pi), 3.0, 7.0), 5.0, 0.0, 15.0, 3000,
+         {(2, 1, 1, 2): 1.0}),
+        (rv.SpectralDensity.lorentzian(0.5, 200.0, 1.0), 200.0, 0.0, 7.0, 3500,
+         {(2, 1, 1, 2): 1.0}),
+        (rv.SpectralDensity.flat_window(0.04, 4.0, 8.0), 6.0, 2.0, 2.0, 200,
+         {(2, 1, 1, 2): 1.0}),
+        # each slot reads the row the other writes: the step loop
+        (rv.SpectralDensity.flat_window(0.02, 3.0, 7.0), 5.0, 5.0, 4.0, 200,
+         {(2, 1, 1, 2): 1.0, (1, 2, 2, 1): 1.0}),
+    ], ids=["flat", "lorentzian", "thermal", "thermal_pair"])
+    def test_two_level(self, sd, w21, beta_inv, T, n, rule):
+        kern = rv.kernel_table(sd, rule, beta_inv=beta_inv)
+        _assert_matches_reference(kr.SystemSpec((0.0, w21), kern), T, n)
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        dim=st.integers(2, 4),
+        gaps=st.lists(st.floats(0.0, 4.0), min_size=3, max_size=3),
+        data=st.data(),
+        height=st.floats(0.001, 0.05),
+        lo=st.floats(0.5, 5.0),
+        width=st.floats(0.2, 3.0),
+        beta_inv=st.floats(0.0, 5.0),
+        n=st.integers(1, 200),
+        dt=st.floats(0.02, 0.2),
+    )
+    def test_generated_linear_systems(self, dim, gaps, data, height, lo, width, beta_inv, n, dt):
+        # written rows first, read rows from the others, so that every
+        # read entry stays delta_mn; row j, the pair (m, n) and the
+        # complex weight are free
+        written = sorted(data.draw(st.sets(st.integers(0, dim - 1), min_size=1, max_size=dim - 1)))
+        read = sorted(set(range(dim)) - set(written))
+        rule = {}
+        for _ in range(data.draw(st.integers(1, 6))):
+            k = data.draw(st.sampled_from(written))
+            m = data.draw(st.sampled_from(read))
+            n_ = m if data.draw(st.booleans()) else data.draw(st.integers(0, dim - 1))
+            j = data.draw(st.integers(0, dim - 1))
+            weight = data.draw(st.floats(0.05, 1.0)) * np.exp(1j * data.draw(st.floats(-math.pi, math.pi)))
+            rule[(k + 1, m + 1, n_ + 1, j + 1)] = weight
+        energies = tuple(np.concatenate([[0.0], np.cumsum(gaps[: dim - 1])]))
+        sd = rv.SpectralDensity.flat_window(height, lo, lo + width)
+        sys = kr.SystemSpec(energies, rv.kernel_table(sd, rule, beta_inv=beta_inv))
+        _assert_matches_reference(sys, n * dt, n)
 
     @settings(max_examples=80, deadline=2000)
     @given(
@@ -205,6 +247,12 @@ class TestExactStepAgreement:
         kappa = rv.kernel_samples(sd, np.array([0.0, dt]))
         sys = kr.SystemSpec((0.0, 1.0), rv.kernel_table(
             sd, {(1, 1, 1, 1): -4.0 / (dt * dt * (kappa[0] + kappa[1]))}))
+        with pytest.raises(kr.SingularOperatorError, match=r"at step 1 \("):
+            kr.solve_time_domain(sys, 2 * dt, dt)
+        # the linear route: the emission slot cancels the 2 of its row's
+        # step operator, which is the same at every step
+        sys = kr.SystemSpec((0.0, 1.0), rv.kernel_table(
+            sd, {(2, 1, 1, 2): -4.0 / (dt * dt * kappa[0])}))
         with pytest.raises(kr.SingularOperatorError, match=r"at step 1 \("):
             kr.solve_time_domain(sys, 2 * dt, dt)
 
