@@ -393,7 +393,7 @@ def _run_markov_limit(cfg, base):
         raise ConfigError(
             f"spectral weight vanishes at the transition frequency {w21}"
         )
-    _, traj = _two_level(cfg, sd, w21)
+    W, traj = _two_level(cfg, sd, w21)
     # the channel starts from the run's own initial state
     chan = dy.markovian_channel(gamma, 0.0, traj.matrices[0], traj.times)
     chan_dev = float(np.max(np.abs(traj.matrices - chan)))
@@ -413,7 +413,7 @@ def _run_markov_limit(cfg, base):
 
     table = _two_level_columns(traj)
     table["channel_rho22"] = chan[:, 1, 1].real
-    checks = _audit(traj, trace_tol) + [
+    checks = _audit(traj, trace_tol, volterra_residual=W.max_residual) + [
         _check("rate_rel_error", rate_err, 0.05),
         _check("channel_max_dev", chan_dev, 0.05),
         _check("channel_identity", ident, 1e-12),

@@ -21,17 +21,19 @@ iteration starting from the free resolvent.  Both solvers are exposed
 and cross-checked against each other.
 
 The time-domain solver integrates with the product trapezoid rule.
-When no slot reads a row that a slot writes, the equation is linear
-and its discretisation is one lower-triangular block-Toeplitz system,
-solved for all steps at once by a division of matrix power series
-(Newton iteration on FFT products): O(n log n nr^3) for nr written
-rows.  Otherwise, because W(0) = I, the implicit update of each step
-is linear in the new sample, so a step is one exact dim^2 x dim^2
-linear solve (operators inverted in batches ahead of the steps) instead
-of a fixed-point loop, and the memory sum over earlier samples is
-formed once per step as one batched product over stored slot arrays:
-O(n^2 S dim) for the memory sums with S slots, plus O(n dim^6) for the
-step operators.
+When the reads of written rows form no cycle, the written rows fall
+into levels that read only unwritten rows and rows of earlier levels,
+as the rungs of the Jaynes-Cummings ladder do.  Once the earlier levels
+are known, a level's discretisation is one lower-triangular
+block-Toeplitz system, solved for all steps at once by a division of
+matrix power series (Newton iteration on FFT products):
+O(n log n nr^3) for nr rows in a level.  Only a read cycle (a thermal
+absorption-emission pair, a slot that reads its own row) takes a step
+loop: because W(0) = I, the implicit update of each step is linear in
+the new sample, so a step is one exact dim^2 x dim^2 linear solve
+(operators inverted in batches ahead of the steps) after one
+contraction for the memory sum over earlier samples: O(n^2 S dim)
+with S slots, plus O(n dim^6) for the step operators.
 """
 
 from __future__ import annotations
@@ -120,7 +122,7 @@ class KrausZero:
     1e-9 of its final time; the solvers that read the amplitude take
     their step from it.  ``max_residual`` is the scaled residual
     ``max |A x - b| / max(1, max |b|)`` of :func:`solve_time_domain`:
-    on the linear route that of the whole power-series system
+    on the series route the worst over its levels' power-series systems
     ``D V = N``, on the step loop the worst over the step solves.
     ``picard_iters`` is always 0, since no step iterates; the field
     stays because benchmark tracing reads it.  ``kappa`` holds the
@@ -153,14 +155,14 @@ class KrausZero:
             raise ValueError("kappa must hold one kernel sample per grid point")
 
 
-def _step_inverses(A, first, t):
+def _step_inverses(A, first, t, note=""):
     """Inverses of the step operators ``A[b]`` of steps ``first + b``.
 
     Raises
     ------
     SingularOperatorError
         If an operator is singular or its condition estimate exceeds
-        1e12; the message names the first such step.
+        1e12; the message names the first such step, followed by ``note``.
     """
     try:
         inv = np.linalg.inv(A)
@@ -172,7 +174,7 @@ def _step_inverses(A, first, t):
         i = first + int(bad[0])
         raise SingularOperatorError(
             f"step operator is singular at step {i} (t = {t[i]:.6g}, "
-            f"cond estimate {est[bad[0]]:.3e})"
+            f"cond estimate {est[bad[0]]:.3e}){note}"
         )
     return inv
 
@@ -184,18 +186,20 @@ def solve_time_domain(sys: SystemSpec, T, dt) -> KrausZero:
     """Product-trapezoid Volterra integration of the amplitude equation.
 
     The slot table selects one of two routes, which solve the same
-    discrete equations.
+    discrete equations.  A slot is live unless the entry ``W_mn`` it
+    reads is zero at every step, as the table shows (``_levels``).
 
-    *Linear route*, when no slot reads a row ``m`` that a slot writes:
-    the read entries stay ``W_mn = delta_mn``, the equation is linear,
-    and all steps are solved at once as one division of matrix power
-    series over the written rows (``_linear_solve``): O(n log n nr^3)
-    for nr written rows, with no per-step Python work.
-    ``max_residual`` is the scaled residual of that whole system.
+    *Series route*, when the reads of written rows by live slots form no
+    cycle: the written rows are solved level by level, each level as one
+    division of matrix power series over its rows (``_series_solve``):
+    O(n log n nr^3) for nr rows in a level, with no per-step Python
+    work.  A slot set that reads no written row is one level; the
+    dressed Jaynes-Cummings ladder has one level per photon rung.
 
-    *Step loop* otherwise (``_step_loop``): O(n^2 S dim) for the history
-    sums, plus n steps of eight numpy calls each.  ``max_residual`` is
-    the worst scaled residual of the step solves.
+    *Step loop* when such a read cycle exists (``_step_loop``), as for a
+    thermal absorption-emission pair or a slot that reads its own row:
+    O(n^2 S dim) for the history sums with S slots, plus O(n dim^6) for
+    the step operators.
 
     Parameters
     ----------
@@ -209,9 +213,9 @@ def solve_time_domain(sys: SystemSpec, T, dt) -> KrausZero:
     -------
     KrausZero
         ``max_residual`` is the worst ``max |A x - b| / max(1, max |b|)``
-        over the route's linear systems; ``picard_iters`` is 0, since
-        nothing iterates to a fixed point; ``kappa`` is the kernel on
-        the grid.
+        over the route's linear systems: the levels' series systems, or
+        the step solves; ``picard_iters`` is 0, since nothing iterates to
+        a fixed point; ``kappa`` is the kernel on the grid.
 
     Raises
     ------
@@ -220,8 +224,9 @@ def solve_time_domain(sys: SystemSpec, T, dt) -> KrausZero:
         or T/dt exceeds the cap.
     SingularOperatorError
         If a step operator is singular; the message names the step
-        (always step 1 on the linear route, whose step operator does
-        not depend on the step).
+        (always step 1 on the series route, whose step operator does not
+        depend on the step) and, when the series route has several
+        levels, the written rows (1-based) of the singular level.
     """
     if dt <= 0:
         raise ValueError("dt must be > 0")
@@ -234,9 +239,11 @@ def solve_time_domain(sys: SystemSpec, T, dt) -> KrausZero:
         raise ValueError(f"T = {T:g} is not a whole number of steps dt = {dt:g}")
     t = np.arange(n + 1) * dt
     kappa = sys.kernel.on_grid(t)
-    k, m = sys.kernel.slots.T[:2]
-    solve = _step_loop if np.isin(m, k).any() else _linear_solve
-    W, worst = solve(sys, t, kappa)
+    live, levels = _levels(sys.kernel.slots, sys.dim)
+    if levels is None:
+        W, worst = _step_loop(sys, t, kappa)
+    else:
+        W, worst = _series_solve(sys, t, kappa, live, levels)
     return KrausZero(t, W, worst, 0, kappa)
 
 
@@ -256,15 +263,16 @@ def _series_product(a, b, size, nfft=None):
     return np.fft.ifft(fa @ fb, axis=0)[:size]
 
 
-def _series_inverse(D, t):
+def _series_inverse(D, t, note=""):
     """Inverse of the matrix power series ``D`` to ``len(D)`` coefficients.
 
     Newton iteration ``g <- g - g (D g - I)`` doubles the number of
     correct coefficients each pass, about log2 n passes of two FFT
     products; the known coefficients of ``g`` are never rewritten.
-    ``D[0]`` is inverted by :func:`_step_inverses` as step 1.
+    ``D[0]`` is inverted by :func:`_step_inverses` as step 1, whose
+    error message ends with ``note``.
     """
-    g = _step_inverses(D[:1], 1, t)
+    g = _step_inverses(D[:1], 1, t, note)
     size = 1
     while size < len(D):
         new = min(2 * size, len(D))
@@ -277,72 +285,115 @@ def _series_inverse(D, t):
     return g
 
 
-def _linear_solve(sys, t, kappa):
-    """All steps of a slot set that reads no written row, at once.
+def _levels(slots, dim):
+    """Live slots, and the rows they write in the order they can be solved.
 
-    The read entries stay ``W_mn = delta_mn``, so slots with ``m != n``
-    drop out and the product trapezoid is linear in the written rows.
-    In the gauge ``B = e^{-iHt} W`` write ``W = I + e^{iHt} V`` with
-    ``V[0] = 0``; the generating function ``V(z)`` over the nr written
-    rows then solves ``D(z) V(z) = N(z)`` with, for ``q_k = e^{-i w_k dt}``
-    and ``a_s[r] = e^{-i w_m t_r} kappa[r]``:
+    Entry ``(m, l)`` of ``W`` is zero at every step unless ``l = m`` or a
+    chain of live slots ``(m, ., ., j1)``, ``(j1, ., ., j2)``, ... leads
+    from row m to row l; a slot is live when the entry it reads is not
+    zero by this rule.  The smallest such set, grown from the slots with
+    ``m = n``, is the live set: zeroing every other entry solves the
+    discrete equations.  A written row is ready once every live slot
+    writing it reads only rows that are unwritten or solved, and every
+    written row such a slot names as ``j`` is solved or ready with it.
+    Each pass takes the ready rows as the next level.
+
+    Returns the live mask over the slots and the list of levels (sorted
+    0-based rows), or ``None`` for the levels when no row is ready while
+    some are not solved: a read cycle.
+    """
+    k, m, n_, j = slots.T
+    live, grown = None, m == n_
+    while not np.array_equal(live, grown):
+        live = grown
+        reach = np.eye(dim, dtype=bool)
+        reach[k[live], j[live]] = True
+        for _ in range(dim.bit_length()):
+            reach = reach @ reach
+        grown = reach[m, n_]
+    k, m, j = k[live], m[live], j[live]
+    todo = np.isin(np.arange(dim), k)
+    levels = []
+    while todo.any():
+        ready = todo.copy()
+        ready[k[todo[m]]] = False
+        for _ in range(dim):  # a row whose j waits, waits too
+            ready[k[todo[j] & ~ready[j]]] = False
+        if not ready.any():
+            return live, None
+        levels.append(np.flatnonzero(ready))
+        todo &= ~ready
+    return live, levels
+
+
+def _series_solve(sys, t, kappa, live, levels):
+    """All steps of the written rows, one power-series division per level.
+
+    Write ``B = e^{-iHt} W``, and ``W = I + e^{iHt} V`` with ``V[0] = 0``
+    on the written rows.  Once the earlier levels are solved, every
+    entry that a live slot ``(k, m, n, j)`` of this level reads is known,
+    and the product trapezoid is linear in the level's rows: their
+    generating function ``V(z)`` solves ``D(z) V(z) = N(z)`` with, for
+    ``q_k = e^{-i w_k dt}`` and ``a_s[r] = kappa[r] B[r]_mn``:
 
     - ``D[k, k] += 2 (1 - q_k z)``;
-    - each slot ``(k, m, m, j)`` adds
-      ``f_s(z) = dt^2 w_s (1 + q_k z) (a_s(z) - a_s[0] / 2)`` to
-      ``D[k, j]`` when row ``j`` is written,
+    - each slot adds ``f_s(z) = dt^2 w_s (1 + q_k z) (a_s(z) - a_s[0] / 2)``
+      to ``D[k, j]`` when row ``j`` is in the level,
     - and ``dt^2 w_s (1 + q_k z) a_s(z) e_j / 2 - f_s(z) e_j / (1 - q_j z)``
-      to ``N[k]``.
+      to ``N[k]``, less ``f_s(z) V_j(z)`` when row ``j`` is of an earlier
+      level.
 
     ``V = D^{-1} N`` is one Newton series inverse and one product.
-    Returns ``W`` and the residual ``max |D V - N| / max(1, max |N|)``
-    over the first n + 1 coefficients.  ``W[0]`` and the unwritten rows
-    are exact, and so is every column that no slot's ``j`` names: its
-    column of ``N`` is exactly zero, and so is its product.
+    Returns ``W`` and the worst level residual
+    ``max |D V - N| / max(1, max |N|)`` over the first n + 1
+    coefficients.  ``W[0]`` and the unwritten rows are exact, and so is
+    every entry that no slot's ``j`` reaches: its column of ``N`` is
+    exactly zero, and so is its product.
     """
     n = t.size - 1
     dim = sys.dim
-    k, m, n_, j = sys.kernel.slots.T
-    live = m == n_
-    k, m, j = k[live], m[live], j[live]
+    k, m, n_, j = sys.kernel.slots[live].T
     c = t[1] * t[1] * sys.kernel.weights[live]
     W = np.empty((n + 1, dim, dim), dtype=complex)
     W[:] = np.eye(dim)
-    rows = np.unique(k)
-    if not rows.size:
-        return W, 0.0
-    nr = rows.size
-    rk = np.searchsorted(rows, k)
     E = np.exp(-1j * np.outer(t, sys.energies))  # E[r, k] = q_k^r
 
     def plus(x, qk):
         # (1 + q_k z) x, coefficients along axis 0
-        y = x.copy()
-        y[1:] += qk * x[:-1]
-        return y
+        return np.concatenate([x[:1], x[1:] + qk * x[:-1]])
 
-    a = E[:, m] * kappa[:, None]
-    h = a.copy()
-    h[0] *= 0.5
-    f = c * plus(h, E[1, k])
-    D = np.zeros((n + 1, nr, nr), dtype=complex)
-    diag = np.arange(nr)
-    D[0, diag, diag] = 2.0
-    D[1, diag, diag] = -2.0 * E[1, rows]
-    inner = np.isin(j, rows)
-    np.add.at(D, (slice(None), rk[inner], np.searchsorted(rows, j[inner])), f[:, inner])
-    # f / (1 - q_j z) as e^{-i w_j t_r} sum_{p <= r} e^{i w_j t_p} f[p]
-    N = np.zeros((n + 1, nr, dim), dtype=complex)
-    np.add.at(N, (slice(None), rk, j), 0.5 * c * plus(a, E[1, k])
-              - E[:, j] * np.cumsum(E[:, j].conj() * f, axis=0))
-    V = _series_product(_series_inverse(D, t), N, n + 1)
-    resid = np.max(np.abs(_series_product(D, V, n + 1) - N))
-    W[1:, rows] += E[1:, rows, None].conj() * V[1:]
-    return W, float(resid / max(1.0, np.max(np.abs(N))))
+    worst = 0.0
+    for lv, rows in enumerate(levels):
+        s = np.isin(k, rows)
+        ks, js, cs = k[s], j[s], c[s]
+        rk = np.searchsorted(rows, ks)
+        a = E[:, m[s]] * W[:, m[s], n_[s]] * kappa[:, None]
+        f = cs * plus(np.concatenate([0.5 * a[:1], a[1:]]), E[1, ks])
+        D = np.zeros((n + 1, rows.size, rows.size), dtype=complex)
+        diag = np.arange(rows.size)
+        D[0, diag, diag] = 2.0
+        D[1, diag, diag] = -2.0 * E[1, rows]
+        inner = np.isin(js, rows)
+        np.add.at(D, (slice(None), rk[inner], np.searchsorted(rows, js[inner])), f[:, inner])
+        # f / (1 - q_j z) as e^{-i w_j t_r} sum_{p <= r} e^{i w_j t_p} f[p]
+        N = np.zeros((n + 1, rows.size, dim), dtype=complex)
+        np.add.at(N, (slice(None), rk, js), 0.5 * cs * plus(a, E[1, ks])
+                  - E[:, js] * np.cumsum(E[:, js].conj() * f, axis=0))
+        if lv:
+            # V_j = e^{-i w_j t} (W_j - e_j), exactly zero on the rows not yet solved
+            G = np.zeros((n + 1, rows.size, dim), dtype=complex)
+            np.add.at(G, (slice(None), rk[~inner], js[~inner]), f[:, ~inner])
+            N -= _series_product(G, E[:, :, None] * (W - np.eye(dim)), n + 1)
+        note = f" in the level of written rows {', '.join(map(str, rows + 1))}"
+        V = _series_product(_series_inverse(D, t, note if levels[1:] else ""), N, n + 1)
+        resid = np.max(np.abs(_series_product(D, V, n + 1) - N))
+        W[1:, rows] += E[1:, rows, None].conj() * V[1:]
+        worst = max(worst, float(resid / max(1.0, np.max(np.abs(N)))))
+    return W, worst
 
 
 def _step_loop(sys, t, kappa):
-    """Step-by-step solve of a slot set that reads a written row.
+    """Step-by-step solve of a slot set whose reads of written rows form a cycle.
 
     Since ``W[0] = I``, the implicit trapezoid update of step ``i`` is
     linear in its unknown ``X = W[i]``: the inner node ``r = i`` puts
@@ -350,110 +401,57 @@ def _step_loop(sys, t, kappa):
     and the node ``r = 0`` puts ``delta_mn a[0] X[j, :]`` into row
     ``k``.  So every step solves ``(I + L_i) vec X = vec F_i`` exactly,
     with a ``dim^2 x dim^2`` operator that depends on ``i`` but not on
-    the solution.  The operators of a batch of steps are built and
-    inverted in one batched call.  The right side is ``F_i = Rk R_i``:
-    ``R_i`` holds, slot by slot, the outer accumulator plus the history
-    ``sum_{r=1}^{i-1} a[i-r] W[i-r]_mn W[r]_j,:``, then the slots'
-    ``c1`` terms and a trailing 1, and the fixed 0/-1 matrix ``Rk``
-    adds each slot into its row ``k`` (its ``c1`` term into entry
-    ``(k, j)``) and supplies the identity.
-
-    A step makes eight numpy calls on preallocated buffers, apart from
-    two slice writes: the history (one batched product over stored slot
-    arrays), ``R_i``, ``F_i``, ``vec X`` (one product each), what ``X``
-    adds to ``R`` and to the stored slot arrays (one gather, one
-    product), and two sums for the accumulator.  The residuals are
-    checked for a whole batch after its steps.
+    the solution; the operators of a batch of steps are built and
+    inverted at once.  ``F_i`` is the identity less, in each slot's row
+    ``k``, its outer-trapezoid sum over the earlier steps and its share
+    of step ``i``'s history ``sum_{r=1}^{i-1} a[r] W[r]_mn W[i-r]_j,:``,
+    one contraction over the stored ``a[r] W[r]_mn``.
 
     The work is O(n^2 S dim) for the history sums, with S the slot
-    count, plus O(n S dim^3 + n dim^4) for the step products and
-    O(n dim^6) for the batched inverses.  Returns ``W`` and the worst
-    scaled step residual.
+    count, plus O(n dim^6) for the batched inverses.  Returns ``W`` and
+    the worst scaled step residual, checked for a whole batch after its
+    steps.
     """
     n = t.size - 1
-    dt = t[1]
     dim = sys.dim
-    d2 = dim * dim
     en = np.asarray(sys.energies)
     k, m, n_, j = sys.kernel.slots.T
-    w = sys.kernel.weights
-    S = w.size
-
-    # a[r] = e^{i(w_j - w_m) tau_r} kappa[r] pairs in the inner trapezoid
-    # with W_mn[r] W_jl[i - r]; g[i] = dt^2 w ph[i] / 2, with
-    # ph[i] = e^{i(w_k - w_j) t_i}, weighs the inner integral at t_i in
-    # the outer trapezoid.  c1 = g a and c0 = g a[0] delta_mn, built in
-    # place so that a and g are not kept.
-    ph = np.exp(1j * np.outer(t, en[k] - en[j]))
-    c1 = 0.5 * dt * dt * w * ph
-    c0 = c1 * kappa[0] * (m == n_)
-    c1 *= np.exp(1j * np.outer(t, en[j] - en[m])) * kappa[:, None]
-    # entries of L_i: c1/2 at ((k, j), (m, n)), c0/2 at ((k, l), (j, l))
+    # a[r] = e^{i(w_j - w_m) t_r} kappa[r] pairs with W[r]_mn W[i-r]_j,: in
+    # the inner trapezoid at t_i, which g[i] = dt^2 w e^{i(w_k - w_j) t_i} / 2
+    # weighs in the outer one; c0 = g a[0] delta_mn weighs the node r = 0
+    a = np.exp(1j * np.outer(t, en[j] - en[m])) * kappa[:, None]
+    g = 0.5 * t[1] * t[1] * sys.kernel.weights * np.exp(1j * np.outer(t, en[k] - en[j]))
+    c0 = g * a[0] * (m == n_)
     lane = np.arange(dim)
-    ent = np.concatenate([
-        (k * dim + j) * d2 + m * dim + n_,
-        (((k * dim)[:, None] + lane) * d2 + (j * dim)[:, None] + lane).ravel(),
-    ])
-    pos, col = np.unique(ent, return_inverse=True)
-    place = np.zeros((2 * S, pos.size), dtype=complex)
-    place[np.concatenate([np.arange(S), np.repeat(np.arange(S, 2 * S), dim)]), col] = 1.0
-    coef = 0.5 * np.concatenate([c1, c0], axis=1)
-
-    W = np.empty((n + 1, dim, dim), dtype=complex)
-    W[0] = np.eye(dim)
-    Wf = W.reshape(n + 1, d2)
-    SD = S * dim
-    jl = ((j * dim)[:, None] + lane).ravel()
-    mn = m * dim + n_
-    # R = [slot rows (s, :), S*dim entries; c1 terms; 1]; F = Rk @ R
-    Rk = np.zeros((d2, SD + S + 1), dtype=complex)
-    Rk[np.concatenate([((k * dim)[:, None] + lane).ravel(), k * dim + j]),
-       np.arange(SD + S)] = -1.0
-    Rk[:, -1] = Wf[0]
-    # Y = cy[i] * x[iy], for step i's solution x = vec W[i], is what node
-    # i adds to R's slot rows (c0 W_j,:) and c1 terms (c1 W_mn), then the
-    # VT entries (ph W_j,:); the c1 terms are also the UT entries.
-    # UT[s, n - r] = c1[r] W[r]_mn and VT[s, :, r] = ph[r] W[r]_j,: split
-    # g[i] = g[i - r] ph[r] between the factors, so that step i's history
-    # g[i] sum_{r=1}^{i-1} a[i-r] W[i-r]_mn W[r]_j,: of every slot is one
-    # batched product of the contiguous slices VT[:, :, 1:i] and
-    # UT[:, n-i+1:n].  E is the outer accumulator, times w, carried from
-    # step to step in R's layout.
-    iy = np.concatenate([jl, mn, jl])
-    UT = np.zeros((S, n + 1, 1), dtype=complex)
-    VT = np.zeros((S, dim, n + 1), dtype=complex)
-    E = np.zeros(SD + S + 1, dtype=complex)
-    E[-1] = 1.0
-    hist = np.zeros(SD + S + 1, dtype=complex)
-    H = hist[:SD].reshape(S, dim, 1)
-    Y = np.empty(2 * SD + S, dtype=complex)
-    Ev, yE = E[: SD + S], Y[: SD + S]
-    yU, yV = Y[SD : SD + S], Y[SD + S :].reshape(S, dim)
-    # steps per batch of operators: at most 16 MiB of them
-    block = max(1, (16 << 20) // (d2 * d2 * 16))
+    into = (k == lane[:, None]).astype(complex)  # adds a slot's row into row k
+    eye = np.eye(dim)
+    ej = eye[j]
+    W = np.tile(eye, (n + 1, 1, 1)).astype(complex)
+    # the history's factors, time-reversed: U[s, n - r] = a[r] W[r]_mn and
+    # Wj[s, :, r] = W[r]_j,:, so that step i reads contiguous slices
+    U = np.zeros((k.size, n + 1, 1), dtype=complex)
+    Wj = np.zeros((k.size, dim, n + 1), dtype=complex)
+    acc = np.zeros((k.size, dim), dtype=complex)  # outer sums to step i - 1
+    block = max(1, (16 << 20) // (dim**4 * 16))  # steps per 16 MiB of operators
     worst = 0.0
     for i0 in range(1, n + 1, block):
-        i1 = min(i0 + block, n + 1)
-        A = np.zeros((i1 - i0, d2 * d2), dtype=complex)
-        A[:, pos] = coef[i0:i1] @ place
-        A[:, :: d2 + 1] += 1.0
-        A = A.reshape(-1, d2, d2)
+        steps = range(i0, min(i0 + block, n + 1))
+        A = np.zeros((len(steps), dim, dim, dim, dim), dtype=complex)
+        np.add.at(A, (slice(None), k, j, m, n_), 0.5 * g[steps] * a[steps])
+        np.add.at(A, (slice(None), k[:, None], lane, j[:, None], lane), 0.5 * c0[steps, :, None])
+        A = A.reshape(len(steps), dim * dim, dim * dim) + np.eye(dim * dim)
         inv = _step_inverses(A, i0, t)
-        cy = np.concatenate([np.repeat(c0[i0:i1], dim, axis=1), c1[i0:i1],
-                             np.repeat(ph[i0:i1], dim, axis=1)], axis=1)
-        F = np.empty((i1 - i0, d2), dtype=complex)
-        for b, i in enumerate(range(i0, i1)):
-            np.matmul(VT[:, :, 1:i], UT[:, n - i + 1 : n], out=H)
-            E += hist  # now R
-            x = np.matmul(inv[b], np.matmul(Rk, E, out=F[b]), out=Wf[i])
-            np.multiply(cy[b], x[iy], out=Y)
-            UT[:, n - i, 0] = yU
-            VT[:, :, i] = yV
-            E += hist
-            Ev += yE
-        resid = np.abs(np.einsum("bpq,bq->bp", A, Wf[i0:i1]) - F).max(axis=1)
-        worst = max(worst, float(np.max(resid / np.maximum(1.0, np.abs(F).max(axis=1)))))
-
+        F = np.empty((len(steps), dim * dim), dtype=complex)
+        for b, i in enumerate(steps):
+            hist = g[i, :, None] * (Wj[:, :, 1:i] @ U[:, n - i + 1 : n])[:, :, 0]
+            F[b] = (eye - into @ (acc + hist)).ravel()
+            X = W[i] = (inv[b] @ F[b]).reshape(dim, dim)
+            Wj[:, :, i] = X[j]
+            U[:, n - i, 0] = a[i] * X[m, n_]
+            acc += 2 * hist + c0[i, :, None] * X[j] + (g[i] * U[:, n - i, 0])[:, None] * ej
+        resid = np.abs(np.einsum("bpq,bq->bp", A, W[steps].reshape(len(steps), -1)) - F)
+        scale = np.maximum(1.0, np.abs(F).max(axis=1))
+        worst = max(worst, float(np.max(resid.max(axis=1) / scale)))
     return W, worst
 
 

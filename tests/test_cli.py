@@ -934,6 +934,28 @@ FIXED_LIMITS = {
 @pytest.mark.parametrize(
     "config", sorted(CONFIG_DIR.glob("*.yaml")), ids=lambda p: p.stem
 )
+def test_time_domain_run_audits_its_volterra_residual(config, tmp_path, monkeypatch):
+    # a run reports the Volterra residual exactly when it solves the
+    # Volterra equation, and reports that solve's own residual
+    solves = []
+    solve = kr.solve_time_domain
+    monkeypatch.setattr(kr, "solve_time_domain", lambda *a: solves.append(solve(*a)) or solves[-1])
+    outdir = tmp_path / "out"
+    assert cli.main(["run", str(config), "--out", str(outdir)]) == 0
+    audits = _summary(outdir)["audits"]
+    if solves:
+        (W,) = solves
+        assert audits["volterra_residual"]["value"] == W.max_residual
+    else:
+        assert "volterra_residual" not in audits
+    kind = yaml.safe_load(config.read_text())["kind"]
+    assert bool(solves) == (kind in {"TwoLevelWW", "MarkovLimit", "GenericSystem"}
+                            or config.stem == "jc_bitemporal")
+
+
+@pytest.mark.parametrize(
+    "config", sorted(CONFIG_DIR.glob("*.yaml")), ids=lambda p: p.stem
+)
 def test_shipped_config_writes_its_artifact(config, tmp_path):
     cfg = yaml.safe_load(config.read_text())
     outdir = tmp_path / "out"

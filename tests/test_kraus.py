@@ -3,6 +3,7 @@
 import functools
 import math
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -146,8 +147,9 @@ def _assert_matches_reference(sys, T, n):
 class TestExactStepAgreement:
     """Both routes of the time-domain solve against the fixed-point reference.
 
-    A slot set that reads no written row takes the linear route (one
-    power-series division); any other takes the step loop.
+    A slot set whose reads of written rows form no cycle takes the series
+    route (one power-series division per level); any other takes the
+    step loop.
     """
 
     def test_dressed_jaynes_cummings(self):
@@ -183,8 +185,8 @@ class TestExactStepAgreement:
 
     @settings(max_examples=80, deadline=None)
     @given(
-        dim=st.integers(2, 4),
-        gaps=st.lists(st.floats(0.0, 4.0), min_size=3, max_size=3),
+        dim=st.integers(2, 5),
+        gaps=st.lists(st.floats(0.0, 4.0), min_size=4, max_size=4),
         data=st.data(),
         height=st.floats(0.001, 0.05),
         lo=st.floats(0.5, 5.0),
@@ -193,24 +195,65 @@ class TestExactStepAgreement:
         n=st.integers(1, 200),
         dt=st.floats(0.02, 0.2),
     )
-    def test_generated_linear_systems(self, dim, gaps, data, height, lo, width, beta_inv, n, dt):
-        # written rows first, read rows from the others, so that every
-        # read entry stays delta_mn; row j, the pair (m, n) and the
-        # complex weight are free
+    def test_generated_acyclic_systems(self, dim, gaps, data, height, lo, width, beta_inv, n, dt):
+        # written rows in levels 1, 2, ... without gaps, the others
+        # unwritten (level 0); each written row reads the diagonal of a
+        # row of a lower level, and up to six more slots read any entry
+        # of such a row; j names a row of the writer's own level or a
+        # lower one, and the complex weight is free
         written = sorted(data.draw(st.sets(st.integers(0, dim - 1), min_size=1, max_size=dim - 1)))
-        read = sorted(set(range(dim)) - set(written))
+        level = [0] * dim
+        for r in written:
+            level[r] = data.draw(st.integers(1, 1 + max(level)))
         rule = {}
-        for _ in range(data.draw(st.integers(1, 6))):
-            k = data.draw(st.sampled_from(written))
-            m = data.draw(st.sampled_from(read))
-            n_ = m if data.draw(st.booleans()) else data.draw(st.integers(0, dim - 1))
-            j = data.draw(st.integers(0, dim - 1))
+        extra = data.draw(st.lists(st.sampled_from(written), max_size=6))
+        for i, k in enumerate(written + extra):
+            m = data.draw(st.sampled_from([r for r in range(dim) if level[r] < level[k]]))
+            n_ = m if i < len(written) or data.draw(st.booleans()) else data.draw(st.integers(0, dim - 1))
+            j = data.draw(st.sampled_from([r for r in range(dim) if level[r] <= level[k]]))
             weight = data.draw(st.floats(0.05, 1.0)) * np.exp(1j * data.draw(st.floats(-math.pi, math.pi)))
             rule[(k + 1, m + 1, n_ + 1, j + 1)] = weight
         energies = tuple(np.concatenate([[0.0], np.cumsum(gaps[: dim - 1])]))
         sd = rv.SpectralDensity.flat_window(height, lo, lo + width)
         sys = kr.SystemSpec(energies, rv.kernel_table(sd, rule, beta_inv=beta_inv))
-        _assert_matches_reference(sys, n * dt, n)
+        with mock.patch.object(kr, "_step_loop", side_effect=AssertionError("step loop")):
+            _assert_matches_reference(sys, n * dt, n)
+
+    @pytest.mark.parametrize("rule, levels", [
+        # a three-level cascade whose last row also names the first as j
+        ({(2, 1, 1, 2): 1.0, (3, 2, 2, 3): 0.5, (4, 3, 3, 4): 0.5, (4, 3, 3, 2): 0.3},
+         [[2], [3], [4]]),
+        # row 4 reads only row 1, which no slot writes, but names row 3 as
+        # j, so it waits for row 3
+        ({(2, 1, 1, 2): 1.0, (3, 2, 2, 3): 0.5, (4, 1, 1, 3): 0.5}, [[2], [3, 4]]),
+        # row 2 names row 3 as j and row 3 names row 1, so entry (2, 1) is
+        # not zero, and row 4 reads it
+        ({(2, 1, 1, 2): 1.0, (2, 1, 1, 3): 0.5, (3, 1, 1, 1): 0.5, (4, 2, 1, 4): 0.5},
+         [[2, 3], [4]]),
+    ], ids=["cascade", "waits_for_j", "off_diagonal_read"])
+    def test_series_levels(self, rule, levels, monkeypatch):
+        monkeypatch.setattr(kr, "_step_loop", mock.Mock(side_effect=AssertionError("step loop")))
+        sd = rv.SpectralDensity.flat_window(0.05, 2.0, 4.0)
+        sys = kr.SystemSpec((0.0, 3.0, 5.5, 7.5), rv.kernel_table(sd, rule))
+        assert [(r + 1).tolist() for r in kr._levels(sys.kernel.slots, sys.dim)[1]] == levels
+        _assert_matches_reference(sys, 4.0, 200)
+
+    def test_route_follows_read_cycles(self, monkeypatch):
+        monkeypatch.setattr(kr, "_step_loop", mock.Mock(side_effect=AssertionError("step loop")))
+        # one level per rung above the ground state (test_series_levels
+        # runs a three-level cascade the same way)
+        for n_max in (1, 2, 3):
+            sys = dressed_ladder(n_max)
+            assert len(kr._levels(sys.kernel.slots, sys.dim)[1]) == n_max + 1
+            kr.solve_time_domain(sys, 1.0, 0.1)
+        # an absorption-emission pair and a self-reading slot: read cycles
+        sd = rv.SpectralDensity.flat_window(0.05, 2.0, 4.0)
+        for energies, rule in [((0.0, 5.0), {(2, 1, 1, 2): 1.0, (1, 2, 2, 1): 1.0}),
+                               ((0.0, 1.0), {(1, 1, 1, 1): 1.0})]:
+            sys = kr.SystemSpec(energies, rv.kernel_table(sd, rule, beta_inv=5.0))
+            assert kr._levels(sys.kernel.slots, sys.dim)[1] is None
+            with pytest.raises(AssertionError, match="step loop"):
+                kr.solve_time_domain(sys, 1.0, 0.1)
 
     @settings(max_examples=80, deadline=2000)
     @given(
@@ -253,7 +296,14 @@ class TestExactStepAgreement:
         # step operator, which is the same at every step
         sys = kr.SystemSpec((0.0, 1.0), rv.kernel_table(
             sd, {(2, 1, 1, 2): -4.0 / (dt * dt * kappa[0])}))
-        with pytest.raises(kr.SingularOperatorError, match=r"at step 1 \("):
+        with pytest.raises(kr.SingularOperatorError, match=r"at step 1 \(.*\)$"):
+            kr.solve_time_domain(sys, 2 * dt, dt)
+        # a two-level cascade whose second level, row 3, cancels its own
+        # step operator in the same way: the message names that level
+        sys = kr.SystemSpec((0.0, 1.0, 2.5), rv.kernel_table(
+            sd, {(2, 1, 1, 2): 1.0, (3, 2, 2, 3): -4.0 / (dt * dt * kappa[0])}))
+        with pytest.raises(kr.SingularOperatorError,
+                           match=r"at step 1 \(.*\) in the level of written rows 3$"):
             kr.solve_time_domain(sys, 2 * dt, dt)
 
 
