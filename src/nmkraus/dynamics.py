@@ -79,7 +79,7 @@ class BitemporalState:
     couplings, ``max |A x - b| / max(1, max |b|)`` over all leaves; it
     sits at rounding level unless a leaf is close to singular, and it is
     exactly 0.0 when the core is empty, since substitution leaves no
-    residual.
+    residual (always so on the level route of :func:`solve_bitemporal`).
     """
 
     grid: np.ndarray
@@ -110,10 +110,12 @@ def check_field_size(sys: SystemSpec, T, dt):
     """Refuse a two-time solve whose arrays exceed physical memory.
 
     :func:`solve_bitemporal` on ``n = T/dt`` steps stores the field,
-    ``(n+1)^2 dim^2`` complex numbers, and the kernel-weighted read
-    entries of its written rows, another ``(n+1)^2 G`` (``G`` as in
-    :func:`solve_bitemporal`).  Call it before the propagator solve to
-    fail early; the two-time solve calls it too.
+    ``(n+1)^2 dim^2`` complex numbers, and, on the route the slot table
+    picks, either the source rows (level route), another ``(n+1)^2 X``
+    for ``X`` channels, or the kernel-weighted read entries of its
+    written rows (column loop), another ``(n+1)^2 G`` (``X`` and ``G``
+    as in :func:`solve_bitemporal`).  Call it before the propagator
+    solve to fail early; the two-time solve calls it too.
 
     Raises
     ------
@@ -121,7 +123,14 @@ def check_field_size(sys: SystemSpec, T, dt):
         If those arrays exceed physical memory; carries their byte size.
     """
     n = int(round(T / dt))
-    n_stored = sum(qs.size for _, qs in _feeds(_slot_pairs(sys)[2]))
+    pd, pa, Wsl = _slot_pairs(sys)
+    feeds = _feeds(Wsl)
+    _, core, nz = _entry_levels(sys, pd, pa, Wsl)
+    if core.size:
+        n_stored = sum(qs.size for _, qs in feeds)
+    else:
+        rows = [e for e, _ in feeds]
+        n_stored = _channels(Wsl, rows, nz)[0].size
     nbytes = (n + 1) ** 2 * (sys.dim ** 2 + n_stored) * np.dtype(complex).itemsize
     try:
         phys = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
@@ -177,6 +186,48 @@ def _column_groups(K):
         levels.append(core[free])
         core = core[~free]
     return levels, core
+
+
+def _support(slots, dim):
+    """Entries of the propagator ``W`` that the slot table lets be nonzero.
+
+    The rule by which :func:`kraus.solve_time_domain` leaves the other
+    entries exactly zero at every step: entry ``(m, l)`` can be nonzero
+    only if ``l = m`` or a chain of live slots ``(m, ., ., j1)``,
+    ``(j1, ., ., j2)``, ... leads from row m to row l, where a slot is
+    live when the entry it reads can be nonzero; the smallest such set,
+    grown from the slots with ``m = n``.
+    """
+    k, m, n_, j = slots.T
+    live, grown = None, m == n_
+    while not np.array_equal(live, grown):
+        live = grown
+        reach = np.eye(dim, dtype=bool)
+        reach[k[live], j[live]] = True
+        for _ in range(dim.bit_length()):
+            reach = reach @ reach
+        grown = reach[m, n_]
+    return reach
+
+
+def _entry_levels(sys: SystemSpec, pd, pa, Wsl):
+    """Order the read entries by every coupling of the two-time equation.
+
+    ``nz`` marks the entries of ``W``, and so of ``B``, that the slot
+    table lets be nonzero at some step (:func:`_support`).  Entry
+    ``q'`` depends on ``q`` where some term ``B[pd[q'], e] Wsl[q, e, b]
+    conj B[pa[q'], b]`` can be nonzero at some lags (its value below the
+    diagonal), or the same term with ``pd`` and ``pa`` swapped (above
+    it, the adjoint).  That pattern, as one lag of
+    :func:`_column_groups`, gives ``(levels, core)``; an empty core means
+    the read entries form no cycle.  Returns ``(levels, core, nz)``.
+    """
+    nz = _support(sys.kernel.slots, sys.dim)
+    b, w = nz.astype(int), (Wsl != 0).astype(int)
+    dep = (np.einsum("pe,qeb,pb->pq", b[pd], w, b[pa])
+           + np.einsum("pe,qeb,pb->pq", b[pa], w, b[pd]))
+    levels, core = _column_groups(dep[None])
+    return levels, core, nz
 
 
 class _CausalSolver:
@@ -262,57 +313,69 @@ class _CausalSolver:
 
 
 def solve_bitemporal(sys: SystemSpec, W: KrausZero, rho0) -> BitemporalState:
-    """Integrate the two-time equation column by column on ``W.grid``.
+    """Integrate the two-time equation on ``W.grid``.
 
     The explicit free phases are absorbed into the propagator columns
     ``B(t) = e^{-iHt} W(t)``, which turns the memory term into causal
     convolutions.  The slots act only through the P distinct entries
-    they read and their summed weights, so each grid column ``j`` costs
-    a fixed number of vectorized calls instead of a walk over slots and
-    nodes:
+    they read and their summed weights.  Field node ``(i, j)``,
+    ``i >= j``, is its free part ``B[i] rho0 B[j]^dagger`` plus the
+    trapezoid double sum over the inner times ``t_r'``, ``r' <= j``, and
+    the outer times ``t_i'``, ``i' <= i``, of the read entries at
+    ``(i', r')``; the other triangle is its adjoint.  The slot table
+    picks one of two routes, which solve the same discrete equations.
 
-    - the cross-time part (inner times ``t_r``, ``r < j``) is one
-      ``(n+1) x (j P_e)`` by ``(j P_e) x dim`` product for each written
-      row ``e``, fed by ``P_e`` of the read entries, and one batched FFT
-      convolution with ``B``;
-    - the same-column part is linear in the read entries of the column's
-      unknown rows ``i >= j``; the known rows ``r < j`` ride along in the
-      same FFT.  Once per solve, :func:`_column_groups` orders the read
-      entries by the exact zeros of their couplings ``K``.  Each column
-      substitutes the ordered entries level by level: a level reads the
-      read entries of ``B * Q`` (none where its propagator rows miss the
-      written rows) and is then explicit, and its contribution joins the
-      spectrum, so the next level's pass reads it too.  Only the coupled
-      core, if any, goes through :class:`_CausalSolver`, which solves it
-      exactly, including each node's coupling to itself.  The column is
-      then its free part ``B[i] rho0 B[j]^dagger`` plus one inverse FFT
-      of the full spectrum, which also fills its conjugate row.  The
-      outer trapezoid's end weights are the halved source row ``r = 0``
-      and the propagator's halved lag 0.
+    *Level route*, when the read entries form no cycle
+    (:func:`_entry_levels`: entry ``q'`` depends on ``q`` where a term
+    ``B[pd[q'], e] Wsl[q, e, b] conj B[pa[q'], b]``, or the same term
+    with ``pd`` and ``pa`` swapped, can be nonzero at some lags): every
+    generic decay system, and the dressed Jaynes-Cummings ladder.  Each
+    level of read entries is then explicit on the whole grid at once:
+    level 0 is the free part, and each later level adds the memory of
+    the levels below it.  The memory enters through the source rows
+    ``Q[j, i'] = sum_q sum_{r' <= j} (weights) kernel((r' - i') dt)
+    xi[i', r']_q Wsl[q] conj B[j - r']^T`` of the written rows, kept in
+    the ``X <= nr dim`` channels (written row, column) that can be
+    nonzero (:func:`_channels`), per block of rows one FFT convolution
+    along the column index, with the node ``r' = j`` at half weight.  A
+    level's entries, and at the end every entry that the memory
+    reaches, are the free part plus one FFT convolution of ``Q`` with
+    ``B`` along the row index per block of columns
+    (:func:`_level_solve`).  Nothing is solved, so ``max_residual`` is
+    0.0.  With ``E`` entries reached the work is O(n^2 log n (P + X +
+    E)) for the FFTs and O(n^2 dim^3) for the free part, and besides the
+    field the solve stores ``Q``, ``(n+1)^2 X`` complex numbers.
 
-    Only the ``nr`` written rows of the memory term are nonzero, so a
-    column's forward FFT carries ``nr dim`` channels, its frequency
-    product is ``(dim x nr)`` by ``(nr x dim)``, and only the inverse
-    FFT that fills the column carries all ``dim^2``; the read-entry
-    passes carry one channel per entry whose propagator row meets a
-    written row, one pass per group.  With ``G = sum_e P_e`` and
-    ``P_core`` core entries the work is O(n^3 G dim) for the products,
+    *Column loop* otherwise, as for a thermal absorption-emission pair
+    or a slot that reads the entry it writes (:func:`_column_loop`):
+    column by column, the cross-time part is one ``(n+1) x (j P_e)`` by
+    ``(j P_e) x dim`` product per written row ``e``, fed by ``P_e`` of
+    the read entries, and the same-column part is substituted level by
+    level of :func:`_column_groups`, with only the coupled core solved
+    by :class:`_CausalSolver`.  With ``G = sum_e P_e`` and ``P_core``
+    core entries the work is O(n^3 G dim) for the products,
     O(n^2 log n (nr dim + dim^2 + P)) for the column FFTs and
-    O(n^2 log^2 n P_core^2) for the column solves.  Besides the field,
-    ``(n+1)^2 dim^2`` complex numbers, the solve stores the kernel-weighted
-    read entries, ``(n+1)^2 G`` more.  The ``n`` steps and their size
-    are those of ``W.grid``.  ``W`` must be the propagator of ``sys``,
-    as :func:`kraus.solve_time_domain` returns it: ``W.values[0]`` is
-    the identity, and the lag line ``kappa(m dt)``, ``|m| <= n``, is
-    read from its kernel samples ``W.kappa`` (``kappa(-tau)`` is
-    ``conj kappa(tau)``), not sampled again.
+    O(n^2 log^2 n P_core^2) for the column solves, and the solve stores
+    ``(n+1)^2 G`` kernel-weighted read entries besides the field.
+
+    The outer trapezoid's end weights are the halved source row
+    ``i' = 0`` and the propagator's halved lag 0.  Column 0 is the free
+    part, and the upper triangle is the exact adjoint of the lower one.
+    The field is ``(n+1)^2 dim^2`` complex numbers; the ``n`` steps and
+    their size are those of ``W.grid``.  ``W`` must be the propagator of
+    ``sys``, as :func:`kraus.solve_time_domain` returns it:
+    ``W.values[0]`` is the identity, and the lag line ``kappa(m dt)``,
+    ``|m| <= n``, is read from its kernel samples ``W.kappa``
+    (``kappa(-tau)`` is ``conj kappa(tau)``), not sampled again.  A
+    ``W`` with a nonzero entry that the slot table says is zero at
+    every step takes the column loop.
 
     Raises
     ------
     StateValidationError
         If ``rho0`` is not a density matrix.
     FieldSizeError
-        If those arrays would exceed physical memory.
+        If the field and the stored arrays would exceed physical memory.
     SingularOperatorError
         If a block of a column's same-column system is singular; the
         message names its rows.
@@ -324,21 +387,185 @@ def solve_bitemporal(sys: SystemSpec, W: KrausZero, rho0) -> BitemporalState:
     dt = tg[1] - tg[0]
     check_field_size(sys, tg[-1], dt)
     pd, pa, Wsl = _slot_pairs(sys)
-    P = pd.size
-    feeds = _feeds(Wsl)
-    rows = [e for e, _ in feeds]
-    nr = len(rows)
+    levels, core, nz = _entry_levels(sys, pd, pa, Wsl)
 
     en = np.asarray(sys.energies, dtype=float)
     B = np.exp(-1j * np.outer(tg, en))[:, :, None] * W.values
     line = np.concatenate([np.conj(W.kappa[:0:-1]), W.kappa])
     # KD[s, sp] = kernel((sp - s) dt); a reversed sliding view, no copy
     KD = np.lib.stride_tricks.sliding_window_view(line, n + 1)[::-1]
+    ph = np.exp(1j * np.outer(tg, en))
+    xi = np.zeros((n + 1, n + 1, dim, dim), dtype=complex)
+    if core.size or np.any(W.values[:, ~nz]):
+        max_resid = _column_loop(xi, B, KD, line, dt, rho0, pd, pa, Wsl)
+        xi *= ph[:, None, :, None]
+        xi *= np.conj(ph)[None, :, None, :]
+    else:
+        _level_solve(xi, W.values, B, ph, KD, dt, rho0, pd, pa, Wsl, levels, nz)
+        max_resid = 0.0
+    return BitemporalState(grid=tg, values=xi, max_residual=max_resid)
+
+
+# complex numbers in one transient block of the level route
+_BLOCK = 1 << 14
+
+
+def _put(xi, j0, V, at=None):
+    """Set a block of lower-triangle columns of the field and its adjoint.
+
+    ``V[i - j0, j - j0]`` holds ``xi[i, j]`` for the rows ``i >= j0`` of
+    the columns ``j0 <= j < j0 + V.shape[1]``: whole matrices, or, with
+    ``at = (d, a)``, the entries ``(d[p], a[p])`` along its last axis.
+    Only ``i >= j`` is written, and ``xi[j, i]``, ``i > j``, gets the
+    adjoint.
+    """
+    jb = V.shape[1]
+    j1 = j0 + jb
+    low = np.tri(jb, dtype=bool)
+    if at is None:
+        adj = np.conj(np.swapaxes(V, -1, -2)).swapaxes(0, 1)
+        xi[j0:j1, j0:j1] = np.where(low[:, :, None, None], V[:jb], adj[:, :jb])
+        xi[j1:, j0:j1] = V[jb:]
+        xi[j0:j1, j1:] = adj[:, jb:]
+        return
+    d, a = at
+    dim = xi.shape[2]
+    flat = xi.reshape(xi.shape[:2] + (dim * dim,))
+    ix, mx = d * dim + a, a * dim + d
+    adj = np.conj(V).swapaxes(0, 1)
+    sq = flat[j0:j1, j0:j1]
+    sq[:, :, ix] = np.where(low[:, :, None], V[:jb], sq[:, :, ix])
+    sq[:, :, mx] = np.where(low[:, :, None], sq[:, :, mx], adj[:, :jb])
+    flat[j1:, j0:j1, ix] = V[jb:]
+    flat[j0:j1, j1:, mx] = adj[:, jb:]
+
+
+def _level_solve(xi, Wv, B, ph, KD, dt, rho0, pd, pa, Wsl, levels, nz):
+    """Fill ``xi`` level by level of read entries, over all columns at once.
+
+    Writes the final field, ``ph[i] * (B frame) * conj ph[j]`` with
+    ``ph = e^{iHt}``, directly: first the free part ``W[i] rho0
+    W[j]^dagger``, then, for each level after the first, the memory of
+    the entries ``(pd, pa)`` and ``(pa, pd)`` of its read entries (its
+    upper triangle is the adjoint of the latter), and last the memory of
+    every other entry that it reaches (:func:`_channels`).  Each level's
+    read entries, gathered from ``xi`` a block of rows at a time, then
+    join the source rows ``Q``.  An entry that no read entry feeds keeps
+    its free part exactly, and the levels make sure that an entry is
+    filled only once every read entry that feeds it is in ``Q``.
+    """
+    n1, dim = B.shape[:2]
+    n = n1 - 1
+    RW = rho0 @ np.conj(np.swapaxes(Wv, 1, 2))
+    width = max(1, _BLOCK // (n1 * dim * dim))
+    for j0 in range(0, n1, width):
+        j1 = min(j0 + width, n1)
+        V = Wv[j0:].reshape(-1, dim) @ np.swapaxes(RW[j0:j1], 0, 1).reshape(dim, -1)
+        _put(xi, j0, V.reshape(n1 - j0, dim, j1 - j0, dim).transpose(0, 2, 1, 3))
+
+    rows = [e for e, _ in _feeds(Wsl)]
+    ech, cch, reach = _channels(Wsl, rows, nz)
+    X = ech.size
+    if not X:
+        return
+    flat = xi.reshape(n1, n1, dim * dim)
+    # index 2n of a convolution wraps onto index 0, which no column or
+    # row j >= 1 reads
+    nfft = rv.next_fast_len(2 * n)
+    # Q[j, i', x]: source row i' of column j in channel x
+    Q = np.zeros((n1, n1, X), dtype=complex)
+    # lag 0 halved: the outer trapezoid's end node i' = i
+    Bh = B[:, :, rows]
+    Bh[0] *= 0.5
+    fB = np.fft.fft(Bh, nfft, axis=0)
+
+    def fill(d, a):
+        # add the memory of entries (d, a) in the rows i >= j of columns j >= 1
+        M = (fB[:, d][:, :, ech] * (cch == a[:, None])).swapaxes(1, 2)
+        width = max(1, _BLOCK // (nfft * max(X, d.size)))
+        for j0 in range(1, n1, width):
+            j1 = min(j0 + width, n1)
+            fQ = np.fft.fft(Q[j0:j1], nfft, axis=1).swapaxes(0, 1)
+            mem = np.fft.ifft(fQ @ M, axis=0)[j0:n1]
+            mem *= ph[j0:, None, d] * np.conj(ph[j0:j1, a])
+            mem += flat[j0:, j0:j1, d * dim + a]
+            _put(xi, j0, mem, (d, a))
+
+    def source(q):
+        # Q += what the read entries q put into the channels
+        Wq = Wsl[q][:, rows][:, ech]
+        fG = np.fft.fft(np.einsum("qxb,mxb->mqx", Wq, np.conj(B[:, cch])), nfft, axis=0)
+        Wq = Wq[:, np.arange(X), cch]
+        d, a = pd[q], pa[q]
+        rb = max(1, _BLOCK // (nfft * max(q.size, X)))
+        for i0 in range(0, n1, rb):
+            i1 = min(i0 + rb, n1)
+            # read entries in the B frame, kernel-weighted, with the
+            # inner trapezoid's start node r' = 0 halved
+            f = flat[i0:i1, :, d * dim + a] * (np.conj(ph[i0:i1, None, d]) * ph[:, a])
+            f *= KD[i0:i1, :, None]
+            f[:, 0] *= 0.5
+            ff = np.fft.fft(f, nfft, axis=1).swapaxes(0, 1)
+            part = np.fft.ifft(ff @ fG, axis=0)[1:n1]
+            # the end node r' = j at half weight; conj B[0] is the identity
+            part -= 0.5 * (f[:, 1:] @ Wq).swapaxes(0, 1)
+            part *= dt * dt
+            if i0 == 0:
+                part[:, 0] *= 0.5  # the outer trapezoid's start node i' = 0
+            Q[1:, i0:i1] += part
+
+    # done: entries that hold their final value; those the memory never
+    # reaches, and level 0 entries, keep their free part
+    done = ~reach
+    for lv, q in enumerate(levels):
+        todo = np.zeros((dim, dim), dtype=bool)
+        todo[pd[q], pa[q]] = todo[pa[q], pd[q]] = True
+        todo &= ~done
+        if lv and todo.any():
+            fill(*np.nonzero(todo))
+        done |= todo
+        for qc in np.array_split(q, -(-q.size * nfft * X // _BLOCK)):
+            source(qc)
+    if not done.all():
+        fill(*np.nonzero(~done))
+
+
+def _channels(Wsl, rows, nz):
+    """Channels of the memory term that can be nonzero, and the entries it reaches.
+
+    Channel ``x`` is the pair (written row ``rows[ech[x]]``, column
+    ``cch[x]``) for which some read entry ``q`` has ``Wsl[q, e, b] !=
+    0`` with ``B[c, b]`` not zero at every step (``nz``); every other
+    channel of the source rows is exactly zero.  ``reach[d, c]`` marks
+    the field entries that ``B`` carries a channel into.
+    """
+    live = ((Wsl[:, rows] != 0).any(axis=0).astype(int) @ nz.T.astype(int)) > 0
+    ech, cch = np.nonzero(live)
+    reach = (nz[:, rows].astype(int) @ live.astype(int)) > 0
+    return ech, cch, reach
+
+
+def _column_loop(xi, B, KD, line, dt, rho0, pd, pa, Wsl):
+    """Fill ``xi`` (in the ``B`` frame) column by column; the worst residual.
+
+    The route of :func:`solve_bitemporal` for read entries that form a
+    cycle.  Per column ``j``: the cross-time rows ``Y[:, :j] @ Zrev``,
+    the known rows ``r < j`` of the same-column sum, one forward FFT of
+    the written rows ``Q``, the read-entry passes of each group of
+    :func:`_column_groups` (the coupled core through
+    :class:`_CausalSolver`), and one inverse FFT that fills the column
+    and its conjugate row.
+    """
+    n = B.shape[0] - 1
+    dim = B.shape[1]
+    P = pd.size
+    feeds = _feeds(Wsl)
+    rows = [e for e, _ in feeds]
+    nr = len(rows)
     # the slot weights into the written rows only: every other row of
     # the memory term is zero
     Wr = Wsl[:, rows, :].reshape(P, nr * dim)
 
-    xi = np.zeros((n + 1, n + 1, dim, dim), dtype=complex)
     base0 = B @ rho0
     xi[:, 0] = base0
     xi[0, :] = np.conj(np.swapaxes(base0, 1, 2))
@@ -410,10 +637,7 @@ def solve_bitemporal(sys: SystemSpec, W: KrausZero, rho0) -> BitemporalState:
         xi[j, j + 1 :] = np.conj(np.swapaxes(xj[1:], 1, 2))
         store(j, dt * KD[:, j])
 
-    ph = np.exp(1j * np.outer(tg, en))
-    xi *= ph[:, None, :, None]
-    xi *= np.conj(ph)[None, :, None, :]
-    return BitemporalState(grid=tg, values=xi, max_residual=max_resid)
+    return max_resid
 
 
 def extract_density(xi: BitemporalState) -> DensityTrajectory:

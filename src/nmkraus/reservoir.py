@@ -71,9 +71,8 @@ class IndexCollisionError(ValueError):
 
 def thermal_occupation(omega, beta):
     """Bose occupation 1/(exp(beta*omega) - 1) for omega > 0."""
-    x = np.asarray(beta * omega, dtype=float)
     with np.errstate(over="ignore"):
-        return 1.0 / np.expm1(x)
+        return 1.0 / np.expm1(np.asarray(beta * omega, dtype=float))
 
 
 @dataclass(frozen=True)

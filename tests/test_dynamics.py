@@ -4,6 +4,7 @@ import functools
 import math
 import os
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -83,19 +84,25 @@ class TestValidation:
         assert "GiB" in str(err.value)
 
     def test_field_size_guard_counts_bytes(self, monkeypatch):
-        # the field plus G kernel-weighted read entries per node, one for
-        # each (written row, read entry) pair: 24 on the dressed ladder
-        # (16 read entries), 3 on the four-level decay
+        # the field plus what the route stores per node: on the level
+        # route the source rows in X channels, the (written row, column)
+        # pairs that can be nonzero (9 of the 3 x 5 on the dressed
+        # ladder, 1 of the 1 x 4 on the four-level decay, whose only
+        # written row is the ground state's and only the ground state's
+        # column reaches it); on the column loop G kernel-weighted read
+        # entries, one for each (written row, read entry) pair (2 for
+        # the thermal pair)
         ladder = jc.build_dressed_system(jc.DressedBasis(0.0, 20.0, 0.3, 1),
                                          rv.SpectralDensity.flat_window(0.0318, 18.0, 22.0))
         four = _decay_system((0.0, 3.0, 5.5, 7.5), [(2, 1.0), (3, 0.5), (4, 0.5)])
         n = 64
         monkeypatch.setattr(dy.os, "sysconf", lambda name: 1)
-        for sys, dim, G in [(ladder, 5, 24), (four, 4, 3)]:
+        for sys, dim, stored in [(ladder, 5, 9), (four, 4, 1),
+                                 (_thermal_system(THERMAL_PAIR), 2, 2)]:
             assert sys.dim == dim
             with pytest.raises(dy.FieldSizeError) as err:
                 dy.check_field_size(sys, 12.0, 12.0 / n)
-            assert err.value.nbytes == (n + 1) ** 2 * (dim ** 2 + G) * 16
+            assert err.value.nbytes == (n + 1) ** 2 * (dim ** 2 + stored) * 16
 
         def unreadable(name):
             raise OSError(name)
@@ -203,6 +210,19 @@ def _written_rows(sys):
     return [e for e, _ in dy._feeds(dy._slot_pairs(sys)[2])]
 
 
+def _ladder(n_max):
+    return jc.build_dressed_system(jc.DressedBasis(0.0, 20.0, 0.3, n_max),
+                                   rv.SpectralDensity.flat_window(0.0318, 18.0, 22.0))
+
+
+def _every_row_written():
+    sd = rv.SpectralDensity.flat_window(0.05, 2.0, 4.0)
+    phases = np.random.default_rng(5).uniform(-math.pi, math.pi, size=16)
+    rule = {(k, 1 + k % 4, c, 1 + (k + c) % 4): 0.3 * np.exp(1j * phases[4 * c + k - 5])
+            for c in range(1, 5) for k in range(1, 5)}
+    return kr.SystemSpec((0.0, 3.0, 5.5, 7.5), rv.kernel_table(sd, rule))
+
+
 def _random_density(dim, seed):
     rng = np.random.default_rng(seed)
     g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
@@ -221,6 +241,13 @@ class TestColumnSolverAgreement:
         rho0 = jc.dressed_initial_state(
             basis, jc.JCInitialState(np.diag([0.0, 1.0]), 1))
         _assert_matches_reference(sys, rho0, 12.0, 64)
+
+    @pytest.mark.parametrize("n_max", [2, 3])
+    def test_dressed_ladder_higher_rungs(self, n_max):
+        basis = jc.DressedBasis(0.0, 20.0, 0.3, n_max)
+        rho0 = jc.dressed_initial_state(
+            basis, jc.JCInitialState(np.array([[0.3, 0.2j], [-0.2j, 0.7]]), n_max))
+        _assert_matches_reference(_ladder(n_max), rho0, 6.0, 32)
 
     def test_generic_three_level(self):
         sys = _decay_system((0.0, 3.0, 7.5), [(2, 1.0), (3, 0.5)])
@@ -261,11 +288,7 @@ class TestColumnSolverAgreement:
                                   physical=False)
 
     def test_every_row_written(self):
-        sd = rv.SpectralDensity.flat_window(0.05, 2.0, 4.0)
-        phases = np.random.default_rng(5).uniform(-math.pi, math.pi, size=16)
-        rule = {(k, 1 + k % 4, c, 1 + (k + c) % 4): 0.3 * np.exp(1j * phases[4 * c + k - 5])
-                for c in range(1, 5) for k in range(1, 5)}
-        sys = kr.SystemSpec((0.0, 3.0, 5.5, 7.5), rv.kernel_table(sd, rule))
+        sys = _every_row_written()
         assert _written_rows(sys) == [0, 1, 2, 3]
         _assert_matches_reference(sys, _random_density(4, 12), 2.0, 50,
                                   physical=False)
@@ -421,6 +444,95 @@ class TestColumnGroups:
         assert [lv.tolist() for lv in levels] == [[1]] and core.tolist() == [0]
         with pytest.raises(kr.SingularOperatorError, match=r"rows j\+0, j = 1\.\.2"):
             dy.solve_bitemporal(sys, W, RHO)
+
+
+def _entry_levels(sys):
+    return dy._entry_levels(sys, *dy._slot_pairs(sys))[:2]
+
+
+def _refuse_loop():
+    return mock.patch.object(dy, "_column_loop", side_effect=AssertionError("column loop"))
+
+
+class TestLevelRoute:
+    """Read entries without a cycle: solved level by level, with no column loop."""
+
+    def test_route_follows_read_cycles(self):
+        acyclic = [
+            (_decay_system((0.0, 3.0, 7.5), [(2, 1.0), (3, 0.5)]), 1),
+            (_decay_system((0.0, 3.0, 5.5, 7.5), [(2, 1.0), (3, 0.5), (4, 0.5)]), 1),
+        ] + [(_ladder(n_max), n_max + 1) for n_max in (1, 2, 3)]
+        sd = rv.SpectralDensity.flat_window(0.05, 1.0, 2.0)
+        cyclic = [_thermal_system(THERMAL_PAIR), _thermal_system(THERMAL_PAIR_AND_DECAY),
+                  _every_row_written(),
+                  kr.SystemSpec((0.0, 1.0), rv.kernel_table(sd, {(1, 1, 1, 1): 1.0}))]
+        with _refuse_loop():
+            for sys, n_levels in acyclic:
+                levels, core = _entry_levels(sys)
+                assert len(levels) == n_levels and core.size == 0
+                W = kr.solve_time_domain(sys, 1.0, 0.05)
+                assert dy.solve_bitemporal(sys, W, _random_density(sys.dim, 3)).max_residual == 0.0
+            for sys in cyclic:
+                assert _entry_levels(sys)[1].size
+                W = kr.solve_time_domain(sys, 1.0, 0.05)
+                with pytest.raises(AssertionError, match="column loop"):
+                    dy.solve_bitemporal(sys, W, _random_density(sys.dim, 3))
+
+    def test_ladder_levels(self):
+        # one level per rung; the rung-1 entries of n_max 1 come last
+        assert [lv.size for lv in _entry_levels(_ladder(1))[0]] == [12, 4]
+
+    def test_propagator_off_its_table_takes_the_loop(self):
+        # entries the slot table holds at zero are nonzero in this W, so
+        # the level route's exact zeros would not hold
+        sys = _decay_system((0.0, 3.0, 7.5), [(2, 1.0), (3, 0.5)])
+        T, n = 1.0, 20
+        W = kr.solve_time_domain(sys, T, T / n)
+        rng = np.random.default_rng(8)
+        values = W.values.copy()
+        values[1:] += 0.05 * (rng.normal(size=values[1:].shape)
+                              + 1j * rng.normal(size=values[1:].shape))
+        W = replace(W, values=values)
+        with mock.patch.object(dy, "_column_loop", wraps=dy._column_loop) as loop:
+            new = dy.solve_bitemporal(sys, W, RHO3)
+        assert loop.called
+        ref = bitemporal_reference.solve_bitemporal(sys, W, RHO3, T, T / n)
+        assert np.max(np.abs(new.values - ref.values)) <= 1e-12
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        dim=st.integers(2, 4),
+        gaps=st.lists(st.floats(0.0, 4.0), min_size=3, max_size=3),
+        slots=st.lists(
+            st.tuples(
+                st.tuples(*[st.integers(1, 4)] * 4),
+                st.floats(0.05, 1.0),
+                st.floats(-math.pi, math.pi),
+            ),
+            min_size=1, max_size=8,
+        ),
+        height=st.floats(0.001, 0.05),
+        lo=st.floats(0.5, 5.0),
+        width=st.floats(0.2, 3.0),
+        n=st.integers(2, 16),
+        dt=st.floats(0.02, 0.2),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_generated_acyclic_systems(self, dim, gaps, slots, height, lo, width, n, dt,
+                                       seed):
+        # the slots are drawn one by one and kept while the read entries
+        # stay without a cycle, so the levels build up as they are drawn
+        energies = tuple(np.concatenate([[0.0], np.cumsum(gaps[: dim - 1])]))
+        sd = rv.SpectralDensity.flat_window(height, lo, lo + width)
+        rule = {}
+        for idx, mag, phase in slots:
+            trial = {**rule, tuple(1 + (i - 1) % dim for i in idx): mag * np.exp(1j * phase)}
+            if not _entry_levels(kr.SystemSpec(energies, rv.kernel_table(sd, trial)))[1].size:
+                rule = trial
+        sys = kr.SystemSpec(energies, rv.kernel_table(sd, rule))
+        with _refuse_loop():
+            _assert_matches_reference(sys, _random_density(dim, seed), n * dt, n,
+                                      physical=False)
 
 
 @settings(max_examples=60, deadline=None)

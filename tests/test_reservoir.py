@@ -1,5 +1,7 @@
 """Reservoir kernels: closed forms, quadrature cross-checks, table plumbing."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -188,6 +190,17 @@ class TestThermal:
         a = rv.correlation_time(sd, 0.0, 1.1, beta_inv=0.5)
         b = rv.correlation_time(sd, 1.1, 0.0, beta_inv=0.5)
         assert abs(np.conj(a) - b) < 1e-9
+
+    def test_tiny_temperature_raises_no_warning(self):
+        # beta = 1e308 overflows beta * omega to inf, whose occupation
+        # 1/expm1(inf) = 0 is the zero-temperature limit
+        sd = rv.SpectralDensity.flat_window(0.02, 3.0, 7.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            kern = rv.kernel_table(sd, {(2, 1, 1, 2): 1.0}, beta_inv=1e-308)
+            cold = rv.kernel_table(sd, {(2, 1, 1, 2): 1.0})
+            tau = np.linspace(0.0, 3.0, 7)
+            assert np.max(np.abs(kern.on_grid(tau) - cold.on_grid(tau))) < 1e-12
 
     def test_gapless_weight_diverges(self):
         with pytest.raises(rv.DivergentIntegralError):
