@@ -640,8 +640,12 @@ def _cmd_compare(args):
 # entry points
 
 
-class _Loader(yaml.SafeLoader):
-    """Safe loader that also reads ``1e-3``, ``2e5`` and ``1.0e5`` as floats."""
+class _Loader(getattr(yaml, "CSafeLoader", yaml.SafeLoader)):
+    """Safe loader that also reads ``1e-3``, ``2e5`` and ``1.0e5`` as floats.
+
+    It parses with libyaml when PyYAML was built with it, and with the
+    pure-Python parser otherwise; tags resolve in Python either way.
+    """
 
 
 _Loader.add_implicit_resolver(

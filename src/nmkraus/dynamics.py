@@ -15,7 +15,7 @@ import numpy as np
 
 from . import laplace as lp
 from . import reservoir as rv
-from .kraus import KrausZero, SingularOperatorError, SystemSpec
+from .kraus import KrausZero, SingularOperatorError, SystemSpec, propagator_support
 
 __all__ = [
     "BitemporalState",
@@ -70,20 +70,30 @@ def validate_density(rho0, dim):
 
 @dataclass(frozen=True)
 class BitemporalState:
-    """Two-time matrix field on a square grid, with solver diagnostics.
+    """What a two-time solve reads or reports of its field, with diagnostics.
 
-    ``values[i, j]`` holds the matrix at ``(t_i, t_j)``; the field is
-    Hermitian under exchange of its two times and ``values[0, 0]`` is the
-    initial state.  ``max_residual`` is the worst residual of the leaf
-    solves that settle the coupled core of each column's same-column
-    couplings, ``max |A x - b| / max(1, max |b|)`` over all leaves; it
-    sits at rounding level unless a leaf is close to singular, and it is
-    exactly 0.0 when the core is empty, since substitution leaves no
-    residual (always so on the level route of :func:`solve_bitemporal`).
+    The field holds a matrix at every node ``(t_i, t_j)`` of the square
+    grid and is Hermitian under exchange of its two times.  Kept of it:
+    ``values[i]``, the matrix at ``(t_i, t_i)``, the equal-time slice
+    that :func:`extract_density` reads (``values[0]`` is the initial
+    state); and the entries the slots read, ``read_entries[k] = (d,
+    a)``, on the whole square, ``read_values[i, j, k]`` at ``(t_i,
+    t_j)``.  Read entry ``(d, a)`` at ``(t_i, t_j)`` is the conjugate of
+    entry ``(a, d)`` at ``(t_j, t_i)``.  On the level route of
+    :func:`solve_bitemporal` a read entry that the initial state leaves
+    zero on the whole square is not kept.  ``max_residual`` is the
+    worst residual of the leaf solves that settle the coupled core of
+    each column's same-column couplings, ``max |A x - b| / max(1, max
+    |b|)`` over all leaves; it sits at rounding level unless a leaf is
+    close to singular, and it is exactly 0.0 when the core is empty,
+    since substitution leaves no residual (always so on the level
+    route).
     """
 
     grid: np.ndarray
     values: np.ndarray
+    read_entries: np.ndarray
+    read_values: np.ndarray
     max_residual: float
 
 
@@ -109,13 +119,16 @@ class DensityTrajectory:
 def check_field_size(sys: SystemSpec, T, dt):
     """Refuse a two-time solve whose arrays exceed physical memory.
 
-    :func:`solve_bitemporal` on ``n = T/dt`` steps stores the field,
-    ``(n+1)^2 dim^2`` complex numbers, and, on the route the slot table
-    picks, either the source rows (level route), another ``(n+1)^2 X``
-    for ``X`` channels, or the kernel-weighted read entries of its
-    written rows (column loop), another ``(n+1)^2 G`` (``X`` and ``G``
-    as in :func:`solve_bitemporal`).  Call it before the propagator
-    solve to fail early; the two-time solve calls it too.
+    :func:`solve_bitemporal` on ``n = T/dt`` steps stores, on the route
+    the slot table picks, either the ``E`` distinct read entries and the
+    source rows in ``X`` channels on the square and the slice, ``(n+1)^2
+    (E + X) + (n+1) dim^2`` complex numbers (level route), or the whole
+    field and the kernel-weighted read entries of its written rows,
+    ``(n+1)^2 (dim^2 + G)`` (column loop; ``X`` and ``G`` as in
+    :func:`solve_bitemporal`).  The count holds every read entry, so it
+    bounds a level route that drops the entries the initial state
+    leaves zero.  Call it before the propagator solve to fail early; the
+    two-time solve calls it too.
 
     Raises
     ------
@@ -123,15 +136,15 @@ def check_field_size(sys: SystemSpec, T, dt):
         If those arrays exceed physical memory; carries their byte size.
     """
     n = int(round(T / dt))
+    nz = propagator_support(sys.kernel.slots, sys.dim)
     pd, pa, Wsl = _slot_pairs(sys)
     feeds = _feeds(Wsl)
-    _, core, nz = _entry_levels(sys, pd, pa, Wsl)
-    if core.size:
-        n_stored = sum(qs.size for _, qs in feeds)
+    if _entry_levels(nz, pd, pa, Wsl)[1].size:
+        square, line = sys.dim ** 2 + sum(qs.size for _, qs in feeds), 0
     else:
-        rows = [e for e, _ in feeds]
-        n_stored = _channels(Wsl, rows, nz)[0].size
-    nbytes = (n + 1) ** 2 * (sys.dim ** 2 + n_stored) * np.dtype(complex).itemsize
+        X = _channels(Wsl, [e for e, _ in feeds], nz)[0].size
+        square, line = pd.size + X, sys.dim ** 2
+    nbytes = ((n + 1) ** 2 * square + (n + 1) * line) * np.dtype(complex).itemsize
     try:
         phys = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     except (AttributeError, OSError, ValueError):
@@ -188,46 +201,23 @@ def _column_groups(K):
     return levels, core
 
 
-def _support(slots, dim):
-    """Entries of the propagator ``W`` that the slot table lets be nonzero.
-
-    The rule by which :func:`kraus.solve_time_domain` leaves the other
-    entries exactly zero at every step: entry ``(m, l)`` can be nonzero
-    only if ``l = m`` or a chain of live slots ``(m, ., ., j1)``,
-    ``(j1, ., ., j2)``, ... leads from row m to row l, where a slot is
-    live when the entry it reads can be nonzero; the smallest such set,
-    grown from the slots with ``m = n``.
-    """
-    k, m, n_, j = slots.T
-    live, grown = None, m == n_
-    while not np.array_equal(live, grown):
-        live = grown
-        reach = np.eye(dim, dtype=bool)
-        reach[k[live], j[live]] = True
-        for _ in range(dim.bit_length()):
-            reach = reach @ reach
-        grown = reach[m, n_]
-    return reach
-
-
-def _entry_levels(sys: SystemSpec, pd, pa, Wsl):
+def _entry_levels(nz, pd, pa, Wsl):
     """Order the read entries by every coupling of the two-time equation.
 
     ``nz`` marks the entries of ``W``, and so of ``B``, that the slot
-    table lets be nonzero at some step (:func:`_support`).  Entry
+    table lets be nonzero at some step
+    (:func:`kraus.propagator_support`).  Entry
     ``q'`` depends on ``q`` where some term ``B[pd[q'], e] Wsl[q, e, b]
     conj B[pa[q'], b]`` can be nonzero at some lags (its value below the
     diagonal), or the same term with ``pd`` and ``pa`` swapped (above
     it, the adjoint).  That pattern, as one lag of
     :func:`_column_groups`, gives ``(levels, core)``; an empty core means
-    the read entries form no cycle.  Returns ``(levels, core, nz)``.
+    the read entries form no cycle.
     """
-    nz = _support(sys.kernel.slots, sys.dim)
     b, w = nz.astype(int), (Wsl != 0).astype(int)
     dep = (np.einsum("pe,qeb,pb->pq", b[pd], w, b[pa])
            + np.einsum("pe,qeb,pb->pq", b[pa], w, b[pd]))
-    levels, core = _column_groups(dep[None])
-    return levels, core, nz
+    return _column_groups(dep[None])
 
 
 class _CausalSolver:
@@ -329,7 +319,9 @@ def solve_bitemporal(sys: SystemSpec, W: KrausZero, rho0) -> BitemporalState:
     (:func:`_entry_levels`: entry ``q'`` depends on ``q`` where a term
     ``B[pd[q'], e] Wsl[q, e, b] conj B[pa[q'], b]``, or the same term
     with ``pd`` and ``pa`` swapped, can be nonzero at some lags): every
-    generic decay system, and the dressed Jaynes-Cummings ladder.  Each
+    generic decay system, and the dressed Jaynes-Cummings ladder.  The
+    read entries that ``rho0`` leaves zero on the whole square
+    (:func:`_reachable`) are dropped first; they feed nothing.  Each
     level of read entries is then explicit on the whole grid at once:
     level 0 is the free part, and each later level adds the memory of
     the levels below it.  The memory enters through the source rows
@@ -338,13 +330,14 @@ def solve_bitemporal(sys: SystemSpec, W: KrausZero, rho0) -> BitemporalState:
     the ``X <= nr dim`` channels (written row, column) that can be
     nonzero (:func:`_channels`), per block of rows one FFT convolution
     along the column index, with the node ``r' = j`` at half weight.  A
-    level's entries, and at the end every entry that the memory
-    reaches, are the free part plus one FFT convolution of ``Q`` with
-    ``B`` along the row index per block of columns
+    level's entries are the free part plus one FFT convolution of ``Q``
+    with ``B`` along the row index per block of columns; every other
+    entry that the memory reaches gets it on the equal-time slice only
     (:func:`_level_solve`).  Nothing is solved, so ``max_residual`` is
-    0.0.  With ``E`` entries reached the work is O(n^2 log n (P + X +
-    E)) for the FFTs and O(n^2 dim^3) for the free part, and besides the
-    field the solve stores ``Q``, ``(n+1)^2 X`` complex numbers.
+    0.0.  With ``E`` read entries kept the work is O(n^2 log n (E + X))
+    for the FFTs, O(n^2 E dim) for their free part and O(n dim^3) for
+    the slice, and the solve stores ``(n+1)^2 (E + X)`` complex numbers
+    for the read entries and ``Q``, and the slice.
 
     *Column loop* otherwise, as for a thermal absorption-emission pair
     or a slot that reads the entry it writes (:func:`_column_loop`):
@@ -356,26 +349,26 @@ def solve_bitemporal(sys: SystemSpec, W: KrausZero, rho0) -> BitemporalState:
     core entries the work is O(n^3 G dim) for the products,
     O(n^2 log n (nr dim + dim^2 + P)) for the column FFTs and
     O(n^2 log^2 n P_core^2) for the column solves, and the solve stores
-    ``(n+1)^2 G`` kernel-weighted read entries besides the field.
+    the whole field, ``(n+1)^2 dim^2`` complex numbers, and ``(n+1)^2
+    G`` kernel-weighted read entries; it returns every read entry.
 
     The outer trapezoid's end weights are the halved source row
     ``i' = 0`` and the propagator's halved lag 0.  Column 0 is the free
     part, and the upper triangle is the exact adjoint of the lower one.
-    The field is ``(n+1)^2 dim^2`` complex numbers; the ``n`` steps and
-    their size are those of ``W.grid``.  ``W`` must be the propagator of
-    ``sys``, as :func:`kraus.solve_time_domain` returns it:
-    ``W.values[0]`` is the identity, and the lag line ``kappa(m dt)``,
-    ``|m| <= n``, is read from its kernel samples ``W.kappa``
-    (``kappa(-tau)`` is ``conj kappa(tau)``), not sampled again.  A
-    ``W`` with a nonzero entry that the slot table says is zero at
-    every step takes the column loop.
+    The ``n`` steps and their size are those of ``W.grid``.  ``W`` must
+    be the propagator of ``sys``, as :func:`kraus.solve_time_domain`
+    returns it: ``W.values[0]`` is the identity, and the lag line
+    ``kappa(m dt)``, ``|m| <= n``, is read from its kernel samples
+    ``W.kappa`` (``kappa(-tau)`` is ``conj kappa(tau)``), not sampled
+    again.  A ``W`` with a nonzero entry that the slot table says is
+    zero at every step takes the column loop.
 
     Raises
     ------
     StateValidationError
         If ``rho0`` is not a density matrix.
     FieldSizeError
-        If the field and the stored arrays would exceed physical memory.
+        If the stored arrays would exceed physical memory.
     SingularOperatorError
         If a block of a column's same-column system is singular; the
         message names its rows.
@@ -386,8 +379,9 @@ def solve_bitemporal(sys: SystemSpec, W: KrausZero, rho0) -> BitemporalState:
     n = tg.shape[0] - 1
     dt = tg[1] - tg[0]
     check_field_size(sys, tg[-1], dt)
+    nz = propagator_support(sys.kernel.slots, dim)
     pd, pa, Wsl = _slot_pairs(sys)
-    levels, core, nz = _entry_levels(sys, pd, pa, Wsl)
+    levels, core = _entry_levels(nz, pd, pa, Wsl)
 
     en = np.asarray(sys.energies, dtype=float)
     B = np.exp(-1j * np.outer(tg, en))[:, :, None] * W.values
@@ -395,80 +389,95 @@ def solve_bitemporal(sys: SystemSpec, W: KrausZero, rho0) -> BitemporalState:
     # KD[s, sp] = kernel((sp - s) dt); a reversed sliding view, no copy
     KD = np.lib.stride_tricks.sliding_window_view(line, n + 1)[::-1]
     ph = np.exp(1j * np.outer(tg, en))
-    xi = np.zeros((n + 1, n + 1, dim, dim), dtype=complex)
     if core.size or np.any(W.values[:, ~nz]):
+        xi = np.zeros((n + 1, n + 1, dim, dim), dtype=complex)
         max_resid = _column_loop(xi, B, KD, line, dt, rho0, pd, pa, Wsl)
         xi *= ph[:, None, :, None]
         xi *= np.conj(ph)[None, :, None, :]
+        idx = np.arange(n + 1)
+        rho, S = xi[idx, idx], xi[:, :, pd, pa]
     else:
-        _level_solve(xi, W.values, B, ph, KD, dt, rho0, pd, pa, Wsl, levels, nz)
+        keep = _reachable(nz, rho0, pd, pa, Wsl)[pd, pa]
+        pd, pa, Wsl = pd[keep], pa[keep], Wsl[keep]
+        levels = _entry_levels(nz, pd, pa, Wsl)[0]
+        rho, S = _level_solve(W.values, B, ph, KD, dt, rho0, pd, pa, Wsl, levels, nz)
         max_resid = 0.0
-    return BitemporalState(grid=tg, values=xi, max_residual=max_resid)
+    return BitemporalState(grid=tg, values=rho, read_entries=np.stack([pd, pa], axis=1),
+                           read_values=S, max_residual=max_resid)
+
+
+def _reachable(nz, rho0, pd, pa, Wsl):
+    """Field entries that ``rho0`` can make nonzero at some node.
+
+    The free part ``B[i] rho0 B[j]^dagger`` is exactly zero off the
+    pattern ``nz supp(rho0) nz^T``, with ``nz`` the entries of ``B``
+    that can be nonzero, and its adjoint off the transposed pattern.  A
+    read entry in the pattern makes its channels live
+    (:func:`_channels`), ``B`` carries them into further entries, and
+    the adjoint adds the transposed entries; grown so to its fixed
+    point, the pattern holds every entry that can be nonzero on the
+    whole square.
+    """
+    b = nz.astype(int)
+    supp = (rho0 != 0) | (rho0.T != 0)
+    grown = (b @ supp.astype(int) @ b.T) > 0
+    pattern = None
+    while not np.array_equal(pattern, grown):
+        pattern = grown
+        reach = _channels(Wsl[pattern[pd, pa]], np.arange(nz.shape[0]), nz)[2]
+        grown = pattern | reach | reach.T
+    return pattern
 
 
 # complex numbers in one transient block of the level route
 _BLOCK = 1 << 14
 
 
-def _put(xi, j0, V, at=None):
-    """Set a block of lower-triangle columns of the field and its adjoint.
+def _level_solve(Wv, B, ph, KD, dt, rho0, pd, pa, Wsl, levels, nz):
+    """Equal-time slice and read-entry squares, level by level of read entries.
 
-    ``V[i - j0, j - j0]`` holds ``xi[i, j]`` for the rows ``i >= j0`` of
-    the columns ``j0 <= j < j0 + V.shape[1]``: whole matrices, or, with
-    ``at = (d, a)``, the entries ``(d[p], a[p])`` along its last axis.
-    Only ``i >= j`` is written, and ``xi[j, i]``, ``i > j``, gets the
-    adjoint.
-    """
-    jb = V.shape[1]
-    j1 = j0 + jb
-    low = np.tri(jb, dtype=bool)
-    if at is None:
-        adj = np.conj(np.swapaxes(V, -1, -2)).swapaxes(0, 1)
-        xi[j0:j1, j0:j1] = np.where(low[:, :, None, None], V[:jb], adj[:, :jb])
-        xi[j1:, j0:j1] = V[jb:]
-        xi[j0:j1, j1:] = adj[:, jb:]
-        return
-    d, a = at
-    dim = xi.shape[2]
-    flat = xi.reshape(xi.shape[:2] + (dim * dim,))
-    ix, mx = d * dim + a, a * dim + d
-    adj = np.conj(V).swapaxes(0, 1)
-    sq = flat[j0:j1, j0:j1]
-    sq[:, :, ix] = np.where(low[:, :, None], V[:jb], sq[:, :, ix])
-    sq[:, :, mx] = np.where(low[:, :, None], sq[:, :, mx], adj[:, :jb])
-    flat[j1:, j0:j1, ix] = V[jb:]
-    flat[j0:j1, j1:, mx] = adj[:, jb:]
-
-
-def _level_solve(xi, Wv, B, ph, KD, dt, rho0, pd, pa, Wsl, levels, nz):
-    """Fill ``xi`` level by level of read entries, over all columns at once.
-
-    Writes the final field, ``ph[i] * (B frame) * conj ph[j]`` with
-    ``ph = e^{iHt}``, directly: first the free part ``W[i] rho0
-    W[j]^dagger``, then, for each level after the first, the memory of
-    the entries ``(pd, pa)`` and ``(pa, pd)`` of its read entries (its
-    upper triangle is the adjoint of the latter), and last the memory of
-    every other entry that it reaches (:func:`_channels`).  Each level's
-    read entries, gathered from ``xi`` a block of rows at a time, then
-    join the source rows ``Q``.  An entry that no read entry feeds keeps
-    its free part exactly, and the levels make sure that an entry is
-    filled only once every read entry that feeds it is in ``Q``.
+    Returns ``(rho, S)`` in the final frame, ``ph[i] * (B frame) * conj
+    ph[j]`` with ``ph = e^{iHt}``: ``rho[j]`` the matrix at ``(t_j,
+    t_j)``, and ``S[i, j, k]`` read entry ``(pd[k], pa[k])`` at ``(t_i,
+    t_j)``.  First the free part ``W[i] rho0 W[j]^dagger``: on the slice
+    for every entry, and on the whole square for the read entries, whose
+    upper triangle is the adjoint of the transposed entry's lower one.
+    Then, for each level after the first, the memory of the entries
+    ``(pd, pa)`` and ``(pa, pd)`` of its read entries in the rows ``i >=
+    j`` of all columns at once, added straight into the lower triangle
+    of the squares of those that are read, the upper triangle of the
+    squares of their transposes, and the slice.  Each level's squares,
+    a block of rows at a time, then join the source rows ``Q``.  Last,
+    every other entry that the memory reaches (:func:`_channels`) gets
+    its memory on the slice only, as the direct lag sum ``sum_{i' <= j}
+    B[j - i'] Q[j, i']``.  An entry that no read entry feeds keeps its
+    free part exactly, and the levels make sure that an entry is filled
+    only once every read entry that feeds it is in ``Q``.
     """
     n1, dim = B.shape[:2]
     n = n1 - 1
     RW = rho0 @ np.conj(np.swapaxes(Wv, 1, 2))
-    width = max(1, _BLOCK // (n1 * dim * dim))
-    for j0 in range(0, n1, width):
-        j1 = min(j0 + width, n1)
-        V = Wv[j0:].reshape(-1, dim) @ np.swapaxes(RW[j0:j1], 0, 1).reshape(dim, -1)
-        _put(xi, j0, V.reshape(n1 - j0, dim, j1 - j0, dim).transpose(0, 2, 1, 3))
+    rho = Wv @ RW
+    # at[d, a]: index of read entry (d, a) in S, -1 if it is not read
+    at = np.full((dim, dim), -1)
+    at[pd, pa] = np.arange(pd.size)
+    S = np.empty((n1, n1, pd.size), dtype=complex)
+    low = np.tri(n1, dtype=bool)
+    for k, (d, a) in enumerate(zip(pd, pa)):
+        # F[i, j] = W[i, d] rho0 W[j, a]^dagger; the upper triangle is
+        # the adjoint of the transposed entry's lower one
+        F = Wv[:, d] @ RW[:, :, a].T
+        Ft = F if d == a else Wv[:, a] @ RW[:, :, d].T
+        S[:, :, k] = np.where(low, F, np.conj(Ft.T))
+    # the slice takes the squares' diagonal, so the two agree exactly
+    idx = np.arange(n1)
+    rho[:, pd, pa] = S[idx, idx]
 
     rows = [e for e, _ in _feeds(Wsl)]
     ech, cch, reach = _channels(Wsl, rows, nz)
     X = ech.size
     if not X:
-        return
-    flat = xi.reshape(n1, n1, dim * dim)
+        return rho, S
     # index 2n of a convolution wraps onto index 0, which no column or
     # row j >= 1 reads
     nfft = rv.next_fast_len(2 * n)
@@ -482,14 +491,21 @@ def _level_solve(xi, Wv, B, ph, KD, dt, rho0, pd, pa, Wsl, levels, nz):
     def fill(d, a):
         # add the memory of entries (d, a) in the rows i >= j of columns j >= 1
         M = (fB[:, d][:, :, ech] * (cch == a[:, None])).swapaxes(1, 2)
+        own, adj = at[d, a], at[a, d]
+        to, ta = own >= 0, adj >= 0
         width = max(1, _BLOCK // (nfft * max(X, d.size)))
         for j0 in range(1, n1, width):
             j1 = min(j0 + width, n1)
             fQ = np.fft.fft(Q[j0:j1], nfft, axis=1).swapaxes(0, 1)
+            # mem[i - j0, j - j0], the memory at (i, j) where i >= j
             mem = np.fft.ifft(fQ @ M, axis=0)[j0:n1]
             mem *= ph[j0:, None, d] * np.conj(ph[j0:j1, a])
-            mem += flat[j0:, j0:j1, d * dim + a]
-            _put(xi, j0, mem, (d, a))
+            diag = np.arange(j1 - j0)
+            mem[np.triu_indices(j1 - j0, 1)] = 0.0
+            rho[j0:j1, d, a] += mem[diag, diag]
+            S[j0:, j0:j1, own[to]] += mem[:, :, to]
+            mem[diag, diag] = 0.0
+            S[j0:j1, j0:, adj[ta]] += np.conj(mem[:, :, ta]).swapaxes(0, 1)
 
     def source(q):
         # Q += what the read entries q put into the channels
@@ -502,7 +518,7 @@ def _level_solve(xi, Wv, B, ph, KD, dt, rho0, pd, pa, Wsl, levels, nz):
             i1 = min(i0 + rb, n1)
             # read entries in the B frame, kernel-weighted, with the
             # inner trapezoid's start node r' = 0 halved
-            f = flat[i0:i1, :, d * dim + a] * (np.conj(ph[i0:i1, None, d]) * ph[:, a])
+            f = S[i0:i1, :, q] * (np.conj(ph[i0:i1, None, d]) * ph[:, a])
             f *= KD[i0:i1, :, None]
             f[:, 0] *= 0.5
             ff = np.fft.fft(f, nfft, axis=1).swapaxes(0, 1)
@@ -526,8 +542,22 @@ def _level_solve(xi, Wv, B, ph, KD, dt, rho0, pd, pa, Wsl, levels, nz):
         done |= todo
         for qc in np.array_split(q, -(-q.size * nfft * X // _BLOCK)):
             source(qc)
-    if not done.all():
-        fill(*np.nonzero(~done))
+
+    # every other entry the memory reaches, at i = j only
+    d, a = np.nonzero(~done)
+    if d.size:
+        Bx = Bh[:, d][:, :, ech]
+        pick = cch[:, None] == a
+        width = max(1, _BLOCK // (n1 * X))
+        for j0 in range(1, n1, width):
+            j = np.arange(j0, min(j0 + width, n1))
+            # Qr[j, m] = Q[j, j - m], the source row at lag m
+            lag = j[:, None] - np.arange(n1)
+            Qr = np.where((lag >= 0)[:, :, None], Q[j[:, None], np.maximum(lag, 0)], 0.0)
+            mem = np.einsum("jmx,mtx->jtx", Qr, Bx)
+            rho[j[:, None], d, a] += (np.einsum("jtx,xt->jt", mem, pick)
+                                      * ph[j][:, d] * np.conj(ph[j][:, a]))
+    return rho, S
 
 
 def _channels(Wsl, rows, nz):
@@ -646,9 +676,7 @@ def extract_density(xi: BitemporalState) -> DensityTrajectory:
     The anti-Hermitian residue is averaged away and its maximum norm
     kept as ``herm_residual``.
     """
-    npts = xi.grid.shape[0]
-    idx = np.arange(npts)
-    diag = xi.values[idx, idx]
+    diag = xi.values
     adj = np.conj(np.swapaxes(diag, 1, 2))
     herm = 0.5 * float(np.max(np.abs(diag - adj)))
     return DensityTrajectory(times=xi.grid, matrices=0.5 * (diag + adj),

@@ -51,6 +51,7 @@ __all__ = [
     "SingularOperatorError",
     "LineResolutionError",
     "solve_time_domain",
+    "propagator_support",
     "laplace_inverse_identity",
     "solve_continued_fraction",
     "weak_coupling_limit",
@@ -187,7 +188,8 @@ def solve_time_domain(sys: SystemSpec, T, dt) -> KrausZero:
 
     The slot table selects one of two routes, which solve the same
     discrete equations.  A slot is live unless the entry ``W_mn`` it
-    reads is zero at every step, as the table shows (``_levels``).
+    reads is zero at every step, as the table shows
+    (:func:`propagator_support`).
 
     *Series route*, when the reads of written rows by live slots form no
     cycle: the written rows are solved level by level, each level as one
@@ -285,22 +287,18 @@ def _series_inverse(D, t, note=""):
     return g
 
 
-def _levels(slots, dim):
-    """Live slots, and the rows they write in the order they can be solved.
+def propagator_support(slots, dim):
+    """Entries of the propagator ``W`` that the slot table lets be nonzero.
 
     Entry ``(m, l)`` of ``W`` is zero at every step unless ``l = m`` or a
     chain of live slots ``(m, ., ., j1)``, ``(j1, ., ., j2)``, ... leads
-    from row m to row l; a slot is live when the entry it reads is not
-    zero by this rule.  The smallest such set, grown from the slots with
-    ``m = n``, is the live set: zeroing every other entry solves the
-    discrete equations.  A written row is ready once every live slot
-    writing it reads only rows that are unwritten or solved, and every
-    written row such a slot names as ``j`` is solved or ready with it.
-    Each pass takes the ready rows as the next level.
-
-    Returns the live mask over the slots and the list of levels (sorted
-    0-based rows), or ``None`` for the levels when no row is ready while
-    some are not solved: a read cycle.
+    from row m to row l; a slot ``(k, m, n, j)`` is live when the entry
+    ``(m, n)`` it reads is not zero by this rule.  The smallest such set,
+    grown from the slots with ``m = n``, is the live set: zeroing every
+    other entry solves the discrete equations of
+    :func:`solve_time_domain`, which leaves those entries exactly zero.
+    Returns the ``dim x dim`` boolean mask of the entries that can be
+    nonzero; ``mask[m, n]`` over the slots is the live set.
     """
     k, m, n_, j = slots.T
     live, grown = None, m == n_
@@ -311,6 +309,24 @@ def _levels(slots, dim):
         for _ in range(dim.bit_length()):
             reach = reach @ reach
         grown = reach[m, n_]
+    return reach
+
+
+def _levels(slots, dim):
+    """Live slots, and the rows they write in the order they can be solved.
+
+    The live slots are those of :func:`propagator_support`.  A written
+    row is ready once every live slot writing it reads only rows that
+    are unwritten or solved, and every written row such a slot names as
+    ``j`` is solved or ready with it.  Each pass takes the ready rows as
+    the next level.
+
+    Returns the live mask over the slots and the list of levels (sorted
+    0-based rows), or ``None`` for the levels when no row is ready while
+    some are not solved: a read cycle.
+    """
+    k, m, n_, j = slots.T
+    live = propagator_support(slots, dim)[m, n_]
     k, m, j = k[live], m[live], j[live]
     todo = np.isin(np.arange(dim), k)
     levels = []

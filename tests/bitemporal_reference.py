@@ -9,7 +9,7 @@ with it to rounding.
 
 import numpy as np
 
-from nmkraus.dynamics import BitemporalState, validate_density
+from nmkraus.dynamics import validate_density
 from nmkraus.kraus import SystemSpec, KrausZero
 
 
@@ -26,7 +26,7 @@ class ConvergenceError(ArithmeticError):
 
 
 def solve_bitemporal(sys: SystemSpec, W: KrausZero, rho0, T, dt, *,
-                     node_tol=1e-12, max_iters=8) -> BitemporalState:
+                     node_tol=1e-12, max_iters=8):
     """Integrate the two-time equation by causal forward substitution.
 
     The explicit free phases are absorbed into the propagator columns,
@@ -34,8 +34,8 @@ def solve_bitemporal(sys: SystemSpec, W: KrausZero, rho0, T, dt, *,
     column the cross-time part collapses to one matrix product plus an
     FFT, and only the same-column couplings walk node by node.  Each
     node's weak self-coupling (it enters its own trapezoid cell) is
-    resolved by fixed-point iteration; the worst defect is reported as
-    ``max_residual``.
+    resolved by fixed-point iteration.  Returns the whole field,
+    ``xi[i, j]`` the matrix at ``(t_i, t_j)``.
 
     Raises
     ------
@@ -77,7 +77,6 @@ def solve_bitemporal(sys: SystemSpec, W: KrausZero, rho0, T, dt, *,
         nfft *= 2
     fb_cols = np.fft.fft(B, nfft, axis=0)
     scale = max(1.0, float(np.max(np.abs(rho0))))
-    max_resid = 0.0
 
     for j in range(1, n + 1):
         tw_in = np.full(j, dt)
@@ -117,7 +116,6 @@ def solve_bitemporal(sys: SystemSpec, W: KrausZero, rho0, T, dt, *,
                 raise ConvergenceError(
                     f"node ({i},{j}) fixed point stalled at {resid:.3e}", step=i
                 )
-            max_resid = max(max_resid, resid)
             xi[i, j] = x
             if i > j:
                 xi[j, i] = x.conj().T
@@ -125,4 +123,4 @@ def solve_bitemporal(sys: SystemSpec, W: KrausZero, rho0, T, dt, *,
     ph = np.exp(1j * np.outer(tg, en))
     xi *= ph[:, None, :, None]
     xi *= np.conj(ph)[None, :, None, :]
-    return BitemporalState(grid=tg, values=xi, max_residual=max_resid)
+    return xi

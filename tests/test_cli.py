@@ -410,6 +410,29 @@ def test_loader_number_forms():
     assert got[14:] == [True, "abc"]
 
 
+def test_libyaml_loader_matches_the_python_parser():
+    # the loader's resolvers on the pure-Python parser read every
+    # shipped config and the number forms to equal objects (repr tells
+    # 1 from 1.0 and compares nan), and refuse malformed documents with
+    # the same error classes
+    class PyLoader(yaml.SafeLoader):
+        yaml_implicit_resolvers = cli._Loader.yaml_implicit_resolvers
+
+    assert not yaml.__with_libyaml__ or issubclass(cli._Loader, yaml.CSafeLoader)
+    docs = [p.read_text() for p in sorted(CONFIG_DIR.glob("*.yaml"))]
+    assert len(docs) == 7
+    docs.append("[1e-3, 2e5, 1.0e5, -1E+2, .nan, 1e400, 1e5x, 7, true]")
+    for text in docs:
+        assert repr(yaml.load(text, Loader=cli._Loader)) == repr(yaml.load(text, Loader=PyLoader))
+    for bad in ["a: [1, 2", "a: b: c", "- a\nb: c", "x: 1\n\ty: 2", "a: *x"]:
+        raised = []
+        for loader in (cli._Loader, PyLoader):
+            with pytest.raises(yaml.YAMLError) as err:
+                yaml.load(bad, Loader=loader)
+            raised.append(type(err.value))
+        assert raised[0] is raised[1]
+
+
 def test_markov_transition_outside_the_support_is_refused_before_the_solve(
         tmp_path, capsys, monkeypatch):
     def refuse(*args, **kwargs):

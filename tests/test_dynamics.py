@@ -3,6 +3,7 @@
 import functools
 import math
 import os
+import tracemalloc
 from dataclasses import replace
 from unittest import mock
 
@@ -23,6 +24,8 @@ from nmkraus import reservoir as rv
 RHO = np.array([[0.3, 0.35 - 0.1j], [0.35 + 0.1j, 0.7]])
 EXCITED = np.array([[0.0, 0.0], [0.0, 1.0]])
 RHO3 = np.array([[0.1, 0.0, 0.0], [0.0, 0.4, 0.1], [0.0, 0.1, 0.5]])
+RHO4 = np.array([[0.1, 0.0, 0.0, 0.0], [0.0, 0.3, 0.1, 0.0],
+                 [0.0, 0.1, 0.3, 0.05], [0.0, 0.0, 0.05, 0.3]])
 
 
 def radiative(sd, w21, beta_inv=0.0):
@@ -84,25 +87,27 @@ class TestValidation:
         assert "GiB" in str(err.value)
 
     def test_field_size_guard_counts_bytes(self, monkeypatch):
-        # the field plus what the route stores per node: on the level
-        # route the source rows in X channels, the (written row, column)
-        # pairs that can be nonzero (9 of the 3 x 5 on the dressed
-        # ladder, 1 of the 1 x 4 on the four-level decay, whose only
-        # written row is the ground state's and only the ground state's
-        # column reaches it); on the column loop G kernel-weighted read
-        # entries, one for each (written row, read entry) pair (2 for
-        # the thermal pair)
+        # what the route stores per node: on the level route the E
+        # distinct read entries and the source rows in X channels, the
+        # (written row, column) pairs that can be nonzero, plus the
+        # equal-time slice per step (16 read entries and 9 of the 3 x 5
+        # channels on the dressed ladder; 3 read entries and 1 of the
+        # 1 x 4 channels on the four-level decay, whose only written row
+        # is the ground state's and only the ground state's column
+        # reaches it); on the column loop the whole field and G
+        # kernel-weighted read entries, one for each (written row, read
+        # entry) pair (2 for the thermal pair)
         ladder = jc.build_dressed_system(jc.DressedBasis(0.0, 20.0, 0.3, 1),
                                          rv.SpectralDensity.flat_window(0.0318, 18.0, 22.0))
         four = _decay_system((0.0, 3.0, 5.5, 7.5), [(2, 1.0), (3, 0.5), (4, 0.5)])
         n = 64
         monkeypatch.setattr(dy.os, "sysconf", lambda name: 1)
-        for sys, dim, stored in [(ladder, 5, 9), (four, 4, 1),
-                                 (_thermal_system(THERMAL_PAIR), 2, 2)]:
+        for sys, dim, square, line in [(ladder, 5, 16 + 9, 25), (four, 4, 3 + 1, 16),
+                                       (_thermal_system(THERMAL_PAIR), 2, 4 + 2, 0)]:
             assert sys.dim == dim
             with pytest.raises(dy.FieldSizeError) as err:
                 dy.check_field_size(sys, 12.0, 12.0 / n)
-            assert err.value.nbytes == (n + 1) ** 2 * (dim ** 2 + stored) * 16
+            assert err.value.nbytes == ((n + 1) ** 2 * square + (n + 1) * line) * 16
 
         def unreadable(name):
             raise OSError(name)
@@ -126,21 +131,68 @@ class TestValidation:
             dy.solve_bitemporal(sys, W, RHO)
 
 
+def _assert_matches_field(xi, field):
+    """The equal-time slice and every returned read entry against a whole field.
+
+    ``field[i, j]`` is the matrix at ``(t_i, t_j)``, as
+    :func:`bitemporal_reference.solve_bitemporal` returns it.
+    """
+    idx = np.arange(field.shape[0])
+    assert xi.values.shape == field[idx, idx].shape
+    assert np.max(np.abs(xi.values - field[idx, idx])) <= 1e-12
+    d, a = xi.read_entries.T
+    assert xi.read_values.shape == field[:, :, d, a].shape
+    assert np.max(np.abs(xi.read_values - field[:, :, d, a]), initial=0.0) <= 1e-12
+
+
+def _assert_two_time_symmetry(xi, physical=True):
+    """Read entry ``(d, a)`` at ``(t_i, t_j)`` against conj ``(a, d)`` at ``(t_j, t_i)``.
+
+    Checked wherever both entries are returned, off the equal-time
+    diagonal; on it, and for the whole slice, only for a physical slot
+    table, whose equal-time matrices are Hermitian.
+    """
+    at = {(d, a): k for k, (d, a) in enumerate(xi.read_entries.tolist())}
+    off = ~np.eye(xi.grid.size, dtype=bool) | physical
+    for (d, a), k in at.items():
+        if (a, d) in at:
+            swapped = np.conj(xi.read_values[:, :, at[a, d]]).T
+            assert np.max(np.abs(xi.read_values[:, :, k] - swapped)[off]) <= 1e-12
+    if physical:
+        adj = np.conj(np.swapaxes(xi.values, 1, 2))
+        assert np.max(np.abs(xi.values - adj)) <= 1e-12
+
+
 class TestBitemporal:
     def test_zero_kernel_constant(self):
         xi = zero_kernel_state()
-        assert np.max(np.abs(xi.values - RHO)) < 1e-12
+        _assert_matches_field(xi, np.broadcast_to(RHO, (xi.grid.size,) * 2 + RHO.shape))
         traj = dy.extract_density(xi)
         assert np.max(np.abs(traj.matrices - RHO)) < 1e-12
 
     def test_initial_node_is_rho0(self):
         xi = far_bitemporal()
-        assert np.max(np.abs(xi.values[0, 0] - RHO)) == 0
+        assert np.max(np.abs(xi.values[0] - RHO)) == 0
 
     def test_two_time_hermitian_symmetry(self):
         xi = far_bitemporal()
-        swapped = np.conj(np.swapaxes(np.swapaxes(xi.values, 0, 1), 2, 3))
-        assert np.max(np.abs(xi.values - swapped)) < 1e-12
+        assert xi.read_entries.tolist() == [[1, 1]]
+        _assert_two_time_symmetry(xi)
+
+    def test_level_route_peak_memory_is_below_the_field(self):
+        # the four-level decay at n = 200 once kept its whole field,
+        # (n+1)^2 dim^2 complex numbers, 10.3 MB; now it keeps 3 read
+        # entries and 1 channel on the square, and the slice
+        sys = _decay_system((0.0, 3.0, 5.5, 7.5), [(2, 1.0), (3, 0.5), (4, 0.5)])
+        W = kr.solve_time_domain(sys, 4.0, 0.02)
+        tracemalloc.start()
+        try:
+            xi = dy.solve_bitemporal(sys, W, RHO4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert xi.read_entries.shape == (3, 2)
+        assert peak < 201 ** 2 * 4 ** 2 * 16
 
     def test_population_follows_propagator(self):
         # the single decay slot feeds only the ground state, so the
@@ -181,23 +233,24 @@ class TestBitemporal:
 
 
 def _assert_matches_reference(sys, rho0, T, n, *, physical=True):
-    """Column solver vs reference, and the field's two-time symmetry.
+    """Solver vs reference, and the two-time symmetry; returns the solve.
 
-    The solver fills ``values[j, i]`` as the adjoint of ``values[i, j]``
-    off the equal-time diagonal; the diagonal itself is Hermitian only
-    for a physical slot table, so ``physical=False`` leaves it out.
+    Every read entry of the slot table that the solve does not return
+    is zero in the reference on the whole square.  The equal-time
+    diagonal is Hermitian only for a physical slot table, so
+    ``physical=False`` leaves it out of the symmetry check.
     """
     dt = T / n
     W = kr.solve_time_domain(sys, T, dt)
     new = dy.solve_bitemporal(sys, W, rho0)
-    ref = bitemporal_reference.solve_bitemporal(sys, W, rho0, T, dt)
-    assert np.max(np.abs(new.values - ref.values)) <= 1e-12
-    swapped = np.conj(np.swapaxes(np.swapaxes(new.values, 0, 1), 2, 3))
-    defect = np.abs(new.values - swapped)
-    if not physical:
-        defect[np.arange(n + 1), np.arange(n + 1)] = 0.0
-    assert np.max(defect) <= 1e-12
+    field = bitemporal_reference.solve_bitemporal(sys, W, rho0, T, dt)
+    _assert_matches_field(new, field)
+    kept = set(map(tuple, new.read_entries.tolist()))
+    for d, a in zip(*dy._slot_pairs(sys)[:2]):
+        assert (d, a) in kept or not field[:, :, d, a].any()
+    _assert_two_time_symmetry(new, physical)
     assert new.max_residual <= 1e-12
+    return new
 
 
 def _decay_system(energies, weights):
@@ -240,7 +293,8 @@ class TestColumnSolverAgreement:
         assert len(sys.kernel.slots) == 36
         rho0 = jc.dressed_initial_state(
             basis, jc.JCInitialState(np.diag([0.0, 1.0]), 1))
-        _assert_matches_reference(sys, rho0, 12.0, 64)
+        # the excited atom with one photon reaches 8 of the 16 read entries
+        assert len(_assert_matches_reference(sys, rho0, 12.0, 64).read_entries) == 8
 
     @pytest.mark.parametrize("n_max", [2, 3])
     def test_dressed_ladder_higher_rungs(self, n_max):
@@ -256,9 +310,7 @@ class TestColumnSolverAgreement:
 
     def test_generic_four_level(self):
         sys = _decay_system((0.0, 3.0, 5.5, 7.5), [(2, 1.0), (3, 0.5), (4, 0.5)])
-        rho0 = np.array([[0.1, 0.0, 0.0, 0.0], [0.0, 0.3, 0.1, 0.0],
-                         [0.0, 0.1, 0.3, 0.05], [0.0, 0.0, 0.05, 0.3]])
-        _assert_matches_reference(sys, rho0, 4.0, 200)
+        _assert_matches_reference(sys, RHO4, 4.0, 200)
 
     def test_thermal_two_level(self):
         sd = rv.SpectralDensity.flat_window(0.04, 4.0, 8.0)
@@ -413,7 +465,10 @@ class TestColumnGroups:
         monkeypatch.setattr(dy, "_CausalSolver", refuse)
         xi = dy.solve_bitemporal(sys, W, RHO3)
         assert np.array_equal(xi.values, ref.values)
+        assert np.array_equal(xi.read_entries, ref.read_entries)
+        assert np.array_equal(xi.read_values, ref.read_values)
         assert xi.max_residual == 0.0
+        _assert_matches_field(xi, bitemporal_reference.solve_bitemporal(sys, W, RHO3, 1.0, 0.02))
 
     def test_solver_sees_only_the_core(self, monkeypatch):
         built = []
@@ -447,11 +502,47 @@ class TestColumnGroups:
 
 
 def _entry_levels(sys):
-    return dy._entry_levels(sys, *dy._slot_pairs(sys))[:2]
+    return dy._entry_levels(kr.propagator_support(sys.kernel.slots, sys.dim),
+                            *dy._slot_pairs(sys))
 
 
 def _refuse_loop():
     return mock.patch.object(dy, "_column_loop", side_effect=AssertionError("column loop"))
+
+
+# a slot table on dim states and a grid of n steps of dt
+ACYCLIC_TABLES = dict(
+    dim=st.integers(2, 4),
+    gaps=st.lists(st.floats(0.0, 4.0), min_size=3, max_size=3),
+    slots=st.lists(
+        st.tuples(
+            st.tuples(*[st.integers(1, 4)] * 4),
+            st.floats(0.05, 1.0),
+            st.floats(-math.pi, math.pi),
+        ),
+        min_size=1, max_size=8,
+    ),
+    height=st.floats(0.001, 0.05),
+    lo=st.floats(0.5, 5.0),
+    width=st.floats(0.2, 3.0),
+    n=st.integers(2, 16),
+    dt=st.floats(0.02, 0.2),
+)
+
+
+def _acyclic_system(dim, gaps, slots, height, lo, width):
+    """The drawn slots, each kept while the read entries stay without a cycle.
+
+    So the levels build up as the slots are drawn.
+    """
+    energies = tuple(np.concatenate([[0.0], np.cumsum(gaps[: dim - 1])]))
+    sd = rv.SpectralDensity.flat_window(height, lo, lo + width)
+    rule = {}
+    for idx, mag, phase in slots:
+        trial = {**rule, tuple(1 + (i - 1) % dim for i in idx): mag * np.exp(1j * phase)}
+        if not _entry_levels(kr.SystemSpec(energies, rv.kernel_table(sd, trial)))[1].size:
+            rule = trial
+    return kr.SystemSpec(energies, rv.kernel_table(sd, rule))
 
 
 class TestLevelRoute:
@@ -496,43 +587,40 @@ class TestLevelRoute:
         with mock.patch.object(dy, "_column_loop", wraps=dy._column_loop) as loop:
             new = dy.solve_bitemporal(sys, W, RHO3)
         assert loop.called
-        ref = bitemporal_reference.solve_bitemporal(sys, W, RHO3, T, T / n)
-        assert np.max(np.abs(new.values - ref.values)) <= 1e-12
+        _assert_matches_field(new, bitemporal_reference.solve_bitemporal(sys, W, RHO3, T, T / n))
 
     @settings(max_examples=100, deadline=None)
-    @given(
-        dim=st.integers(2, 4),
-        gaps=st.lists(st.floats(0.0, 4.0), min_size=3, max_size=3),
-        slots=st.lists(
-            st.tuples(
-                st.tuples(*[st.integers(1, 4)] * 4),
-                st.floats(0.05, 1.0),
-                st.floats(-math.pi, math.pi),
-            ),
-            min_size=1, max_size=8,
-        ),
-        height=st.floats(0.001, 0.05),
-        lo=st.floats(0.5, 5.0),
-        width=st.floats(0.2, 3.0),
-        n=st.integers(2, 16),
-        dt=st.floats(0.02, 0.2),
-        seed=st.integers(0, 2**32 - 1),
-    )
+    @given(**ACYCLIC_TABLES, seed=st.integers(0, 2**32 - 1))
     def test_generated_acyclic_systems(self, dim, gaps, slots, height, lo, width, n, dt,
                                        seed):
-        # the slots are drawn one by one and kept while the read entries
-        # stay without a cycle, so the levels build up as they are drawn
-        energies = tuple(np.concatenate([[0.0], np.cumsum(gaps[: dim - 1])]))
-        sd = rv.SpectralDensity.flat_window(height, lo, lo + width)
-        rule = {}
-        for idx, mag, phase in slots:
-            trial = {**rule, tuple(1 + (i - 1) % dim for i in idx): mag * np.exp(1j * phase)}
-            if not _entry_levels(kr.SystemSpec(energies, rv.kernel_table(sd, trial)))[1].size:
-                rule = trial
-        sys = kr.SystemSpec(energies, rv.kernel_table(sd, rule))
+        sys = _acyclic_system(dim, gaps, slots, height, lo, width)
         with _refuse_loop():
             _assert_matches_reference(sys, _random_density(dim, seed), n * dt, n,
                                       physical=False)
+
+    @settings(max_examples=100, deadline=None)
+    @given(**ACYCLIC_TABLES, blocks=st.lists(st.integers(0, 2), min_size=4, max_size=4),
+           seed=st.integers(0, 2**32 - 1))
+    def test_reachable_entries_hold_the_nonzero_pattern(self, dim, gaps, slots, height,
+                                                        lo, width, n, dt, blocks, seed):
+        # rho0 is block diagonal over the states labelled 1 and those
+        # labelled 2, and zero on the states labelled 0
+        sys = _acyclic_system(dim, gaps, slots, height, lo, width)
+        label = np.array(blocks[:dim])
+        label[0] = label[0] or 1
+        rho0 = np.where((label[:, None] == label) & (label[:, None] > 0),
+                        _random_density(dim, seed), 0.0)
+        rho0 /= np.trace(rho0).real
+        W = kr.solve_time_domain(sys, n * dt, dt)
+        field = bitemporal_reference.solve_bitemporal(sys, W, rho0, n * dt, dt)
+        nz = kr.propagator_support(sys.kernel.slots, dim)
+        reach = dy._reachable(nz, rho0, *dy._slot_pairs(sys))
+        assert not field[:, :, ~reach].any()
+        with _refuse_loop():
+            xi = dy.solve_bitemporal(sys, W, rho0)
+        assert not xi.values[:, ~reach].any()
+        assert reach[tuple(xi.read_entries.T)].all()
+        _assert_matches_field(xi, field)
 
 
 @settings(max_examples=60, deadline=None)
