@@ -35,6 +35,7 @@ them.
 """
 
 import argparse
+import functools
 import json
 import math
 import re
@@ -52,7 +53,9 @@ from . import kraus as kr
 from . import reservoir as rv
 
 _FMT = "%.16e"
-_CSV_ROWS = 2048
+_CSV_ROWS = 512
+_SPLIT = 134217729.0  # 2**27 + 1, Dekker's splitting factor
+_E_TOP = 296  # the CSV writer's largest tabled exponent
 _MISSING = object()
 # (id(mapping), key) of every config entry _fetch looked up in this run
 _READ = set()
@@ -280,17 +283,124 @@ def _audit(traj, trace_tol, **residuals):
     ] + [_check(name, v, 1e-8) for name, v in residuals.items()]
 
 
+@functools.lru_cache(maxsize=1)
+def _exponent_table():
+    """The CSV writer's table, column i for the exponent e = _E_TOP - i,
+    down to e = -284: 10**(16 - e) as hi + lo with hi's Dekker split
+    (float rows hi, lo, hh, hl), and the bytes of e (sign, the hundreds or
+    a zero pad, tens, units).
+
+    hi is 10**(16 - e) correctly rounded and lo the correctly rounded
+    rest, both from exact int arithmetic (``int / int`` rounds correctly).
+    """
+    hi, lo, exp = [], [], []
+    for e in range(_E_TOP, -285, -1):
+        if e <= 16:
+            p = 10 ** (16 - e)
+            h = float(p)
+            rest = p - int(h), 1
+        else:
+            q = 10 ** (e - 16)
+            h = 1 / q
+            num, den = h.as_integer_ratio()
+            rest = den - num * q, den * q
+        hi.append(h)
+        lo.append(rest[0] / rest[1])
+        digits = f"{e:+03d}"
+        exp.append(digits if len(digits) == 4 else digits[0] + "\0" + digits[1:])
+    hi = np.array(hi)
+    t = _SPLIT * hi
+    hh = t - (t - hi)
+    exp = np.frombuffer("".join(exp).encode(), np.uint8).reshape(-1, 4)
+    return np.stack([hi, np.array(lo), hh, hi - hh]), exp
+
+
+def _scaled(a, e):
+    """a * 10**(16 - e) as a double-double: Dekker's exact product with
+    the power's hi, plus a * lo; its error is about 1e-15 near 1e17."""
+    p_hi, p_lo, ph, pl = np.take(_exponent_table()[0], _E_TOP - e, axis=1)
+    t = _SPLIT * a
+    ah = t - (t - a)
+    al = a - ah
+    hi = a * p_hi
+    lo = ((ah * ph - hi) + ah * pl + al * ph) + al * pl + a * p_lo
+    return hi, lo
+
+
+def _outside(hi, lo):
+    """-1 where hi + lo < 1e16, +1 where it is >= 1e17, else 0."""
+    below = (hi < 1e16) | ((hi == 1e16) & (lo < 0))
+    above = (hi > 1e17) | ((hi == 1e17) & (lo >= 0))
+    return above.astype(np.int64) - below
+
+
+def _csv_bytes(data):
+    """The CSV body of a 2-D float array: ``_FMT % v`` for each value,
+    ``,`` between the values of a row and a newline after each row.
+
+    Each value gets a 25-byte slot of sign, 17 digits with ``.``,
+    ``e``, exponent sign, 2 or 3 exponent digits and separator; zero
+    pad bytes are dropped at the end.  The 17 digits are
+    round(|v| 10**(16 - e)), formed as a double-double (``_scaled``)
+    and rounded from its low part.  ``_FMT % v`` writes the values this
+    cannot decide: non-finite ones, |v| outside [1e-280, 1e290], and
+    those whose fraction lies within 1e-9 of one half.  ±0.0 is written
+    directly.
+    """
+    v = data.ravel()
+    a = np.abs(v)
+    zero = a == 0
+    bulk = (a >= 1e-280) & (a <= 1e290)
+    # every later float operation sees a finite, in-range value
+    a[~bulk] = 1.0
+    e = np.floor(np.log10(a)).astype(np.int64)
+    hi, lo = _scaled(a, e)
+    # log10 can miss the exponent by one next to a power of ten
+    fix = _outside(hi, lo)
+    redo = np.flatnonzero(fix)
+    if redo.size:
+        e[redo] += fix[redo]
+        hi[redo], lo[redo] = _scaled(a[redo], e[redo])
+        bulk[redo[_outside(hi[redo], lo[redo]) != 0]] = False
+    # above 1e16 hi is an integer, so lo carries the fraction
+    f = np.floor(lo)
+    frac = lo - f
+    slow = ~(bulk | zero) | (np.abs(frac - 0.5) < 1e-9)
+    m = hi.astype(np.int64) + f.astype(np.int64) + (frac > 0.5)
+    carry = m == 10**17
+    m[carry] = 10**16
+    e += carry
+    m[zero] = 0
+    e[zero] = 0
+
+    buf = np.zeros((v.size, 25), np.uint8)
+    buf[:, 0] = np.signbit(v) * ord("-")
+    for col in range(18, 2, -1):
+        q = m // 10
+        buf[:, col] = m - 10 * q + ord("0")
+        m = q
+    buf[:, 1] = m + ord("0")
+    buf[:, 2] = ord(".")
+    buf[:, 19] = ord("e")
+    buf[:, 20:24] = np.take(_exponent_table()[1], _E_TOP - e, axis=0)
+    buf[:, 24] = ord(",")
+    buf[data.shape[1] - 1 :: data.shape[1], 24] = ord("\n")
+    for i in np.flatnonzero(slow):
+        s = (_FMT % v[i]).encode()
+        buf[i, :24] = 0
+        buf[i, : len(s)] = np.frombuffer(s, np.uint8)
+    buf = buf.ravel()
+    return buf[buf != 0]
+
+
 def _finish(outdir, kind, artifact, table, checks):
     fname = f"{artifact}.csv"
     data = np.column_stack([np.asarray(a, dtype=float) for a in table.values()])
-    # the bytes of np.savetxt(fmt=_FMT, delimiter=",", comments=""), with
-    # one %-format per chunk of rows instead of one per row
-    row = ",".join([_FMT] * data.shape[1]) + "\n"
-    with open(outdir / fname, "w") as fh:
-        fh.write(",".join(table) + "\n")
+    # the bytes of np.savetxt(fmt=_FMT, delimiter=",", comments="")
+    with open(outdir / fname, "wb") as fh:
+        fh.write((",".join(table) + "\n").encode())
         for a in range(0, len(data), _CSV_ROWS):
-            chunk = data[a : a + _CSV_ROWS]
-            fh.write(row * len(chunk) % tuple(chunk.ravel().tolist()))
+            fh.write(_csv_bytes(data[a : a + _CSV_ROWS]))
     summary = {
         "kind": kind,
         "artifacts": {artifact: fname},

@@ -483,6 +483,7 @@ def gauss_legendre(n):
     return x, w
 
 
+@functools.lru_cache(maxsize=128)
 def next_fast_len(n):
     """Smallest 11-smooth integer ``>= n``: a fast complex FFT length.
 

@@ -12,6 +12,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import nmkraus.cli as cli
 import nmkraus.jaynescummings as jc
@@ -257,6 +259,81 @@ def test_csv_bytes_match_savetxt(tmp_path, capsys):
     np.savetxt(ref, np.column_stack(list(table.values())), fmt=cli._FMT,
                delimiter=",", header=",".join(table), comments="")
     assert (tmp_path / "trajectory.csv").read_bytes() == ref.read_bytes()
+
+
+def _finish_matches_savetxt(outdir, data):
+    """``_finish`` on the columns of ``data`` writes np.savetxt's bytes,
+    without setting a floating-point flag on the way."""
+    table = {f"c{i}": data[:, i] for i in range(data.shape[1])}
+    with np.errstate(all="raise"):
+        assert cli._finish(outdir, "Kind", "trajectory", table, []) == 0
+    ref = outdir / "ref.csv"
+    np.savetxt(ref, data, fmt=cli._FMT, delimiter=",", header=",".join(table),
+               comments="")
+    return (outdir / "trajectory.csv").read_bytes() == ref.read_bytes()
+
+
+def _csv_edge_values(name, rng):
+    if name == "bit_patterns":
+        bits = rng.integers(0, 2**64, 60_000, dtype=np.uint64).view(np.float64)
+        return np.concatenate([bits, [5e-324, -2.2e-308, 1e-310, np.nan, np.inf, -np.inf]])
+    if name == "exact_ties":
+        # odd k/8: from 1e14 to 1e15 the scaled value is 25k/2, exactly
+        # halfway, and % rounds it to even
+        return (rng.integers(2**49, 2**53, 20_000) | 1) / 8.0
+    if name == "powers_of_ten":
+        p = np.array([float(f"1e{i}") for i in range(-300, 300)])
+        return np.concatenate([np.nextafter(p, 0), p, np.nextafter(p, np.inf)])
+    if name == "carries":
+        return np.array([0.99999999999999995, 9.9999999999999995e10, 1e23, 9.999999999999999e22,
+                         np.nextafter(1e23, np.inf), 1.0, np.nextafter(1.0, 0)])
+    if name == "zeros":
+        return np.array([0.0, -0.0, 0.0, -0.0, 1.0, -1.0])
+    ends = np.array([1e-280, 1e290])
+    ends = np.concatenate([np.nextafter(ends, 0), ends, np.nextafter(ends, np.inf)])
+    return np.concatenate([ends, -ends])
+
+
+@pytest.mark.parametrize("name", ["bit_patterns", "exact_ties", "powers_of_ten", "carries",
+                                  "zeros", "range_ends"])
+def test_csv_edge_values_match_savetxt(tmp_path, name):
+    v = _csv_edge_values(name, np.random.default_rng(11))
+    v = np.concatenate([v, -v])
+    v = np.resize(v, (-(-v.size // 3), 3))
+    assert _finish_matches_savetxt(tmp_path, v)
+
+
+@settings(max_examples=60, deadline=None)
+@given(values=st.lists(st.floats(), min_size=1, max_size=24),
+       shape=st.sampled_from(["one_row", "one_column", "chunks"]))
+def test_csv_bytes_of_any_float(tmp_path_factory, values, shape):
+    v = np.array(values)
+    if shape == "one_row":
+        v = v[None, :]
+    elif shape == "one_column":
+        v = v[:, None]
+    else:
+        v = np.resize(v, (cli._CSV_ROWS + 3, 2))
+    assert _finish_matches_savetxt(tmp_path_factory.mktemp("csv"), v)
+
+
+def test_writer_loads_no_fractions_or_decimal(tmp_path):
+    # the writer's powers of ten come from int arithmetic, so neither the
+    # import nor a run pays for fractions and decimal
+    env = dict(os.environ)
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    args = ["run", str(CONFIG_DIR / "two_level_ww.yaml"), "--out", str(tmp_path / "out")]
+    loaded = "sorted(m for m in ('fractions', 'decimal') if m in sys.modules)"
+    code = ("import sys\nfrom nmkraus import cli\n"
+            f"print({loaded})\n"
+            f"rc = cli.main({args!r})\n"
+            f"print(rc, {loaded})\n")
+    res = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=120)
+    assert res.returncode == 0, res.stderr
+    lines = res.stdout.splitlines()
+    assert (lines[0], lines[-1]) == ("[]", "0 []")
 
 
 @pytest.mark.parametrize("text, path", [
