@@ -450,7 +450,7 @@ def _two_time(cfg, sys_, rho0, T, dt):
     caller reads all its keys before it calls this.
     """
     trace_tol = _trace_tol(cfg)
-    dy.check_field_size(sys_, T, dt)
+    dy.check_field_size(sys_, rho0, T, dt)
     _all_read(cfg)
     W = kr.solve_time_domain(sys_, T, dt)
     xi = dy.solve_bitemporal(sys_, W, rho0)

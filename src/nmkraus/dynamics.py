@@ -79,15 +79,11 @@ class BitemporalState:
     state); and the entries the slots read, ``read_entries[k] = (d,
     a)``, on the whole square, ``read_values[i, j, k]`` at ``(t_i,
     t_j)``.  Read entry ``(d, a)`` at ``(t_i, t_j)`` is the conjugate of
-    entry ``(a, d)`` at ``(t_j, t_i)``.  On the level route of
-    :func:`solve_bitemporal` a read entry that the initial state leaves
-    zero on the whole square is not kept.  ``max_residual`` is the
-    worst residual of the leaf solves that settle the coupled core of
-    each column's same-column couplings, ``max |A x - b| / max(1, max
-    |b|)`` over all leaves; it sits at rounding level unless a leaf is
-    close to singular, and it is exactly 0.0 when the core is empty,
-    since substitution leaves no residual (always so on the level
-    route).
+    entry ``(a, d)`` at ``(t_j, t_i)``.  A read entry that the initial
+    state leaves zero on the whole square is not kept.
+    ``max_residual`` is the worst residual ``max |A x - b| / max(1, max
+    |b|)`` of the column loop's leaf solves; it sits at rounding level
+    unless a leaf is close to singular, and is 0.0 on the level route.
     """
 
     grid: np.ndarray
@@ -116,34 +112,55 @@ class DensityTrajectory:
         return np.linalg.eigvalsh(self.matrices)[:, 0]
 
 
-def check_field_size(sys: SystemSpec, T, dt):
-    """Refuse a two-time solve whose arrays exceed physical memory.
+def check_field_size(sys: SystemSpec, rho0, T, dt):
+    """Refuse a two-time solve of ``rho0`` whose arrays exceed physical memory.
 
-    :func:`solve_bitemporal` on ``n = T/dt`` steps stores, on the route
-    the slot table picks, either the ``E`` distinct read entries and the
-    source rows in ``X`` channels on the square and the slice, ``(n+1)^2
-    (E + X) + (n+1) dim^2`` complex numbers (level route), or the whole
-    field and the kernel-weighted read entries of its written rows,
-    ``(n+1)^2 (dim^2 + G)`` (column loop; ``X`` and ``G`` as in
-    :func:`solve_bitemporal`).  The count holds every read entry, so it
-    bounds a level route that drops the entries the initial state
-    leaves zero.  Call it before the propagator solve to fail early; the
-    two-time solve calls it too.
+    Counts what the route of its plan (:func:`_plan`) stores on ``n =
+    T/dt`` steps: ``(n+1)^2 (E + X) + (n+1) dim^2`` complex numbers on
+    the level route, for the ``E`` kept read entries and ``X`` source
+    channels on the square and the slice, or ``(n+1)^2 (dim^2 + G)`` on
+    the column loop, for the whole field and ``G`` kernel-weighted read
+    entries (as in :func:`solve_bitemporal`).  Call it before the
+    propagator solve to fail early.
 
     Raises
     ------
+    StateValidationError
+        If ``rho0`` is not a density matrix.
     FieldSizeError
         If those arrays exceed physical memory; carries their byte size.
     """
-    n = int(round(T / dt))
+    _check_plan(_plan(sys, validate_density(rho0, sys.dim)), sys.dim, int(round(T / dt)))
+
+
+def _plan(sys: SystemSpec, rho0, W=None):
+    """One two-time solve's analysis of the slot table.
+
+    Drops the read entries outside the closure of ``rho0``
+    (:func:`_reachable`), orders the kept ones (:func:`_entry_levels`;
+    a nonempty ``core``, a cycle, picks the column loop) and finds their
+    written rows and channels.  ``B`` can be nonzero where
+    :func:`kraus.propagator_support` says, or anywhere for a ``W`` off
+    its table.  Returns ``(pd, pa, Wsl, levels, core, feeds, channels)``.
+    """
     nz = propagator_support(sys.kernel.slots, sys.dim)
+    if W is not None and np.any(W.values[:, ~nz]):
+        nz = np.ones_like(nz)
     pd, pa, Wsl = _slot_pairs(sys)
+    keep = _reachable(nz, rho0, pd, pa, Wsl)[pd, pa]
+    pd, pa, Wsl = pd[keep], pa[keep], Wsl[keep]
+    levels, core = _entry_levels(nz, pd, pa, Wsl)
     feeds = _feeds(Wsl)
-    if _entry_levels(nz, pd, pa, Wsl)[1].size:
-        square, line = sys.dim ** 2 + sum(qs.size for _, qs in feeds), 0
+    return pd, pa, Wsl, levels, core, feeds, _channels(Wsl, [e for e, _ in feeds], nz)
+
+
+def _check_plan(plan, dim, n):
+    """Raise FieldSizeError if what ``plan`` stores on ``n`` steps exceeds memory."""
+    pd, _, _, _, core, feeds, (ech, _, _) = plan
+    if core.size:
+        square, line = dim ** 2 + sum(qs.size for _, qs in feeds), 0
     else:
-        X = _channels(Wsl, [e for e, _ in feeds], nz)[0].size
-        square, line = pd.size + X, sys.dim ** 2
+        square, line = pd.size + ech.size, dim ** 2
     nbytes = ((n + 1) ** 2 * square + (n + 1) * line) * np.dtype(complex).itemsize
     try:
         phys = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
@@ -151,7 +168,7 @@ def check_field_size(sys: SystemSpec, T, dt):
         return
     if phys > 0 and nbytes > phys:
         raise FieldSizeError(
-            f"two-time solve on {n + 1} x {n + 1} nodes of {sys.dim}x{sys.dim} "
+            f"two-time solve on {n + 1} x {n + 1} nodes of {dim}x{dim} "
             f"matrices needs {nbytes / 2**30:.1f} GiB, more than the "
             f"{phys / 2**30:.1f} GiB of physical memory",
             nbytes,
@@ -223,8 +240,7 @@ def _entry_levels(nz, pd, pa, Wsl):
 class _CausalSolver:
     """Exact blocked solve of the same-column couplings of a column.
 
-    :func:`solve_bitemporal` builds one only for the coupled core of
-    :func:`_column_groups` and substitutes the ordered entries.  Solves
+    :func:`_column_loop` builds one over every kept read entry.  Solves
     ``(I - h_e K[0]/2) p_e - sum_{r<e} K[e-r] h_r p_r = g_e`` for
     the read entries ``p_e`` of a column's unknown rows ``e = 0..m-1``
     (counted from the diagonal node).  The weights ``h`` depend only on
@@ -312,17 +328,17 @@ def solve_bitemporal(sys: SystemSpec, W: KrausZero, rho0) -> BitemporalState:
     ``i >= j``, is its free part ``B[i] rho0 B[j]^dagger`` plus the
     trapezoid double sum over the inner times ``t_r'``, ``r' <= j``, and
     the outer times ``t_i'``, ``i' <= i``, of the read entries at
-    ``(i', r')``; the other triangle is its adjoint.  The slot table
-    picks one of two routes, which solve the same discrete equations.
+    ``(i', r')``; the other triangle is its adjoint.  The read entries
+    that ``rho0`` leaves zero on the whole square feed nothing and are
+    dropped first; the kept ones pick one of two routes (:func:`_plan`),
+    which solve the same discrete equations and return only them.
 
-    *Level route*, when the read entries form no cycle
+    *Level route*, when the kept read entries form no cycle
     (:func:`_entry_levels`: entry ``q'`` depends on ``q`` where a term
     ``B[pd[q'], e] Wsl[q, e, b] conj B[pa[q'], b]``, or the same term
     with ``pd`` and ``pa`` swapped, can be nonzero at some lags): every
-    generic decay system, and the dressed Jaynes-Cummings ladder.  The
-    read entries that ``rho0`` leaves zero on the whole square
-    (:func:`_reachable`) are dropped first; they feed nothing.  Each
-    level of read entries is then explicit on the whole grid at once:
+    generic decay system, and the dressed Jaynes-Cummings ladder.  Each
+    level of read entries is explicit on the whole grid at once:
     level 0 is the free part, and each later level adds the memory of
     the levels below it.  The memory enters through the source rows
     ``Q[j, i'] = sum_q sum_{r' <= j} (weights) kernel((r' - i') dt)
@@ -343,14 +359,13 @@ def solve_bitemporal(sys: SystemSpec, W: KrausZero, rho0) -> BitemporalState:
     or a slot that reads the entry it writes (:func:`_column_loop`):
     column by column, the cross-time part is one ``(n+1) x (j P_e)`` by
     ``(j P_e) x dim`` product per written row ``e``, fed by ``P_e`` of
-    the read entries, and the same-column part is substituted level by
-    level of :func:`_column_groups`, with only the coupled core solved
-    by :class:`_CausalSolver`.  With ``G = sum_e P_e`` and ``P_core``
-    core entries the work is O(n^3 G dim) for the products,
-    O(n^2 log n (nr dim + dim^2 + P)) for the column FFTs and
-    O(n^2 log^2 n P_core^2) for the column solves, and the solve stores
-    the whole field, ``(n+1)^2 dim^2`` complex numbers, and ``(n+1)^2
-    G`` kernel-weighted read entries; it returns every read entry.
+    the kept read entries, and the same-column part of all ``P`` kept
+    entries is one blocked solve by :class:`_CausalSolver`.  With ``G =
+    sum_e P_e`` the work is O(n^3 G dim) for the products, O(n^2 log n
+    (nr dim + dim^2 + P)) for the column FFTs and O(n^2 log^2 n P^2)
+    for the column solves, and the solve stores the whole field,
+    ``(n+1)^2 dim^2`` complex numbers, and ``(n+1)^2 G`` kernel-weighted
+    read entries.
 
     The outer trapezoid's end weights are the halved source row
     ``i' = 0`` and the propagator's halved lag 0.  Column 0 is the free
@@ -361,7 +376,8 @@ def solve_bitemporal(sys: SystemSpec, W: KrausZero, rho0) -> BitemporalState:
     ``kappa(m dt)``, ``|m| <= n``, is read from its kernel samples
     ``W.kappa`` (``kappa(-tau)`` is ``conj kappa(tau)``), not sampled
     again.  A ``W`` with a nonzero entry that the slot table says is
-    zero at every step takes the column loop.
+    zero at every step keeps every read entry, and any slot then takes
+    the column loop.
 
     Raises
     ------
@@ -378,10 +394,9 @@ def solve_bitemporal(sys: SystemSpec, W: KrausZero, rho0) -> BitemporalState:
     tg = W.grid
     n = tg.shape[0] - 1
     dt = tg[1] - tg[0]
-    check_field_size(sys, tg[-1], dt)
-    nz = propagator_support(sys.kernel.slots, dim)
-    pd, pa, Wsl = _slot_pairs(sys)
-    levels, core = _entry_levels(nz, pd, pa, Wsl)
+    plan = _plan(sys, rho0, W)
+    _check_plan(plan, dim, n)
+    pd, pa, _, _, core = plan[:5]
 
     en = np.asarray(sys.energies, dtype=float)
     B = np.exp(-1j * np.outer(tg, en))[:, :, None] * W.values
@@ -389,18 +404,15 @@ def solve_bitemporal(sys: SystemSpec, W: KrausZero, rho0) -> BitemporalState:
     # KD[s, sp] = kernel((sp - s) dt); a reversed sliding view, no copy
     KD = np.lib.stride_tricks.sliding_window_view(line, n + 1)[::-1]
     ph = np.exp(1j * np.outer(tg, en))
-    if core.size or np.any(W.values[:, ~nz]):
+    if core.size:
         xi = np.zeros((n + 1, n + 1, dim, dim), dtype=complex)
-        max_resid = _column_loop(xi, B, KD, line, dt, rho0, pd, pa, Wsl)
+        max_resid = _column_loop(xi, B, KD, line, dt, rho0, plan)
         xi *= ph[:, None, :, None]
         xi *= np.conj(ph)[None, :, None, :]
         idx = np.arange(n + 1)
         rho, S = xi[idx, idx], xi[:, :, pd, pa]
     else:
-        keep = _reachable(nz, rho0, pd, pa, Wsl)[pd, pa]
-        pd, pa, Wsl = pd[keep], pa[keep], Wsl[keep]
-        levels = _entry_levels(nz, pd, pa, Wsl)[0]
-        rho, S = _level_solve(W.values, B, ph, KD, dt, rho0, pd, pa, Wsl, levels, nz)
+        rho, S = _level_solve(W.values, B, ph, KD, dt, rho0, plan)
         max_resid = 0.0
     return BitemporalState(grid=tg, values=rho, read_entries=np.stack([pd, pa], axis=1),
                            read_values=S, max_residual=max_resid)
@@ -433,7 +445,7 @@ def _reachable(nz, rho0, pd, pa, Wsl):
 _BLOCK = 1 << 14
 
 
-def _level_solve(Wv, B, ph, KD, dt, rho0, pd, pa, Wsl, levels, nz):
+def _level_solve(Wv, B, ph, KD, dt, rho0, plan):
     """Equal-time slice and read-entry squares, level by level of read entries.
 
     Returns ``(rho, S)`` in the final frame, ``ph[i] * (B frame) * conj
@@ -454,6 +466,7 @@ def _level_solve(Wv, B, ph, KD, dt, rho0, pd, pa, Wsl, levels, nz):
     free part exactly, and the levels make sure that an entry is filled
     only once every read entry that feeds it is in ``Q``.
     """
+    pd, pa, Wsl, levels, _, feeds, (ech, cch, reach) = plan
     n1, dim = B.shape[:2]
     n = n1 - 1
     RW = rho0 @ np.conj(np.swapaxes(Wv, 1, 2))
@@ -473,8 +486,7 @@ def _level_solve(Wv, B, ph, KD, dt, rho0, pd, pa, Wsl, levels, nz):
     idx = np.arange(n1)
     rho[:, pd, pa] = S[idx, idx]
 
-    rows = [e for e, _ in _feeds(Wsl)]
-    ech, cch, reach = _channels(Wsl, rows, nz)
+    rows = [e for e, _ in feeds]
     X = ech.size
     if not X:
         return rho, S
@@ -575,21 +587,19 @@ def _channels(Wsl, rows, nz):
     return ech, cch, reach
 
 
-def _column_loop(xi, B, KD, line, dt, rho0, pd, pa, Wsl):
+def _column_loop(xi, B, KD, line, dt, rho0, plan):
     """Fill ``xi`` (in the ``B`` frame) column by column; the worst residual.
 
-    The route of :func:`solve_bitemporal` for read entries that form a
-    cycle.  Per column ``j``: the cross-time rows ``Y[:, :j] @ Zrev``,
-    the known rows ``r < j`` of the same-column sum, one forward FFT of
-    the written rows ``Q``, the read-entry passes of each group of
-    :func:`_column_groups` (the coupled core through
-    :class:`_CausalSolver`), and one inverse FFT that fills the column
+    Per column ``j``: the cross-time rows ``Y[:, :j] @ Zrev``, the known
+    rows ``r < j`` of the same-column sum, one forward FFT of the
+    written rows ``Q``, one blocked solve of every kept read entry
+    (:class:`_CausalSolver`), and one inverse FFT that fills the column
     and its conjugate row.
     """
+    pd, pa, Wsl, _, _, feeds, _ = plan
     n = B.shape[0] - 1
     dim = B.shape[1]
     P = pd.size
-    feeds = _feeds(Wsl)
     rows = [e for e, _ in feeds]
     nr = len(rows)
     # the slot weights into the written rows only: every other row of
@@ -619,19 +629,14 @@ def _column_loop(xi, B, KD, line, dt, rho0, pd, pa, Wsl):
     # h[e]: trapezoid weight of same-column row j + e, for every column j
     K = np.einsum("mpc,qcp->mpq", B[:, pd, :], Wsl[:, :, pa])
     h = 0.5 * dt * dt * line[n:0:-1]
-    levels, core = _column_groups(K)
-    column = _CausalSolver(K[:, core][:, :, core], h) if core.size else None
+    column = _CausalSolver(K, h)
 
     nfft = rv.next_fast_len(2 * n + 1)
     # lag 0 halved: the trapezoid's end node r = i of every source row
     Bh = B[:, :, rows]
     Bh[0] *= 0.5
     fB = np.fft.fft(Bh, nfft, axis=0)
-    # per group: its entries, and those whose propagator row meets a
-    # written row with their spectra (B * Q is exactly zero elsewhere)
-    live = np.any(B[:, pd][:, :, rows] != 0, axis=(0, 2))
-    groups = [(q, live[q], fB[:, pd[q[live[q]]], :], pa[q[live[q]]])
-              for q in levels + [core] if q.size]
+    fBp = fB[:, pd]
     max_resid = 0.0
     for j in range(1, n + 1):
         # trapezoid weights of the known rows r < j of this column
@@ -648,19 +653,13 @@ def _column_loop(xi, B, KD, line, dt, rho0, pd, pa, Wsl):
         Q[0] *= 0.5
         fQ = np.fft.fft(Q, nfft, axis=0)
         F = (B[j:].reshape(-1, dim) @ (rho0 @ B[j].conj().T)).reshape(-1, dim, dim)
+        g = F[:, pd, pa]
+        g += np.fft.ifft(np.einsum("kpc,kcp->kp", fBp, fQ[:, :, pa]), axis=0)[j : n + 1]
         u = np.zeros((n + 1, P), dtype=complex)
-        for q, sel, fBq, aq in groups:
-            g = F[:, pd[q], pa[q]]
-            if aq.size:
-                g[:, sel] += np.fft.ifft(np.einsum("kpc,kcp->kp", fBq, fQ[:, :, aq]),
-                                         axis=0)[j : n + 1]
-            if q is core:
-                u[j:, q], resid = column.solve(g)
-                max_resid = max(max_resid, resid)
-            else:
-                u[j:, q] = h[: n + 1 - j, None] * g
-            # the group's V[r] = sum_q Wsl[q] h_r p_r[q] joins the spectrum
-            fQ += (np.fft.fft(u[:, q], nfft, axis=0) @ Wr[q]).reshape(nfft, nr, dim)
+        u[j:], resid = column.solve(g)
+        max_resid = max(max_resid, resid)
+        # V[r] = sum_q Wsl[q] h_r p_r[q] joins the spectrum
+        fQ += (np.fft.fft(u, nfft, axis=0) @ Wr).reshape(nfft, nr, dim)
         xj = np.fft.ifft(fB @ fQ, axis=0)[j : n + 1]
         xj += F
         xi[j:, j] = xj

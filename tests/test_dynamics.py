@@ -1,5 +1,6 @@
 """Two-time solver, trajectory extraction, audits, reference channels."""
 
+import contextlib
 import functools
 import math
 import os
@@ -87,34 +88,44 @@ class TestValidation:
         assert "GiB" in str(err.value)
 
     def test_field_size_guard_counts_bytes(self, monkeypatch):
-        # what the route stores per node: on the level route the E
-        # distinct read entries and the source rows in X channels, the
-        # (written row, column) pairs that can be nonzero, plus the
-        # equal-time slice per step (16 read entries and 9 of the 3 x 5
-        # channels on the dressed ladder; 3 read entries and 1 of the
-        # 1 x 4 channels on the four-level decay, whose only written row
-        # is the ground state's and only the ground state's column
-        # reaches it); on the column loop the whole field and G
-        # kernel-weighted read entries, one for each (written row, read
-        # entry) pair (2 for the thermal pair)
-        ladder = jc.build_dressed_system(jc.DressedBasis(0.0, 20.0, 0.3, 1),
-                                         rv.SpectralDensity.flat_window(0.0318, 18.0, 22.0))
+        # what the route stores per node: on the level route the E kept
+        # read entries, as many as a real solve returns, and the source
+        # rows in X channels, the (written row, column) pairs that can be
+        # nonzero, plus the equal-time slice per step (9 of the 3 x 5
+        # channels on the dressed ladder, 5 once the excited atom with
+        # one photon keeps 8 of its 16 read entries; 1 of the 1 x 4
+        # channels on the four-level decay, whose only written row is the
+        # ground state's and only the ground state's column reaches it);
+        # on the column loop the whole field and G kernel-weighted read
+        # entries, one for each (written row, read entry) pair (2 for the
+        # thermal pair)
+        basis = jc.DressedBasis(0.0, 20.0, 0.3, 1)
+        excited = jc.dressed_initial_state(basis, jc.JCInitialState(np.diag([0.0, 1.0]), 1))
         four = _decay_system((0.0, 3.0, 5.5, 7.5), [(2, 1.0), (3, 0.5), (4, 0.5)])
-        n = 64
+        thermal = _thermal_system(THERMAL_PAIR)
+        n, T = 64, 12.0
+        level = [(_ladder(1), _random_density(5, 4), 16, 9), (_ladder(1), excited, 8, 5),
+                 (four, RHO4, 3, 1)]
+        kept = [dy.solve_bitemporal(sys, kr.solve_time_domain(sys, T, T / n), rho0)
+                .read_entries.shape[0] for sys, rho0, _, _ in level]
+        assert kept == [E for _, _, E, _ in level]
         monkeypatch.setattr(dy.os, "sysconf", lambda name: 1)
-        for sys, dim, square, line in [(ladder, 5, 16 + 9, 25), (four, 4, 3 + 1, 16),
-                                       (_thermal_system(THERMAL_PAIR), 2, 4 + 2, 0)]:
-            assert sys.dim == dim
+
+        def counted(sys, rho0):
             with pytest.raises(dy.FieldSizeError) as err:
-                dy.check_field_size(sys, 12.0, 12.0 / n)
-            assert err.value.nbytes == ((n + 1) ** 2 * square + (n + 1) * line) * 16
+                dy.check_field_size(sys, rho0, T, T / n)
+            return err.value.nbytes
+
+        for (sys, rho0, _, X), E in zip(level, kept):
+            assert counted(sys, rho0) == ((n + 1) ** 2 * (E + X) + (n + 1) * sys.dim ** 2) * 16
+        assert counted(thermal, EXCITED) == (n + 1) ** 2 * (2 ** 2 + 2) * 16
 
         def unreadable(name):
             raise OSError(name)
 
         # no memory figure, no refusal
         monkeypatch.setattr(dy.os, "sysconf", unreadable)
-        assert dy.check_field_size(ladder, 12.0, 12.0 / n) is None
+        assert dy.check_field_size(_ladder(1), excited, T, T / n) is None
 
     def test_singular_block_names_its_rows(self):
         # a slot that writes the entry it reads, weighted so that node
@@ -402,7 +413,11 @@ THERMAL_PAIR_AND_DECAY = {**THERMAL_PAIR, (3, 1, 1, 3): 0.5}
 
 
 class TestColumnGroups:
-    """The same-column ordering: explicit levels, then the coupled core."""
+    """The same-column ordering, and the column loop's one blocked solve.
+
+    The ordering, explicit levels then the coupled core, picks the route
+    only; the column loop solves every kept read entry at once.
+    """
 
     def test_generic_systems_are_one_level(self):
         for energies, weights in [((0.0, 3.0, 7.5), [(2, 1.0), (3, 0.5)]),
@@ -470,7 +485,7 @@ class TestColumnGroups:
         assert xi.max_residual == 0.0
         _assert_matches_field(xi, bitemporal_reference.solve_bitemporal(sys, W, RHO3, 1.0, 0.02))
 
-    def test_solver_sees_only_the_core(self, monkeypatch):
+    def test_solver_sees_every_kept_entry(self, monkeypatch):
         built = []
 
         class Spy(dy._CausalSolver):
@@ -482,7 +497,7 @@ class TestColumnGroups:
         sys = _thermal_system(THERMAL_PAIR_AND_DECAY)
         dy.solve_bitemporal(sys, kr.solve_time_domain(sys, 1.0, 0.02),
                             np.diag([0.0, 0.4, 0.6]))
-        assert built == [(2, 2)]
+        assert built == [(3, 3)]
 
     def test_singular_core_beside_a_level_names_its_rows(self):
         # the self-cancelling slot of test_singular_block_names_its_rows
@@ -546,7 +561,7 @@ def _acyclic_system(dim, gaps, slots, height, lo, width):
 
 
 class TestLevelRoute:
-    """Read entries without a cycle: solved level by level, with no column loop."""
+    """Kept read entries without a cycle: solved level by level, with no column loop."""
 
     def test_route_follows_read_cycles(self):
         acyclic = [
@@ -621,6 +636,74 @@ class TestLevelRoute:
         assert not xi.values[:, ~reach].any()
         assert reach[tuple(xi.read_entries.T)].all()
         _assert_matches_field(xi, field)
+
+    @settings(max_examples=100, deadline=None)
+    @given(**ACYCLIC_TABLES, blocks=st.lists(st.integers(0, 2), min_size=4, max_size=4),
+           seed=st.integers(0, 2**32 - 1))
+    def test_prune_then_route_on_any_table(self, dim, gaps, slots, height, lo, width, n,
+                                           dt, blocks, seed):
+        # every drawn slot is kept, cycles included; the read entries
+        # outside the closure of rho0 are dropped before the route is
+        # picked, so a cycle among them alone does not pick the loop
+        sys = _drawn_system(dim, gaps, slots, height, lo, width)
+        rho0 = _block_density(dim, blocks, seed)
+        W = kr.solve_time_domain(sys, n * dt, dt)
+        field = bitemporal_reference.solve_bitemporal(sys, W, rho0, n * dt, dt)
+        nz = kr.propagator_support(sys.kernel.slots, dim)
+        pd, pa, Wsl = dy._slot_pairs(sys)
+        reach = dy._reachable(nz, rho0, pd, pa, Wsl)
+        assert not field[:, :, ~reach].any()
+        keep = reach[pd, pa]
+        cyclic = dy._entry_levels(nz, pd[keep], pa[keep], Wsl[keep])[1].size > 0
+        with mock.patch.object(dy, "_column_loop", wraps=dy._column_loop) as loop:
+            xi = dy.solve_bitemporal(sys, W, rho0)
+        assert loop.called == cyclic
+        assert xi.read_entries.tolist() == np.stack([pd[keep], pa[keep]], axis=1).tolist()
+        _assert_matches_field(xi, field)
+
+
+def _drawn_system(dim, gaps, slots, height, lo, width):
+    """Every drawn slot, cycles and all, on ``dim`` states."""
+    energies = tuple(np.concatenate([[0.0], np.cumsum(gaps[: dim - 1])]))
+    sd = rv.SpectralDensity.flat_window(height, lo, lo + width)
+    rule = {tuple(1 + (i - 1) % dim for i in idx): mag * np.exp(1j * phase)
+            for idx, mag, phase in slots}
+    return kr.SystemSpec(energies, rv.kernel_table(sd, rule))
+
+
+def _block_density(dim, blocks, seed):
+    """A density block diagonal over the states labelled 1 and those labelled 2.
+
+    It is zero on the states labelled 0; state 0 is never labelled 0.
+    """
+    label = np.array(blocks[:dim])
+    label[0] = label[0] or 1
+    rho0 = np.where((label[:, None] == label) & (label[:, None] > 0),
+                    _random_density(dim, seed), 0.0)
+    return rho0 / np.trace(rho0).real
+
+
+@pytest.mark.parametrize("case", ["level route", "column loop"])
+def test_one_analysis_per_solve(case):
+    # the slot table's structure is worked out once by the solve and
+    # once by the guard, each from its own plan
+    if case == "level route":
+        basis = jc.DressedBasis(0.0, 20.0, 0.3, 1)
+        sys = _ladder(1)
+        rho0 = jc.dressed_initial_state(basis, jc.JCInitialState(np.diag([0.0, 1.0]), 1))
+    else:
+        sys, rho0 = _thermal_system(THERMAL_PAIR_AND_DECAY), np.diag([0.0, 0.4, 0.6])
+    W = kr.solve_time_domain(sys, 1.0, 0.05)
+    names = ["_slot_pairs", "_reachable", "_entry_levels"]
+    with contextlib.ExitStack() as stack:
+        spies = [stack.enter_context(mock.patch.object(dy, name, wraps=getattr(dy, name)))
+                 for name in names]
+        with mock.patch.object(dy, "_column_loop", wraps=dy._column_loop) as loop:
+            dy.solve_bitemporal(sys, W, rho0)
+        assert loop.called == (case == "column loop")
+        assert [spy.call_count for spy in spies] == [1, 1, 1]
+        dy.check_field_size(sys, rho0, 1.0, 0.05)
+        assert [spy.call_count for spy in spies] == [2, 2, 2]
 
 
 @settings(max_examples=60, deadline=None)
