@@ -115,22 +115,25 @@ class DensityTrajectory:
 def check_field_size(sys: SystemSpec, rho0, T, dt):
     """Refuse a two-time solve of ``rho0`` whose arrays exceed physical memory.
 
-    Counts what the route of its plan (:func:`_plan`) stores on ``n =
-    T/dt`` steps: ``(n+1)^2 (E + X) + (n+1) dim^2`` complex numbers on
-    the level route, for the ``E`` kept read entries and ``X`` source
-    channels on the square and the slice, or ``(n+1)^2 (dim^2 + G)`` on
-    the column loop, for the whole field and ``G`` kernel-weighted read
-    entries (as in :func:`solve_bitemporal`).  Call it before the
-    propagator solve to fail early.
+    Counts what :func:`solve_bitemporal` stores on ``n = T/dt`` steps
+    (:func:`_check_plan`).  Call it before the propagator solve to fail
+    early.
 
     Raises
     ------
+    ValueError
+        If ``dt <= 0``, or ``T/dt`` is not a finite count ``>= 0``.
     StateValidationError
         If ``rho0`` is not a density matrix.
     FieldSizeError
         If those arrays exceed physical memory; carries their byte size.
     """
-    _check_plan(_plan(sys, validate_density(rho0, sys.dim)), sys.dim, int(round(T / dt)))
+    if not dt > 0:
+        raise ValueError("dt must be > 0")
+    steps = float(T) / float(dt)
+    if not 0 <= steps < math.inf:
+        raise ValueError(f"T/dt = {steps:g} is not a finite count of steps >= 0")
+    _check_plan(_plan(sys, validate_density(rho0, sys.dim)), sys.dim, int(round(steps)))
 
 
 def _plan(sys: SystemSpec, rho0, W=None):
@@ -155,13 +158,17 @@ def _plan(sys: SystemSpec, rho0, W=None):
 
 
 def _check_plan(plan, dim, n):
-    """Raise FieldSizeError if what ``plan`` stores on ``n`` steps exceeds memory."""
+    """Raise FieldSizeError if what ``plan`` stores on ``n`` steps exceeds memory.
+
+    Both routes store ``(n+1)^2 (E + extra) + (n+1) dim^2`` complex
+    numbers: the ``E`` kept read entries and ``extra`` more arrays on
+    the square, and the equal-time slice.  ``extra`` is the ``X`` source
+    channels of the level route, or the ``G`` kernel-weighted read
+    entries of the column loop, one per (written row, read entry) pair.
+    """
     pd, _, _, _, core, feeds, (ech, _, _) = plan
-    if core.size:
-        square, line = dim ** 2 + sum(qs.size for _, qs in feeds), 0
-    else:
-        square, line = pd.size + ech.size, dim ** 2
-    nbytes = ((n + 1) ** 2 * square + (n + 1) * line) * np.dtype(complex).itemsize
+    extra = sum(qs.size for _, qs in feeds) if core.size else ech.size
+    nbytes = ((n + 1) ** 2 * (pd.size + extra) + (n + 1) * dim ** 2) * np.dtype(complex).itemsize
     try:
         phys = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     except (AttributeError, OSError, ValueError):
@@ -321,63 +328,37 @@ class _CausalSolver:
 def solve_bitemporal(sys: SystemSpec, W: KrausZero, rho0) -> BitemporalState:
     """Integrate the two-time equation on ``W.grid``.
 
-    The explicit free phases are absorbed into the propagator columns
-    ``B(t) = e^{-iHt} W(t)``, which turns the memory term into causal
-    convolutions.  The slots act only through the P distinct entries
-    they read and their summed weights.  Field node ``(i, j)``,
-    ``i >= j``, is its free part ``B[i] rho0 B[j]^dagger`` plus the
-    trapezoid double sum over the inner times ``t_r'``, ``r' <= j``, and
-    the outer times ``t_i'``, ``i' <= i``, of the read entries at
-    ``(i', r')``; the other triangle is its adjoint.  The read entries
-    that ``rho0`` leaves zero on the whole square feed nothing and are
-    dropped first; the kept ones pick one of two routes (:func:`_plan`),
-    which solve the same discrete equations and return only them.
+    The free phases are absorbed into the propagator columns ``B(t) =
+    e^{-iHt} W(t)``, which turns the memory term into causal
+    convolutions; the slots act only through the entries they read and
+    their summed weights.  Node ``(i, j)``, ``i >= j``, is its free part
+    ``B[i] rho0 B[j]^dagger`` plus the trapezoid double sum over the
+    inner times ``t_r'``, ``r' <= j``, and the outer times ``t_i'``,
+    ``i' <= i``, of the read entries at ``(i', r')``; the outer sum's
+    end weights are the halved source row ``i' = 0`` and the
+    propagator's halved lag 0.  The other triangle is the adjoint.
 
-    *Level route*, when the kept read entries form no cycle
-    (:func:`_entry_levels`: entry ``q'`` depends on ``q`` where a term
-    ``B[pd[q'], e] Wsl[q, e, b] conj B[pa[q'], b]``, or the same term
-    with ``pd`` and ``pa`` swapped, can be nonzero at some lags): every
-    generic decay system, and the dressed Jaynes-Cummings ladder.  Each
-    level of read entries is explicit on the whole grid at once:
-    level 0 is the free part, and each later level adds the memory of
-    the levels below it.  The memory enters through the source rows
-    ``Q[j, i'] = sum_q sum_{r' <= j} (weights) kernel((r' - i') dt)
-    xi[i', r']_q Wsl[q] conj B[j - r']^T`` of the written rows, kept in
-    the ``X <= nr dim`` channels (written row, column) that can be
-    nonzero (:func:`_channels`), per block of rows one FFT convolution
-    along the column index, with the node ``r' = j`` at half weight.  A
-    level's entries are the free part plus one FFT convolution of ``Q``
-    with ``B`` along the row index per block of columns; every other
-    entry that the memory reaches gets it on the equal-time slice only
-    (:func:`_level_solve`).  Nothing is solved, so ``max_residual`` is
-    0.0.  With ``E`` read entries kept the work is O(n^2 log n (E + X))
-    for the FFTs, O(n^2 E dim) for their free part and O(n dim^3) for
-    the slice, and the solve stores ``(n+1)^2 (E + X)`` complex numbers
-    for the read entries and ``Q``, and the slice.
+    Only the ``E`` read entries that ``rho0`` can make nonzero are kept
+    (:func:`_plan`).  Both routes start from their free part and that of
+    the equal-time slice (:func:`_free_part`), add the memory to those
+    alone, share one spectrum of the written rows of ``B``, and store
+    ``(n+1)^2 (E + extra) + (n+1) dim^2`` complex numbers
+    (:func:`_check_plan`).  The *level route* (:func:`_level_solve`)
+    runs when the kept read entries form no cycle
+    (:func:`_entry_levels`), as for every generic decay system and the
+    dressed Jaynes-Cummings ladder: explicit level by level, O(n^2 log n
+    (E + X)) work, and ``max_residual`` 0.0.  The *column loop*
+    (:func:`_column_loop`) runs otherwise, as for a thermal
+    absorption-emission pair or a slot that reads the entry it writes:
+    one blocked solve per column, O(n^3 G dim + n^2 log^2 n E^2) work.
 
-    *Column loop* otherwise, as for a thermal absorption-emission pair
-    or a slot that reads the entry it writes (:func:`_column_loop`):
-    column by column, the cross-time part is one ``(n+1) x (j P_e)`` by
-    ``(j P_e) x dim`` product per written row ``e``, fed by ``P_e`` of
-    the kept read entries, and the same-column part of all ``P`` kept
-    entries is one blocked solve by :class:`_CausalSolver`.  With ``G =
-    sum_e P_e`` the work is O(n^3 G dim) for the products, O(n^2 log n
-    (nr dim + dim^2 + P)) for the column FFTs and O(n^2 log^2 n P^2)
-    for the column solves, and the solve stores the whole field,
-    ``(n+1)^2 dim^2`` complex numbers, and ``(n+1)^2 G`` kernel-weighted
-    read entries.
-
-    The outer trapezoid's end weights are the halved source row
-    ``i' = 0`` and the propagator's halved lag 0.  Column 0 is the free
-    part, and the upper triangle is the exact adjoint of the lower one.
-    The ``n`` steps and their size are those of ``W.grid``.  ``W`` must
-    be the propagator of ``sys``, as :func:`kraus.solve_time_domain`
-    returns it: ``W.values[0]`` is the identity, and the lag line
-    ``kappa(m dt)``, ``|m| <= n``, is read from its kernel samples
-    ``W.kappa`` (``kappa(-tau)`` is ``conj kappa(tau)``), not sampled
-    again.  A ``W`` with a nonzero entry that the slot table says is
-    zero at every step keeps every read entry, and any slot then takes
-    the column loop.
+    ``W`` must be the propagator of ``sys`` as
+    :func:`kraus.solve_time_domain` returns it: its grid gives the
+    steps, ``W.values[0]`` is the identity, and its kernel samples
+    ``W.kappa`` give the lag line (``kappa(-tau) = conj kappa(tau)``).
+    A ``W`` with a nonzero entry that the slot table says is zero at
+    every step keeps every read entry, and any slot then takes the
+    column loop.
 
     Raises
     ------
@@ -396,7 +377,7 @@ def solve_bitemporal(sys: SystemSpec, W: KrausZero, rho0) -> BitemporalState:
     dt = tg[1] - tg[0]
     plan = _plan(sys, rho0, W)
     _check_plan(plan, dim, n)
-    pd, pa, _, _, core = plan[:5]
+    pd, pa, _, _, core, feeds, _ = plan
 
     en = np.asarray(sys.energies, dtype=float)
     B = np.exp(-1j * np.outer(tg, en))[:, :, None] * W.values
@@ -404,18 +385,51 @@ def solve_bitemporal(sys: SystemSpec, W: KrausZero, rho0) -> BitemporalState:
     # KD[s, sp] = kernel((sp - s) dt); a reversed sliding view, no copy
     KD = np.lib.stride_tricks.sliding_window_view(line, n + 1)[::-1]
     ph = np.exp(1j * np.outer(tg, en))
+    # the column loop works in the B frame, the level route in the final one
+    rho, S = _free_part(B if core.size else W.values, rho0, pd, pa)
+    # the written rows of B with lag 0 halved, the outer trapezoid's end
+    # node i' = i; index 2n of a convolution with their spectrum wraps
+    # onto index 0, which no column j >= 1 reads
+    Bh = B[:, :, [e for e, _ in feeds]]
+    Bh[0] *= 0.5
+    fB = np.fft.fft(Bh, rv.next_fast_len(2 * n), axis=0)
     if core.size:
-        xi = np.zeros((n + 1, n + 1, dim, dim), dtype=complex)
-        max_resid = _column_loop(xi, B, KD, line, dt, rho0, plan)
-        xi *= ph[:, None, :, None]
-        xi *= np.conj(ph)[None, :, None, :]
-        idx = np.arange(n + 1)
-        rho, S = xi[idx, idx], xi[:, :, pd, pa]
+        max_resid = _column_loop(rho, S, B, fB, KD, dt, plan)
+        # from the B frame to the final one, ph[i] (B frame) conj ph[j]
+        rho *= ph[:, :, None]
+        rho *= np.conj(ph)[:, None, :]
+        S *= ph[:, None, pd]
+        S *= np.conj(ph[:, pa])
     else:
-        rho, S = _level_solve(W.values, B, ph, KD, dt, rho0, plan)
+        _level_solve(rho, S, B, Bh, fB, ph, KD, dt, plan)
         max_resid = 0.0
     return BitemporalState(grid=tg, values=rho, read_entries=np.stack([pd, pa], axis=1),
                            read_values=S, max_residual=max_resid)
+
+
+def _free_part(V, rho0, pd, pa):
+    """Free part ``V[i] rho0 V[j]^dagger`` of the slice and the read entries.
+
+    Returns ``(rho, S)``: ``rho[j]`` at ``(t_j, t_j)``, and ``S[i, j,
+    k]`` read entry ``(pd[k], pa[k])`` at ``(t_i, t_j)`` on the whole
+    square, whose upper triangle is the adjoint of the transposed
+    entry's lower one.  ``V`` is ``W`` for the final frame or ``B`` for
+    the ``B`` frame.
+    """
+    n1 = V.shape[0]
+    RW = rho0 @ np.conj(np.swapaxes(V, 1, 2))
+    rho = V @ RW
+    S = np.empty((n1, n1, pd.size), dtype=complex)
+    low = np.tri(n1, dtype=bool)
+    for k, (d, a) in enumerate(zip(pd, pa)):
+        # F[i, j] = V[i, d] rho0 V[j, a]^dagger
+        F = V[:, d] @ RW[:, :, a].T
+        Ft = F if d == a else V[:, a] @ RW[:, :, d].T
+        S[:, :, k] = np.where(low, F, np.conj(Ft.T))
+    # the slice takes the squares' diagonal, so the two agree exactly
+    idx = np.arange(n1)
+    rho[:, pd, pa] = S[idx, idx]
+    return rho, S
 
 
 def _reachable(nz, rho0, pd, pa, Wsl):
@@ -445,60 +459,40 @@ def _reachable(nz, rho0, pd, pa, Wsl):
 _BLOCK = 1 << 14
 
 
-def _level_solve(Wv, B, ph, KD, dt, rho0, plan):
-    """Equal-time slice and read-entry squares, level by level of read entries.
+def _level_solve(rho, S, B, Bh, fB, ph, KD, dt, plan):
+    """Add the memory to ``rho`` and ``S``, level by level of read entries.
 
-    Returns ``(rho, S)`` in the final frame, ``ph[i] * (B frame) * conj
-    ph[j]`` with ``ph = e^{iHt}``: ``rho[j]`` the matrix at ``(t_j,
-    t_j)``, and ``S[i, j, k]`` read entry ``(pd[k], pa[k])`` at ``(t_i,
-    t_j)``.  First the free part ``W[i] rho0 W[j]^dagger``: on the slice
-    for every entry, and on the whole square for the read entries, whose
-    upper triangle is the adjoint of the transposed entry's lower one.
-    Then, for each level after the first, the memory of the entries
-    ``(pd, pa)`` and ``(pa, pd)`` of its read entries in the rows ``i >=
-    j`` of all columns at once, added straight into the lower triangle
-    of the squares of those that are read, the upper triangle of the
-    squares of their transposes, and the slice.  Each level's squares,
-    a block of rows at a time, then join the source rows ``Q``.  Last,
-    every other entry that the memory reaches (:func:`_channels`) gets
-    its memory on the slice only, as the direct lag sum ``sum_{i' <= j}
-    B[j - i'] Q[j, i']``.  An entry that no read entry feeds keeps its
-    free part exactly, and the levels make sure that an entry is filled
-    only once every read entry that feeds it is in ``Q``.
+    ``rho`` and ``S`` hold the free part (:func:`_free_part`) in the
+    final frame, ``ph[i] * (B frame) * conj ph[j]`` with ``ph =
+    e^{iHt}``; ``Bh`` are the written rows of ``B`` with lag 0 halved,
+    and ``fB`` their spectrum.  For each level after the first, the
+    memory of the entries ``(pd, pa)`` and ``(pa, pd)`` of its read
+    entries in the rows ``i >= j`` of all columns at once is added
+    straight into the lower triangle of the squares of those that are
+    read, the upper triangle of the squares of their transposes, and the
+    slice.  Each level's squares, a block of rows at a time, then join
+    the source rows ``Q[j, i'] = sum_q sum_{r' <= j} (weights)
+    kernel((r' - i') dt) xi[i', r']_q Wsl[q] conj B[j - r']^T``, kept in
+    the ``X`` channels (written row, column) that can be nonzero
+    (:func:`_channels`), with the node ``r' = j`` at half weight.  Last,
+    every other entry that the memory reaches gets its memory on the
+    slice only, as the direct lag sum ``sum_{i' <= j} B[j - i'] Q[j,
+    i']``.  An entry that no read entry feeds keeps its free part
+    exactly, and the levels make sure that an entry is filled only once
+    every read entry that feeds it is in ``Q``.
     """
     pd, pa, Wsl, levels, _, feeds, (ech, cch, reach) = plan
+    X = ech.size
+    if not X:
+        return
     n1, dim = B.shape[:2]
-    n = n1 - 1
-    RW = rho0 @ np.conj(np.swapaxes(Wv, 1, 2))
-    rho = Wv @ RW
+    nfft = fB.shape[0]
+    rows = [e for e, _ in feeds]
     # at[d, a]: index of read entry (d, a) in S, -1 if it is not read
     at = np.full((dim, dim), -1)
     at[pd, pa] = np.arange(pd.size)
-    S = np.empty((n1, n1, pd.size), dtype=complex)
-    low = np.tri(n1, dtype=bool)
-    for k, (d, a) in enumerate(zip(pd, pa)):
-        # F[i, j] = W[i, d] rho0 W[j, a]^dagger; the upper triangle is
-        # the adjoint of the transposed entry's lower one
-        F = Wv[:, d] @ RW[:, :, a].T
-        Ft = F if d == a else Wv[:, a] @ RW[:, :, d].T
-        S[:, :, k] = np.where(low, F, np.conj(Ft.T))
-    # the slice takes the squares' diagonal, so the two agree exactly
-    idx = np.arange(n1)
-    rho[:, pd, pa] = S[idx, idx]
-
-    rows = [e for e, _ in feeds]
-    X = ech.size
-    if not X:
-        return rho, S
-    # index 2n of a convolution wraps onto index 0, which no column or
-    # row j >= 1 reads
-    nfft = rv.next_fast_len(2 * n)
     # Q[j, i', x]: source row i' of column j in channel x
     Q = np.zeros((n1, n1, X), dtype=complex)
-    # lag 0 halved: the outer trapezoid's end node i' = i
-    Bh = B[:, :, rows]
-    Bh[0] *= 0.5
-    fB = np.fft.fft(Bh, nfft, axis=0)
 
     def fill(d, a):
         # add the memory of entries (d, a) in the rows i >= j of columns j >= 1
@@ -569,7 +563,6 @@ def _level_solve(Wv, B, ph, KD, dt, rho0, plan):
             mem = np.einsum("jmx,mtx->jtx", Qr, Bx)
             rho[j[:, None], d, a] += (np.einsum("jtx,xt->jt", mem, pick)
                                       * ph[j][:, d] * np.conj(ph[j][:, a]))
-    return rho, S
 
 
 def _channels(Wsl, rows, nz):
@@ -587,55 +580,46 @@ def _channels(Wsl, rows, nz):
     return ech, cch, reach
 
 
-def _column_loop(xi, B, KD, line, dt, rho0, plan):
-    """Fill ``xi`` (in the ``B`` frame) column by column; the worst residual.
+def _column_loop(rho, S, B, fB, KD, dt, plan):
+    """Add the memory to ``rho`` and ``S`` (in the ``B`` frame), column by column.
 
     Per column ``j``: the cross-time rows ``Y[:, :j] @ Zrev``, the known
     rows ``r < j`` of the same-column sum, one forward FFT of the
     written rows ``Q``, one blocked solve of every kept read entry
-    (:class:`_CausalSolver`), and one inverse FFT that fills the column
-    and its conjugate row.
+    (:class:`_CausalSolver`), and one inverse FFT whose memory joins the
+    slice at ``t_j``, the read entries of column ``j`` and their
+    adjoints in row ``j``.  Returns the worst leaf residual.
     """
     pd, pa, Wsl, _, _, feeds, _ = plan
     n = B.shape[0] - 1
     dim = B.shape[1]
     P = pd.size
-    rows = [e for e, _ in feeds]
-    nr = len(rows)
+    nr = len(feeds)
     # the slot weights into the written rows only: every other row of
     # the memory term is zero
-    Wr = Wsl[:, rows, :].reshape(P, nr * dim)
-
-    base0 = B @ rho0
-    xi[:, 0] = base0
-    xi[0, :] = np.conj(np.swapaxes(base0, 1, 2))
+    Wr = Wsl[:, [e for e, _ in feeds], :].reshape(P, nr * dim)
     # the cross-time sum by written row e: Y[i, r, k] = KD[i, r] tw_r
-    # xi[i, r, read entry qs[k]] is stored as each column r is finished
-    # (tw: trapezoid weight, halved at r = 0), and Zrev[n - m, k, c] =
+    # S[i, r, qs[k]] is stored as each column r is finished (tw:
+    # trapezoid weight, halved at r = 0), and Zrev[n - m, k, c] =
     # sum_b Wsl[qs[k], e, b] conj(B[m, c, b]), so that a column's lags
     # m = j..1 are the contiguous block Zrev[n - j : n]
     cross = [
-        (pd[qs], pa[qs], np.empty((n + 1, n + 1, qs.size), dtype=complex),
+        (qs, np.empty((n + 1, n + 1, qs.size), dtype=complex),
          np.einsum("kb,mcb->mkc", Wsl[qs, e], np.conj(B[::-1])))
         for e, qs in feeds
     ]
 
     def store(r, weight):
-        for d, a, Y, _ in cross:
-            Y[:, r] = weight[:, None] * xi[:, r, d, a]
+        for qs, Y, _ in cross:
+            Y[:, r] = weight[:, None] * S[:, r, qs]
 
     store(0, 0.5 * dt * KD[:, 0])
     # K[m, q', q]: weight of read entry q at lag m in read entry q';
     # h[e]: trapezoid weight of same-column row j + e, for every column j
     K = np.einsum("mpc,qcp->mpq", B[:, pd, :], Wsl[:, :, pa])
-    h = 0.5 * dt * dt * line[n:0:-1]
-    column = _CausalSolver(K, h)
+    column = _CausalSolver(K, 0.5 * dt * dt * KD[:n, 0])
 
-    nfft = rv.next_fast_len(2 * n + 1)
-    # lag 0 halved: the trapezoid's end node r = i of every source row
-    Bh = B[:, :, rows]
-    Bh[0] *= 0.5
-    fB = np.fft.fft(Bh, nfft, axis=0)
+    nfft = fB.shape[0]
     fBp = fB[:, pd]
     max_resid = 0.0
     for j in range(1, n + 1):
@@ -643,27 +627,27 @@ def _column_loop(xi, B, KD, line, dt, rho0, plan):
         hk = 0.5 * dt * dt * KD[:j, j]
         # R, Q and fQ hold the written rows only
         R = np.empty((n + 1, nr, dim), dtype=complex)
-        for k, (_, _, Y, Zrev) in enumerate(cross):
+        for k, (_, Y, Zrev) in enumerate(cross):
             R[:, k] = Y[:, :j].reshape(n + 1, -1) @ Zrev[n - j : n].reshape(-1, dim)
         # Q: the cross-time rows plus the known rows r < j of the
         # same-column sum, with the trapezoid's start node r = 0 halved;
         # the solve needs only read entries of B * Q
         Q = dt * R
-        Q[:j] += ((hk[:, None] * xi[:j, j, pd, pa]) @ Wr).reshape(j, nr, dim)
+        Q[:j] += ((hk[:, None] * S[:j, j]) @ Wr).reshape(j, nr, dim)
         Q[0] *= 0.5
         fQ = np.fft.fft(Q, nfft, axis=0)
-        F = (B[j:].reshape(-1, dim) @ (rho0 @ B[j].conj().T)).reshape(-1, dim, dim)
-        g = F[:, pd, pa]
-        g += np.fft.ifft(np.einsum("kpc,kcp->kp", fBp, fQ[:, :, pa]), axis=0)[j : n + 1]
+        g = S[j:, j] + np.fft.ifft(np.einsum("kpc,kcp->kp", fBp, fQ[:, :, pa]),
+                                   axis=0)[j : n + 1]
         u = np.zeros((n + 1, P), dtype=complex)
         u[j:], resid = column.solve(g)
         max_resid = max(max_resid, resid)
         # V[r] = sum_q Wsl[q] h_r p_r[q] joins the spectrum
         fQ += (np.fft.fft(u, nfft, axis=0) @ Wr).reshape(nfft, nr, dim)
-        xj = np.fft.ifft(fB @ fQ, axis=0)[j : n + 1]
-        xj += F
-        xi[j:, j] = xj
-        xi[j, j + 1 :] = np.conj(np.swapaxes(xj[1:], 1, 2))
+        # mem[m]: the memory at (t_{j+m}, t_j)
+        mem = np.fft.ifft(fB @ fQ, axis=0)[j : n + 1]
+        rho[j] += mem[0]
+        S[j:, j] += mem[:, pd, pa]
+        S[j, j + 1 :] += np.conj(mem[1:, pa, pd])
         store(j, dt * KD[:, j])
 
     return max_resid

@@ -90,8 +90,8 @@ class SystemSpec:
     Raises
     ------
     ValueError
-        If the energies are not ascending, or a slot names a state
-        outside ``1..dim``.
+        If the energies are not finite and ascending, or a slot names a
+        state outside ``1..dim``.
     """
 
     energies: tuple
@@ -101,6 +101,8 @@ class SystemSpec:
         en = np.asarray(self.energies, dtype=float)
         if en.ndim != 1 or en.size < 1:
             raise ValueError("energies must be a nonempty vector")
+        if not np.all(np.isfinite(en)):
+            raise ValueError("energies must be finite")
         if np.any(np.diff(en) < 0):
             raise ValueError("energies must be sorted ascending")
         object.__setattr__(self, "energies", tuple(float(x) for x in en))

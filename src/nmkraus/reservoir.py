@@ -113,6 +113,8 @@ class SpectralDensity:
         width : float
             Half width Lambda > 0.
         """
+        if not all(map(math.isfinite, (strength, center, width))):
+            raise ValueError("Lorentzian parameters must be finite")
         if strength < 0:
             raise ValueError("strength must be >= 0")
         if width <= 0:
@@ -122,6 +124,8 @@ class SpectralDensity:
     @classmethod
     def flat_window(cls, height, omega_lo, omega_hi):
         """Constant weight ``height`` on ``[omega_lo, omega_hi]``, zero outside."""
+        if not all(map(math.isfinite, (height, omega_lo, omega_hi))):
+            raise ValueError("flat window parameters must be finite")
         if height < 0:
             raise ValueError("height must be >= 0")
         if not 0 <= omega_lo < omega_hi:

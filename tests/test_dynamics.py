@@ -88,17 +88,17 @@ class TestValidation:
         assert "GiB" in str(err.value)
 
     def test_field_size_guard_counts_bytes(self, monkeypatch):
-        # what the route stores per node: on the level route the E kept
-        # read entries, as many as a real solve returns, and the source
-        # rows in X channels, the (written row, column) pairs that can be
-        # nonzero, plus the equal-time slice per step (9 of the 3 x 5
-        # channels on the dressed ladder, 5 once the excited atom with
-        # one photon keeps 8 of its 16 read entries; 1 of the 1 x 4
-        # channels on the four-level decay, whose only written row is the
-        # ground state's and only the ground state's column reaches it);
-        # on the column loop the whole field and G kernel-weighted read
-        # entries, one for each (written row, read entry) pair (2 for the
-        # thermal pair)
+        # what a solve stores: per node the E kept read entries, as many
+        # as a real solve returns, and per step the equal-time slice;
+        # per node on the level route also the source rows in X
+        # channels, the (written row, column) pairs that can be nonzero
+        # (9 of the 3 x 5 channels on the dressed ladder, 5 once the
+        # excited atom with one photon keeps 8 of its 16 read entries; 1
+        # of the 1 x 4 channels on the four-level decay, whose only
+        # written row is the ground state's and only the ground state's
+        # column reaches it), and on the column loop G kernel-weighted
+        # read entries, one for each (written row, read entry) pair (2
+        # of each for the thermal pair)
         basis = jc.DressedBasis(0.0, 20.0, 0.3, 1)
         excited = jc.dressed_initial_state(basis, jc.JCInitialState(np.diag([0.0, 1.0]), 1))
         four = _decay_system((0.0, 3.0, 5.5, 7.5), [(2, 1.0), (3, 0.5), (4, 0.5)])
@@ -118,7 +118,7 @@ class TestValidation:
 
         for (sys, rho0, _, X), E in zip(level, kept):
             assert counted(sys, rho0) == ((n + 1) ** 2 * (E + X) + (n + 1) * sys.dim ** 2) * 16
-        assert counted(thermal, EXCITED) == (n + 1) ** 2 * (2 ** 2 + 2) * 16
+        assert counted(thermal, EXCITED) == ((n + 1) ** 2 * (2 + 2) + (n + 1) * 2 ** 2) * 16
 
         def unreadable(name):
             raise OSError(name)
@@ -190,19 +190,29 @@ class TestBitemporal:
         assert xi.read_entries.tolist() == [[1, 1]]
         _assert_two_time_symmetry(xi)
 
-    def test_level_route_peak_memory_is_below_the_field(self):
-        # the four-level decay at n = 200 once kept its whole field,
-        # (n+1)^2 dim^2 complex numbers, 10.3 MB; now it keeps 3 read
-        # entries and 1 channel on the square, and the slice
-        sys = _decay_system((0.0, 3.0, 5.5, 7.5), [(2, 1.0), (3, 0.5), (4, 0.5)])
+    @pytest.mark.parametrize("route", ["level route", "column loop"])
+    def test_peak_memory_is_below_the_field(self, route):
+        # four levels at n = 200 once kept their whole field, (n+1)^2
+        # dim^2 complex numbers, 10.3 MB; now the decay keeps 3 read
+        # entries and 1 channel on the square, and the thermal pair on
+        # levels 1-2 its 2 read entries and 2 kernel-weighted ones, and
+        # each the slice
+        energies = (0.0, 3.0, 5.5, 7.5)
+        if route == "level route":
+            sys = _decay_system(energies, [(2, 1.0), (3, 0.5), (4, 0.5)])
+        else:
+            sd = rv.SpectralDensity.flat_window(0.04, 4.0, 8.0)
+            sys = kr.SystemSpec(energies, rv.kernel_table(sd, THERMAL_PAIR, beta_inv=2.0))
         W = kr.solve_time_domain(sys, 4.0, 0.02)
-        tracemalloc.start()
-        try:
-            xi = dy.solve_bitemporal(sys, W, RHO4)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert xi.read_entries.shape == (3, 2)
+        with mock.patch.object(dy, "_column_loop", wraps=dy._column_loop) as loop:
+            tracemalloc.start()
+            try:
+                xi = dy.solve_bitemporal(sys, W, RHO4)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert loop.called == (route == "column loop")
+        assert xi.read_entries.shape == ((3, 2) if route == "level route" else (2, 2))
         assert peak < 201 ** 2 * 4 ** 2 * 16
 
     def test_population_follows_propagator(self):

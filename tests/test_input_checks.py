@@ -1,5 +1,7 @@
 """Input checks of the solver modules: each refuses a bad argument by name."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -45,6 +47,22 @@ CASES = {
     "state_shape": (lambda: dy.validate_density(np.eye(3) / 3, 2),
                     dy.StateValidationError, "must be 2x2"),
     "complex_refill_weight": (_complex_refill, ValueError, "real and nonnegative"),
+    "nan_energy": (lambda: kr.SystemSpec((0.0, math.nan), _two_level().kernel),
+                   ValueError, "energies must be finite"),
+    "inf_energy": (lambda: kr.SystemSpec((0.0, math.inf), _two_level().kernel),
+                   ValueError, "energies must be finite"),
+    "nan_lorentzian_strength": (lambda: rv.SpectralDensity.lorentzian(math.nan, 20.0, 1.0),
+                                ValueError, "must be finite"),
+    "inf_lorentzian_center": (lambda: rv.SpectralDensity.lorentzian(0.5, math.inf, 1.0),
+                              ValueError, "must be finite"),
+    "inf_lorentzian_width": (lambda: rv.SpectralDensity.lorentzian(0.5, 20.0, math.inf),
+                             ValueError, "must be finite"),
+    "nan_window_height": (lambda: rv.SpectralDensity.flat_window(math.nan, 1.0, 2.0),
+                          ValueError, "must be finite"),
+    "inf_window_height": (lambda: rv.SpectralDensity.flat_window(math.inf, 1.0, 2.0),
+                          ValueError, "must be finite"),
+    "inf_window_edge": (lambda: rv.SpectralDensity.flat_window(0.05, 1.0, math.inf),
+                        ValueError, "must be finite"),
     "negative_lam": (lambda: jc.entropy_limit_scan(
         jc.DressedBasis(0.0, 20.0, 0.3, 1), rv.SpectralDensity.flat_window(0.0318, 18.0, 22.0),
         2.5, 1.0, [-0.1], p_tilde=2.0), ValueError, "lams must be positive"),
@@ -56,3 +74,10 @@ def test_bad_input_is_refused(case):
     call, error, message = CASES[case]
     with pytest.raises(error, match=message):
         call()
+
+
+@pytest.mark.parametrize("T, dt", [(1.0, 0.0), (1.0, -0.1), (1.0, 1e-320), (-1.0, 0.1),
+                                   (math.nan, 0.1)])
+def test_field_size_check_refuses_a_bad_step(T, dt):
+    with pytest.raises(ValueError, match=r"dt must be > 0|not a finite count"):
+        dy.check_field_size(_two_level(), np.diag([0.0, 1.0]), T, dt)
