@@ -15,7 +15,7 @@ import numpy as np
 
 from . import laplace as lp
 from . import reservoir as rv
-from .kraus import KrausZero, SingularOperatorError, SystemSpec, propagator_support
+from .kraus import KrausZero, SingularOperatorError, SystemSpec, propagator_support, step_count
 
 __all__ = [
     "BitemporalState",
@@ -122,18 +122,14 @@ def check_field_size(sys: SystemSpec, rho0, T, dt):
     Raises
     ------
     ValueError
-        If ``dt <= 0``, or ``T/dt`` is not a finite count ``>= 0``.
+        If :func:`kraus.step_count` refuses ``T`` and ``dt``.
     StateValidationError
         If ``rho0`` is not a density matrix.
     FieldSizeError
         If those arrays exceed physical memory; carries their byte size.
     """
-    if not dt > 0:
-        raise ValueError("dt must be > 0")
-    steps = float(T) / float(dt)
-    if not 0 <= steps < math.inf:
-        raise ValueError(f"T/dt = {steps:g} is not a finite count of steps >= 0")
-    _check_plan(_plan(sys, validate_density(rho0, sys.dim)), sys.dim, int(round(steps)))
+    n = step_count(T, dt)
+    _check_plan(_plan(sys, validate_density(rho0, sys.dim)), sys.dim, n)
 
 
 def _plan(sys: SystemSpec, rho0, W=None):
@@ -341,16 +337,17 @@ def solve_bitemporal(sys: SystemSpec, W: KrausZero, rho0) -> BitemporalState:
     Only the ``E`` read entries that ``rho0`` can make nonzero are kept
     (:func:`_plan`).  Both routes start from their free part and that of
     the equal-time slice (:func:`_free_part`), add the memory to those
-    alone, share one spectrum of the written rows of ``B``, and store
-    ``(n+1)^2 (E + extra) + (n+1) dim^2`` complex numbers
-    (:func:`_check_plan`).  The *level route* (:func:`_level_solve`)
-    runs when the kept read entries form no cycle
-    (:func:`_entry_levels`), as for every generic decay system and the
-    dressed Jaynes-Cummings ladder: explicit level by level, O(n^2 log n
-    (E + X)) work, and ``max_residual`` 0.0.  The *column loop*
-    (:func:`_column_loop`) runs otherwise, as for a thermal
-    absorption-emission pair or a slot that reads the entry it writes:
-    one blocked solve per column, O(n^3 G dim + n^2 log^2 n E^2) work.
+    alone in the frame of ``B``, share one spectrum of the written rows
+    of ``B``, and store ``(n+1)^2 (E + extra) + (n+1) dim^2`` complex
+    numbers (:func:`_check_plan`); the phases ``e^{iHt}`` follow once.
+    The *level route* (:func:`_level_solve`) runs when the kept read
+    entries form no cycle (:func:`_entry_levels`), as for every generic
+    decay system and the dressed Jaynes-Cummings ladder: explicit level
+    by level, O(n^2 log n (E + X)) work, and ``max_residual`` 0.0.  The
+    *column loop* (:func:`_column_loop`) runs otherwise, as for a
+    thermal absorption-emission pair or a slot that reads the entry it
+    writes: one blocked solve per column, O(n^3 G dim + n^2 log^2 n E^2)
+    work.
 
     ``W`` must be the propagator of ``sys`` as
     :func:`kraus.solve_time_domain` returns it: its grid gives the
@@ -384,9 +381,7 @@ def solve_bitemporal(sys: SystemSpec, W: KrausZero, rho0) -> BitemporalState:
     line = np.concatenate([np.conj(W.kappa[:0:-1]), W.kappa])
     # KD[s, sp] = kernel((sp - s) dt); a reversed sliding view, no copy
     KD = np.lib.stride_tricks.sliding_window_view(line, n + 1)[::-1]
-    ph = np.exp(1j * np.outer(tg, en))
-    # the column loop works in the B frame, the level route in the final one
-    rho, S = _free_part(B if core.size else W.values, rho0, pd, pa)
+    rho, S = _free_part(B, rho0, pd, pa)
     # the written rows of B with lag 0 halved, the outer trapezoid's end
     # node i' = i; index 2n of a convolution with their spectrum wraps
     # onto index 0, which no column j >= 1 reads
@@ -395,14 +390,15 @@ def solve_bitemporal(sys: SystemSpec, W: KrausZero, rho0) -> BitemporalState:
     fB = np.fft.fft(Bh, rv.next_fast_len(2 * n), axis=0)
     if core.size:
         max_resid = _column_loop(rho, S, B, fB, KD, dt, plan)
-        # from the B frame to the final one, ph[i] (B frame) conj ph[j]
-        rho *= ph[:, :, None]
-        rho *= np.conj(ph)[:, None, :]
-        S *= ph[:, None, pd]
-        S *= np.conj(ph[:, pa])
     else:
-        _level_solve(rho, S, B, Bh, fB, ph, KD, dt, plan)
+        _level_solve(rho, S, B, Bh, fB, KD, dt, plan)
         max_resid = 0.0
+    # from the B frame to the final one, ph[i] (B frame) conj ph[j]
+    ph = np.exp(1j * np.outer(tg, en))
+    rho *= ph[:, :, None]
+    rho *= np.conj(ph)[:, None, :]
+    S *= ph[:, None, pd]
+    S *= np.conj(ph[:, pa])
     return BitemporalState(grid=tg, values=rho, read_entries=np.stack([pd, pa], axis=1),
                            read_values=S, max_residual=max_resid)
 
@@ -413,8 +409,7 @@ def _free_part(V, rho0, pd, pa):
     Returns ``(rho, S)``: ``rho[j]`` at ``(t_j, t_j)``, and ``S[i, j,
     k]`` read entry ``(pd[k], pa[k])`` at ``(t_i, t_j)`` on the whole
     square, whose upper triangle is the adjoint of the transposed
-    entry's lower one.  ``V`` is ``W`` for the final frame or ``B`` for
-    the ``B`` frame.
+    entry's lower one.
     """
     n1 = V.shape[0]
     RW = rho0 @ np.conj(np.swapaxes(V, 1, 2))
@@ -459,27 +454,24 @@ def _reachable(nz, rho0, pd, pa, Wsl):
 _BLOCK = 1 << 14
 
 
-def _level_solve(rho, S, B, Bh, fB, ph, KD, dt, plan):
+def _level_solve(rho, S, B, Bh, fB, KD, dt, plan):
     """Add the memory to ``rho`` and ``S``, level by level of read entries.
 
-    ``rho`` and ``S`` hold the free part (:func:`_free_part`) in the
-    final frame, ``ph[i] * (B frame) * conj ph[j]`` with ``ph =
-    e^{iHt}``; ``Bh`` are the written rows of ``B`` with lag 0 halved,
-    and ``fB`` their spectrum.  For each level after the first, the
-    memory of the entries ``(pd, pa)`` and ``(pa, pd)`` of its read
-    entries in the rows ``i >= j`` of all columns at once is added
-    straight into the lower triangle of the squares of those that are
-    read, the upper triangle of the squares of their transposes, and the
-    slice.  Each level's squares, a block of rows at a time, then join
-    the source rows ``Q[j, i'] = sum_q sum_{r' <= j} (weights)
-    kernel((r' - i') dt) xi[i', r']_q Wsl[q] conj B[j - r']^T``, kept in
-    the ``X`` channels (written row, column) that can be nonzero
-    (:func:`_channels`), with the node ``r' = j`` at half weight.  Last,
-    every other entry that the memory reaches gets its memory on the
-    slice only, as the direct lag sum ``sum_{i' <= j} B[j - i'] Q[j,
-    i']``.  An entry that no read entry feeds keeps its free part
-    exactly, and the levels make sure that an entry is filled only once
-    every read entry that feeds it is in ``Q``.
+    ``Bh`` are the written rows of ``B`` with lag 0 halved, and ``fB``
+    their spectrum.  For each level after the first, the memory of the
+    entries ``(pd, pa)`` and ``(pa, pd)`` of its read entries in the
+    rows ``i >= j`` of all columns at once is added straight into the
+    lower triangle of the squares of those that are read, the upper
+    triangle of the squares of their transposes, and the slice.  Each
+    level's squares, a block of rows at a time, then join the source
+    rows ``Q[j, i'] = sum_q sum_{r' <= j} (weights) kernel((r' - i') dt)
+    xi[i', r']_q Wsl[q] conj B[j - r']^T``, kept in the ``X`` channels
+    (written row, column) that can be nonzero (:func:`_channels`), with
+    the node ``r' = j`` at half weight.  Last, every other entry that
+    the memory reaches gets its memory on the slice only, as the direct
+    lag sum ``sum_{i' <= j} B[j - i'] Q[j, i']``.  An entry that no read
+    entry feeds keeps its free part exactly, and the levels fill an
+    entry only once every read entry that feeds it is in ``Q``.
     """
     pd, pa, Wsl, levels, _, feeds, (ech, cch, reach) = plan
     X = ech.size
@@ -505,7 +497,6 @@ def _level_solve(rho, S, B, Bh, fB, ph, KD, dt, plan):
             fQ = np.fft.fft(Q[j0:j1], nfft, axis=1).swapaxes(0, 1)
             # mem[i - j0, j - j0], the memory at (i, j) where i >= j
             mem = np.fft.ifft(fQ @ M, axis=0)[j0:n1]
-            mem *= ph[j0:, None, d] * np.conj(ph[j0:j1, a])
             diag = np.arange(j1 - j0)
             mem[np.triu_indices(j1 - j0, 1)] = 0.0
             rho[j0:j1, d, a] += mem[diag, diag]
@@ -518,14 +509,12 @@ def _level_solve(rho, S, B, Bh, fB, ph, KD, dt, plan):
         Wq = Wsl[q][:, rows][:, ech]
         fG = np.fft.fft(np.einsum("qxb,mxb->mqx", Wq, np.conj(B[:, cch])), nfft, axis=0)
         Wq = Wq[:, np.arange(X), cch]
-        d, a = pd[q], pa[q]
         rb = max(1, _BLOCK // (nfft * max(q.size, X)))
         for i0 in range(0, n1, rb):
             i1 = min(i0 + rb, n1)
-            # read entries in the B frame, kernel-weighted, with the
-            # inner trapezoid's start node r' = 0 halved
-            f = S[i0:i1, :, q] * (np.conj(ph[i0:i1, None, d]) * ph[:, a])
-            f *= KD[i0:i1, :, None]
+            # read entries, kernel-weighted, with the inner trapezoid's
+            # start node r' = 0 halved
+            f = S[i0:i1, :, q] * KD[i0:i1, :, None]
             f[:, 0] *= 0.5
             ff = np.fft.fft(f, nfft, axis=1).swapaxes(0, 1)
             part = np.fft.ifft(ff @ fG, axis=0)[1:n1]
@@ -561,8 +550,7 @@ def _level_solve(rho, S, B, Bh, fB, ph, KD, dt, plan):
             lag = j[:, None] - np.arange(n1)
             Qr = np.where((lag >= 0)[:, :, None], Q[j[:, None], np.maximum(lag, 0)], 0.0)
             mem = np.einsum("jmx,mtx->jtx", Qr, Bx)
-            rho[j[:, None], d, a] += (np.einsum("jtx,xt->jt", mem, pick)
-                                      * ph[j][:, d] * np.conj(ph[j][:, a]))
+            rho[j[:, None], d, a] += np.einsum("jtx,xt->jt", mem, pick)
 
 
 def _channels(Wsl, rows, nz):
@@ -581,7 +569,7 @@ def _channels(Wsl, rows, nz):
 
 
 def _column_loop(rho, S, B, fB, KD, dt, plan):
-    """Add the memory to ``rho`` and ``S`` (in the ``B`` frame), column by column.
+    """Add the memory to ``rho`` and ``S``, column by column.
 
     Per column ``j``: the cross-time rows ``Y[:, :j] @ Zrev``, the known
     rows ``r < j`` of the same-column sum, one forward FFT of the

@@ -51,6 +51,7 @@ __all__ = [
     "SingularOperatorError",
     "LineResolutionError",
     "solve_time_domain",
+    "step_count",
     "propagator_support",
     "laplace_inverse_identity",
     "solve_continued_fraction",
@@ -185,6 +186,31 @@ def _step_inverses(A, first, t, note=""):
 _MAX_STEPS = 2_000_000
 
 
+def step_count(T, dt):
+    """Steps ``n = T/dt`` over ``[0, T]``: the one step rule of the solvers.
+
+    Raises
+    ------
+    ValueError
+        If ``dt <= 0``, ``T/dt`` is not a finite count ``>= 0``, ``T``
+        covers no step, ``n`` exceeds 2,000,000, or ``T`` is not a whole
+        number of steps to 1e-9 of ``max(T, 1)``.
+    """
+    if not dt > 0:
+        raise ValueError("dt must be > 0")
+    steps = float(T) / float(dt)
+    if not 0 <= steps < np.inf:
+        raise ValueError(f"T/dt = {steps:g} is not a finite count of steps >= 0")
+    n = int(round(steps))
+    if n < 1:
+        raise ValueError("T must cover at least one step")
+    if n > _MAX_STEPS:
+        raise ValueError(f"T/dt = {n} exceeds the cap of {_MAX_STEPS} steps")
+    if abs(n * dt - T) > 1e-9 * max(T, 1.0):
+        raise ValueError(f"T = {T:g} is not a whole number of steps dt = {dt:g}")
+    return n
+
+
 def solve_time_domain(sys: SystemSpec, T, dt) -> KrausZero:
     """Product-trapezoid Volterra integration of the amplitude equation.
 
@@ -208,10 +234,8 @@ def solve_time_domain(sys: SystemSpec, T, dt) -> KrausZero:
     Parameters
     ----------
     sys : SystemSpec
-    T : float
-        Final time, a whole number of steps to 1e-9 of ``max(T, 1)``.
-    dt : float
-        Uniform step; T/dt must not exceed 2,000,000.
+    T, dt : float
+        Final time and uniform step, as :func:`step_count` accepts them.
 
     Returns
     -------
@@ -224,23 +248,14 @@ def solve_time_domain(sys: SystemSpec, T, dt) -> KrausZero:
     Raises
     ------
     ValueError
-        If ``dt <= 0``, T covers no step or no whole number of steps,
-        or T/dt exceeds the cap.
+        If :func:`step_count` refuses ``T`` and ``dt``.
     SingularOperatorError
         If a step operator is singular; the message names the step
         (always step 1 on the series route, whose step operator does not
         depend on the step) and, when the series route has several
         levels, the written rows (1-based) of the singular level.
     """
-    if dt <= 0:
-        raise ValueError("dt must be > 0")
-    n = int(round(T / dt))
-    if n < 1:
-        raise ValueError("T must cover at least one step")
-    if n > _MAX_STEPS:
-        raise ValueError(f"T/dt = {n} exceeds the cap of {_MAX_STEPS} steps")
-    if abs(n * dt - T) > 1e-9 * max(T, 1.0):
-        raise ValueError(f"T = {T:g} is not a whole number of steps dt = {dt:g}")
+    n = step_count(T, dt)
     t = np.arange(n + 1) * dt
     kappa = sys.kernel.on_grid(t)
     live, levels = _levels(sys.kernel.slots, sys.dim)
@@ -545,18 +560,15 @@ class LaplaceKraus:
     LineResolutionError, and a fold of more than 65,536 modes
     reservoir.DivergentIntegralError.
 
-    A line is solved on the diagonal blocks the slots can reach.  Every
-    state starts in its own block, and a slot ``(k, m, n, j)`` whose
-    ``m`` and ``n`` share a block merges the blocks of ``k`` and ``j``,
-    until nothing merges.  The free resolvent is diagonal and the
-    inverse of a block-diagonal matrix is block-diagonal, so every
-    iterate is exactly zero outside the blocks, and the slots that
-    would read such a zero are dropped.  One iteration folds the read
-    entries by an FFT convolution just long enough not to wrap around
-    (the line plus the span of the binned mode offsets), taken in
-    batches of columns of at most 4 MiB; builds the block entries of
-    the inverse by one product with the summed slot weights; and
-    inverts each group of equal-size blocks at once (``_inverse_blocks``).
+    A line is solved on the diagonal blocks of the connected components
+    of :func:`propagator_support`, with its live slots only: the others
+    read an entry that the propagator holds at zero.  One iteration
+    folds the read entries by an FFT convolution just long enough not to
+    wrap around (the line plus the span of the binned mode offsets),
+    taken in batches of columns of at most 4 MiB; builds the block
+    entries of the inverse by one product with the summed slot weights;
+    and inverts each group of equal-size blocks at once
+    (``_inverse_blocks``).
     """
 
     def __init__(self, sys: SystemSpec, depth):
@@ -568,15 +580,12 @@ class LaplaceKraus:
         self.cauchy = {}
         dim = sys.dim
         k, m, n, j = sys.kernel.slots.T
-        label = np.arange(dim)
-        merged = True
-        while merged:
-            merged = False
-            for s in np.flatnonzero(label[m] == label[n]):
-                if label[k[s]] != label[j[s]]:
-                    label[label == label[k[s]]] = label[j[s]]
-                    merged = True
-        blocks = sorted((np.flatnonzero(label == b) for b in np.unique(label)),
+        nz = propagator_support(sys.kernel.slots, dim)
+        # row i of the symmetric closure of the support is the block of i
+        link = nz | nz.T
+        for _ in range(dim.bit_length()):
+            link = link @ link
+        blocks = sorted(map(np.flatnonzero, np.unique(link, axis=0)),
                         key=lambda st: (st.size, st[0]))
         self._blocks = tuple(tuple(st.tolist()) for st in blocks)
         # block entries: each block row-major, blocks of one size adjacent;
@@ -587,7 +596,7 @@ class LaplaceKraus:
         self._groups = list(zip(first.tolist(), count.tolist(), size.tolist()))
         where = np.full(dim * dim, -1)
         where[self._entries] = np.arange(self._entries.size)
-        live = label[m] == label[n]
+        live = nz[m, n]
         pairs, q = np.unique(np.stack([m[live], n[live]], axis=1), axis=0, return_inverse=True)
         self._pairs = pairs
         self._read = where[pairs[:, 0] * dim + pairs[:, 1]]

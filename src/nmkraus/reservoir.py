@@ -282,13 +282,13 @@ def _kappa_zero_temp(sd: SpectralDensity, at):
 
 
 def _thermal_gate(sd: SpectralDensity, beta_inv):
-    """Refuse a negative temperature, or a thermal sum that diverges.
+    """Refuse a temperature outside [0, inf), or a thermal sum that diverges.
 
     ``nbar ~ 1/(beta omega)`` near zero, so the thermal integral diverges
     exactly when the weight does not vanish at omega = 0.
     """
-    if beta_inv < 0:
-        raise ValueError("beta_inv must be >= 0")
+    if not 0 <= beta_inv < math.inf:
+        raise ValueError("beta_inv must be finite and >= 0")
     if beta_inv > 0 and sd.weight(0.0) > 0:
         raise DivergentIntegralError(
             "thermal kernel diverges: |g(0)|^2 > 0 gives a non-integrable "
@@ -655,8 +655,8 @@ class CorrelationKernel:
     For linear coupling to one bath every nonzero slot is a fixed weight
     times the one scalar kernel of ``sd`` at ``beta_inv``.  Row ``s`` of
     ``slots`` holds the 0-based indices ``(k, m, n, l)`` of a slot (row
-    k, inner pair (m, n), column l), ``weights[s]`` its weight; both are
-    read-only, in rule order.  A zero kernel has no slots.
+    k, inner pair (m, n), column l), ``weights[s]`` its finite weight;
+    both are read-only, in rule order.  A zero kernel has no slots.
     """
 
     sd: SpectralDensity
@@ -667,6 +667,8 @@ class CorrelationKernel:
     def __post_init__(self):
         slots = np.array(self.slots, dtype=int).reshape(-1, 4)
         weights = np.array(self.weights, dtype=complex).reshape(-1)
+        if not np.all(np.isfinite(weights)):
+            raise ValueError("slot weights must be finite")
         slots.flags.writeable = False
         weights.flags.writeable = False
         object.__setattr__(self, "slots", slots)

@@ -252,6 +252,26 @@ class TestBitemporal:
         assert np.max(traj.trace_errors()) < 1e-4
         assert np.min(traj.min_eigenvalues()) > -1e-10
 
+    @pytest.mark.parametrize("case", ["three_level_decay", "ladder", "thermal_pair"])
+    def test_global_energy_shift_changes_nothing(self, case):
+        # the memory is added in the frame of B = e^{-iHt} W and the
+        # phases e^{iHt} applied once, on either route (the thermal
+        # pair takes the column loop); a shift c of every energy moves
+        # B by e^{-ict}, so a missing or misplaced phase leaves a factor
+        # e^{-ic(t_i - t_j)} on the read entries off the diagonal
+        sys, rho0, T, n = {
+            "three_level_decay": (_decay_system((0.0, 3.0, 7.5), [(2, 1.0), (3, 0.5)]),
+                                  RHO3, 4.0, 200),
+            "ladder": (_ladder(1), _random_density(5, 4), 12.0, 64),
+            "thermal_pair": (_thermal_system(THERMAL_PAIR), RHO, 3.0, 300),
+        }[case]
+        shifted = kr.SystemSpec(tuple(e + 7.3 for e in sys.energies), sys.kernel)
+        a, b = (dy.solve_bitemporal(s, kr.solve_time_domain(s, T, T / n), rho0)
+                for s in (sys, shifted))
+        assert np.array_equal(a.read_entries, b.read_entries)
+        for x, y in ((a.values, b.values), (a.read_values, b.read_values)):
+            assert np.max(np.abs(x - y)) <= 1e-12 * np.max(np.abs(x))
+
 
 def _assert_matches_reference(sys, rho0, T, n, *, physical=True):
     """Solver vs reference, and the two-time symmetry; returns the solve.

@@ -63,6 +63,10 @@ CASES = {
                           ValueError, "must be finite"),
     "inf_window_edge": (lambda: rv.SpectralDensity.flat_window(0.05, 1.0, math.inf),
                         ValueError, "must be finite"),
+    "nan_slot_weight": (lambda: rv.kernel_table(SD, {(2, 1, 1, 2): math.nan}),
+                        ValueError, "slot weights must be finite"),
+    "inf_slot_weight": (lambda: rv.kernel_table(SD, {(2, 1, 1, 2): math.inf}),
+                        ValueError, "slot weights must be finite"),
     "negative_lam": (lambda: jc.entropy_limit_scan(
         jc.DressedBasis(0.0, 20.0, 0.3, 1), rv.SpectralDensity.flat_window(0.0318, 18.0, 22.0),
         2.5, 1.0, [-0.1], p_tilde=2.0), ValueError, "lams must be positive"),
@@ -77,7 +81,14 @@ def test_bad_input_is_refused(case):
 
 
 @pytest.mark.parametrize("T, dt", [(1.0, 0.0), (1.0, -0.1), (1.0, 1e-320), (-1.0, 0.1),
-                                   (math.nan, 0.1)])
-def test_field_size_check_refuses_a_bad_step(T, dt):
-    with pytest.raises(ValueError, match=r"dt must be > 0|not a finite count"):
-        dy.check_field_size(_two_level(), np.diag([0.0, 1.0]), T, dt)
+                                   (math.nan, 0.1), (1.0, math.nan), (math.inf, 0.1),
+                                   (0.0, 0.1), (1.0, 0.3)])
+@pytest.mark.parametrize("check", [
+    lambda T, dt: kr.solve_time_domain(_two_level(), T, dt),
+    lambda T, dt: dy.check_field_size(_two_level(), np.diag([0.0, 1.0]), T, dt),
+], ids=["solve_time_domain", "check_field_size"])
+def test_field_size_check_refuses_a_bad_step(check, T, dt):
+    # both entry points share kraus.step_count, so they refuse alike
+    with pytest.raises(ValueError, match=r"dt must be > 0|not a finite count"
+                                         r"|at least one step|not a whole number"):
+        check(T, dt)

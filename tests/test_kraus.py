@@ -448,14 +448,15 @@ class TestLaplaceDomain:
     @pytest.mark.parametrize("case", ["ladder_n2", "ladder_n3", "thermal_ladder", "four_level_table"])
     def test_block_line_solve_matches_entry_loop(self, case):
         if case == "four_level_table":
-            # slot (3,3,4,2) reads inside a block only after (4,2,2,3)
-            # forms it, so the closure takes a second pass; (2,1,3,4)
-            # reads across blocks and is dropped
+            # the blocks are the components of propagator_support:
+            # (4,2,2,3) joins states 2 and 3 (0-based); (3,3,4,2),
+            # (1,2,3,1) and (2,1,3,4) read entries it holds at zero and
+            # are dropped
             rule = {(2, 1, 1, 2): 1.0, (3, 3, 4, 2): 0.3j, (4, 2, 2, 3): 0.4,
                     (1, 2, 3, 1): 0.5, (2, 1, 3, 4): 0.2}
             sd = rv.SpectralDensity.flat_window(0.04, 0.5, 3.0)
             sys = kr.SystemSpec((0.0, 1.0, 2.5, 4.0), rv.kernel_table(sd, rule))
-            blocks = ((0,), (1, 2, 3))
+            blocks = ((0,), (1,), (2, 3))
         elif case == "thermal_ladder":
             # negative mode offsets: the absorption branch
             sys = dressed_ladder(1)

@@ -233,13 +233,14 @@ def _raised(f):
     return None
 
 
-@pytest.mark.parametrize("beta_inv", [-0.5, 0.0, 0.5])
+@pytest.mark.parametrize("beta_inv", [-0.5, 0.0, 0.5, np.nan, np.inf])
 @pytest.mark.parametrize("name", list(GATE_DENSITIES))
 def test_thermal_gate_is_the_same_on_every_route(name, beta_inv):
-    # the sum diverges exactly when |g(0)|^2 > 0, and a negative
-    # temperature is a ValueError, on all three routes alike
+    # the sum diverges exactly when |g(0)|^2 > 0, and a negative or
+    # non-finite temperature is a ValueError, on all three routes alike
     sd, thermal_error = GATE_DENSITIES[name]
-    expected = ValueError if beta_inv < 0 else thermal_error if beta_inv > 0 else None
+    expected = (ValueError if not 0 <= beta_inv < np.inf
+                else thermal_error if beta_inv > 0 else None)
     routes = [
         lambda: rv.kernel_samples(sd, np.array([0.0, 0.7, -2.0]), beta_inv),
         lambda: rv.correlation_laplace(sd, np.array([1.0 + 1.0j, 2.5 + 0.3j]), beta_inv),
