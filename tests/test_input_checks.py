@@ -80,15 +80,19 @@ def test_bad_input_is_refused(case):
         call()
 
 
-@pytest.mark.parametrize("T, dt", [(1.0, 0.0), (1.0, -0.1), (1.0, 1e-320), (-1.0, 0.1),
-                                   (math.nan, 0.1), (1.0, math.nan), (math.inf, 0.1),
-                                   (0.0, 0.1), (1.0, 0.3)])
-@pytest.mark.parametrize("check", [
-    lambda T, dt: kr.solve_time_domain(_two_level(), T, dt),
-    lambda T, dt: dy.check_field_size(_two_level(), np.diag([0.0, 1.0]), T, dt),
-], ids=["solve_time_domain", "check_field_size"])
-def test_field_size_check_refuses_a_bad_step(check, T, dt):
-    # both entry points share kraus.step_count, so they refuse alike
-    with pytest.raises(ValueError, match=r"dt must be > 0|not a finite count"
-                                         r"|at least one step|not a whole number"):
-        check(T, dt)
+BAD_STEPS = [(1.0, 0.0), (1.0, -0.1), (1.0, 1e-320), (-1.0, 0.1), (math.nan, 0.1),
+             (1.0, math.nan), (math.inf, 0.1), (0.0, 0.1), (1.0, 0.3)]
+BAD_STEP_MESSAGE = r"dt must be > 0|not a finite count|at least one step|not a whole number"
+
+
+@pytest.mark.parametrize("T, dt", BAD_STEPS)
+def test_field_size_check_refuses_a_bad_step(T, dt):
+    with pytest.raises(ValueError, match=BAD_STEP_MESSAGE):
+        dy.check_field_size(_two_level(), np.diag([0.0, 1.0]), T, dt)
+
+
+@pytest.mark.parametrize("T, dt", BAD_STEPS)
+def test_solve_time_domain_refuses_a_bad_step(T, dt):
+    # shares kraus.step_count with check_field_size, so it refuses the same steps
+    with pytest.raises(ValueError, match=BAD_STEP_MESSAGE):
+        kr.solve_time_domain(_two_level(), T, dt)
