@@ -70,26 +70,19 @@ def validate_density(rho0, dim):
 
 @dataclass(frozen=True)
 class BitemporalState:
-    """What a two-time solve reads or reports of its field, with diagnostics.
+    """The equal-time slice of a two-time solve, with its diagnostics.
 
-    The field holds a matrix at every node ``(t_i, t_j)`` of the square
-    grid and is Hermitian under exchange of its two times.  Kept of it:
-    ``values[i]``, the matrix at ``(t_i, t_i)``, the equal-time slice
-    that :func:`extract_density` reads (``values[0]`` is the initial
-    state); and the entries the slots read, ``read_entries[k] = (d,
-    a)``, on the whole square, ``read_values[i, j, k]`` at ``(t_i,
-    t_j)``.  Read entry ``(d, a)`` at ``(t_i, t_j)`` is the conjugate of
-    entry ``(a, d)`` at ``(t_j, t_i)``.  A read entry that the initial
-    state leaves zero on the whole square is not kept.
+    The two-time field holds a matrix at every node ``(t_i, t_j)`` of the
+    square grid and is Hermitian under exchange of its two times.  Kept
+    of it is ``values[i]``, the matrix at ``(t_i, t_i)``, which
+    :func:`extract_density` reads (``values[0]`` is the initial state).
     ``max_residual`` is the worst residual ``max |A x - b| / max(1, max
     |b|)`` of the column loop's leaf solves; it sits at rounding level
-    unless a leaf is close to singular, and is 0.0 on the level route.
+    unless a leaf is close to singular, and is 0.0 on the other routes.
     """
 
     grid: np.ndarray
     values: np.ndarray
-    read_entries: np.ndarray
-    read_values: np.ndarray
     max_residual: float
 
 
@@ -109,7 +102,12 @@ class DensityTrajectory:
         return np.abs(np.einsum("tkk->t", self.matrices) - 1.0)
 
     def min_eigenvalues(self):
-        return np.linalg.eigvalsh(self.matrices)[:, 0]
+        m = self.matrices
+        if m.shape[1] == 2:
+            # the closed form; eigvalsh calls LAPACK once per 2 x 2 matrix
+            a, d = m[:, 0, 0].real, m[:, 1, 1].real
+            return 0.5 * (a + d) - np.hypot(0.5 * (a - d), np.abs(m[:, 1, 0]))
+        return np.linalg.eigvalsh(m)[:, 0]
 
 
 def check_field_size(sys: SystemSpec, rho0, T, dt):
@@ -133,16 +131,18 @@ def check_field_size(sys: SystemSpec, rho0, T, dt):
 
 
 def _plan(sys: SystemSpec, rho0, W=None):
-    """One two-time solve's analysis of the slot table.
+    """One two-time solve's analysis of the slot table, and its route.
 
     Drops the read entries outside the closure of ``rho0``
-    (:func:`_reachable`), orders the kept ones (:func:`_entry_levels`;
-    a nonempty ``core``, a cycle, picks the column loop) and finds their
-    written rows and channels.  ``B`` can be nonzero where
-    :func:`kraus.propagator_support` says, or anywhere for a ``W`` off
-    its table.  Returns ``(pd, pa, Wsl, levels, core, feeds, channels)``.
+    (:func:`_reachable`), orders the kept ones (:func:`_entry_levels`),
+    finds their written rows and channels, and picks the route (see
+    :func:`solve_bitemporal`).  ``nz`` marks the entries of ``B`` that
+    can be nonzero: those of :func:`kraus.propagator_support`, or all
+    for a ``W`` off its table.  Returns ``(route, nz, pd, pa, Wsl,
+    levels, feeds, channels)``.
     """
-    nz = propagator_support(sys.kernel.slots, sys.dim)
+    slots = sys.kernel.slots
+    nz = propagator_support(slots, sys.dim)
     if W is not None and np.any(W.values[:, ~nz]):
         nz = np.ones_like(nz)
     pd, pa, Wsl = _slot_pairs(sys)
@@ -150,21 +150,36 @@ def _plan(sys: SystemSpec, rho0, W=None):
     pd, pa, Wsl = pd[keep], pa[keep], Wsl[keep]
     levels, core = _entry_levels(nz, pd, pa, Wsl)
     feeds = _feeds(Wsl)
-    return pd, pa, Wsl, levels, core, feeds, _channels(Wsl, [e for e, _ in feeds], nz)
+    rows = [e for e, _ in feeds]
+    channels = _channels(Wsl, rows, nz)
+    # rows of W that no live slot writes: rows of the identity
+    steady = np.ones(sys.dim, dtype=bool)
+    steady[slots[nz[slots[:, 1], slots[:, 2]], 0]] = False
+    decay = (len(levels) <= 1 and steady[rows].all() and steady[channels[1]].all()
+             and (np.count_nonzero(nz[:, rows], axis=0) == 1).all())
+    route = "column" if core.size else "decay" if decay else "level"
+    return route, nz, pd, pa, Wsl, levels, feeds, channels
 
 
 def _check_plan(plan, dim, n):
     """Raise FieldSizeError if what ``plan`` stores on ``n`` steps exceeds memory.
 
-    Both routes store ``(n+1)^2 (E + extra) + (n+1) dim^2`` complex
-    numbers: the ``E`` kept read entries and ``extra`` more arrays on
-    the square, and the equal-time slice.  ``extra`` is the ``X`` source
-    channels of the level route, or the ``G`` kernel-weighted read
-    entries of the column loop, one per (written row, read entry) pair.
+    The decay route stores ``3 (n+1) dim^2 + 4 N P dim`` complex
+    numbers: the slice, two more arrays of its size for the free part,
+    and four lines of FFT length ``N`` per (read entry, channel) pair.
+    The others store ``(n+1)^2 (E + extra) + (n+1) dim^2``: the ``E``
+    kept read entries and ``extra`` more arrays on the square, and the
+    slice.  ``extra`` is the ``X`` source channels of the level route,
+    or the ``G`` kernel-weighted read entries of the column loop, one
+    per (written row, read entry) pair.
     """
-    pd, _, _, _, core, feeds, (ech, _, _) = plan
-    extra = sum(qs.size for _, qs in feeds) if core.size else ech.size
-    nbytes = ((n + 1) ** 2 * (pd.size + extra) + (n + 1) * dim ** 2) * np.dtype(complex).itemsize
+    route, _, pd, _, Wsl, _, feeds, (ech, _, _) = plan
+    if route == "decay":
+        count = 3 * (n + 1) * dim ** 2 + 4 * rv.next_fast_len(2 * n) * np.count_nonzero(Wsl) * dim
+    else:
+        extra = ech.size if route == "level" else sum(qs.size for _, qs in feeds)
+        count = (n + 1) ** 2 * (pd.size + extra) + (n + 1) * dim ** 2
+    nbytes = count * np.dtype(complex).itemsize
     try:
         phys = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     except (AttributeError, OSError, ValueError):
@@ -186,10 +201,10 @@ def _slot_pairs(sys: SystemSpec):
     the slots that read entry ``q`` and write entry ``(c, b)``.
     """
     ia, ib, ic, id_ = sys.kernel.slots.T
-    pairs, q = np.unique(np.stack([id_, ia], axis=1), axis=0, return_inverse=True)
+    pairs, q = np.unique(id_ * sys.dim + ia, return_inverse=True)
     Wsl = np.zeros((len(pairs), sys.dim, sys.dim), dtype=complex)
-    np.add.at(Wsl, (q.reshape(-1), ic, ib), sys.kernel.weights)
-    return pairs[:, 0], pairs[:, 1], Wsl
+    np.add.at(Wsl, (q, ic, ib), sys.kernel.weights)
+    return pairs // sys.dim, pairs % sys.dim, Wsl
 
 
 def _feeds(Wsl):
@@ -322,7 +337,7 @@ class _CausalSolver:
 
 
 def solve_bitemporal(sys: SystemSpec, W: KrausZero, rho0) -> BitemporalState:
-    """Integrate the two-time equation on ``W.grid``.
+    """Integrate the two-time equation on ``W.grid``; return its equal-time slice.
 
     The free phases are absorbed into the propagator columns ``B(t) =
     e^{-iHt} W(t)``, which turns the memory term into causal
@@ -335,19 +350,21 @@ def solve_bitemporal(sys: SystemSpec, W: KrausZero, rho0) -> BitemporalState:
     propagator's halved lag 0.  The other triangle is the adjoint.
 
     Only the ``E`` read entries that ``rho0`` can make nonzero are kept
-    (:func:`_plan`).  Both routes start from their free part and that of
-    the equal-time slice (:func:`_free_part`), add the memory to those
-    alone in the frame of ``B``, share one spectrum of the written rows
-    of ``B``, and store ``(n+1)^2 (E + extra) + (n+1) dim^2`` complex
-    numbers (:func:`_check_plan`); the phases ``e^{iHt}`` follow once.
-    The *level route* (:func:`_level_solve`) runs when the kept read
-    entries form no cycle (:func:`_entry_levels`), as for every generic
-    decay system and the dressed Jaynes-Cummings ladder: explicit level
-    by level, O(n^2 log n (E + X)) work, and ``max_residual`` 0.0.  The
-    *column loop* (:func:`_column_loop`) runs otherwise, as for a
-    thermal absorption-emission pair or a slot that reads the entry it
-    writes: one blocked solve per column, O(n^3 G dim + n^2 log^2 n E^2)
-    work.
+    (:func:`_plan`).  The *decay route* (:func:`_decay_route`) runs when
+    they form at most one level and every written row and channel
+    column is a row of ``W`` that no live slot writes, reached by no
+    other row: slots that feed only states that never decay, as in the
+    radiative two-level atom and every generic decay system.  It forms
+    the slice alone in O(n log n) work per read entry.  The other
+    two start from the free parts of the read entries on the whole
+    square and of the slice (:func:`_free_part`), add the memory in the
+    frame of ``B``, share one spectrum of the written rows of ``B``, and
+    apply the phases ``e^{iHt}`` once.  The *level route*
+    (:func:`_level_solve`), for read entries without a cycle (the dressed
+    Jaynes-Cummings ladder), is explicit level by level, O(n^2 log n (E
+    + X)) work.  The *column loop* (:func:`_column_loop`), for a thermal
+    absorption-emission pair or a slot that reads the entry it writes,
+    is one blocked solve per column, O(n^3 G dim + n^2 log^2 n E^2) work.
 
     ``W`` must be the propagator of ``sys`` as
     :func:`kraus.solve_time_domain` returns it: its grid gives the
@@ -367,6 +384,14 @@ def solve_bitemporal(sys: SystemSpec, W: KrausZero, rho0) -> BitemporalState:
         If a block of a column's same-column system is singular; the
         message names its rows.
     """
+    rho, _, max_resid = _solve(sys, W, rho0)
+    return BitemporalState(grid=W.grid, values=rho, max_residual=max_resid)
+
+
+def _solve(sys: SystemSpec, W: KrausZero, rho0):
+    """:func:`solve_bitemporal` as ``(rho, (pd, pa, S), max_residual)``, with
+    ``S[i, j, k]`` read entry ``(pd[k], pa[k])`` at ``(t_i, t_j)``, or
+    ``None`` on the decay route."""
     dim = sys.dim
     rho0 = validate_density(rho0, dim)
     tg = W.grid
@@ -374,9 +399,11 @@ def solve_bitemporal(sys: SystemSpec, W: KrausZero, rho0) -> BitemporalState:
     dt = tg[1] - tg[0]
     plan = _plan(sys, rho0, W)
     _check_plan(plan, dim, n)
-    pd, pa, _, _, core, feeds, _ = plan
-
+    route, _, pd, pa, _, _, feeds, _ = plan
     en = np.asarray(sys.energies, dtype=float)
+    if route == "decay":
+        return _decay_route(W, en, rho0, plan), (pd, pa, None), 0.0
+
     B = np.exp(-1j * np.outer(tg, en))[:, :, None] * W.values
     line = np.concatenate([np.conj(W.kappa[:0:-1]), W.kappa])
     # KD[s, sp] = kernel((sp - s) dt); a reversed sliding view, no copy
@@ -388,7 +415,7 @@ def solve_bitemporal(sys: SystemSpec, W: KrausZero, rho0) -> BitemporalState:
     Bh = B[:, :, [e for e, _ in feeds]]
     Bh[0] *= 0.5
     fB = np.fft.fft(Bh, rv.next_fast_len(2 * n), axis=0)
-    if core.size:
+    if route == "column":
         max_resid = _column_loop(rho, S, B, fB, KD, dt, plan)
     else:
         _level_solve(rho, S, B, Bh, fB, KD, dt, plan)
@@ -399,8 +426,78 @@ def solve_bitemporal(sys: SystemSpec, W: KrausZero, rho0) -> BitemporalState:
     rho *= np.conj(ph)[:, None, :]
     S *= ph[:, None, pd]
     S *= np.conj(ph[:, pa])
-    return BitemporalState(grid=tg, values=rho, read_entries=np.stack([pd, pa], axis=1),
-                           read_values=S, max_residual=max_resid)
+    return rho, (pd, pa, S), max_resid
+
+
+def _decay_route(W, en, rho0, plan):
+    """Equal-time slice of a decay system, with no square stored.
+
+    Every kept read entry ``(d, a)`` is its free part, and ``B`` is the
+    phase ``e^{-iE_e t}`` in the column of each written row ``e`` and
+    the row of each channel column ``c``.  So the memory at ``(t_j,
+    t_j)`` in entry ``(e, c)`` is ``sum_q Wsl[q, e, c] T_q(j)``, with
+    ``T_q(j) = sum_{i', r' <= j} w_i' w_r' kappa((r' - i') dt) f(i')
+    rho0 g(r')^dagger``, ``f(i') = dt e^{-i(E_d - E_e) t_i'} W[i', d]``,
+    ``g`` the same of ``(a, c)`` and ``w`` the trapezoid weights of
+    ``[0, t_j]``: per pair a cumulative sum of increments from two causal
+    FFT convolutions, ``sum_{i' < j} f(i') kappa((j - i') dt)`` and that
+    of ``g``.  For ``g = f`` the form is real, from one convolution: the
+    refill of a radiative two-level atom, nonnegative for a real
+    nonnegative weight (Bochner's theorem).
+    """
+    _, nz, pd, pa, Wsl, _, _, _ = plan
+    Wv, tg = W.values, W.grid
+    n = tg.shape[0] - 1
+    dt = tg[1] - tg[0]
+    # the free part W rho0 W^dagger, time last: rho[d, a, j]
+    Wt = Wv.transpose(1, 2, 0)
+    X = np.matmul(rho0.T, Wt)
+    rho = np.zeros(X.shape, dtype=complex)
+    for k in range(X.shape[1]):
+        rho += X[:, None, k] * np.conj(Wt[None, :, k])
+    q, e, c = np.nonzero(Wsl)
+    if not q.size:
+        return rho.transpose(2, 0, 1)
+    nfft = rv.next_fast_len(2 * n)
+    kline = W.kappa.copy()
+    k0 = kline[0].real
+    kline[0] = 0.0  # C_f(j) sums the nodes before j only
+    fk = np.fft.fft(kline, nfft)
+
+    def factor(row, col):
+        # x[p, k, j] = f(t_j)_k, halved at j = 0, on the columns k that can be nonzero
+        cols = np.flatnonzero(nz[row].any(axis=0))
+        x = dt * Wv[:, row][:, :, cols].transpose(1, 2, 0)
+        x *= np.exp(-1j * np.outer(en[row] - en[col], tg))[:, None, :]
+        x[:, :, 0] *= 0.5
+        return x, cols
+
+    def conv(x):
+        spec = np.fft.fft(x[:, :, :n], nfft)
+        spec *= fk
+        return np.fft.ifft(spec)[:, :, : n + 1]
+
+    def form(x, r, y):  # x(t_j) r y(t_j)^dagger per pair
+        return (np.matmul(r.T, x) * np.conj(y)).sum(axis=1)
+
+    d, a = pd[q], pa[q]
+    herm = (d == a) & (e == c)
+    f, fc = factor(d, e)
+    g, gc = (f, fc) if herm.all() else factor(a, c)
+    r = rho0[np.ix_(fc, gc)]
+    p0 = form(f, r, g)
+    p1 = form(conv(f), r, g)
+    # for g = f the form is real and its two cross terms are conjugates
+    p0[herm] = p0[herm].real
+    p1[herm] = 2.0 * p1[herm].real
+    if not herm.all():
+        p1[~herm] += form(f[~herm], r, conv(g[~herm]))
+    T = np.zeros_like(p0)
+    np.cumsum(k0 * p0[:, :-1] + p1[:, :-1], axis=1, out=T[:, 1:])
+    T += 0.5 * p1 + 0.25 * k0 * p0
+    T[:, 0] = 0.0
+    np.add.at(rho, (e, c), Wsl[q, e, c][:, None] * T)
+    return rho.transpose(2, 0, 1)
 
 
 def _free_part(V, rho0, pd, pa):
@@ -473,10 +570,8 @@ def _level_solve(rho, S, B, Bh, fB, KD, dt, plan):
     entry feeds keeps its free part exactly, and the levels fill an
     entry only once every read entry that feeds it is in ``Q``.
     """
-    pd, pa, Wsl, levels, _, feeds, (ech, cch, reach) = plan
+    _, _, pd, pa, Wsl, levels, feeds, (ech, cch, reach) = plan
     X = ech.size
-    if not X:
-        return
     n1, dim = B.shape[:2]
     nfft = fB.shape[0]
     rows = [e for e, _ in feeds]
@@ -578,7 +673,7 @@ def _column_loop(rho, S, B, fB, KD, dt, plan):
     slice at ``t_j``, the read entries of column ``j`` and their
     adjoints in row ``j``.  Returns the worst leaf residual.
     """
-    pd, pa, Wsl, _, _, feeds, _ = plan
+    _, _, pd, pa, Wsl, _, feeds, _ = plan
     n = B.shape[0] - 1
     dim = B.shape[1]
     P = pd.size
@@ -655,59 +750,12 @@ def extract_density(xi: BitemporalState) -> DensityTrajectory:
 
 
 def two_level_trajectory(sys: SystemSpec, W: KrausZero, rho0) -> DensityTrajectory:
-    """Closed refill form for the single raising-lowering slot.
+    """Density trajectory of ``rho0``: the slice of :func:`solve_bitemporal`.
 
-    For a two-level system whose only slot feeds the ground state, the
-    ground population gains the trapezoid double integral
-
-        refill_i = sum_{r,s<=i} c_r c_s a_r conj(a_s) kappa(t_s - t_r),
-
-    with ``a_r = dt W22(t_r) e^{-i w21 t_r}``, ``c`` the trapezoid
-    weights of ``[0, t_i]`` and ``kappa`` the kernel samples ``W.kappa``
-    that the Volterra solve of ``sys`` integrated on the grid.  The
-    sums ``C_i = sum_{r<i} at_r kappa(t_i - t_r)``, where ``at`` is ``a``
-    with its first entry halved, are one causal FFT convolution, and
-    every prefix then follows from one cumulative sum: O(n log n) work,
-    where the full two-time sweep costs O(n^3).  The refill is a
-    quadratic form in a positive definite kernel (Bochner's theorem),
-    so every matrix stays positive semidefinite.
+    A radiative two-level atom takes the decay route, whose memory is the
+    ground state's refill (:func:`_decay_route`).
     """
-    if sys.dim != 2:
-        raise ValueError("refill form needs a two-level system")
-    kern = sys.kernel
-    if kern.slots.tolist() != [[1, 0, 0, 1]]:
-        raise ValueError("refill form needs exactly the raising-lowering slot")
-    wgt = kern.weights[0]
-    if abs(wgt.imag) > 1e-12 * abs(wgt) or wgt.real < 0:
-        raise ValueError("slot weight must be real and nonnegative")
-    rho0 = validate_density(rho0, 2)
-
-    tg = W.grid
-    n = tg.shape[0] - 1
-    dt = tg[1] - tg[0]
-    w22 = W.values[:, 1, 1]
-    w21 = sys.energies[1] - sys.energies[0]
-    kappa = W.kappa.copy()
-    k0 = kappa[0].real
-    kappa[0] = 0.0  # C_i sums the nodes r < i only
-    a = dt * w22 * np.exp(-1j * w21 * tg)
-    at = a.copy()
-    at[0] *= 0.5
-    nfft = rv.next_fast_len(2 * n)
-    C = np.fft.ifft(np.fft.fft(at[:n], nfft) * np.fft.fft(kappa, nfft))[: n + 1]
-    # Q_i: the form over the nodes r < i at full weight (at_0 halved)
-    inc = np.abs(at) ** 2 * k0 + 2.0 * (np.conj(at) * C).real
-    refill = np.concatenate([[0.0], np.cumsum(inc[:-1])])
-    refill += (np.conj(a) * C).real + 0.25 * np.abs(a) ** 2 * k0
-    refill[0] = 0.0
-
-    mats = np.empty((tg.shape[0], 2, 2), dtype=complex)
-    p2 = rho0[1, 1].real
-    mats[:, 1, 1] = np.abs(w22) ** 2 * p2
-    mats[:, 1, 0] = w22 * rho0[1, 0]
-    mats[:, 0, 1] = np.conj(mats[:, 1, 0])
-    mats[:, 0, 0] = rho0[0, 0].real + wgt.real * p2 * refill
-    return DensityTrajectory(times=tg, matrices=mats, herm_residual=0.0)
+    return extract_density(solve_bitemporal(sys, W, rho0))
 
 
 @dataclass(frozen=True)
@@ -723,8 +771,9 @@ class ConservationReport:
 def audit_conservation(traj: DensityTrajectory) -> ConservationReport:
     """Worst trace error and lowest eigenvalue, with the times they occur.
 
-    Every step gets its full spectrum, in one batched call.  Callers
-    judge the two values against their own tolerances.
+    Every step gets its lowest eigenvalue, in closed form on two levels
+    and from one batched call otherwise.  Callers judge the two values
+    against their own tolerances.
     """
     terr = traj.trace_errors()
     it = int(np.argmax(terr))

@@ -131,8 +131,8 @@ class KrausZero:
     ``picard_iters`` is always 0, since no step iterates; the field
     stays because benchmark tracing reads it.  ``kappa`` holds the
     scalar kernel samples ``kernel.on_grid(grid)`` that the solve
-    integrated, so that neither the two-level refill nor the two-time
-    solve samples the same kernel again.
+    integrated, so that the two-time solve, on any route, does not
+    sample the same kernel again.
 
     Raises
     ------

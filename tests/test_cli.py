@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import nmkraus.cli as cli
+import nmkraus.dynamics as dy
 import nmkraus.jaynescummings as jc
 import nmkraus.kraus as kr
 import nmkraus.reservoir as rv
@@ -734,8 +735,11 @@ class TestGenericRuns:
         assert "initial.rho_re" in capsys.readouterr().err
 
     def test_oversized_field_is_a_config_error(self, tmp_path, capsys):
+        # a thermal absorption-emission pair, whose column loop stores
+        # squares; a decay system stores none and passes the guard
+        pair = "    - {row: 1, mid_out: 2, mid_in: 2, col: 1, weight_re: 1.0}\n"
         text = GENERIC_BODY.format(row=2, extra="").replace(
-            "t_final_time: 10.0", "t_final_time: 5000.0")
+            "t_final_time: 10.0", "t_final_time: 5000.0").replace("initial:", pair + "initial:")
         _assert_refused_at_once(tmp_path, capsys, text)
 
     def test_off_grid_final_time_names_both_fields(self, tmp_path, capsys):
@@ -1036,18 +1040,24 @@ FIXED_LIMITS = {
 )
 def test_time_domain_run_audits_its_volterra_residual(config, tmp_path, monkeypatch):
     # a run reports the Volterra residual exactly when it solves the
-    # Volterra equation, and reports that solve's own residual
-    solves = []
+    # Volterra equation, and reports that solve's own residual; every
+    # such run then takes the one two-time solve and reports its residual
+    solves, fields = [], []
     solve = kr.solve_time_domain
     monkeypatch.setattr(kr, "solve_time_domain", lambda *a: solves.append(solve(*a)) or solves[-1])
+    field = dy.solve_bitemporal
+    monkeypatch.setattr(dy, "solve_bitemporal", lambda *a: fields.append(field(*a)) or fields[-1])
     outdir = tmp_path / "out"
     assert cli.main(["run", str(config), "--out", str(outdir)]) == 0
     audits = _summary(outdir)["audits"]
     if solves:
         (W,) = solves
         assert audits["volterra_residual"]["value"] == W.max_residual
+        (xi,) = fields
+        assert audits["bitemporal_residual"]["value"] == xi.max_residual
     else:
         assert "volterra_residual" not in audits
+        assert not fields and "bitemporal_residual" not in audits
     kind = yaml.safe_load(config.read_text())["kind"]
     assert bool(solves) == (kind in {"TwoLevelWW", "MarkovLimit", "GenericSystem"}
                             or config.stem == "jc_bitemporal")

@@ -6,6 +6,7 @@ import math
 import os
 import tracemalloc
 from dataclasses import replace
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -44,9 +45,21 @@ def far_propagator():
     return kr.solve_time_domain(far_system(), 2.0, 0.01)
 
 
+def _solve(sys, W, rho0):
+    """A two-time solve with its kept read entries and their squares.
+
+    ``read_values[i, j, k]`` is read entry ``read_entries[k]`` at ``(t_i,
+    t_j)`` (:func:`dynamics._solve`); it is None on the decay route,
+    which stores no square.
+    """
+    rho, (pd, pa, S), resid = dy._solve(sys, W, rho0)
+    return SimpleNamespace(grid=W.grid, values=rho, read_entries=np.stack([pd, pa], axis=1),
+                           read_values=S, max_residual=resid)
+
+
 @functools.cache
 def far_bitemporal():
-    return dy.solve_bitemporal(far_system(), far_propagator(), RHO)
+    return _solve(far_system(), far_propagator(), RHO)
 
 
 @functools.cache
@@ -54,7 +67,7 @@ def zero_kernel_state():
     sys = kr.SystemSpec((0.0, 3.0), rv.kernel_table(
         rv.SpectralDensity.flat_window(0.1, 1.0, 2.0), {}))
     W = kr.solve_time_domain(sys, 1.0, 0.05)
-    return dy.solve_bitemporal(sys, W, RHO)
+    return _solve(sys, W, RHO)
 
 
 class TestValidation:
@@ -74,41 +87,44 @@ class TestValidation:
             dy.validate_density(nan, 2)
 
     def test_field_size_guard(self):
-        # a stand-in identity propagator on 10^5 steps asks for a field
-        # far beyond physical memory; the guard fires before any of it
-        # is allocated
+        # a stand-in identity propagator on 10^5 steps asks the thermal
+        # pair's column loop for squares far beyond physical memory; the
+        # guard fires before any of it is allocated
         phys = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
         n, dt = max(10**5, math.isqrt(phys)), 0.01
         W = kr.KrausZero(np.arange(n + 1) * dt,
                          np.broadcast_to(np.eye(2, dtype=complex), (n + 1, 2, 2)),
                          0.0, 0, np.zeros(n + 1, dtype=complex))
         with pytest.raises(dy.FieldSizeError) as err:
-            dy.solve_bitemporal(far_system(), W, RHO)
+            dy.solve_bitemporal(_thermal_system(THERMAL_PAIR), W, RHO)
         assert err.value.nbytes > phys
         assert "GiB" in str(err.value)
+        # the decay route stores no square, so a decay system passes at 10^5 steps
+        four = _decay_system((0.0, 3.0, 5.5, 7.5), [(2, 1.0), (3, 0.5), (4, 0.5)])
+        assert dy.check_field_size(four, RHO4, 1000.0, 0.01) is None
 
     def test_field_size_guard_counts_bytes(self, monkeypatch):
         # what a solve stores: per node the E kept read entries, as many
-        # as a real solve returns, and per step the equal-time slice;
-        # per node on the level route also the source rows in X
-        # channels, the (written row, column) pairs that can be nonzero
-        # (9 of the 3 x 5 channels on the dressed ladder, 5 once the
-        # excited atom with one photon keeps 8 of its 16 read entries; 1
-        # of the 1 x 4 channels on the four-level decay, whose only
-        # written row is the ground state's and only the ground state's
-        # column reaches it), and on the column loop G kernel-weighted
-        # read entries, one for each (written row, read entry) pair (2
-        # of each for the thermal pair)
+        # as a real solve keeps, and per step the equal-time slice; per
+        # node on the level route also the source rows in X channels,
+        # the (written row, column) pairs that can be nonzero (9 of the
+        # 3 x 5 channels on the dressed ladder, 5 once the excited atom
+        # with one photon keeps 8 of its 16 read entries), and on the
+        # column loop G kernel-weighted read entries, one for each
+        # (written row, read entry) pair (2 of each for the thermal
+        # pair); the decay route stores no square, only the slice, two
+        # more arrays of its size for the free part, and four lines of
+        # its FFT length per (read entry, channel) pair (3 on the
+        # four-level decay, each read entry into the ground state)
         basis = jc.DressedBasis(0.0, 20.0, 0.3, 1)
         excited = jc.dressed_initial_state(basis, jc.JCInitialState(np.diag([0.0, 1.0]), 1))
         four = _decay_system((0.0, 3.0, 5.5, 7.5), [(2, 1.0), (3, 0.5), (4, 0.5)])
         thermal = _thermal_system(THERMAL_PAIR)
         n, T = 64, 12.0
-        level = [(_ladder(1), _random_density(5, 4), 16, 9), (_ladder(1), excited, 8, 5),
-                 (four, RHO4, 3, 1)]
-        kept = [dy.solve_bitemporal(sys, kr.solve_time_domain(sys, T, T / n), rho0)
-                .read_entries.shape[0] for sys, rho0, _, _ in level]
-        assert kept == [E for _, _, E, _ in level]
+        level = [(_ladder(1), _random_density(5, 4), 16, 9), (_ladder(1), excited, 8, 5)]
+        kept = [_solve(sys, kr.solve_time_domain(sys, T, T / n), rho0)
+                .read_entries.shape[0] for sys, rho0, _, _ in level + [(four, RHO4, 3, 0)]]
+        assert kept == [E for _, _, E, _ in level] + [3]
         monkeypatch.setattr(dy.os, "sysconf", lambda name: 1)
 
         def counted(sys, rho0):
@@ -119,6 +135,8 @@ class TestValidation:
         for (sys, rho0, _, X), E in zip(level, kept):
             assert counted(sys, rho0) == ((n + 1) ** 2 * (E + X) + (n + 1) * sys.dim ** 2) * 16
         assert counted(thermal, EXCITED) == ((n + 1) ** 2 * (2 + 2) + (n + 1) * 2 ** 2) * 16
+        nfft = rv.next_fast_len(2 * n)
+        assert counted(four, RHO4) == (3 * (n + 1) * 4 ** 2 + 4 * nfft * 3 * 4) * 16
 
         def unreadable(name):
             raise OSError(name)
@@ -151,6 +169,8 @@ def _assert_matches_field(xi, field):
     idx = np.arange(field.shape[0])
     assert xi.values.shape == field[idx, idx].shape
     assert np.max(np.abs(xi.values - field[idx, idx])) <= 1e-12
+    if xi.read_values is None:
+        return
     d, a = xi.read_entries.T
     assert xi.read_values.shape == field[:, :, d, a].shape
     assert np.max(np.abs(xi.read_values - field[:, :, d, a]), initial=0.0) <= 1e-12
@@ -161,9 +181,11 @@ def _assert_two_time_symmetry(xi, physical=True):
 
     Checked wherever both entries are returned, off the equal-time
     diagonal; on it, and for the whole slice, only for a physical slot
-    table, whose equal-time matrices are Hermitian.
+    table, whose equal-time matrices are Hermitian.  The decay route
+    returns no square, so only its slice is checked.
     """
-    at = {(d, a): k for k, (d, a) in enumerate(xi.read_entries.tolist())}
+    squares = [] if xi.read_values is None else xi.read_entries.tolist()
+    at = {(d, a): k for k, (d, a) in enumerate(squares)}
     off = ~np.eye(xi.grid.size, dtype=bool) | physical
     for (d, a), k in at.items():
         if (a, d) in at:
@@ -190,30 +212,42 @@ class TestBitemporal:
         assert xi.read_entries.tolist() == [[1, 1]]
         _assert_two_time_symmetry(xi)
 
-    @pytest.mark.parametrize("route", ["level route", "column loop"])
+    @pytest.mark.parametrize("route", ["decay route", "level route", "column loop"])
     def test_peak_memory_is_below_the_field(self, route):
-        # four levels at n = 200 once kept their whole field, (n+1)^2
-        # dim^2 complex numbers, 10.3 MB; now the decay keeps 3 read
-        # entries and 1 channel on the square, and the thermal pair on
-        # levels 1-2 its 2 read entries and 2 kernel-weighted ones, and
-        # each the slice
+        # at n = 200 the whole field is (n+1)^2 dim^2 complex numbers,
+        # 10.3 MB on four levels; the decay route keeps no square of the
+        # four-level decay, the level route 8 read entries and 5
+        # channels of the dressed ladder's 25 entries, and the column
+        # loop the thermal pair's 2 read entries on levels 1-2 and 2
+        # kernel-weighted ones, and each the slice
         energies = (0.0, 3.0, 5.5, 7.5)
-        if route == "level route":
+        rho0 = RHO4
+        if route == "decay route":
             sys = _decay_system(energies, [(2, 1.0), (3, 0.5), (4, 0.5)])
+        elif route == "level route":
+            sys = _ladder(1)
+            rho0 = jc.dressed_initial_state(jc.DressedBasis(0.0, 20.0, 0.3, 1),
+                                            jc.JCInitialState(np.diag([0.0, 1.0]), 1))
         else:
             sd = rv.SpectralDensity.flat_window(0.04, 4.0, 8.0)
             sys = kr.SystemSpec(energies, rv.kernel_table(sd, THERMAL_PAIR, beta_inv=2.0))
         W = kr.solve_time_domain(sys, 4.0, 0.02)
-        with mock.patch.object(dy, "_column_loop", wraps=dy._column_loop) as loop:
+        routes = [mock.patch.object(dy, name, wraps=getattr(dy, name))
+                  for name in ("_decay_route", "_level_solve", "_column_loop")]
+        with routes[0] as decay, routes[1] as level, routes[2] as loop:
             tracemalloc.start()
             try:
-                xi = dy.solve_bitemporal(sys, W, RHO4)
+                xi = dy.solve_bitemporal(sys, W, rho0)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-        assert loop.called == (route == "column loop")
-        assert xi.read_entries.shape == ((3, 2) if route == "level route" else (2, 2))
-        assert peak < 201 ** 2 * 4 ** 2 * 16
+        assert [decay.called, level.called, loop.called] == [
+            route == name for name in ("decay route", "level route", "column loop")]
+        assert xi.values.shape == (201, sys.dim, sys.dim)
+        assert peak < 201 ** 2 * sys.dim ** 2 * 16
+        if route == "decay route":
+            # below one square
+            assert peak < 201 ** 2 * 16
 
     def test_population_follows_propagator(self):
         # the single decay slot feeds only the ground state, so the
@@ -266,11 +300,11 @@ class TestBitemporal:
             "thermal_pair": (_thermal_system(THERMAL_PAIR), RHO, 3.0, 300),
         }[case]
         shifted = kr.SystemSpec(tuple(e + 7.3 for e in sys.energies), sys.kernel)
-        a, b = (dy.solve_bitemporal(s, kr.solve_time_domain(s, T, T / n), rho0)
-                for s in (sys, shifted))
+        a, b = (_solve(s, kr.solve_time_domain(s, T, T / n), rho0) for s in (sys, shifted))
         assert np.array_equal(a.read_entries, b.read_entries)
         for x, y in ((a.values, b.values), (a.read_values, b.read_values)):
-            assert np.max(np.abs(x - y)) <= 1e-12 * np.max(np.abs(x))
+            if x is not None:
+                assert np.max(np.abs(x - y)) <= 1e-12 * np.max(np.abs(x))
 
 
 def _assert_matches_reference(sys, rho0, T, n, *, physical=True):
@@ -283,7 +317,7 @@ def _assert_matches_reference(sys, rho0, T, n, *, physical=True):
     """
     dt = T / n
     W = kr.solve_time_domain(sys, T, dt)
-    new = dy.solve_bitemporal(sys, W, rho0)
+    new = _solve(sys, W, rho0)
     field = bitemporal_reference.solve_bitemporal(sys, W, rho0, T, dt)
     _assert_matches_field(new, field)
     kept = set(map(tuple, new.read_entries.tolist()))
@@ -506,9 +540,9 @@ class TestColumnGroups:
 
         sys = _decay_system((0.0, 3.0, 7.5), [(2, 1.0), (3, 0.5)])
         W = kr.solve_time_domain(sys, 1.0, 0.02)
-        ref = dy.solve_bitemporal(sys, W, RHO3)
+        ref = _solve(sys, W, RHO3)
         monkeypatch.setattr(dy, "_CausalSolver", refuse)
-        xi = dy.solve_bitemporal(sys, W, RHO3)
+        xi = _solve(sys, W, RHO3)
         assert np.array_equal(xi.values, ref.values)
         assert np.array_equal(xi.read_entries, ref.read_entries)
         assert np.array_equal(xi.read_values, ref.read_values)
@@ -630,7 +664,7 @@ class TestLevelRoute:
                               + 1j * rng.normal(size=values[1:].shape))
         W = replace(W, values=values)
         with mock.patch.object(dy, "_column_loop", wraps=dy._column_loop) as loop:
-            new = dy.solve_bitemporal(sys, W, RHO3)
+            new = _solve(sys, W, RHO3)
         assert loop.called
         _assert_matches_field(new, bitemporal_reference.solve_bitemporal(sys, W, RHO3, T, T / n))
 
@@ -662,7 +696,7 @@ class TestLevelRoute:
         reach = dy._reachable(nz, rho0, *dy._slot_pairs(sys))
         assert not field[:, :, ~reach].any()
         with _refuse_loop():
-            xi = dy.solve_bitemporal(sys, W, rho0)
+            xi = _solve(sys, W, rho0)
         assert not xi.values[:, ~reach].any()
         assert reach[tuple(xi.read_entries.T)].all()
         _assert_matches_field(xi, field)
@@ -686,10 +720,53 @@ class TestLevelRoute:
         keep = reach[pd, pa]
         cyclic = dy._entry_levels(nz, pd[keep], pa[keep], Wsl[keep])[1].size > 0
         with mock.patch.object(dy, "_column_loop", wraps=dy._column_loop) as loop:
-            xi = dy.solve_bitemporal(sys, W, rho0)
+            xi = _solve(sys, W, rho0)
         assert loop.called == cyclic
         assert xi.read_entries.tolist() == np.stack([pd[keep], pa[keep]], axis=1).tolist()
         _assert_matches_field(xi, field)
+
+
+class TestDecayRoute:
+    """Slots that feed only states that never decay: the slice alone, by convolutions."""
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        dim=st.integers(2, 4),
+        steady=st.integers(1, 3),
+        gaps=st.lists(st.floats(0.0, 4.0), min_size=3, max_size=3),
+        slots=st.lists(
+            st.tuples(
+                st.tuples(*[st.integers(0, 3)] * 4),
+                st.floats(0.05, 1.0),
+                st.floats(-math.pi, math.pi),
+            ),
+            min_size=1, max_size=6,
+        ),
+        height=st.floats(0.001, 0.05),
+        lo=st.floats(0.5, 5.0),
+        width=st.floats(0.2, 3.0),
+        n=st.integers(2, 16),
+        dt=st.floats(0.02, 0.2),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_generated_decay_systems(self, dim, steady, gaps, slots, height, lo, width, n,
+                                     dt, seed):
+        # slots (k, m, n, j) with k and j among the decaying states and m
+        # and n among the steady ones, complex weights and a coherent
+        # rho0: off-diagonal read entries and channels included
+        s = min(steady, dim - 1)
+        energies = tuple(np.concatenate([[0.0], np.cumsum(gaps[: dim - 1])]))
+        rule = {}
+        for (k, m, n_, j), mag, phase in slots:
+            idx = (s + k % (dim - s), m % s, n_ % s, s + j % (dim - s))
+            rule[tuple(i + 1 for i in idx)] = mag * np.exp(1j * phase)
+        sd = rv.SpectralDensity.flat_window(height, lo, lo + width)
+        sys = kr.SystemSpec(energies, rv.kernel_table(sd, rule))
+        with mock.patch.object(dy, "_decay_route", wraps=dy._decay_route) as route:
+            with _refuse_loop():
+                _assert_matches_reference(sys, _random_density(dim, seed), n * dt, n,
+                                          physical=False)
+        assert route.called
 
 
 def _drawn_system(dim, gaps, slots, height, lo, width):
@@ -848,19 +925,22 @@ def direct_refill(sys, W, prefixes):
 
 
 class TestRefill:
-    def test_requires_radiative_structure(self):
+    @pytest.mark.parametrize("case", ["complex_weight", "three_level_decay"])
+    def test_takes_any_decay_system(self, case):
+        # the refill is the decay route's special case, so a complex slot
+        # weight on two levels and a three-level decay take it too
         sd = rv.SpectralDensity.flat_window(0.05, 3.0, 7.0)
-        sys3 = kr.SystemSpec((0.0, 5.0, 5.4), rv.kernel_table(
-            sd, {(2, 1, 1, 2): 1.0, (3, 1, 1, 3): 1.0}))
-        W3 = kr.solve_time_domain(sys3, 0.2, 0.05)
-        rho3 = np.diag([0.2, 0.3, 0.5]).astype(complex)
-        with pytest.raises(ValueError):
-            dy.two_level_trajectory(sys3, W3, rho3)
-        sys_wrong = kr.SystemSpec((0.0, 5.0), rv.kernel_table(
-            sd, {(1, 2, 2, 1): 1.0}))
-        Ww = kr.solve_time_domain(sys_wrong, 0.2, 0.05)
-        with pytest.raises(ValueError):
-            dy.two_level_trajectory(sys_wrong, Ww, RHO)
+        if case == "complex_weight":
+            sys, rho0 = kr.SystemSpec((0.0, 5.0), rv.kernel_table(sd, {(2, 1, 1, 2): 1j})), RHO
+        else:
+            sys, rho0 = _decay_system((0.0, 3.0, 7.5), [(2, 1.0), (3, 0.5)]), RHO3
+        T, n = 2.0, 100
+        W = kr.solve_time_domain(sys, T, T / n)
+        traj = dy.two_level_trajectory(sys, W, rho0)
+        field = bitemporal_reference.solve_bitemporal(sys, W, rho0, T, T / n)
+        ref = field[np.arange(n + 1), np.arange(n + 1)]
+        ref = 0.5 * (ref + np.conj(np.swapaxes(ref, 1, 2)))
+        assert np.max(np.abs(traj.matrices - ref)) <= 1e-12 * np.max(np.abs(ref))
 
     def test_matches_bitemporal_sweep(self):
         fast = dy.two_level_trajectory(far_system(), far_propagator(), RHO)
@@ -968,6 +1048,17 @@ class TestAudit:
         rep = dy.audit_conservation(bad)
         assert rep.min_eigenvalue < -1e-10
         assert rep.eigen_time == traj.times[80]
+
+    def test_two_level_closed_form_matches_eigvalsh(self):
+        # 2 x 2 trajectories take the closed form, the rest eigvalsh
+        rng = np.random.default_rng(9)
+        g = rng.normal(size=(500, 2, 2)) + 1j * rng.normal(size=(500, 2, 2))
+        g[:250] *= 10.0 ** rng.uniform(-8, 2, size=(250, 1, 1))
+        mats = g @ np.conj(np.swapaxes(g, 1, 2)) - np.eye(2) * rng.uniform(0, 5, (500, 1, 1))
+        traj = dy.DensityTrajectory(np.arange(500.0), mats, 0.0)
+        ref = np.linalg.eigvalsh(mats)[:, 0]
+        scale = np.max(np.abs(mats), axis=(1, 2))
+        assert np.all(np.abs(traj.min_eigenvalues() - ref) <= 2e-15 * scale)
 
     def test_large_dimension_probe_path(self):
         d, steps = 70, 25

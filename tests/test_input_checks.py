@@ -17,11 +17,6 @@ def _two_level(weight=1.0):
     return kr.SystemSpec((0.0, 5.0), rv.kernel_table(SD, {(2, 1, 1, 2): weight}))
 
 
-def _complex_refill():
-    sys = _two_level(1j)
-    dy.two_level_trajectory(sys, kr.solve_time_domain(sys, 0.1, 0.05), np.diag([0.0, 1.0]))
-
-
 CASES = {
     "empty_energies": (lambda: kr.SystemSpec((), _two_level().kernel),
                        ValueError, "energies must be a nonempty vector"),
@@ -46,7 +41,6 @@ CASES = {
     "zero_span": (lambda: rv.discrete_modes(SD, 0.0), ValueError, "span must be > 0"),
     "state_shape": (lambda: dy.validate_density(np.eye(3) / 3, 2),
                     dy.StateValidationError, "must be 2x2"),
-    "complex_refill_weight": (_complex_refill, ValueError, "real and nonnegative"),
     "nan_energy": (lambda: kr.SystemSpec((0.0, math.nan), _two_level().kernel),
                    ValueError, "energies must be finite"),
     "inf_energy": (lambda: kr.SystemSpec((0.0, math.inf), _two_level().kernel),

@@ -138,10 +138,12 @@ class TestTimeDomain:
 
 
 def _assert_matches_reference(sys, T, n):
+    # rounding grows with |W|, so both bounds scale with its peak above 1
     new = kr.solve_time_domain(sys, T, T / n)
     ref = volterra_reference.solve_time_domain(sys, T, T / n, picard_tol=1e-14)
-    assert np.max(np.abs(new.values - ref.values)) <= 1e-12
-    assert new.max_residual <= 1e-13
+    scale = max(1.0, np.max(np.abs(ref.values)))
+    assert np.max(np.abs(new.values - ref.values)) <= 1e-12 * scale
+    assert new.max_residual <= 1e-13 * scale
 
 
 class TestExactStepAgreement:

@@ -670,7 +670,7 @@ class TestScipyFreeRules:
         ((75395, 3), 77175, 0),  # the same at Im z 0.5
         ((128, 6, 6), None, 0),  # dynamics._CausalSolver._push spectra
         ((64, 6), 128, 0),  # the rows it pushes
-        ((3500,), 7000, -1),  # dynamics.two_level_trajectory refill
+        ((1, 2, 3500), 7000, -1),  # dynamics._decay_route, two levels at n 3500
         ((65, 5, 5), 132, 0),  # dynamics.solve_bitemporal columns
     ])
     def test_numpy_fft_matches_scipy_bit_for_bit(self, shape, n, axis):
