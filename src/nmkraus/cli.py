@@ -61,7 +61,7 @@ _MISSING = object()
 _READ = set()
 
 
-class ConfigError(ValueError):
+class ConfigError(Exception):
     """Config rejected; the message names the offending field path."""
 
 
@@ -198,8 +198,6 @@ def _build_spectral(cfg, base, scale2=1.0):
                     "spectral.table_path must hold two columns omega,g2"
                 )
             return rv.SpectralDensity.tabulated(data[:, 0], scale2 * data[:, 1])
-    except ConfigError:
-        raise
     except ValueError as e:
         raise ConfigError(f"spectral: {e}") from e
     raise ConfigError(
@@ -248,8 +246,6 @@ def _build_basis(cfg):
             _pos(cfg, "system.coupling_per_time"),
             _int(cfg, "system.photon_cutoff", minimum=1),
         )
-    except ConfigError:
-        raise
     except ValueError as e:
         raise ConfigError(f"system: {e}") from e
 
@@ -428,10 +424,12 @@ def _finish(outdir, kind, artifact, table, checks):
 # scenarios: each runner maps (cfg, base) to (artifact, {column: values}, checks)
 
 
-def _whole_steps(span, step, span_path, step_path):
-    """Refuse a grid whose final point is not a whole number of steps."""
-    if abs(round(span / step) * step - span) > 1e-9 * max(span, 1.0):
-        raise ConfigError(f"{span_path} must be an integer multiple of {step_path}")
+def _step_count(span, step, keys):
+    """:func:`kraus.step_count` of a grid; a refusal names the grid's ``keys``."""
+    try:
+        return kr.step_count(span, step)
+    except ValueError as e:
+        raise ConfigError(f"{keys}: {e}") from None
 
 
 def _time_grid(cfg):
@@ -439,7 +437,7 @@ def _time_grid(cfg):
     T = _pos(cfg, "numerics.t_final_time")
     if T <= dt:
         raise ConfigError("numerics.t_final_time must exceed numerics.dt_time")
-    _whole_steps(T, dt, "numerics.t_final_time", "numerics.dt_time")
+    _step_count(T, dt, "numerics.t_final_time / numerics.dt_time")
     return T, dt
 
 
@@ -566,6 +564,7 @@ def _run_jaynes_cummings(cfg, base):
         raise ConfigError("numerics.solver must be series or bitemporal")
     T = _pos(cfg, "numerics.t_final_time")
     n_times = _int(cfg, "numerics.n_times", minimum=2)
+    _step_count(T, T / (n_times - 1), "numerics.t_final_time / numerics.n_times")
     times = np.linspace(0.0, T, n_times)
 
     if solver == "series":
@@ -598,7 +597,7 @@ def _run_plateau_figure(cfg, base):
         raise ConfigError("initial populations must sum to 1")
     tau_max = _pos(cfg, "grid.tau_max", 160.0)
     dtau = _pos(cfg, "grid.dtau", 0.1)
-    _whole_steps(tau_max, dtau, "grid.tau_max", "grid.dtau")
+    _step_count(tau_max, dtau, "grid.tau_max / grid.dtau")
     taus = np.arange(0.0, tau_max + 0.5 * dtau, dtau)
     _all_read(cfg)
 
@@ -668,9 +667,10 @@ def _load_artifact(summary_path, fname):
     path = summary_path.parent / fname
     if not path.is_file():
         raise ShapeMismatchError(f"artifact file missing: {path}")
-    table = np.genfromtxt(path, delimiter=",", names=True)
-    if table.dtype.names is None:
+    # genfromtxt fails with an IndexError on a file of blank lines
+    if not path.read_text().strip():
         raise ShapeMismatchError(f"no header row in {path}")
+    table = np.genfromtxt(path, delimiter=",", names=True)
     return {name: np.atleast_1d(table[name]) for name in table.dtype.names}
 
 
@@ -778,8 +778,6 @@ def _cmd_run(args):
         outdir = Path(args.out)
     try:
         artifact, table, checks = runner(cfg, path.parent)
-    except ConfigError:
-        raise
     except dy.FieldSizeError as e:
         raise ConfigError(f"numerics: {e}") from e
     except (ValueError, ArithmeticError, RuntimeError) as e:

@@ -133,22 +133,28 @@ def check_field_size(sys: SystemSpec, rho0, T, dt):
 def _plan(sys: SystemSpec, rho0, W=None):
     """One two-time solve's analysis of the slot table, and its route.
 
-    Drops the read entries outside the closure of ``rho0``
-    (:func:`_reachable`), orders the kept ones (:func:`_entry_levels`),
-    finds their written rows and channels, and picks the route (see
-    :func:`solve_bitemporal`).  ``nz`` marks the entries of ``B`` that
-    can be nonzero: those of :func:`kraus.propagator_support`, or all
-    for a ``W`` off its table.  Returns ``(route, nz, pd, pa, Wsl,
-    levels, feeds, channels)``.
+    ``nz`` marks the entries of ``B`` that can be nonzero: those of
+    :func:`kraus.propagator_support`, or all for a ``W`` off its table.
+    ``R[d, a, q]`` marks where read entry ``q`` can carry memory: where
+    a term ``B[d, e] Wsl[q, e, c] conj B[a, c]`` can be nonzero.  It
+    drops the read entries outside the closure of ``rho0``
+    (:func:`_reachable`) and orders the kept ones (:func:`_column_groups`):
+    ``q'`` depends on ``q`` if ``q`` reaches ``(pd[q'], pa[q'])`` or its
+    transpose.  Then come the written rows, the channels and the route
+    (see :func:`solve_bitemporal`).  Returns ``(route, nz, pd, pa, Wsl,
+    R, levels, feeds, channels)``, with ``R`` over the kept entries.
     """
     slots = sys.kernel.slots
     nz = propagator_support(slots, sys.dim)
     if W is not None and np.any(W.values[:, ~nz]):
         nz = np.ones_like(nz)
     pd, pa, Wsl = _slot_pairs(sys)
-    keep = _reachable(nz, rho0, pd, pa, Wsl)[pd, pa]
-    pd, pa, Wsl = pd[keep], pa[keep], Wsl[keep]
-    levels, core = _entry_levels(nz, pd, pa, Wsl)
+    # one product per read entry, O(E dim^3), in floats for BLAS
+    b = nz.astype(float)
+    R = (b @ (Wsl != 0) @ b.T > 0).transpose(1, 2, 0)
+    keep = _reachable(nz, rho0, R, pd, pa)[pd, pa]
+    pd, pa, Wsl, R = pd[keep], pa[keep], Wsl[keep], R[:, :, keep]
+    levels, core = _column_groups((R[pd, pa] | R[pa, pd])[None])
     feeds = _feeds(Wsl)
     rows = [e for e, _ in feeds]
     channels = _channels(Wsl, rows, nz)
@@ -158,7 +164,7 @@ def _plan(sys: SystemSpec, rho0, W=None):
     decay = (len(levels) <= 1 and steady[rows].all() and steady[channels[1]].all()
              and (np.count_nonzero(nz[:, rows], axis=0) == 1).all())
     route = "column" if core.size else "decay" if decay else "level"
-    return route, nz, pd, pa, Wsl, levels, feeds, channels
+    return route, nz, pd, pa, Wsl, R, levels, feeds, channels
 
 
 def _check_plan(plan, dim, n):
@@ -173,7 +179,7 @@ def _check_plan(plan, dim, n):
     or the ``G`` kernel-weighted read entries of the column loop, one
     per (written row, read entry) pair.
     """
-    route, _, pd, _, Wsl, _, feeds, (ech, _, _) = plan
+    route, _, pd, _, Wsl, _, _, feeds, (ech, _) = plan
     if route == "decay":
         count = 3 * (n + 1) * dim ** 2 + 4 * rv.next_fast_len(2 * n) * np.count_nonzero(Wsl) * dim
     else:
@@ -234,25 +240,6 @@ def _column_groups(K):
         levels.append(core[free])
         core = core[~free]
     return levels, core
-
-
-def _entry_levels(nz, pd, pa, Wsl):
-    """Order the read entries by every coupling of the two-time equation.
-
-    ``nz`` marks the entries of ``W``, and so of ``B``, that the slot
-    table lets be nonzero at some step
-    (:func:`kraus.propagator_support`).  Entry
-    ``q'`` depends on ``q`` where some term ``B[pd[q'], e] Wsl[q, e, b]
-    conj B[pa[q'], b]`` can be nonzero at some lags (its value below the
-    diagonal), or the same term with ``pd`` and ``pa`` swapped (above
-    it, the adjoint).  That pattern, as one lag of
-    :func:`_column_groups`, gives ``(levels, core)``; an empty core means
-    the read entries form no cycle.
-    """
-    b, w = nz.astype(int), (Wsl != 0).astype(int)
-    dep = (np.einsum("pe,qeb,pb->pq", b[pd], w, b[pa])
-           + np.einsum("pe,qeb,pb->pq", b[pa], w, b[pd]))
-    return _column_groups(dep[None])
 
 
 class _CausalSolver:
@@ -399,7 +386,7 @@ def _solve(sys: SystemSpec, W: KrausZero, rho0):
     dt = tg[1] - tg[0]
     plan = _plan(sys, rho0, W)
     _check_plan(plan, dim, n)
-    route, _, pd, pa, _, _, feeds, _ = plan
+    route, _, pd, pa, _, _, _, feeds, _ = plan
     en = np.asarray(sys.energies, dtype=float)
     if route == "decay":
         return _decay_route(W, en, rho0, plan), (pd, pa, None), 0.0
@@ -445,19 +432,14 @@ def _decay_route(W, en, rho0, plan):
     refill of a radiative two-level atom, nonnegative for a real
     nonnegative weight (Bochner's theorem).
     """
-    _, nz, pd, pa, Wsl, _, _, _ = plan
+    _, nz, pd, pa, Wsl, _, _, _, _ = plan
     Wv, tg = W.values, W.grid
     n = tg.shape[0] - 1
     dt = tg[1] - tg[0]
-    # the free part W rho0 W^dagger, time last: rho[d, a, j]
-    Wt = Wv.transpose(1, 2, 0)
-    X = np.matmul(rho0.T, Wt)
-    rho = np.zeros(X.shape, dtype=complex)
-    for k in range(X.shape[1]):
-        rho += X[:, None, k] * np.conj(Wt[None, :, k])
+    rho = _free_part(Wv, rho0, pd[:0], pa[:0])[0]
     q, e, c = np.nonzero(Wsl)
     if not q.size:
-        return rho.transpose(2, 0, 1)
+        return rho
     nfft = rv.next_fast_len(2 * n)
     kline = W.kappa.copy()
     k0 = kline[0].real
@@ -496,8 +478,8 @@ def _decay_route(W, en, rho0, plan):
     np.cumsum(k0 * p0[:, :-1] + p1[:, :-1], axis=1, out=T[:, 1:])
     T += 0.5 * p1 + 0.25 * k0 * p0
     T[:, 0] = 0.0
-    np.add.at(rho, (e, c), Wsl[q, e, c][:, None] * T)
-    return rho.transpose(2, 0, 1)
+    np.add.at(rho, (slice(None), e, c), (Wsl[q, e, c][:, None] * T).T)
+    return rho
 
 
 def _free_part(V, rho0, pd, pa):
@@ -509,40 +491,45 @@ def _free_part(V, rho0, pd, pa):
     entry's lower one.
     """
     n1 = V.shape[0]
-    RW = rho0 @ np.conj(np.swapaxes(V, 1, 2))
-    rho = V @ RW
+    # the slice time last, rho[d, a, j], summed over k by broadcasting;
+    # a stacked @ would call BLAS once per time
+    Vt = V.transpose(1, 2, 0)
+    X = np.matmul(rho0.T, Vt)
+    rho = np.zeros(X.shape, dtype=complex)
+    for k in range(X.shape[1]):
+        rho += X[:, None, k] * np.conj(Vt[None, :, k])
+    rho = rho.transpose(2, 0, 1)
     S = np.empty((n1, n1, pd.size), dtype=complex)
-    low = np.tri(n1, dtype=bool)
-    for k, (d, a) in enumerate(zip(pd, pa)):
-        # F[i, j] = V[i, d] rho0 V[j, a]^dagger
-        F = V[:, d] @ RW[:, :, a].T
-        Ft = F if d == a else V[:, a] @ RW[:, :, d].T
-        S[:, :, k] = np.where(low, F, np.conj(Ft.T))
-    # the slice takes the squares' diagonal, so the two agree exactly
-    idx = np.arange(n1)
-    rho[:, pd, pa] = S[idx, idx]
+    if pd.size:
+        RW = rho0 @ np.conj(np.swapaxes(V, 1, 2))
+        low = np.tri(n1, dtype=bool)
+        for k, (d, a) in enumerate(zip(pd, pa)):
+            # F[i, j] = V[i, d] rho0 V[j, a]^dagger
+            F = V[:, d] @ RW[:, :, a].T
+            Ft = F if d == a else V[:, a] @ RW[:, :, d].T
+            S[:, :, k] = np.where(low, F, np.conj(Ft.T))
+        # the slice takes the squares' diagonal, so the two agree exactly
+        idx = np.arange(n1)
+        rho[:, pd, pa] = S[idx, idx]
     return rho, S
 
 
-def _reachable(nz, rho0, pd, pa, Wsl):
+def _reachable(nz, rho0, R, pd, pa):
     """Field entries that ``rho0`` can make nonzero at some node.
 
     The free part ``B[i] rho0 B[j]^dagger`` is exactly zero off the
-    pattern ``nz supp(rho0) nz^T``, with ``nz`` the entries of ``B``
-    that can be nonzero, and its adjoint off the transposed pattern.  A
-    read entry in the pattern makes its channels live
-    (:func:`_channels`), ``B`` carries them into further entries, and
-    the adjoint adds the transposed entries; grown so to its fixed
-    point, the pattern holds every entry that can be nonzero on the
-    whole square.
+    pattern ``nz supp(rho0) nz^T``, and its adjoint off the transposed
+    pattern.  The read entries in the pattern carry memory into the
+    entries ``R`` marks (:func:`_plan`), and the adjoint adds the
+    transposed ones; grown so to its fixed point, the pattern holds
+    every entry that can be nonzero on the whole square.
     """
-    b = nz.astype(int)
     supp = (rho0 != 0) | (rho0.T != 0)
-    grown = (b @ supp.astype(int) @ b.T) > 0
+    grown = nz @ supp @ nz.T
     pattern = None
     while not np.array_equal(pattern, grown):
         pattern = grown
-        reach = _channels(Wsl[pattern[pd, pa]], np.arange(nz.shape[0]), nz)[2]
+        reach = R[:, :, pattern[pd, pa]].any(2)
         grown = pattern | reach | reach.T
     return pattern
 
@@ -570,7 +557,7 @@ def _level_solve(rho, S, B, Bh, fB, KD, dt, plan):
     entry feeds keeps its free part exactly, and the levels fill an
     entry only once every read entry that feeds it is in ``Q``.
     """
-    _, _, pd, pa, Wsl, levels, feeds, (ech, cch, reach) = plan
+    _, _, pd, pa, Wsl, R, levels, feeds, (ech, cch) = plan
     X = ech.size
     n1, dim = B.shape[:2]
     nfft = fB.shape[0]
@@ -622,7 +609,7 @@ def _level_solve(rho, S, B, Bh, fB, KD, dt, plan):
 
     # done: entries that hold their final value; those the memory never
     # reaches, and level 0 entries, keep their free part
-    done = ~reach
+    done = ~R.any(2)
     for lv, q in enumerate(levels):
         todo = np.zeros((dim, dim), dtype=bool)
         todo[pd[q], pa[q]] = todo[pa[q], pd[q]] = True
@@ -649,18 +636,15 @@ def _level_solve(rho, S, B, Bh, fB, KD, dt, plan):
 
 
 def _channels(Wsl, rows, nz):
-    """Channels of the memory term that can be nonzero, and the entries it reaches.
+    """Channels of the memory term that can be nonzero.
 
     Channel ``x`` is the pair (written row ``rows[ech[x]]``, column
     ``cch[x]``) for which some read entry ``q`` has ``Wsl[q, e, b] !=
     0`` with ``B[c, b]`` not zero at every step (``nz``); every other
-    channel of the source rows is exactly zero.  ``reach[d, c]`` marks
-    the field entries that ``B`` carries a channel into.
+    channel of the source rows is exactly zero.
     """
     live = ((Wsl[:, rows] != 0).any(axis=0).astype(int) @ nz.T.astype(int)) > 0
-    ech, cch = np.nonzero(live)
-    reach = (nz[:, rows].astype(int) @ live.astype(int)) > 0
-    return ech, cch, reach
+    return np.nonzero(live)
 
 
 def _column_loop(rho, S, B, fB, KD, dt, plan):
@@ -673,7 +657,7 @@ def _column_loop(rho, S, B, fB, KD, dt, plan):
     slice at ``t_j``, the read entries of column ``j`` and their
     adjoints in row ``j``.  Returns the worst leaf residual.
     """
-    _, _, pd, pa, Wsl, _, feeds, _ = plan
+    _, _, pd, pa, Wsl, _, _, feeds, _ = plan
     n = B.shape[0] - 1
     dim = B.shape[1]
     P = pd.size
@@ -857,26 +841,18 @@ def channel_pair(gamma, omega_bar, t):
     return M, N
 
 
-def _sandwich(A, rho0):
-    """Stacked ``A @ rho0 @ A^H`` of 2 x 2 matrices, each entry an explicit
-    sum over k (a stacked ``@`` calls BLAS once per matrix)."""
-    shape = np.broadcast_shapes(A.shape, rho0.shape)
-    X = np.empty(shape, complex)
-    for i in range(2):
-        for j in range(2):
-            X[..., i, j] = A[..., i, 0] * rho0[..., 0, j] + A[..., i, 1] * rho0[..., 1, j]
-    Ac = np.conj(A)
-    out = np.empty(shape, complex)
-    for i in range(2):
-        for j in range(2):
-            out[..., i, j] = X[..., i, 0] * Ac[..., j, 0] + X[..., i, 1] * Ac[..., j, 1]
-    return out
-
-
 def markovian_channel(gamma, omega_bar, rho0, t):
-    """Amplitude-damping evolution of ``rho0``; exactly trace preserving."""
+    """Amplitude-damping evolution of ``rho0``; exactly trace preserving.
+
+    ``M rho0 M^dagger + N rho0 N^dagger`` from the nonzero entries of
+    :func:`channel_pair`: ``M[0, 0] = 1``, ``m = M[1, 1]``, ``s = N[0, 1]``.
+    """
     rho0 = np.asarray(rho0, dtype=complex)
     M, N = channel_pair(gamma, omega_bar, t)
-    rho = _sandwich(M, rho0)
-    rho += _sandwich(N, rho0)
+    m, s = M[..., 1, 1], N[..., 0, 1]
+    rho = np.empty(np.broadcast_shapes(M.shape, rho0.shape), complex)
+    rho[..., 0, 0] = rho0[..., 0, 0] + s * rho0[..., 1, 1] * s
+    rho[..., 0, 1] = rho0[..., 0, 1] * np.conj(m)
+    rho[..., 1, 0] = m * rho0[..., 1, 0]
+    rho[..., 1, 1] = m * rho0[..., 1, 1] * np.conj(m)
     return rho

@@ -461,6 +461,93 @@ def test_retired_key_is_refused(tmp_path, capsys, key, body):
     assert not outdir.exists()
 
 
+# grids that kraus.step_count refuses, each a config error naming its
+# keys: 10^7 steps, an infinite count, 10^12 steps (a 7.28 TiB tau
+# array), and 2,999,999 steps of a ladder run on either solver (65 is
+# the ladder body's n_times)
+@pytest.mark.parametrize("text, keys", [
+    (WW_BODY.format(height=0.0318, dt=0.001, T=1.0e4),
+     "numerics.t_final_time / numerics.dt_time"),
+    (WW_BODY.format(height=0.0318, dt=1.0e-300, T=1.0e10),
+     "numerics.t_final_time / numerics.dt_time"),
+    (PLATEAU_BODY.format(plist="20", tau_max=1.0e10, dtau=1.0e-300), "grid.tau_max / grid.dtau"),
+    (PLATEAU_BODY.format(plist="20", tau_max=1.0e9, dtau=0.001), "grid.tau_max / grid.dtau"),
+    (JC_BODY.format(p=1, solver="bitemporal", extra="").replace("65", "3000000"),
+     "numerics.t_final_time / numerics.n_times"),
+    (JC_BODY.format(p=1, solver="series", extra="  r_max: 2\n").replace("65", "3000000"),
+     "numerics.t_final_time / numerics.n_times"),
+], ids=["ww_cap", "ww_infinite", "plateau_infinite", "plateau_cap", "jc_bitemporal_cap",
+        "jc_series_cap"])
+def test_grid_outside_the_step_rule_is_a_config_error(tmp_path, capsys, text, keys):
+    rc, outdir = _run(tmp_path, "grid.yaml", text, "out")
+    assert rc == 2
+    assert f"config error: {keys}: T/dt = " in capsys.readouterr().err
+    assert not outdir.exists()
+
+
+_GENERIC = GENERIC_BODY.format(row=2, extra="")
+_JC = JC_BODY.format(p=1, solver="series", extra="  r_max: 2\n")
+_PLATEAU = PLATEAU_BODY.format(plist="20", tau_max=90.0, dtau=0.1)
+_CSV = "t_time,x\n0.0,1.0\n1.0,2.0\n"
+
+
+def _finished_run(path, artifacts):
+    """A run directory whose summary lists ``artifacts``; a None body writes no file."""
+    path.mkdir()
+    for name, body in artifacts.items():
+        if body is not None:
+            (path / f"{name}.csv").write_text(body)
+    fnames = {name: f"{name}.csv" for name in artifacts}
+    (path / "summary.json").write_text(json.dumps({"kind": "TwoLevelWW", "artifacts": fnames}))
+    return str(path)
+
+
+# a config text to run, or the artifacts of two finished runs to compare
+@pytest.mark.parametrize("case, message", [
+    (_WW + "initial:\n  rho11: -0.1\n", "initial.rho11 must be nonnegative"),
+    (_JC.replace("photon_cutoff: 1", "photon_cutoff: 1.5"),
+     "system.photon_cutoff must be an integer"),
+    (_JC.replace("n_times: 65", "n_times: 1"), "numerics.n_times must be >= 2"),
+    (_WW.replace("family: flat_window", "family: 3"), "spectral.family must be a string"),
+    (_GENERIC.replace("  slots:\n    - {row: 2, mid_out: 1, mid_in: 1, col: 2, weight_re: 1.0}",
+                      "  slots: []"), "system.slots must be a nonempty list"),
+    (_WW.replace("omega_hi_per_time: 5.5", "omega_hi_per_time: 4.5"),
+     "spectral.omega_hi_per_time must exceed spectral.omega_lo_per_time"),
+    (_WW.replace("family: flat_window", "family: gaussian"), "spectral.family must be one of"),
+    (_WW + "initial:\n  rho11: 0.5\n  rho22: 0.6\n", "initial: initial state must have unit"),
+    (_GENERIC.replace("[[0.2, 0.1], [0.1, 0.8]]", "[[1.0]]"), "initial.rho_re must be a 2x2"),
+    (_GENERIC.replace("[[0.2, 0.1], [0.1, 0.8]]", "[[0.2, 0.5], [0.5, 0.8]]"),
+     "initial: initial state is not positive"),
+    (_JC.replace("coupling_per_time: 0.3", "coupling_per_time: 30.0"),
+     "system: need omega_a2 - omega_a1 > coupling"),
+    (WW_BODY.format(height=0.0318, dt=0.1, T=0.1),
+     "numerics.t_final_time must exceed numerics.dt_time"),
+    (_GENERIC.replace("    - {row: 2, mid_out: 1, mid_in: 1, col: 2, weight_re: 1.0}", "    - 3"),
+     "system.slots[0] must be a mapping"),
+    (_JC.replace("solver: series", "solver: euler"), "numerics.solver must be series or"),
+    (_PLATEAU.replace("[20]", "[0]"), "photon_numbers must be integers >= 1"),
+    (_PLATEAU + "initial:\n  rho11: 0.5\n  rho22: 0.6\n", "initial populations must sum"),
+    (({"trajectory": None}, {"trajectory": _CSV}), "artifact file missing"),
+    (({"trajectory": "\n"}, {"trajectory": _CSV}), "no header row"),
+    (({"trajectory": _CSV}, {"trajectory": _CSV.replace("1.0,2.0", "5.0,2.0")}),
+     "first columns do not align"),
+    (({"a": _CSV}, {"b": _CSV}), "runs share no artifact names"),
+    ("- 1\n- 2\n", "config top level must be a mapping"),
+], ids=["nonneg", "int_type", "int_minimum", "str", "list", "window_order", "family",
+        "two_level_state", "matrix_shape", "matrix_state", "basis", "span_below_step",
+        "slot_mapping", "solver", "photon_numbers", "population_sum", "missing_artifact",
+        "header_row", "misaligned_rows", "shared_artifact", "top_level"])
+def test_refusal_exits_2_and_names_the_field(tmp_path, capsys, case, message):
+    if isinstance(case, str):
+        rc, outdir = _run(tmp_path, "bad.yaml", case, "out")
+        assert not outdir.exists()
+    else:
+        runs = [_finished_run(tmp_path / label, arts) for label, arts in zip("ab", case)]
+        rc = cli.main(["compare", *runs])
+    assert rc == 2
+    assert message in capsys.readouterr().err
+
+
 def test_exponent_numbers_load_as_floats(tmp_path):
     # YAML 1.1 floats need a dot and a signed exponent; 1e-2 and 2e1
     # load as the numbers they spell, and the run matches the shipped one

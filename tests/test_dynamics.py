@@ -580,9 +580,20 @@ class TestColumnGroups:
             dy.solve_bitemporal(sys, W, RHO)
 
 
-def _entry_levels(sys):
-    return dy._entry_levels(kr.propagator_support(sys.kernel.slots, sys.dim),
-                            *dy._slot_pairs(sys))
+def _relation(sys):
+    """``(nz, pd, pa, R)`` of the plan of a ``rho0`` that keeps every read entry.
+
+    That ``rho0``, an equal superposition, has no zero entry.
+    """
+    _, nz, pd, pa, _, R, *_ = dy._plan(sys, np.full((sys.dim, sys.dim), 1.0 / sys.dim))
+    return nz, pd, pa, R
+
+
+def _entry_levels(sys, keep=slice(None)):
+    """Levels and core of the read entries ``keep``, from the plan's relation."""
+    _, pd, pa, R = _relation(sys)
+    pd, pa, R = pd[keep], pa[keep], R[:, :, keep]
+    return dy._column_groups((R[pd, pa] | R[pa, pd])[None])
 
 
 def _refuse_loop():
@@ -692,8 +703,8 @@ class TestLevelRoute:
         rho0 /= np.trace(rho0).real
         W = kr.solve_time_domain(sys, n * dt, dt)
         field = bitemporal_reference.solve_bitemporal(sys, W, rho0, n * dt, dt)
-        nz = kr.propagator_support(sys.kernel.slots, dim)
-        reach = dy._reachable(nz, rho0, *dy._slot_pairs(sys))
+        nz, pd, pa, R = _relation(sys)
+        reach = dy._reachable(nz, rho0, R, pd, pa)
         assert not field[:, :, ~reach].any()
         with _refuse_loop():
             xi = _solve(sys, W, rho0)
@@ -713,12 +724,11 @@ class TestLevelRoute:
         rho0 = _block_density(dim, blocks, seed)
         W = kr.solve_time_domain(sys, n * dt, dt)
         field = bitemporal_reference.solve_bitemporal(sys, W, rho0, n * dt, dt)
-        nz = kr.propagator_support(sys.kernel.slots, dim)
-        pd, pa, Wsl = dy._slot_pairs(sys)
-        reach = dy._reachable(nz, rho0, pd, pa, Wsl)
+        nz, pd, pa, R = _relation(sys)
+        reach = dy._reachable(nz, rho0, R, pd, pa)
         assert not field[:, :, ~reach].any()
         keep = reach[pd, pa]
-        cyclic = dy._entry_levels(nz, pd[keep], pa[keep], Wsl[keep])[1].size > 0
+        cyclic = _entry_levels(sys, keep)[1].size > 0
         with mock.patch.object(dy, "_column_loop", wraps=dy._column_loop) as loop:
             xi = _solve(sys, W, rho0)
         assert loop.called == cyclic
@@ -801,7 +811,7 @@ def test_one_analysis_per_solve(case):
     else:
         sys, rho0 = _thermal_system(THERMAL_PAIR_AND_DECAY), np.diag([0.0, 0.4, 0.6])
     W = kr.solve_time_domain(sys, 1.0, 0.05)
-    names = ["_slot_pairs", "_reachable", "_entry_levels"]
+    names = ["_slot_pairs", "_reachable", "_column_groups"]
     with contextlib.ExitStack() as stack:
         spies = [stack.enter_context(mock.patch.object(dy, name, wraps=getattr(dy, name)))
                  for name in names]
